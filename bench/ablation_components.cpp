@@ -1,7 +1,7 @@
-// Ablation (not in the paper): how much each design choice DESIGN.md
-// calls out contributes — AGP (τ = 0 disables it), Markov weight learning
-// (Eq. 4 priors only), the FSCR minimality discount, and duplicate
-// removal, each toggled off from the tuned configuration.
+// Ablation (not in the paper): how much each design choice contributes —
+// AGP (τ = 0 disables it), Markov weight learning (Eq. 4 priors only),
+// the FSCR minimality discount, and duplicate removal, each toggled off
+// from the tuned configuration.
 
 #include "bench_util.h"
 

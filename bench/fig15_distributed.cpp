@@ -1,7 +1,8 @@
 // Figure 15: distributed MLNClean on the larger HAI-like and TPC-H-like
 // datasets — F1 and runtime as the error percentage grows. The Spark
-// cluster of the paper is replaced by the thread-pool worker set (see
-// DESIGN.md); accuracy behaviour is what the figure tracks.
+// cluster of the paper is replaced by an executor's worker set (see
+// distributed/distributed_pipeline.h); accuracy behaviour is what the
+// figure tracks.
 
 #include "bench_util.h"
 

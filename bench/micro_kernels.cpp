@@ -93,20 +93,18 @@ void BM_CosineProfilePrebuilt(benchmark::State& state) {
 }
 BENCHMARK(BM_CosineProfilePrebuilt);
 
-// Stage-I cleaners on the 40-hospital workload. Arg 0/1 = distance cache
-// off/on; threads are pinned to 1 so the cache effect is isolated (block
-// parallelism shows up in BM_StageOne/threads below).
-CleaningOptions StageOneOptions(bool cached, size_t threads) {
+// Stage-I cleaners on the 40-hospital workload, pinned to 1 thread
+// (block parallelism shows up in BM_StageOne/threads below).
+CleaningOptions StageOneOptions() {
   CleaningOptions options = Options(SharedHai());
-  options.cache_distances = cached;
-  options.num_threads = threads;
+  options.num_threads = 1;
   return options;
 }
 
 void BM_AgpAll(benchmark::State& state) {
   const DirtyDataset& dd = SharedDirty();
   const Workload& wl = SharedHai();
-  CleaningOptions options = StageOneOptions(state.range(0) != 0, 1);
+  CleaningOptions options = StageOneOptions();
   DistanceFn dist = MakeNormalizedDistanceFn(options.distance);
   MlnIndex base = *MlnIndex::Build(dd.dirty, wl.rules);
   for (auto _ : state) {
@@ -117,12 +115,13 @@ void BM_AgpAll(benchmark::State& state) {
     benchmark::DoNotOptimize(index);
   }
 }
-BENCHMARK(BM_AgpAll)->Arg(0)->Arg(1);
+// The lone Arg(0) keeps the name BM_AgpAll/0 that BENCH_micro.json gates.
+BENCHMARK(BM_AgpAll)->Arg(0);
 
 void BM_RscAll(benchmark::State& state) {
   const DirtyDataset& dd = SharedDirty();
   const Workload& wl = SharedHai();
-  CleaningOptions options = StageOneOptions(state.range(0) != 0, 1);
+  CleaningOptions options = StageOneOptions();
   DistanceFn dist = MakeNormalizedDistanceFn(options.distance);
   MlnIndex base = *MlnIndex::Build(dd.dirty, wl.rules);
   RunAgpAll(&base, options, dist, nullptr);
@@ -131,11 +130,12 @@ void BM_RscAll(benchmark::State& state) {
     state.PauseTiming();
     MlnIndex index = base;
     state.ResumeTiming();
-    RunRscAll(&index, options, dist, nullptr);
+    RunRscAll(&index, dist, nullptr);
     benchmark::DoNotOptimize(index);
   }
 }
-BENCHMARK(BM_RscAll)->Arg(0)->Arg(1);
+// The lone Arg(0) keeps the name BM_RscAll/0 that BENCH_micro.json gates.
+BENCHMARK(BM_RscAll)->Arg(0);
 
 void BM_GroundConstraint(benchmark::State& state) {
   const Workload& wl = SharedHai();
@@ -386,46 +386,6 @@ void BM_Partition(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Partition);
-
-void BM_GibbsSmallNetwork(benchmark::State& state) {
-  GroundNetwork net;
-  for (int i = 0; i < 20; ++i) {
-    AtomId a = net.AddAtom("x" + std::to_string(i));
-    (void)net.AddClause({{{a, true}}, 0.5 + 0.1 * i, false});
-  }
-  GibbsOptions opts;
-  opts.burn_in_sweeps = 10;
-  opts.sample_sweeps = 50;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(GibbsMarginals(net, opts));
-  }
-}
-BENCHMARK(BM_GibbsSmallNetwork);
-
-// A connected network (implication ring + biases) where the sweeps run
-// through the flat CSR adjacency and the chromatic partition — the shape
-// the incremental satisfied-count bookkeeping is built for, unlike the
-// all-unit-clause network above.
-void BM_GibbsSweep(benchmark::State& state) {
-  GroundNetwork net;
-  constexpr int kAtoms = 64;
-  std::vector<AtomId> atoms;
-  for (int i = 0; i < kAtoms; ++i) {
-    atoms.push_back(net.AddAtom("x" + std::to_string(i)));
-  }
-  for (int i = 0; i < kAtoms; ++i) {
-    (void)net.AddClause(
-        {{{atoms[i], false}, {atoms[(i + 1) % kAtoms], true}}, 0.8, false});
-    (void)net.AddClause({{{atoms[i], true}}, 0.1 * (i % 5), false});
-  }
-  GibbsOptions opts;
-  opts.burn_in_sweeps = 20;
-  opts.sample_sweeps = 100;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(GibbsMarginals(net, opts));
-  }
-}
-BENCHMARK(BM_GibbsSweep);
 
 // Snapshot save + load of the warmed 40-hospital model: the v4 columnar
 // varint codec on its motivating payload (the Eq. 6 weight store).

@@ -2,7 +2,8 @@
 // grows from 2 to 10 (paper: ~6.7x speedup on TPC-H). On this 2-core host
 // the wall clock saturates quickly, so the table also reports the
 // deterministic LPT makespan of the measured per-part costs — the
-// host-independent scaling shape (DESIGN.md substitution).
+// host-independent scaling shape of the in-process stand-in for the
+// paper's Spark workers (distributed/distributed_pipeline.h).
 
 #include "bench_util.h"
 

@@ -2,7 +2,6 @@
 
 #include <iterator>
 #include <limits>
-#include <optional>
 
 namespace mlnclean {
 
@@ -19,12 +18,8 @@ size_t RunAgp(Block* block, const CleaningOptions& options, const DistanceFn& di
   }
   if (abnormal_idx.empty()) return 0;
 
-  // One id-pair memo set for the whole abnormal × normal scan (values are
-  // dictionary-interned at load time, so γ* pairs key directly on ids).
   // Each normal γ* pointer is resolved once; a group's entry is refreshed
   // only after a merge lands in it (merged-in pieces can change its γ*).
-  std::optional<PieceDistanceMemo> memo;
-  if (options.cache_distances) memo.emplace(dist);
   std::vector<const Piece*> normal_star(normal_idx.size(), nullptr);
 
   size_t merged_count = 0;
@@ -57,8 +52,7 @@ size_t RunAgp(Block* block, const CleaningOptions& options, const DistanceFn& di
       }
       // Bounded by the running best: only the strict minimum matters, so
       // candidates may be abandoned mid-sum without changing the winner.
-      double d = memo ? memo->DistanceBounded(a_star, *normal_star[pos], best)
-                      : PieceDistanceBounded(a_star, *normal_star[pos], dist, best);
+      double d = PieceDistanceBounded(a_star, *normal_star[pos], dist, best);
       if (d < best) {
         best = d;
         best_pos = pos;

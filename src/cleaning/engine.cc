@@ -352,7 +352,7 @@ Status CleanSession::RunStage(Stage stage, const ExecContext& ctx) {
       return Status::OK();
     }
     case Stage::kRsc:
-      RunRscAll(&owned_index_, options, dist_, report, ctx);
+      RunRscAll(&owned_index_, dist_, report, ctx);
       return Status::OK();
     case Stage::kFscr:
       cleaned_ = dirty_->Clone();

@@ -237,7 +237,7 @@ void EncodeOptions(const CleaningOptions& o, Encoder* e) {
   e->U64(o.max_exhaustive_fusion);
   e->U64(o.max_fusion_nodes);
   e->U64(o.num_threads);
-  e->U8(o.cache_distances ? 1 : 0);
+  e->U8(0);  // reserved: the retired distance-memo flag; see snapshot_format.md
   e->F64(o.fscr_minimality_discount);
   e->U64(o.weight_half_life_batches);
 }
@@ -266,8 +266,9 @@ Status DecodeOptions(Decoder* d, CleaningOptions* o) {
   o->max_fusion_nodes = static_cast<size_t>(nodes);
   MLN_ASSIGN_OR_RETURN(uint64_t threads, d->U64("num_threads"));
   o->num_threads = static_cast<size_t>(threads);
-  MLN_ASSIGN_OR_RETURN(uint8_t cache, d->U8("cache_distances"));
-  o->cache_distances = cache != 0;
+  // Reserved byte (the retired distance-memo flag): read, then ignored,
+  // so snapshots that set it still load.
+  MLN_RETURN_NOT_OK(d->U8("reserved options byte").status());
   MLN_ASSIGN_OR_RETURN(o->fscr_minimality_discount, d->F64("fscr_minimality_discount"));
   MLN_ASSIGN_OR_RETURN(uint64_t half_life, d->U64("weight_half_life_batches"));
   o->weight_half_life_batches = static_cast<size_t>(half_life);

@@ -72,22 +72,6 @@ struct CleaningOptions {
   /// counter and per-entry batch stamps), see docs/snapshot_format.md.
   size_t weight_half_life_batches = 0;
 
-  /// Memoize pairwise value distances during AGP's abnormal-vs-normal γ*
-  /// scan and RSC's per-group loops (one PieceDistanceMemo per block task,
-  /// keyed on dictionary id pairs). Purely an evaluation cache: results
-  /// are identical with it on or off. Re-measured against the bit-parallel
-  /// edit-distance kernels (Myers over 64-column words, scratch-reusing):
-  /// on 40- and 120-hospital at 5-10% error rate the memo now *loses*
-  /// ~25-35% of AGP stage time and is a wash on RSC — a short-value
-  /// kernel call is down to roughly the cost of the memo's hash probe, so
-  /// the insert traffic for rarely-repeating distinct pairs is pure
-  /// overhead (within a group most positions share one dictionary id,
-  /// which short-circuits before either path). Off by default, and the
-  /// bar for enabling it has risen with the kernels: it only pays for
-  /// workloads with long values (where O(n*m/64) per call still dwarfs a
-  /// probe) and heavy cross-block value-pair reuse.
-  bool cache_distances = false;
-
   /// Minimality bias of FSCR: each attribute a candidate fusion changes
   /// away from the tuple's current (dirty) value multiplies its f-score
   /// by this factor. Pure Eq. 5 maximization ties between "repair the one

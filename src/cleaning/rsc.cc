@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
-#include <optional>
 
 namespace mlnclean {
 
@@ -15,8 +14,7 @@ struct RscScratch {
 };
 
 void ComputeReliabilityScores(const Group& group, const DistanceFn& dist,
-                              PieceDistanceMemo* memo, RscScratch* scratch,
-                              std::vector<double>* scores) {
+                              RscScratch* scratch, std::vector<double>* scores) {
   const size_t m = group.pieces.size();
   scores->assign(m, 0.0);
   if (m == 0) return;
@@ -26,15 +24,13 @@ void ComputeReliabilityScores(const Group& group, const DistanceFn& dist,
     return;
   }
   // Pairwise raw distances and the normalizer Z (max pairwise distance).
-  // With a memo, repeated (id, id) value pairs cost a table probe instead
-  // of a distance kernel; equal-id positions are free either way.
+  // Equal-id positions cost an integer compare, not a kernel call.
   std::vector<double>& min_dist = scratch->min_dist;
   min_dist.assign(m, std::numeric_limits<double>::infinity());
   double z = 0.0;
   for (size_t i = 0; i < m; ++i) {
     for (size_t j = i + 1; j < m; ++j) {
-      double d = memo ? memo->Distance(group.pieces[i], group.pieces[j])
-                      : PieceDistance(group.pieces[i], group.pieces[j], dist);
+      double d = PieceDistance(group.pieces[i], group.pieces[j], dist);
       z = std::max(z, d);
       min_dist[i] = std::min(min_dist[i], d);
       min_dist[j] = std::min(min_dist[j], d);
@@ -51,33 +47,32 @@ void ComputeReliabilityScores(const Group& group, const DistanceFn& dist,
 }
 
 void RunRscGroupImpl(Group* group, size_t block_rule_index, const DistanceFn& dist,
-                     CleaningReport* report, PieceDistanceMemo* memo,
-                     RscScratch* scratch, std::vector<double>* scores);
+                     CleaningReport* report, RscScratch* scratch,
+                     std::vector<double>* scores);
 
 }  // namespace
 
-std::vector<double> ReliabilityScores(const Group& group, const DistanceFn& dist,
-                                      PieceDistanceMemo* memo) {
+std::vector<double> ReliabilityScores(const Group& group, const DistanceFn& dist) {
   RscScratch scratch;
   std::vector<double> scores;
-  ComputeReliabilityScores(group, dist, memo, &scratch, &scores);
+  ComputeReliabilityScores(group, dist, &scratch, &scores);
   return scores;
 }
 
 void RunRscGroup(Group* group, size_t block_rule_index, const DistanceFn& dist,
-                 CleaningReport* report, PieceDistanceMemo* memo) {
+                 CleaningReport* report) {
   RscScratch scratch;
   std::vector<double> scores;
-  RunRscGroupImpl(group, block_rule_index, dist, report, memo, &scratch, &scores);
+  RunRscGroupImpl(group, block_rule_index, dist, report, &scratch, &scores);
 }
 
 namespace {
 
 void RunRscGroupImpl(Group* group, size_t block_rule_index, const DistanceFn& dist,
-                     CleaningReport* report, PieceDistanceMemo* memo,
-                     RscScratch* scratch, std::vector<double>* scores_buf) {
+                     CleaningReport* report, RscScratch* scratch,
+                     std::vector<double>* scores_buf) {
   if (group->pieces.size() <= 1) return;  // already in the ideal state
-  ComputeReliabilityScores(*group, dist, memo, scratch, scores_buf);
+  ComputeReliabilityScores(*group, dist, scratch, scores_buf);
   std::vector<double>& scores = *scores_buf;
   // Winner: max r-score; ties broken by weight, then support, then order.
   size_t best = 0;
@@ -114,31 +109,27 @@ void RunRscGroupImpl(Group* group, size_t block_rule_index, const DistanceFn& di
   group->key = group->pieces.front().reason;
 }
 
-// RSC over one block: one shared id-pair memo set and one scratch for all
-// of its groups.
-void RunRscBlock(MlnIndex* index, size_t block_index, const CleaningOptions& options,
-                 const DistanceFn& dist, CleaningReport* report) {
+// RSC over one block: one scratch for all of its groups.
+void RunRscBlock(MlnIndex* index, size_t block_index, const DistanceFn& dist,
+                 CleaningReport* report) {
   Block& block = index->block(block_index);
-  std::optional<PieceDistanceMemo> memo;
-  if (options.cache_distances) memo.emplace(dist);
   RscScratch scratch;
   std::vector<double> scores;
   for (Group& group : block.groups) {
-    RunRscGroupImpl(&group, block.rule_index, dist, report,
-                    memo ? &*memo : nullptr, &scratch, &scores);
+    RunRscGroupImpl(&group, block.rule_index, dist, report, &scratch, &scores);
   }
   index->ReindexBlock(block_index);
 }
 
 }  // namespace
 
-void RunRscAll(MlnIndex* index, const CleaningOptions& options, const DistanceFn& dist,
-               CleaningReport* report, const ExecContext& ctx) {
+void RunRscAll(MlnIndex* index, const DistanceFn& dist, CleaningReport* report,
+               const ExecContext& ctx) {
   const size_t num_blocks = index->num_blocks();
   if (ctx.parallelism() <= 1 || num_blocks <= 1) {
     for (size_t bi = 0; bi < num_blocks; ++bi) {
       if (ctx.Stopped()) return;
-      RunRscBlock(index, bi, options, dist, report);
+      RunRscBlock(index, bi, dist, report);
       ctx.Tick(1);
     }
     return;
@@ -148,7 +139,7 @@ void RunRscAll(MlnIndex* index, const CleaningOptions& options, const DistanceFn
   std::vector<CleaningReport> local(report ? num_blocks : 0);
   ParallelFor(num_blocks, ctx, [&](size_t bi) {
     if (ctx.Stopped()) return;
-    RunRscBlock(index, bi, options, dist, report ? &local[bi] : nullptr);
+    RunRscBlock(index, bi, dist, report ? &local[bi] : nullptr);
     ctx.Tick(1);
   });
   if (report) {

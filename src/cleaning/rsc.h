@@ -11,7 +11,6 @@
 
 #include <vector>
 
-#include "cleaning/options.h"
 #include "cleaning/report.h"
 #include "common/executor.h"
 #include "index/mln_index.h"
@@ -21,21 +20,18 @@ namespace mlnclean {
 /// Reliability scores of every γ in `group`, in piece order. Groups with a
 /// single γ get the score n/Z·w with dist treated as 1 (they are skipped by
 /// RSC anyway). Z is the maximum raw pairwise distance within the group.
-/// `memo` (optional) memoizes the pairwise value distances on dictionary
-/// id pairs; it may be shared across the groups of one block.
-std::vector<double> ReliabilityScores(const Group& group, const DistanceFn& dist,
-                                      PieceDistanceMemo* memo = nullptr);
+std::vector<double> ReliabilityScores(const Group& group, const DistanceFn& dist);
 
 /// Runs RSC over one group in place; appends one record per replaced γ.
 void RunRscGroup(Group* group, size_t block_rule_index, const DistanceFn& dist,
-                 CleaningReport* report, PieceDistanceMemo* memo = nullptr);
+                 CleaningReport* report);
 
 /// Runs RSC over every group of every block and refreshes the group maps.
 /// Blocks run in parallel on `ctx`'s executor (one progress unit per
 /// block); when `ctx` is stopped, blocks not yet started are skipped
 /// (cooperative; the caller reports the terminal Status).
-void RunRscAll(MlnIndex* index, const CleaningOptions& options, const DistanceFn& dist,
-               CleaningReport* report, const ExecContext& ctx = {});
+void RunRscAll(MlnIndex* index, const DistanceFn& dist, CleaningReport* report,
+               const ExecContext& ctx = {});
 
 }  // namespace mlnclean
 

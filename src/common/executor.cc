@@ -3,25 +3,53 @@
 #include <algorithm>
 #include <condition_variable>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
 
 #include "common/failpoint.h"
-#include "common/thread_pool.h"
 
 namespace mlnclean {
 
-PoolExecutor::PoolExecutor(size_t num_threads)
-    : pool_(std::make_unique<ThreadPool>(num_threads)) {}
-
-PoolExecutor::~PoolExecutor() = default;
-
-void PoolExecutor::Submit(std::function<void()> fn) {
-  pool_->Post(std::move(fn));
+PoolExecutor::PoolExecutor(size_t num_threads) {
+  num_threads = std::max<size_t>(1, num_threads);
+  threads_.reserve(num_threads);
+  for (size_t i = 0; i < num_threads; ++i) {
+    threads_.emplace_back([this] { WorkerLoop(); });
+  }
 }
 
-size_t PoolExecutor::concurrency() const { return pool_->num_threads(); }
+PoolExecutor::~PoolExecutor() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  cv_.notify_all();
+  for (auto& t : threads_) t.join();
+}
+
+void PoolExecutor::Submit(std::function<void()> fn) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(std::move(fn));
+  }
+  cv_.notify_one();
+}
+
+void PoolExecutor::WorkerLoop() {
+  while (true) {
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      if (stop_ && queue_.empty()) return;
+      task = std::move(queue_.front());
+      queue_.pop_front();
+    }
+    task();
+  }
+}
 
 Executor* ProcessExecutor() {
   // Leaked on purpose: the workers live for the process, exactly like the

@@ -1,15 +1,14 @@
 // Executor: the process-wide execution abstraction behind every parallel
-// stage driver. PR 1 gave each distinct thread count its own long-lived
-// ThreadPool; with the serving layer running many sessions at once that
-// multiplies pools and oversubscribes the host. Now there is one
-// interface (`Executor`), two implementations (`InlineExecutor`,
-// `PoolExecutor`), one shared process pool (`ProcessExecutor()`), and
-// `ParallelFor` is a thin helper over an `Executor*`: the calling thread
-// always participates in the loop, so nested ParallelFor calls on one
-// shared pool (a CleanServer session running its stage drivers on the
-// same executor that scheduled the session) can never deadlock — even if
-// no pool worker ever picks the subtasks up, the caller drains the index
-// space itself.
+// stage driver. A long-lived pool per distinct thread count would, with
+// the serving layer running many sessions at once, multiply pools and
+// oversubscribe the host. So there is one interface (`Executor`), two
+// implementations (`InlineExecutor`, `PoolExecutor`), one shared process
+// pool (`ProcessExecutor()`), and `ParallelFor` is a thin helper over an
+// `Executor*`: the calling thread always participates in the loop, so
+// nested ParallelFor calls on one shared pool (a CleanServer session
+// running its stage drivers on the same executor that scheduled the
+// session) can never deadlock — even if no pool worker ever picks the
+// subtasks up, the caller drains the index space itself.
 //
 // ExecContext bundles what a stage driver needs from its caller: the
 // executor, a worker cap, the cooperative cancellation flag, an optional
@@ -25,16 +24,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <functional>
-#include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/status.h"
 
 namespace mlnclean {
-
-class ThreadPool;
 
 /// Where tasks run. Implementations must be thread-safe: any thread may
 /// Submit, including a task already running on the executor.
@@ -60,18 +61,30 @@ class InlineExecutor : public Executor {
   size_t concurrency() const override { return 1; }
 };
 
-/// A fixed-size worker pool (wraps ThreadPool). Threads spawn at
-/// construction and join at destruction; destruction drains the queue.
+/// A fixed-size worker pool with a FIFO task queue. `num_threads`
+/// workers (at least 1) spawn at construction; destruction runs every
+/// task still queued, then joins them. An exception escaping a task
+/// terminates the process (like an unhandled exception on any thread),
+/// so callers wrap fallible work themselves.
 class PoolExecutor : public Executor {
  public:
   explicit PoolExecutor(size_t num_threads);
   ~PoolExecutor() override;
 
+  PoolExecutor(const PoolExecutor&) = delete;
+  PoolExecutor& operator=(const PoolExecutor&) = delete;
+
   void Submit(std::function<void()> fn) override;
-  size_t concurrency() const override;
+  size_t concurrency() const override { return threads_.size(); }
 
  private:
-  std::unique_ptr<ThreadPool> pool_;
+  void WorkerLoop();
+
+  std::mutex mu_;
+  std::condition_variable cv_;  // signals workers: work available / stop
+  std::deque<std::function<void()>> queue_;
+  std::vector<std::thread> threads_;
+  bool stop_ = false;
 };
 
 /// The shared process-wide pool, sized to the hardware concurrency and

@@ -1,5 +1,5 @@
 // Seeded random-number helper. Every stochastic component of the library
-// (error injection, data generation, Gibbs sampling, partition seeding)
+// (error injection, data generation, partition seeding)
 // takes an explicit Rng so that experiments are reproducible.
 
 #ifndef MLNCLEAN_COMMON_RANDOM_H_

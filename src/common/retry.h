@@ -9,7 +9,8 @@
 // Jitter is deterministic on purpose: the backoff sequence is a pure
 // function of (policy, seed), so a retried run is exactly reproducible —
 // the same property every other stochastic component of this library
-// (error injection, Gibbs, partition seeding) already has via Rng.
+// (error injection, data generation, partition seeding) already has via
+// Rng.
 
 #ifndef MLNCLEAN_COMMON_RETRY_H_
 #define MLNCLEAN_COMMON_RETRY_H_

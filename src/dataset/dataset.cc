@@ -1,69 +1,8 @@
 #include "dataset/dataset.h"
 
 #include <algorithm>
-#include <cstring>
-
-#include "common/varint.h"
 
 namespace mlnclean {
-
-namespace {
-
-// Packed-image framing. Little-endian fixed-width lengths frame the
-// variable parts; the ValueId columns themselves are group-varint coded.
-constexpr char kPackedMagic[4] = {'M', 'L', 'N', 'D'};
-constexpr uint32_t kPackedVersion = 1;
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  const size_t base = out->size();
-  out->resize(base + sizeof(v));
-  std::memcpy(out->data() + base, &v, sizeof(v));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  const size_t base = out->size();
-  out->resize(base + sizeof(v));
-  std::memcpy(out->data() + base, &v, sizeof(v));
-}
-
-void PutStr(std::vector<uint8_t>* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->insert(out->end(), s.begin(), s.end());
-}
-
-// Bounds-checked forward reader over a packed image.
-struct PackedReader {
-  const uint8_t* p;
-  const uint8_t* end;
-
-  size_t remaining() const { return static_cast<size_t>(end - p); }
-
-  bool ReadU32(uint32_t* v) {
-    if (remaining() < sizeof(*v)) return false;
-    std::memcpy(v, p, sizeof(*v));
-    p += sizeof(*v);
-    return true;
-  }
-  bool ReadU64(uint64_t* v) {
-    if (remaining() < sizeof(*v)) return false;
-    std::memcpy(v, p, sizeof(*v));
-    p += sizeof(*v);
-    return true;
-  }
-  bool ReadStr(std::string* s) {
-    uint32_t len = 0;
-    if (!ReadU32(&len) || remaining() < len) return false;
-    s->assign(reinterpret_cast<const char*>(p), len);
-    p += len;
-    return true;
-  }
-};
-
-Status PackedError(const std::string& what) {
-  return Status::Invalid("packed dataset: " + what);
-}
-
-}  // namespace
 
 Result<Dataset> Dataset::Make(Schema schema, std::vector<std::vector<Value>> rows) {
   Dataset ds(std::move(schema));
@@ -194,117 +133,6 @@ bool SameRowIds(const Dataset& data, TupleId a, TupleId b,
     if (data.id_at(a, attr) != data.id_at(b, attr)) return false;
   }
   return true;
-}
-
-std::vector<uint8_t> Dataset::EncodePacked() const {
-  std::vector<uint8_t> out;
-  out.insert(out.end(), kPackedMagic, kPackedMagic + sizeof(kPackedMagic));
-  PutU32(&out, kPackedVersion);
-  PutU32(&out, static_cast<uint32_t>(schema_.num_attrs()));
-  for (const std::string& name : schema_.names()) PutStr(&out, name);
-  PutU64(&out, num_rows_);
-  for (const ValueDict& dict : dicts_) {
-    PutU64(&out, dict.size());
-    PutU64(&out, dict.null_rank());
-    // Id 0 is always NULL; only the non-null values need their bytes.
-    for (ValueId id = 1; id < static_cast<ValueId>(dict.size()); ++id) {
-      PutStr(&out, dict.value(id));
-    }
-  }
-  for (const std::vector<ValueId>& col : cols_) {
-    const size_t header = out.size();
-    PutU64(&out, 0);  // patched with the packed byte count below
-    const size_t base = out.size();
-    out.resize(base + GroupVarintMaxSize(col.size()));
-    const size_t written =
-        GroupVarintEncodeDelta(col.data(), col.size(), out.data() + base);
-    out.resize(base + written);
-    const uint64_t packed = written;
-    std::memcpy(out.data() + header, &packed, sizeof(packed));
-  }
-  return out;
-}
-
-Result<Dataset> Dataset::DecodePacked(const std::vector<uint8_t>& bytes) {
-  return DecodePacked(bytes.data(), bytes.size());
-}
-
-Result<Dataset> Dataset::DecodePacked(const uint8_t* data, size_t size) {
-  PackedReader r{data, data + size};
-  if (r.remaining() < sizeof(kPackedMagic) ||
-      std::memcmp(r.p, kPackedMagic, sizeof(kPackedMagic)) != 0) {
-    return PackedError("bad magic");
-  }
-  r.p += sizeof(kPackedMagic);
-  uint32_t version = 0;
-  if (!r.ReadU32(&version)) return PackedError("truncated header");
-  if (version != kPackedVersion) {
-    return PackedError("unsupported version " + std::to_string(version));
-  }
-  uint32_t num_attrs = 0;
-  if (!r.ReadU32(&num_attrs)) return PackedError("truncated header");
-  // Each name costs at least its 4-byte length prefix.
-  if (num_attrs > r.remaining() / 4) return PackedError("implausible attr count");
-  std::vector<std::string> names(num_attrs);
-  for (uint32_t a = 0; a < num_attrs; ++a) {
-    if (!r.ReadStr(&names[a])) return PackedError("truncated schema");
-  }
-  MLN_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(names)));
-  uint64_t num_rows = 0;
-  if (!r.ReadU64(&num_rows)) return PackedError("truncated header");
-
-  Dataset ds(std::move(schema));
-  for (uint32_t a = 0; a < num_attrs; ++a) {
-    uint64_t dict_size = 0, null_rank = 0;
-    if (!r.ReadU64(&dict_size) || !r.ReadU64(&null_rank)) {
-      return PackedError("truncated dictionary header");
-    }
-    if (dict_size == 0 || dict_size > r.remaining() + 1) {
-      // Every non-null value costs at least its 4-byte length prefix, so a
-      // size beyond the remaining bytes can only be garbage.
-      return PackedError("implausible dictionary size");
-    }
-    ValueDict& dict = ds.dicts_[a];
-    std::string value;
-    for (uint64_t id = 1; id < dict_size; ++id) {
-      if (!r.ReadStr(&value)) return PackedError("truncated dictionary value");
-      if (dict.Intern(value) != static_cast<ValueId>(id)) {
-        return PackedError("dictionary values not distinct in id order");
-      }
-    }
-    if (null_rank != ValueDict::kNoNullRank && null_rank > dict_size - 1) {
-      return PackedError("null rank out of range");
-    }
-    dict.RestoreNullRank(null_rank);
-  }
-  for (uint32_t a = 0; a < num_attrs; ++a) {
-    uint64_t packed = 0;
-    if (!r.ReadU64(&packed) || packed > r.remaining()) {
-      return PackedError("truncated column");
-    }
-    // A group of four ids costs at least one control byte, so a row count
-    // past 4x the packed bytes is garbage — checked before the resize so a
-    // forged count can never force a huge allocation.
-    if (num_rows > 0 && packed < (num_rows + 3) / 4) {
-      return PackedError("implausible row count");
-    }
-    std::vector<ValueId>& col = ds.cols_[a];
-    col.resize(num_rows);
-    size_t consumed = 0;
-    if (!GroupVarintDecodeDelta(r.p, static_cast<size_t>(packed), num_rows,
-                                col.data(), &consumed) ||
-        consumed != packed) {
-      return PackedError("column varint stream malformed");
-    }
-    r.p += packed;
-    const ValueId limit = static_cast<ValueId>(ds.dicts_[a].size());
-    for (ValueId id : col) {
-      if (id >= limit) return PackedError("column id out of dictionary range");
-    }
-  }
-  if (r.remaining() != 0) return PackedError("trailing bytes");
-  ds.num_rows_ = num_rows;
-  return ds;
 }
 
 bool Dataset::operator==(const Dataset& other) const {

@@ -150,24 +150,6 @@ class Dataset {
   /// of the serving and distributed paths.
   Dataset Slice(size_t begin, size_t end) const;
 
-  // ---- packed codec (opt-in) ---------------------------------------------
-
-  /// Compact self-contained binary image of the table: schema names, each
-  /// attribute's dictionary in id order, and every ValueId column
-  /// group-varint compressed (zigzag+delta — dictionary ids are dense and
-  /// repeat-heavy, so most cells cost one byte). The decoded dataset is
-  /// value-identical AND id-identical to the source (dictionaries are
-  /// rebuilt by re-interning in id order, null ranks restored), so packed
-  /// images preserve the id universe. Intended for shipping large
-  /// datasets between processes / to disk, not as the in-memory layout.
-  std::vector<uint8_t> EncodePacked() const;
-
-  /// Strict decode of an EncodePacked image: every length and id is
-  /// bounds-checked, malformed input yields kInvalid — never a crash or
-  /// over-read.
-  static Result<Dataset> DecodePacked(const uint8_t* data, size_t size);
-  static Result<Dataset> DecodePacked(const std::vector<uint8_t>& bytes);
-
  private:
   Schema schema_;
   size_t num_rows_ = 0;

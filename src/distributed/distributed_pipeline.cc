@@ -38,8 +38,8 @@ Result<DistributedResult> DistributedMlnClean::Clean(const Dataset& dirty,
 
   // The worker set part jobs are scheduled on: the configured executor,
   // or one transient pool per run (which also parallelizes the
-  // partitioner's centroid distances below) — one pool for the whole run
-  // where the old driver spun up a fresh ThreadPool per phase.
+  // partitioner's centroid distances below) — one pool for the whole run,
+  // not one per phase.
   std::unique_ptr<PoolExecutor> owned_pool;
   Executor* workers = options_.executor;
   if (workers == nullptr) {
@@ -64,14 +64,8 @@ Result<DistributedResult> DistributedMlnClean::Clean(const Dataset& dirty,
   // the shared shipping protocol (shard_merge.h): each shard carries a
   // copy of the global dictionaries, so its rows copy over by id and
   // every shard's ids stay aligned with the global table (the merge
-  // below remaps whatever a shard interned on top). Optionally round-trip
-  // each shard through the packed wire format, as a remote worker would
-  // receive it — id-identical by the codec contract, so the whole run
-  // stays bit-identical to in-process shipping.
+  // below remaps whatever a shard interned on top).
   std::vector<Dataset> part_data = MaterializeShards(dirty, partition.parts);
-  if (options_.ship_packed) {
-    MLN_RETURN_NOT_OK(ShipShardsPacked(&part_data, workers));
-  }
 
   // One staged engine session per part; parts run concurrently on the
   // worker pool, each part runs with the model's own thread setting. The

@@ -3,14 +3,14 @@
 // independently on a worker, adjust the learned weights globally (Eq. 6),
 // and gather the parts, removing duplicates at the end. This module
 // reproduces that dataflow as a thin adapter over the CleaningEngine: one
-// compiled model, one staged CleanSession per part on a thread-pool
-// worker set — phase A is RunUntil(kLearn), the Eq. 6 merge is the
-// model-level AdjustWeightsAcross, phase B is RunUntil(kFscr), and
-// duplicate elimination happens globally in the gather. See DESIGN.md for
-// the Spark-substitution rationale. Worker scaling is reported both as
-// wall-clock (bounded by host cores) and as a deterministic simulated
-// makespan (LPT scheduling of measured per-part costs), which preserves
-// the paper's scaling shape on any host.
+// compiled model, one staged CleanSession per part on an executor's
+// worker set (standing in for Spark's workers) — phase A is
+// RunUntil(kLearn), the Eq. 6 merge is the model-level
+// AdjustWeightsAcross, phase B is RunUntil(kFscr), and duplicate
+// elimination happens globally in the gather. Worker scaling is reported
+// both as wall-clock (bounded by host cores) and as a deterministic
+// simulated makespan (LPT scheduling of measured per-part costs), which
+// preserves the paper's scaling shape on any host.
 
 #ifndef MLNCLEAN_DISTRIBUTED_DISTRIBUTED_PIPELINE_H_
 #define MLNCLEAN_DISTRIBUTED_DISTRIBUTED_PIPELINE_H_
@@ -39,12 +39,6 @@ struct DistributedOptions {
   /// per-part cleaning options target the same executor.
   Executor* executor = nullptr;
   uint64_t partition_seed = 99;
-  /// Round every materialized shard through the packed wire codec
-  /// (Dataset::EncodePacked -> DecodePacked) before its part session
-  /// starts — exactly what a remote worker process would receive. Packed
-  /// images preserve the id universe, so a ship_packed run is
-  /// bit-identical to in-process shipping (a distributed-test gate).
-  bool ship_packed = false;
   /// Cooperative cancellation: shared with every per-part session, so a
   /// cancelled run aborts at the next per-part block/shard boundary with
   /// Status::Cancelled and leaves the input untouched.

@@ -1,8 +1,5 @@
 #include "distributed/shard_merge.h"
 
-#include <cstdint>
-#include <utility>
-
 namespace mlnclean {
 
 std::vector<size_t> ShippedDictSizes(const Dataset& source) {
@@ -26,22 +23,6 @@ std::vector<Dataset> MaterializeShards(
     }
   }
   return shards;
-}
-
-Status ShipShardsPacked(std::vector<Dataset>* shards, Executor* executor) {
-  const size_t k = shards->size();
-  std::vector<Status> shipped(k);
-  ParallelFor(k, executor, [&](size_t p) {
-    const std::vector<uint8_t> wire = (*shards)[p].EncodePacked();
-    auto decoded = Dataset::DecodePacked(wire);
-    if (!decoded.ok()) {
-      shipped[p] = decoded.status();
-      return;
-    }
-    (*shards)[p] = std::move(*decoded);
-  });
-  for (size_t p = 0; p < k; ++p) MLN_RETURN_NOT_OK(shipped[p]);
-  return Status::OK();
 }
 
 void MergeShardRows(const Dataset& shard_clean,

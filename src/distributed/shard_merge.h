@@ -1,8 +1,7 @@
 // The shard shipping/merging protocol shared by the distributed driver
 // (distributed_pipeline.cc) and the serving fleet (src/fleet/): materialize
-// dictionary-bearing shards from a global table, optionally round-trip
-// them through the packed wire codec, and copy cleaned shard rows back
-// into the global rows they own with the id-remap merge.
+// dictionary-bearing shards from a global table, and copy cleaned shard
+// rows back into the global rows they own with the id-remap merge.
 //
 // The id contract, in one place: a shard is built with
 // Dataset::EmptyLike(source) + AppendRowFrom, so it ships with a copy of
@@ -20,8 +19,6 @@
 
 #include <vector>
 
-#include "common/executor.h"
-#include "common/result.h"
 #include "dataset/dataset.h"
 
 namespace mlnclean {
@@ -35,12 +32,6 @@ std::vector<size_t> ShippedDictSizes(const Dataset& source);
 /// of the global dictionaries, so shard ids stay aligned with the source.
 std::vector<Dataset> MaterializeShards(
     const Dataset& source, const std::vector<std::vector<TupleId>>& groups);
-
-/// Round-trips every shard through EncodePacked/DecodePacked, as a remote
-/// worker would receive it — value- and id-identical by the codec's
-/// contract, so downstream merging is unaffected. Decoding fans out on
-/// `executor` (null = inline); the first failure status wins.
-Status ShipShardsPacked(std::vector<Dataset>* shards, Executor* executor);
 
 /// Copies shard row `local` (for every local row) into global row
 /// `mapping[local]` of `*global`: ids below the shipped watermark pass

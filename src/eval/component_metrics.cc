@@ -133,7 +133,7 @@ Result<ComponentEvaluation> EvaluateComponents(const Dataset& dirty,
   } else {
     index.AssignPriorWeights();
   }
-  RunRscAll(&index, options, dist, &report);
+  RunRscAll(&index, dist, &report);
 
   eval.rsc.detected = report.rsc.size();
   eval.rsc.real = erroneous_pieces;

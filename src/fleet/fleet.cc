@@ -294,10 +294,7 @@ Result<FleetTicket> CleanFleet::Submit(const Dataset& dirty, SessionOptions opts
     return Status::Invalid(
         "fleet submissions do not support progress callbacks");
   }
-  MLN_ASSIGN_OR_RETURN(
-      ShardedBatch sharded,
-      state_->router.Shard(dirty, state_->options.ship_packed,
-                           state_->options.executor));
+  MLN_ASSIGN_OR_RETURN(ShardedBatch sharded, state_->router.Shard(dirty));
 
   auto job = std::make_shared<FleetJob>();
   job->fleet = state_;

@@ -23,8 +23,8 @@
 // with weight reuse on or off (the Eq. 6 barrier is skipped at one shard
 // — merging one session is the identity, and skipping it avoids the
 // (1·w)/1 floating-point round trip). Multi-shard results are
-// bit-identical across processes, thread counts, and ship_packed on/off
-// for a fixed router; they differ from the 1-shard result in general,
+// bit-identical across processes, thread counts, and executors for a
+// fixed router; they differ from the 1-shard result in general,
 // because grounding sees per-shard groups (same trade as the distributed
 // driver).
 //
@@ -56,9 +56,9 @@ struct FleetState;  // internal shared fleet state (fleet.cc)
 
 /// Fleet tuning knobs. Per-server knobs apply to every shard server.
 struct FleetOptions {
-  /// Executor the shard servers schedule sessions on (and packed shard
-  /// shipping decodes on). Null = the shared process executor. Borrowed;
-  /// must outlive the fleet and every outstanding ticket.
+  /// Executor the shard servers schedule sessions on. Null = the shared
+  /// process executor. Borrowed; must outlive the fleet and every
+  /// outstanding ticket.
   Executor* executor = nullptr;
   /// Optional per-shard executor override (size must equal the router's
   /// num_shards): shard s's server runs on shard_executors[s] — the
@@ -76,10 +76,6 @@ struct FleetOptions {
   /// Staged shard jobs never coalesce; this knob only affects plain
   /// submissions sent directly to a shard server.
   size_t coalesce_max_rows = 0;
-  /// Route shards through the packed wire codec (EncodePacked round
-  /// trip), as remote shard servers would receive them. Bit-identical to
-  /// in-process shipping by the codec contract.
-  bool ship_packed = false;
 };
 
 /// Fleet-level counter snapshot plus the per-shard server views.

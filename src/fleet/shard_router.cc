@@ -144,8 +144,7 @@ Result<std::vector<size_t>> ShardRouter::RouteRows(const Dataset& batch) const {
   return shard_of;
 }
 
-Result<ShardedBatch> ShardRouter::Shard(const Dataset& batch, bool ship_packed,
-                                        Executor* executor) const {
+Result<ShardedBatch> ShardRouter::Shard(const Dataset& batch) const {
   MLN_ASSIGN_OR_RETURN(std::vector<size_t> shard_of, RouteRows(batch));
   ShardedBatch out;
   out.mapping.resize(num_shards());
@@ -153,9 +152,6 @@ Result<ShardedBatch> ShardRouter::Shard(const Dataset& batch, bool ship_packed,
     out.mapping[shard_of[r]].push_back(static_cast<TupleId>(r));
   }
   out.shards = MaterializeShards(batch, out.mapping);
-  if (ship_packed) {
-    MLN_RETURN_NOT_OK(ShipShardsPacked(&out.shards, executor));
-  }
   return out;
 }
 

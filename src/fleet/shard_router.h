@@ -80,11 +80,8 @@ class ShardRouter {
 
   /// RouteRows + shard materialization: splits `batch` into per-shard
   /// dictionary-bearing sub-datasets (shard_merge.h protocol), preserving
-  /// batch row order within each shard. With `ship_packed`, each shard is
-  /// round-tripped through the packed wire codec as a remote worker would
-  /// receive it (id-identical; `executor` fans the decode out).
-  Result<ShardedBatch> Shard(const Dataset& batch, bool ship_packed = false,
-                             Executor* executor = nullptr) const;
+  /// batch row order within each shard.
+  Result<ShardedBatch> Shard(const Dataset& batch) const;
 
   /// Versioned binary image of the router (metric, seed, schema, centroid
   /// values) — persist next to the model snapshot so serving processes

@@ -30,7 +30,7 @@ std::string Piece::ToString(const Schema& schema,
 
 namespace {
 
-// Attribute-wise accumulation shared by the four distance entry points.
+// Attribute-wise accumulation shared by the two distance entry points.
 // `use_ids` callers guarantee both γs carry complete id mirrors.
 template <bool kUseIds, bool kBounded>
 double Accumulate(const Piece& a, const Piece& b, const DistanceFn& dist,
@@ -70,43 +70,6 @@ double PieceDistanceBounded(const Piece& a, const Piece& b, const DistanceFn& di
     return Accumulate<true, true>(a, b, dist, bound);
   }
   return Accumulate<false, true>(a, b, dist, bound);
-}
-
-double PieceDistanceMemo::Distance(const Piece& a, const Piece& b) {
-  if (!a.has_ids() || !b.has_ids()) return PieceDistance(a, b, *dist_);
-  const size_t nr = std::min(a.reason.size(), b.reason.size());
-  const size_t ns = std::min(a.result.size(), b.result.size());
-  if (per_attr_.size() < nr + ns) per_attr_.resize(nr + ns);
-  double total = 0.0;
-  for (size_t i = 0; i < nr; ++i) {
-    total += per_attr_[i].Distance(a.reason_ids[i], b.reason_ids[i], a.reason[i],
-                                   b.reason[i], *dist_);
-  }
-  for (size_t i = 0; i < ns; ++i) {
-    total += per_attr_[nr + i].Distance(a.result_ids[i], b.result_ids[i], a.result[i],
-                                        b.result[i], *dist_);
-  }
-  return total;
-}
-
-double PieceDistanceMemo::DistanceBounded(const Piece& a, const Piece& b,
-                                          double bound) {
-  if (!a.has_ids() || !b.has_ids()) return PieceDistanceBounded(a, b, *dist_, bound);
-  const size_t nr = std::min(a.reason.size(), b.reason.size());
-  const size_t ns = std::min(a.result.size(), b.result.size());
-  if (per_attr_.size() < nr + ns) per_attr_.resize(nr + ns);
-  double total = 0.0;
-  for (size_t i = 0; i < nr; ++i) {
-    total += per_attr_[i].Distance(a.reason_ids[i], b.reason_ids[i], a.reason[i],
-                                   b.reason[i], *dist_);
-    if (total >= bound) return total;
-  }
-  for (size_t i = 0; i < ns; ++i) {
-    total += per_attr_[nr + i].Distance(a.result_ids[i], b.result_ids[i], a.result[i],
-                                        b.result[i], *dist_);
-    if (total >= bound) return total;
-  }
-  return total;
 }
 
 }  // namespace mlnclean

@@ -5,8 +5,7 @@
 // Grounded pieces carry their values twice: as strings (for reports and
 // cross-shard weight merging) and as the source dataset's dictionary ids.
 // The stage-I distance scans compare ids first — equal ids are distance 0
-// without touching value bytes — and key the optional per-attribute memo
-// on id pairs.
+// without touching value bytes.
 
 #ifndef MLNCLEAN_INDEX_PIECE_H_
 #define MLNCLEAN_INDEX_PIECE_H_
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "common/distance.h"
-#include "common/distance_memo.h"
 #include "dataset/dataset.h"
 
 namespace mlnclean {
@@ -62,22 +60,6 @@ double PieceDistance(const Piece& a, const Piece& b, const DistanceFn& dist);
 /// have won, so the selected minimum is unchanged.
 double PieceDistanceBounded(const Piece& a, const Piece& b, const DistanceFn& dist,
                             double bound);
-
-/// Per-attribute-position id-pair memos for one block task. Same-rule γs
-/// align position-by-position, and each position draws from one
-/// attribute's dictionary, so position p gets its own PairDistanceMemo.
-/// Pieces without ids fall back to the unmemoized kernels.
-class PieceDistanceMemo {
- public:
-  explicit PieceDistanceMemo(const DistanceFn& dist) : dist_(&dist) {}
-
-  double Distance(const Piece& a, const Piece& b);
-  double DistanceBounded(const Piece& a, const Piece& b, double bound);
-
- private:
-  const DistanceFn* dist_;
-  std::vector<PairDistanceMemo> per_attr_;  // indexed by value position
-};
 
 }  // namespace mlnclean
 

@@ -1,5 +1,5 @@
 // Implementation utilities that used to leak through the public umbrella
-// header: the worker pool, wall-clock timers, string helpers, and the
+// header: the executors, wall-clock timers, string helpers, and the
 // deterministic RNG. They are stable enough to build tools against, but
 // they are not part of the cleaning API surface — include this header (or
 // the specific ones below) explicitly when you need them.
@@ -10,7 +10,6 @@
 #include "common/executor.h"
 #include "common/random.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 
 #endif  // MLNCLEAN_MLNCLEAN_INTERNAL_H_

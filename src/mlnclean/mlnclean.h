@@ -120,7 +120,7 @@
 //
 // The MlnCleanPipeline facade deprecated in the engine release has been
 // removed; CleaningEngine::Clean is the one-shot equivalent.
-// Implementation utilities (executors, thread pool, timers, string/random
+// Implementation utilities (executors, timers, string/random
 // helpers) live in "mlnclean/internal.h".
 
 #ifndef MLNCLEAN_MLNCLEAN_H_
@@ -161,10 +161,7 @@
 #include "index/mln_index.h"
 #include "index/piece.h"
 #include "index/weight_merge.h"
-#include "mln/gibbs.h"
 #include "mln/ground_rule.h"
-#include "mln/network.h"
-#include "mln/walksat.h"
 #include "mln/weight_learner.h"
 #include "rules/constraint.h"
 #include "rules/rule_parser.h"

@@ -111,7 +111,7 @@ class Constraint {
   /// Whether a tuple contributes a piece of data (γ) to this rule's block.
   /// FDs and DCs admit every tuple. CFDs admit a tuple when it matches at
   /// least one lhs constant pattern — the membership criterion implied by
-  /// Figure 2 of the paper (see DESIGN.md). The (data, tid) overload reads
+  /// Figure 2 of the paper (Section 4). The (data, tid) overload reads
   /// the cells straight off the columns without materializing a row.
   bool InScope(const std::vector<Value>& row) const;
   bool InScope(const Dataset& data, TupleId tid) const;

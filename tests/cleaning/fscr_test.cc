@@ -21,7 +21,7 @@ struct StageOneFixture {
     DistanceFn dist = MakeDistanceFn(options.distance);
     RunAgpAll(&index, options, dist, nullptr);
     index.LearnWeights();
-    RunRscAll(&index, options, dist, nullptr);
+    RunRscAll(&index, dist, nullptr);
   }
 };
 
@@ -96,7 +96,7 @@ TEST(FscrTest, FusionFailureLeavesTupleUntouched) {
   CleaningOptions options;
   DistanceFn dist = MakeDistanceFn(options.distance);
   index.LearnWeights();
-  RunRscAll(&index, options, dist, nullptr);
+  RunRscAll(&index, dist, nullptr);
   // After RSC the c1 group picked one of b1/b2. The a1/a2 groups are
   // unambiguous. Fusion of every tuple must succeed here (substitutes
   // exist), so all tuples get consistent values.

@@ -43,7 +43,6 @@ CleaningOptions NonDefaultOptions() {
   options.distance = DistanceMetric::kDamerau;
   options.learner.max_iterations = 37;
   options.learner.l2 = 0.125;
-  options.cache_distances = true;
   options.max_exhaustive_fusion = 5;
   options.fscr_minimality_discount = 0.5;
   return options;
@@ -115,7 +114,6 @@ TEST(ModelIoTest, RoundTripPreservesSchemaRulesOptionsWeights) {
   EXPECT_EQ(o.distance, options.distance);
   EXPECT_EQ(o.learner.max_iterations, options.learner.max_iterations);
   EXPECT_EQ(o.learner.l2, options.learner.l2);
-  EXPECT_EQ(o.cache_distances, options.cache_distances);
   EXPECT_EQ(o.max_exhaustive_fusion, options.max_exhaustive_fusion);
   EXPECT_EQ(o.fscr_minimality_discount, options.fscr_minimality_discount);
   EXPECT_EQ(loaded->num_stored_weights(), model.num_stored_weights());
@@ -528,6 +526,41 @@ TEST(ModelIoTest, ResealedWeightsCorruptionReachesTheVarintDecoderSafely) {
   // Random damage to varint blocks should overwhelmingly fail structural
   // or semantic validation; a decode that happens to stay valid is fine.
   EXPECT_GT(rejected, kTrials / 2);
+}
+
+TEST(ModelIoTest, RetiredOptionsByteIsIgnoredOnLoad) {
+  // The options section keeps one reserved u8 after num_threads (formerly
+  // the distance-memo flag, see docs/snapshot_format.md). Builds that
+  // still had the flag wrote 1 there when it was on; such a snapshot must
+  // load and serve bit-identically to the 0 snapshot, and re-save as it.
+  ServingFixture fx;
+  CleanModel model = *CleaningEngine().Compile(fx.dirty.schema(), fx.rules);
+  ASSERT_TRUE(model.Warm(fx.batches[0]).ok());
+  const std::string zero = SaveToString(model);
+
+  const auto [frame_begin, frame_end] = SectionRanges(zero)[2];  // options
+  const size_t payload_begin = frame_begin + 16;  // tag[4] len[8] crc[4]
+  // u64 agp, u32 metric, u32 iterations, 4 x f64 learner, 2 x u8 flags,
+  // 3 x u64 fusion/thread caps; then the reserved byte, f64, u64.
+  constexpr size_t kReservedOffset = 8 + 4 + 4 + 4 * 8 + 2 + 3 * 8;
+  ASSERT_EQ(frame_end - payload_begin, kReservedOffset + 1 + 8 + 8);
+  ASSERT_EQ(zero[payload_begin + kReservedOffset], 0);
+
+  std::string one = zero;
+  one[payload_begin + kReservedOffset] = 1;
+  PatchU32(&one, frame_begin + 12,
+           TestCrc32c(one.data() + payload_begin, frame_end - payload_begin));
+
+  auto from_zero = LoadFromString(zero);
+  auto from_one = LoadFromString(one);
+  ASSERT_TRUE(from_zero.ok()) << from_zero.status().ToString();
+  ASSERT_TRUE(from_one.ok()) << from_one.status().ToString();
+  EXPECT_EQ(SaveToString(*from_one), zero);
+  for (bool reuse : {false, true}) {
+    EXPECT_EQ(ServeTranscript(*from_zero, fx.batches, reuse),
+              ServeTranscript(*from_one, fx.batches, reuse))
+        << "reuse_model_weights=" << reuse;
+  }
 }
 
 TEST(ModelIoTest, NullValuesInWeightDictionariesRoundTrip) {

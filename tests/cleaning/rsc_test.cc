@@ -54,7 +54,7 @@ TEST(RscTest, Figure4CleanVersionsAfterAgpAndRsc) {
   CleaningReport report;
   RunAgpAll(&index, options, Lev(), &report);
   index.LearnWeights();
-  RunRscAll(&index, options, Lev(), &report);
+  RunRscAll(&index, Lev(), &report);
 
   // Version 1 (B1): {DOTHAN, AL} for t1,t2,t3 and {BOAZ, AL} for t4,t5,t6.
   const Block& b1 = index.block(0);
@@ -92,9 +92,8 @@ TEST(RscTest, ReportRecordsReplacements) {
   RuleSet rules = *SampleHospitalRules();
   MlnIndex index = *MlnIndex::Build(dirty, rules);
   index.LearnWeights();
-  CleaningOptions options;
   CleaningReport report;
-  RunRscAll(&index, options, Lev(), &report);
+  RunRscAll(&index, Lev(), &report);
   // Without AGP, two groups hold >1 γ: G13 (B1) and G23 (B2).
   ASSERT_EQ(report.rsc.size(), 2u);
   EXPECT_EQ(report.rsc[0].winner_values, (std::vector<Value>{"BOAZ", "AL"}));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -29,6 +30,38 @@ TEST(ExecutorTest, PoolExecutorRunsAllTasks) {
     }
   }  // destruction drains the queue and joins
   EXPECT_EQ(counter.load(), 100);
+}
+
+TEST(ExecutorTest, PoolExecutorHasAtLeastOneWorker) {
+  PoolExecutor ex(0);
+  EXPECT_EQ(ex.concurrency(), 1u);
+  std::atomic<bool> ran{false};
+  ex.Submit([&ran] { ran = true; });
+  while (!ran.load()) std::this_thread::yield();
+}
+
+TEST(ExecutorTest, PoolExecutorDestructionDrainsQueuedTasks) {
+  // The single worker is parked on the first task until a releaser frees
+  // it 20 ms later, by which time destruction has begun with the other 50
+  // still queued; every one of them must still run.
+  std::atomic<bool> release{false};
+  std::atomic<int> counter{0};
+  std::thread releaser;
+  {
+    PoolExecutor ex(1);
+    ex.Submit([&release] {
+      while (!release.load()) std::this_thread::yield();
+    });
+    for (int i = 0; i < 50; ++i) {
+      ex.Submit([&counter] { counter.fetch_add(1); });
+    }
+    releaser = std::thread([&release] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      release = true;
+    });
+  }
+  releaser.join();
+  EXPECT_EQ(counter.load(), 50);
 }
 
 TEST(ExecutorTest, ProcessExecutorIsOneSharedInstance) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/random.h"
 
 namespace mlnclean {
 namespace {
@@ -179,90 +178,6 @@ TEST(DatasetTest, EqualityIgnoresIdAssignment) {
   b.set(1, 0, "y");
   EXPECT_NE(a.id_at(0, 0), b.id_at(0, 0));
   EXPECT_TRUE(a == b);
-}
-
-// ---- packed codec -------------------------------------------------------
-
-TEST(DatasetPackedTest, RoundTripPreservesValuesAndIds) {
-  Schema s = *Schema::Make({"name", "city", "zip"});
-  Dataset d = *Dataset::Make(s, {{"alice", "rome", "00100"},
-                                 {"bob", "", "00100"},
-                                 {"alice", "oslo", ""},
-                                 {"", "rome", "00100"}});
-  const std::vector<uint8_t> bytes = d.EncodePacked();
-  auto decoded = Dataset::DecodePacked(bytes);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
-  EXPECT_TRUE(*decoded == d);
-  // Id-identical, not just value-identical: the packed image preserves the
-  // id universe (dictionaries rebuilt in id order, null ranks restored).
-  for (TupleId t = 0; t < static_cast<TupleId>(d.num_rows()); ++t) {
-    for (AttrId a = 0; a < static_cast<AttrId>(d.num_attrs()); ++a) {
-      EXPECT_EQ(decoded->id_at(t, a), d.id_at(t, a));
-    }
-  }
-  for (AttrId a = 0; a < static_cast<AttrId>(d.num_attrs()); ++a) {
-    EXPECT_EQ(decoded->Domain(a), d.Domain(a)) << "attr " << a;
-  }
-}
-
-TEST(DatasetPackedTest, EmptyAndZeroAttrTables) {
-  Dataset empty(*Schema::Make({"A", "B"}));
-  auto round = Dataset::DecodePacked(empty.EncodePacked());
-  ASSERT_TRUE(round.ok());
-  EXPECT_EQ(round->num_rows(), 0u);
-  EXPECT_EQ(round->num_attrs(), 2u);
-}
-
-TEST(DatasetPackedTest, EncodeIsDeterministic) {
-  Dataset d = MakeSmall();
-  EXPECT_EQ(d.EncodePacked(), d.EncodePacked());
-}
-
-TEST(DatasetPackedTest, CompressesRepetitiveColumns) {
-  Schema s = *Schema::Make({"state"});
-  Dataset d(s);
-  for (int i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(d.Append({i % 7 == 0 ? "AL" : "AK"}).ok());
-  }
-  // Raw ids would be 8000 bytes; low-cardinality columns should pack to
-  // roughly a byte per cell.
-  EXPECT_LT(d.EncodePacked().size(), 3000u);
-}
-
-TEST(DatasetPackedTest, TruncationAlwaysRejects) {
-  Dataset d = MakeSmall();
-  const std::vector<uint8_t> bytes = d.EncodePacked();
-  for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    auto r = Dataset::DecodePacked(bytes.data(), cut);
-    EXPECT_FALSE(r.ok()) << "cut=" << cut;
-    EXPECT_TRUE(r.status().IsInvalid()) << "cut=" << cut;
-  }
-}
-
-TEST(DatasetPackedTest, CorruptionFuzzDecodesOrRejects) {
-  Schema s = *Schema::Make({"A", "B"});
-  Dataset d(s);
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(
-        d.Append({"v" + std::to_string(i % 9), std::to_string(i)}).ok());
-  }
-  const std::vector<uint8_t> bytes = d.EncodePacked();
-  Rng rng(424242);
-  for (int trial = 0; trial < 500; ++trial) {
-    std::vector<uint8_t> corrupt = bytes;
-    for (int flips = 1 + static_cast<int>(rng.NextIndex(8)); flips > 0; --flips) {
-      corrupt[rng.NextIndex(corrupt.size())] ^=
-          static_cast<uint8_t>(1 + rng.NextIndex(255));
-    }
-    // Must decode to *some* dataset or reject with kInvalid — never crash,
-    // over-read (ASan job), or return an inconsistent table.
-    auto r = Dataset::DecodePacked(corrupt);
-    if (!r.ok()) {
-      EXPECT_TRUE(r.status().IsInvalid()) << r.status().message();
-    } else {
-      EXPECT_EQ(r->num_attrs(), r->schema().num_attrs());
-    }
-  }
 }
 
 }  // namespace

@@ -175,27 +175,6 @@ TEST(DistributedTest, DictionaryIdAssignmentDoesNotChangeResult) {
   EXPECT_EQ(a->deduped, b->deduped);
 }
 
-TEST(DistributedTest, PackedShardShippingIsBitIdentical) {
-  // ship_packed rounds every shard through EncodePacked/DecodePacked —
-  // what a remote worker process would receive. The packed image
-  // preserves the id universe, so the run must be bit-identical to
-  // in-process shipping, cell for cell.
-  HospitalFixture f;
-  DistributedOptions opts;
-  opts.num_parts = 3;
-  opts.num_workers = 2;
-  opts.cleaning.agp_threshold = 3;
-  auto unpacked = DistributedMlnClean(opts).Clean(f.dd.dirty, f.wl.rules);
-  opts.ship_packed = true;
-  auto packed = DistributedMlnClean(opts).Clean(f.dd.dirty, f.wl.rules);
-  ASSERT_TRUE(unpacked.ok()) << unpacked.status().ToString();
-  ASSERT_TRUE(packed.ok()) << packed.status().ToString();
-  EXPECT_EQ(packed->cleaned, unpacked->cleaned);
-  EXPECT_EQ(packed->deduped, unpacked->deduped);
-  EXPECT_EQ(packed->global_weights, unpacked->global_weights);
-  EXPECT_EQ(packed->duplicates_removed, unpacked->duplicates_removed);
-}
-
 TEST(DistributedTest, PartsClampedToRowCount) {
   Schema s = *Schema::Make({"A", "B"});
   Dataset tiny = *Dataset::Make(s, {{"x", "1"}, {"y", "2"}});

@@ -218,26 +218,20 @@ TEST(CleanFleetTest, TwoShardFleetMatchesManualStagedOrchestration) {
 }
 
 // Multi-shard determinism: the same submissions produce bit-identical
-// results across thread counts and with the packed wire hop on or off.
-TEST(CleanFleetTest, MultiShardResultsAreDeterministicAcrossExecutorsAndShipping) {
+// results across executors of different thread counts.
+TEST(CleanFleetTest, MultiShardResultsAreDeterministicAcrossExecutors) {
   ServingCase c = MakeServingCase(53, 4);
   CleaningOptions options = ServingOptions();
   CleanModel model = *CleaningEngine(options).Compile(c.dd.dirty.schema(), c.wl.rules);
   ShardRouter router = MakeRouter(c.dd.dirty, 3);
 
-  struct Config {
-    size_t threads;
-    bool ship_packed;
-  };
   std::vector<CleanResult> reference;
-  for (const Config& config :
-       {Config{1, false}, Config{4, false}, Config{4, true}}) {
-    PoolExecutor pool(config.threads);
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    PoolExecutor pool(threads);
     FleetOptions fopts;
     fopts.executor = &pool;
-    fopts.max_concurrent_sessions = config.threads;
+    fopts.max_concurrent_sessions = threads;
     fopts.queue_capacity = 16;
-    fopts.ship_packed = config.ship_packed;
     CleanFleet fleet = *CleanFleet::Create(model, router, fopts);
 
     std::vector<FleetTicket> tickets;
@@ -252,11 +246,9 @@ TEST(CleanFleetTest, MultiShardResultsAreDeterministicAcrossExecutorsAndShipping
         continue;
       }
       EXPECT_EQ(served->cleaned, reference[i].cleaned)
-          << "batch " << i << " threads " << config.threads << " packed "
-          << config.ship_packed;
+          << "batch " << i << " threads " << threads;
       EXPECT_EQ(served->deduped, reference[i].deduped)
-          << "batch " << i << " threads " << config.threads << " packed "
-          << config.ship_packed;
+          << "batch " << i << " threads " << threads;
       ExpectSameReport(served->report, reference[i].report);
     }
   }

@@ -140,18 +140,6 @@ TEST(ShardRouterTest, ShardCoversEveryRowExactlyOnce) {
   std::iota(all.begin(), all.end(), 0);
   EXPECT_EQ(covered, all);
 
-  // The packed wire round trip ships value- and id-identical shards.
-  ShardedBatch packed = *router.Shard(reference, /*ship_packed=*/true);
-  EXPECT_EQ(packed.mapping, sharded.mapping);
-  for (size_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(packed.shards[s], sharded.shards[s]);
-    for (size_t local = 0; local < packed.mapping[s].size(); ++local) {
-      for (AttrId a = 0; a < static_cast<AttrId>(reference.num_attrs()); ++a) {
-        EXPECT_EQ(packed.shards[s].id_at(static_cast<TupleId>(local), a),
-                  sharded.shards[s].id_at(static_cast<TupleId>(local), a));
-      }
-    }
-  }
 }
 
 TEST(ShardRouterTest, ValidatesOptionsAndSchemas) {

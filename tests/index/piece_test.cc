@@ -39,23 +39,6 @@ TEST(PieceDistanceTest, IdFastPathMatchesStringDistance) {
   EXPECT_GE(PieceDistanceBounded(a, b, lev, 1.0), 1.0);
 }
 
-TEST(PieceDistanceTest, MemoMatchesDirectComputation) {
-  auto lev = MakeDistanceFn(DistanceMetric::kLevenshtein);
-  Piece a{{"DOTH"}, {"AL"}, {1}, 0.0, {1}, {5}};
-  Piece b{{"DOTHAN"}, {"AL"}, {0, 2}, 0.0, {2}, {5}};
-  Piece c{{"BOAZ"}, {"AK"}, {3}, 0.0, {3}, {6}};
-  PieceDistanceMemo memo(lev);
-  for (int round = 0; round < 2; ++round) {  // second round is all memo hits
-    EXPECT_DOUBLE_EQ(memo.Distance(a, b), PieceDistance(a, b, lev));
-    EXPECT_DOUBLE_EQ(memo.Distance(b, c), PieceDistance(b, c, lev));
-    EXPECT_DOUBLE_EQ(memo.Distance(a, c), PieceDistance(a, c, lev));
-    EXPECT_DOUBLE_EQ(memo.DistanceBounded(a, c, 100.0), PieceDistance(a, c, lev));
-  }
-  // Pieces without ids (hand-built) fall back to plain string distance.
-  Piece no_ids{{"DOTH"}, {"AL"}, {1}, 0.0};
-  EXPECT_DOUBLE_EQ(memo.Distance(no_ids, b), PieceDistance(no_ids, b, lev));
-}
-
 TEST(PieceDistanceTest, Example2Distances) {
   // Figure 3: γ1 = {BOAZ, AL}, γ2 = {BOAZ, AK}: distance 1 (AL vs AK).
   auto lev = MakeDistanceFn(DistanceMetric::kLevenshtein);
