@@ -27,12 +27,14 @@
 // counts, cumulative per-stage seconds, and ticket-latency percentiles
 // from a fixed-size reservoir.
 //
-// Staged submissions (`SubmitStaged`) are the fleet's coordination
-// primitive (src/fleet/): the job runs to a pause stage, parks with its
-// live session exposed through the ticket (`WaitPaused` + `session()`),
-// and re-enters the queue on `ResumeJob()` to run to its final stage —
-// which is exactly the RunUntil(kLearn) / AdjustWeightsAcross / resume
-// cut the Eq. 6 cross-shard weight merge needs.
+// Staged submissions (`SubmitStaged`) are the coordination primitive of
+// the cross-shard protocol (RunShardProtocol in distributed/shard_merge.h,
+// run by the fleet and the distributed driver): the job runs to a pause
+// stage, parks with its live session exposed through the ticket
+// (`WaitPaused` + `session()`), and re-enters the queue on `ResumeJob()`
+// to run to its final stage — which is exactly the RunUntil(kLearn) /
+// AdjustWeightsAcross / resume cut the Eq. 6 cross-shard weight merge
+// needs.
 //
 // Determinism: with weight reuse off (or a warmed, no-longer-written
 // store), K sessions served concurrently produce results bit-identical to
@@ -221,8 +223,8 @@ class CleanServer {
   /// `final_stage`; the incremental lane does not support staging. With
   /// final_stage == Stage::kDedup the ticket resolves to a CleanResult
   /// like a plain submission; with an earlier final stage the outputs
-  /// stay on the session (Take() has nothing to move) — the fleet's
-  /// merge reads session()->cleaned() directly.
+  /// stay on the session (Take() has nothing to move) — the shard
+  /// protocol's merge reads session()->cleaned() directly.
   Result<CleanTicket> SubmitStaged(const Dataset& dirty, Stage pause_after,
                                    Stage final_stage, SessionOptions opts = {});
 

@@ -6,7 +6,6 @@
 #include <queue>
 #include <unordered_set>
 
-#include "common/distance_memo.h"
 #include "common/random.h"
 
 namespace mlnclean {
@@ -22,25 +21,35 @@ double TupleDistance(const Dataset& data, TupleId a, TupleId b,
   return total;
 }
 
-namespace {
-
-// TupleDistance with a per-attribute id-pair memo: the assignment loop
-// compares every tuple against the same k centroids, so each distinct
-// (value, centroid value) pair per attribute pays for the kernel once.
-double MemoTupleDistance(const Dataset& data, TupleId a, TupleId b,
-                         const DistanceFn& dist,
-                         std::vector<PairDistanceMemo>* memos) {
-  double total = 0.0;
+std::vector<double> CentroidDistances(
+    const Dataset& data, const std::vector<std::vector<Value>>& centroids,
+    const DistanceFn& dist) {
+  const size_t n = data.num_rows();
+  const size_t k = centroids.size();
+  std::vector<double> matrix(n * k, 0.0);
+  std::vector<double> by_value;  // [id * k + p], filled at first appearance
+  std::vector<char> seen;
   for (AttrId attr = 0; attr < static_cast<AttrId>(data.num_attrs()); ++attr) {
-    ValueId ia = data.id_at(a, attr), ib = data.id_at(b, attr);
-    if (ia == ib) continue;
-    total += (*memos)[static_cast<size_t>(attr)].Distance(
-        ia, ib, data.dict(attr).value(ia), data.dict(attr).value(ib), dist);
+    const ValueDict& dict = data.dict(attr);
+    const std::vector<ValueId>& column = data.column(attr);
+    by_value.resize(dict.size() * k);
+    seen.assign(dict.size(), 0);
+    for (size_t t = 0; t < n; ++t) {
+      const ValueId id = column[t];
+      double* d = &by_value[static_cast<size_t>(id) * k];
+      if (!seen[id]) {
+        seen[id] = 1;
+        const Value& v = dict.value(id);
+        for (size_t p = 0; p < k; ++p) {
+          const Value& c = centroids[p][static_cast<size_t>(attr)];
+          d[p] = v == c ? 0.0 : dist(v, c);
+        }
+      }
+      for (size_t p = 0; p < k; ++p) matrix[t * k + p] += d[p];
+    }
   }
-  return total;
+  return matrix;
 }
-
-}  // namespace
 
 Result<Partition> PartitionDataset(const Dataset& data,
                                    const PartitionOptions& options) {
@@ -77,44 +86,17 @@ Result<Partition> PartitionDataset(const Dataset& data,
     heaps[p].emplace(0.0, partition.centroids[p]);
   }
 
-  std::vector<PairDistanceMemo> memos(data.num_attrs());
-
-  // With a parallel executor, precompute the full n x k tuple-to-centroid
-  // distance matrix up front, sharded over tuples (each shard with its
-  // own memo). The sequential sweep below then reads the matrix instead
-  // of calling kernels; distances are pure, so the resulting partition is
-  // bit-identical to the lazy sequential computation.
-  ExecContext ctx;
-  ctx.executor = options.executor;
-  std::vector<double> matrix;
-  const bool precomputed = ctx.parallelism() > 1 && n > 1;
-  if (precomputed) {
-    matrix.resize(n * k);
-    const size_t shards = ctx.parallelism();
-    const size_t chunk = (n + shards - 1) / shards;
-    ParallelFor(shards, ctx, [&](size_t s) {
-      std::vector<PairDistanceMemo> shard_memos(data.num_attrs());
-      const size_t begin = s * chunk;
-      const size_t end = std::min(n, begin + chunk);
-      for (size_t tid = begin; tid < end; ++tid) {
-        for (size_t p = 0; p < k; ++p) {
-          matrix[tid * k + p] =
-              MemoTupleDistance(data, static_cast<TupleId>(tid),
-                                partition.centroids[p], dist, &shard_memos);
-        }
-      }
-    });
-  }
+  std::vector<std::vector<Value>> centroid_rows;
+  centroid_rows.reserve(k);
+  for (TupleId c : partition.centroids) centroid_rows.push_back(data.row(c));
+  const std::vector<double> matrix = CentroidDistances(data, centroid_rows, dist);
 
   auto nearest_part = [&](TupleId tid, bool require_space) {
     double best = std::numeric_limits<double>::infinity();
     size_t best_p = k;  // sentinel: no eligible part
     for (size_t p = 0; p < k; ++p) {
       if (require_space && heaps[p].size() >= partition.capacity) continue;
-      double d = precomputed
-                     ? matrix[static_cast<size_t>(tid) * k + p]
-                     : MemoTupleDistance(data, tid, partition.centroids[p], dist,
-                                         &memos);
+      const double d = matrix[static_cast<size_t>(tid) * k + p];
       if (d < best) {
         best = d;
         best_p = p;

@@ -2,6 +2,10 @@
 // k randomly seeded centroids, capacity-bounded assignment of each tuple
 // to its nearest centroid, with max-heap-based eviction when a part
 // overflows — yielding balanced parts of size at most ceil(|T|/k).
+//
+// CentroidDistances is the one row-to-centroid distance routine: the
+// partitioner's assignment sweep and the fleet's ShardRouter both read
+// its n×k table.
 
 #ifndef MLNCLEAN_DISTRIBUTED_PARTITIONER_H_
 #define MLNCLEAN_DISTRIBUTED_PARTITIONER_H_
@@ -10,23 +14,21 @@
 #include <vector>
 
 #include "common/distance.h"
-#include "common/executor.h"
 #include "common/result.h"
 #include "dataset/dataset.h"
 
 namespace mlnclean {
 
-/// Partitioning knobs.
+/// Partitioning knobs. The run is sequential: the n×k centroid distance
+/// table costs one kernel call per distinct (attribute, value) and
+/// centroid, and the assignment/eviction sweep over it depends on every
+/// earlier placement.
 struct PartitionOptions {
   size_t num_parts = 4;
+  /// Metric behind the per-attribute normalized tuple distance.
   DistanceMetric distance = DistanceMetric::kLevenshtein;
+  /// Seed of the centroid draw (line 3).
   uint64_t seed = 99;
-  /// Executor for the tuple-to-centroid distance precompute (the O(n·k)
-  /// kernel-call bulk of Algorithm 3). The assignment/eviction sweep
-  /// itself stays sequential — evictions depend on every earlier
-  /// placement — and distances are pure functions of (tuple, centroid),
-  /// so the partition is bit-identical for any executor. Null = inline.
-  Executor* executor = nullptr;
 };
 
 /// A k-way partition of tuple ids.
@@ -44,6 +46,16 @@ struct Partition {
 /// Cells with equal dictionary ids are distance 0 without a kernel call.
 double TupleDistance(const Dataset& data, TupleId a, TupleId b,
                      const DistanceFn& dist);
+
+/// Row-to-centroid distance table, row-major n×k: entry [t * k + p] is the
+/// distance between row t of `data` and `centroids[p]` (one value per
+/// attribute, compared by value). Each distinct (attribute, value) pays
+/// one kernel call per centroid, none where it equals the centroid's
+/// value; each row then sums its attributes in attribute order, so every
+/// entry equals TupleDistance against a row holding the centroid's values.
+std::vector<double> CentroidDistances(
+    const Dataset& data, const std::vector<std::vector<Value>>& centroids,
+    const DistanceFn& dist);
 
 /// Runs Algorithm 3. Fails when num_parts is 0 or exceeds the row count.
 Result<Partition> PartitionDataset(const Dataset& data,

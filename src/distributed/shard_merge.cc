@@ -1,5 +1,9 @@
 #include "distributed/shard_merge.h"
 
+#include <utility>
+
+#include "cleaning/dedup.h"
+
 namespace mlnclean {
 
 std::vector<size_t> ShippedDictSizes(const Dataset& source) {
@@ -39,6 +43,126 @@ void MergeShardRows(const Dataset& shard_clean,
       }
     }
   }
+}
+
+namespace {
+
+/// Splices one leg session's decision trace into the protocol's report,
+/// rewriting shard-local tuple ids to input rows. Value fields carry no
+/// ids and pass through.
+void SpliceShardReport(const CleaningReport& shard,
+                       const std::vector<TupleId>& mapping,
+                       CleaningReport* into) {
+  for (AgpMergeRecord rec : shard.agp) {
+    for (TupleId& t : rec.abnormal_tuples) t = mapping[static_cast<size_t>(t)];
+    into->agp.push_back(std::move(rec));
+  }
+  for (RscRepairRecord rec : shard.rsc) {
+    for (TupleId& t : rec.affected_tuples) t = mapping[static_cast<size_t>(t)];
+    into->rsc.push_back(std::move(rec));
+  }
+  for (FscrRecord rec : shard.fscr) {
+    rec.tuple = mapping[static_cast<size_t>(rec.tuple)];
+    into->fscr.push_back(std::move(rec));
+  }
+  into->timings.index += shard.timings.index;
+  into->timings.agp += shard.timings.agp;
+  into->timings.learn += shard.timings.learn;
+  into->timings.rsc += shard.timings.rsc;
+  into->timings.fscr += shard.timings.fscr;
+  into->timings.dedup += shard.timings.dedup;
+  into->timings.total += shard.timings.total;
+}
+
+}  // namespace
+
+void AbortShardLegs(std::vector<CleanTicket>* legs) {
+  for (CleanTicket& t : *legs) t.Cancel();
+  for (CleanTicket& t : *legs) {
+    if (t.WaitPaused().ok()) {
+      t.ResumeJob();  // a cancelled resume leg dies at its first boundary
+    }
+  }
+  for (CleanTicket& t : *legs) t.Wait();
+}
+
+Result<ShardProtocolResult> RunShardProtocol(
+    const CleanModel& model, std::vector<CleanTicket>* legs,
+    const std::vector<std::vector<TupleId>>& mappings, Dataset assembled,
+    bool collect_report) {
+  const size_t k = legs->size();
+  ShardProtocolResult out;
+
+  // Barrier 1: every leg parked at kLearn (or terminal-failed).
+  Status first_bad;
+  for (CleanTicket& t : *legs) {
+    Status st = t.WaitPaused();
+    if (!st.ok() && first_bad.ok()) first_bad = st;
+  }
+  if (!first_bad.ok()) {
+    AbortShardLegs(legs);
+    return first_bad;
+  }
+
+  // Eq. 6 cross-shard weight merge. Skipped at one leg: merging a single
+  // session is semantically the identity, and skipping it keeps a
+  // 1-shard run bit-identical to a plain server (the (1·w)/1 round trip
+  // is not an FP no-op).
+  if (k > 1) {
+    std::vector<CleanSession*> sessions;
+    sessions.reserve(k);
+    for (CleanTicket& t : *legs) sessions.push_back(t.session());
+    Result<size_t> merged = model.AdjustWeightsAcross(sessions);
+    if (!merged.ok()) {
+      AbortShardLegs(legs);
+      return merged.status();
+    }
+    out.global_weights = *merged;
+  }
+
+  // Resume every leg to kFscr; a leg that cannot re-enqueue is the only
+  // one we must not Wait on (it never reaches a terminal state).
+  std::vector<bool> resumed(k, false);
+  Status resume_bad;
+  for (size_t i = 0; i < k; ++i) {
+    Status st = (*legs)[i].ResumeJob();
+    resumed[i] = st.ok();
+    if (!st.ok() && resume_bad.ok()) resume_bad = st;
+  }
+  if (!resume_bad.ok()) {
+    for (CleanTicket& t : *legs) t.Cancel();
+  }
+  for (size_t i = 0; i < k; ++i) {
+    if (!resumed[i]) continue;
+    Status st = (*legs)[i].Wait();
+    if (!st.ok() && first_bad.ok()) first_bad = st;
+  }
+  if (!resume_bad.ok()) return resume_bad;
+  if (!first_bad.ok()) {
+    AbortShardLegs(legs);
+    return first_bad;
+  }
+
+  // Reassembly: id-remap merge in leg order (deterministic — merging
+  // interns shard-local repairs, so order is part of the contract), then
+  // report splicing and the global dedup the legs stopped short of.
+  const std::vector<size_t> shipped_sizes = ShippedDictSizes(assembled);
+  CleanResult& result = out.result;
+  for (size_t i = 0; i < k; ++i) {
+    const CleanSession* session = (*legs)[i].session();
+    MergeShardRows(session->cleaned(), mappings[i], shipped_sizes, &assembled);
+    if (collect_report) {
+      SpliceShardReport(session->report(), mappings[i], &result.report);
+    }
+  }
+  result.cleaned = std::move(assembled);
+  if (model.options().remove_duplicates) {
+    result.deduped = RemoveDuplicates(
+        result.cleaned, collect_report ? &result.report.duplicates : nullptr);
+  } else {
+    result.deduped = result.cleaned;
+  }
+  return out;
 }
 
 }  // namespace mlnclean

@@ -6,13 +6,10 @@
 // the incoming batch through the fleet's ShardRouter, ships each
 // non-empty shard to its server as a *staged* submission paused at
 // Stage::kLearn, and returns a FleetTicket. Harvesting the ticket drives
-// the cross-shard protocol, which is the distributed driver's dataflow
-// served online:
-//
-//   per shard:   RunUntil(kLearn)                  (on the shard servers)
-//   barrier:     CleanModel::AdjustWeightsAcross   (Eq. 6 weight merge)
-//   per shard:   RunUntil(kFscr)                   (on the shard servers)
-//   reassembly:  id-remap merge in shard order, then global dedup
+// the cross-shard protocol (kLearn on every shard, the Eq. 6 weight
+// merge, kFscr on every shard, reassembly and global dedup) through
+// RunShardProtocol (distributed/shard_merge.h), the same function the
+// distributed driver runs its parts through.
 //
 // The Eq. 6 barrier is what makes a fleet more than N independent
 // servers: every shard repairs with the support-weighted global γ
@@ -60,11 +57,6 @@ struct FleetOptions {
   /// process executor. Borrowed; must outlive the fleet and every
   /// outstanding ticket.
   Executor* executor = nullptr;
-  /// Optional per-shard executor override (size must equal the router's
-  /// num_shards): shard s's server runs on shard_executors[s] — the
-  /// "one pool per shard box" deployment shape. Empty = every shard on
-  /// `executor`.
-  std::vector<Executor*> shard_executors;
   /// Per shard server: sessions allowed to execute simultaneously
   /// (0 = that server executor's concurrency).
   size_t max_concurrent_sessions = 0;
@@ -72,10 +64,6 @@ struct FleetOptions {
   /// fan-out hits a full shard queue fails with kUnavailable (the
   /// already-fanned shard jobs are cancelled).
   size_t queue_capacity = 64;
-  /// Per shard server: micro-batch coalescing budget in rows (0 = off).
-  /// Staged shard jobs never coalesce; this knob only affects plain
-  /// submissions sent directly to a shard server.
-  size_t coalesce_max_rows = 0;
 };
 
 /// Fleet-level counter snapshot plus the per-shard server views.

@@ -1,9 +1,7 @@
 #include "fleet/shard_router.h"
 
 #include <algorithm>
-#include <limits>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "distributed/partitioner.h"
@@ -85,7 +83,6 @@ Result<ShardRouter> ShardRouter::Build(const Dataset& reference,
   popts.num_parts = options.num_shards;
   popts.distance = options.distance;
   popts.seed = options.seed;
-  popts.executor = options.executor;
   MLN_ASSIGN_OR_RETURN(Partition partition, PartitionDataset(reference, popts));
 
   ShardRouter router;
@@ -108,38 +105,15 @@ Result<std::vector<size_t>> ShardRouter::RouteRows(const Dataset& batch) const {
   std::vector<size_t> shard_of(n, 0);
   if (k <= 1) return shard_of;
 
-  // Per-attribute memo: batch values repeat heavily (dictionary-encoded
-  // columns), so each distinct (value, centroid) pair pays for one kernel
-  // call per batch. Keys are this batch's ids — a pure caching detail;
-  // the distances, and with them the routing, depend only on the values.
-  const DistanceFn dist = MakeNormalizedDistanceFn(metric_);
-  const auto num_attrs = static_cast<AttrId>(batch.num_attrs());
-  std::vector<std::unordered_map<ValueId, std::vector<double>>> memo(
-      static_cast<size_t>(num_attrs));
-
+  // The partitioner's distance table over the captured centroid values:
+  // ids only key its per-value cache, so the routing depends on values.
+  const std::vector<double> matrix =
+      CentroidDistances(batch, centroids_, MakeNormalizedDistanceFn(metric_));
   for (size_t r = 0; r < n; ++r) {
-    double best = std::numeric_limits<double>::infinity();
-    size_t best_s = 0;
-    std::vector<double> totals(k, 0.0);
-    for (AttrId a = 0; a < num_attrs; ++a) {
-      const ValueId id = batch.id_at(static_cast<TupleId>(r), a);
-      auto [it, fresh] = memo[static_cast<size_t>(a)].try_emplace(id);
-      if (fresh) {
-        const Value& v = batch.dict(a).value(id);
-        it->second.resize(k);
-        for (size_t s = 0; s < k; ++s) {
-          it->second[s] = dist(v, centroids_[s][static_cast<size_t>(a)]);
-        }
-      }
-      for (size_t s = 0; s < k; ++s) totals[s] += it->second[s];
+    const double* row = &matrix[r * k];
+    for (size_t s = 1; s < k; ++s) {
+      if (row[s] < row[shard_of[r]]) shard_of[r] = s;  // ties keep the lowest
     }
-    for (size_t s = 0; s < k; ++s) {
-      if (totals[s] < best) {  // strict: ties stay with the lowest index
-        best = totals[s];
-        best_s = s;
-      }
-    }
-    shard_of[r] = best_s;
   }
   return shard_of;
 }

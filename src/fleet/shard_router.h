@@ -8,8 +8,10 @@
 // `Build` runs the distributed partitioner's centroid selection
 // (Algorithm 3's seeded draw) over a reference dataset and keeps the
 // centroid rows *by value*, as strings. Routing then assigns each row to
-// the nearest centroid under the same per-attribute normalized distance
-// the partitioner uses, with ties broken toward the lowest shard index.
+// the nearest centroid with ties broken toward the lowest shard index,
+// reading the same row-to-centroid table the partitioner builds
+// (CentroidDistances in distributed/partitioner.h: per-attribute
+// normalized distance, one kernel call per distinct value and centroid).
 //
 // Two deliberate differences from PartitionDataset:
 //  - routing compares *values*, never dictionary ids, so two datasets
@@ -30,7 +32,6 @@
 #include <vector>
 
 #include "common/distance.h"
-#include "common/executor.h"
 #include "common/result.h"
 #include "dataset/dataset.h"
 
@@ -45,9 +46,6 @@ struct ShardRouterOptions {
   DistanceMetric distance = DistanceMetric::kLevenshtein;
   /// Seed of the centroid draw (Algorithm 3 line 3).
   uint64_t seed = 99;
-  /// Executor for the centroid-selection distance precompute at Build
-  /// time only; routing itself is sequential per batch. Null = inline.
-  Executor* executor = nullptr;
 };
 
 /// One batch split by shard ownership: `shards[s]` holds the rows routed

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "cleaning/dedup.h"
 #include "cleaning/engine.h"
 #include "datagen/hospital.h"
 #include "datagen/tpch.h"
+#include "distributed/shard_merge.h"
 #include "errorgen/injector.h"
 #include "eval/metrics.h"
 
@@ -44,6 +46,64 @@ struct TpchFixture {
   DirtyDataset dd = *InjectErrors(wl.clean, wl.rules,
                                   ErrorSpec{.error_rate = 0.05, .seed = 9});
 };
+
+// Reference for the driver: Section 6 run by hand on engine sessions —
+// Algorithm 3 parts, every part RunUntil(kLearn), the Eq. 6 merge, every
+// part RunUntil(kFscr), the id-remap merge in part order, then the global
+// dedup. The driver must reproduce it bit for bit.
+void ExpectMatchesManualOrchestration(const Dataset& dirty, const RuleSet& rules,
+                                      const CleaningOptions& copts) {
+  DistributedOptions opts;
+  opts.num_parts = 3;
+  opts.num_workers = 2;
+  opts.cleaning = copts;
+  auto distr = DistributedMlnClean(opts).Clean(dirty, rules);
+  ASSERT_TRUE(distr.ok()) << distr.status().ToString();
+
+  CleanModel model = *CleaningEngine(copts).Compile(rules.schema(), rules);
+  PartitionOptions popts;
+  popts.num_parts = opts.num_parts;
+  popts.distance = copts.distance;
+  popts.seed = opts.partition_seed;
+  Partition partition = *PartitionDataset(dirty, popts);
+  std::vector<Dataset> parts = MaterializeShards(dirty, partition.parts);
+  std::vector<CleanSession> sessions;
+  for (const Dataset& part : parts) sessions.push_back(model.NewSession(part));
+  for (CleanSession& session : sessions) {
+    ASSERT_TRUE(session.RunUntil(Stage::kLearn).ok());
+  }
+  std::vector<CleanSession*> ptrs;
+  for (CleanSession& session : sessions) ptrs.push_back(&session);
+  const size_t global_weights = *model.AdjustWeightsAcross(ptrs);
+  for (CleanSession& session : sessions) {
+    ASSERT_TRUE(session.RunUntil(Stage::kFscr).ok());
+  }
+  Dataset cleaned = dirty.Clone();
+  const std::vector<size_t> shipped = ShippedDictSizes(dirty);
+  for (size_t p = 0; p < sessions.size(); ++p) {
+    MergeShardRows(sessions[p].cleaned(), partition.parts[p], shipped, &cleaned);
+  }
+  Dataset deduped = copts.remove_duplicates ? RemoveDuplicates(cleaned, nullptr)
+                                            : cleaned;
+
+  EXPECT_EQ(distr->cleaned, cleaned);
+  EXPECT_EQ(distr->deduped, deduped);
+  EXPECT_EQ(distr->global_weights, global_weights);
+  EXPECT_EQ(distr->duplicates_removed, cleaned.num_rows() - deduped.num_rows());
+  EXPECT_EQ(distr->part_seconds.size(), parts.size());
+}
+
+TEST(DistributedTest, MatchesManualStagedOrchestration) {
+  HospitalFixture hai;
+  CleaningOptions hai_opts;
+  hai_opts.agp_threshold = 3;
+  ExpectMatchesManualOrchestration(hai.dd.dirty, hai.wl.rules, hai_opts);
+
+  TpchFixture tpch;
+  CleaningOptions tpch_opts;
+  tpch_opts.agp_threshold = 1;
+  ExpectMatchesManualOrchestration(tpch.dd.dirty, tpch.wl.rules, tpch_opts);
+}
 
 TEST(DistributedTest, CleansWithReasonableAccuracy) {
   TpchFixture f;
@@ -129,6 +189,40 @@ TEST(DistributedTest, InvalidOptionsRejected) {
   opts.num_parts = 2;
   opts.num_workers = 0;
   EXPECT_FALSE(DistributedMlnClean(opts).Clean(f.dd.dirty, f.wl.rules).ok());
+}
+
+TEST(DistributedTest, EmptyTableYieldsEmptyOutputs) {
+  // Like CleaningEngine::Clean and a fleet ticket: no rows, no parts, no
+  // legs through the protocol — and not a num_parts error.
+  Schema s = *Schema::Make({"A", "B"});
+  RuleSet rules(s);
+  rules.Add(*Constraint::MakeFd(s, {0}, {1}));
+  Dataset empty(s);
+  DistributedOptions opts;  // num_parts = 8
+  auto result = DistributedMlnClean(opts).Clean(empty, rules);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->cleaned.num_rows(), 0u);
+  EXPECT_EQ(result->deduped.num_rows(), 0u);
+  EXPECT_TRUE(result->part_seconds.empty());
+  EXPECT_EQ(result->global_weights, 0u);
+  EXPECT_EQ(result->duplicates_removed, 0u);
+}
+
+TEST(DistributedTest, NumWorkersIsIgnoredWithAnExecutor) {
+  TpchFixture f;
+  DistributedOptions opts;
+  opts.num_parts = 3;
+  opts.num_workers = 2;
+  auto reference = DistributedMlnClean(opts).Clean(f.dd.dirty, f.wl.rules);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  PoolExecutor pool(2);
+  opts.executor = &pool;
+  opts.num_workers = 0;  // documented as ignored once `executor` is set
+  auto result = DistributedMlnClean(opts).Clean(f.dd.dirty, f.wl.rules);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->cleaned, reference->cleaned);
+  EXPECT_EQ(result->deduped, reference->deduped);
 }
 
 TEST(DistributedTest, SinglePartMatchesSingleNodeOnHospital) {

@@ -364,7 +364,7 @@ TEST(CleanFleetTest, StatsCountTicketsAndRecordLatencies) {
   EXPECT_GE(shard_completed, c.batches.size());
 }
 
-TEST(CleanFleetTest, CreateValidatesRouterSchemaAndExecutorList) {
+TEST(CleanFleetTest, CreateValidatesRouterSchemaAndSubmitRejectsIncremental) {
   ServingCase c = MakeServingCase(71, 1);
   CleaningOptions options = ServingOptions();
   CleanModel model = *CleaningEngine(options).Compile(c.dd.dirty.schema(), c.wl.rules);
@@ -375,12 +375,6 @@ TEST(CleanFleetTest, CreateValidatesRouterSchemaAndExecutorList) {
   ropts.num_shards = 1;
   ShardRouter mismatched = *ShardRouter::Build(other, ropts);
   EXPECT_FALSE(CleanFleet::Create(model, mismatched).ok());
-
-  PoolExecutor pool(1);
-  FleetOptions bad;
-  bad.shard_executors = {&pool};  // router has 2 shards
-  EXPECT_FALSE(
-      CleanFleet::Create(model, MakeRouter(c.dd.dirty, 2), bad).ok());
 
   SessionOptions incremental;
   incremental.incremental = true;
