@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -254,6 +255,32 @@ void BM_FullPipeline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullPipeline)->Arg(1)->Arg(8);
+
+// FSCR alone, with stage I run outside the timed region: Arg = rows, the
+// whole 400-row table or its first 50-row batch (the size a server
+// batch has). BM_FullPipeline has no stage attribution, so an FSCR change
+// shows here by itself.
+void BM_Fscr(benchmark::State& state) {
+  const Workload& wl = SharedHai();
+  const Dataset& dirty = SharedDirty().dirty;
+  const Dataset data =
+      dirty.Slice(0, std::min(dirty.num_rows(), static_cast<size_t>(state.range(0))));
+  CleaningOptions options = Options(wl);
+  options.num_threads = 1;
+  const CleanModel model = *CleaningEngine(options).Compile(wl.clean.schema(), wl.rules);
+  std::optional<CleanSession> session;
+  for (auto _ : state) {
+    state.PauseTiming();
+    session.emplace(model.NewSession(data));  // the old session dies untimed
+    if (!session->RunUntil(Stage::kRsc).ok()) {
+      state.SkipWithError("stage I failed");
+      return;
+    }
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(session->RunUntil(Stage::kFscr));
+  }
+}
+BENCHMARK(BM_Fscr)->Arg(400)->Arg(50);
 
 // Serving amortization (the CleaningEngine contract): K micro-batches
 // cleaned against one prepared model — compiled once, Eq. 6 weight store

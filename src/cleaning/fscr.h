@@ -11,6 +11,17 @@
 // they change on the dirty tuple (CleaningOptions::fscr_minimality_discount)
 // so that near-tied fusions resolve toward the minimal repair; the
 // reported f_score includes this factor.
+//
+// The search is exact and allocation-free in steady state: one cell stack
+// per shard, backtracked by popping, with the running distance sum kept
+// beside it, and a per-tuple memo that skips a node when the same state
+// (remaining versions, assigned cells, distance-sum bits) was already
+// explored with an f at least as large. The skip never changes a result
+// while every γ weight is >= 0, which RunFscr checks once per call; with a
+// negative weight the search runs unpruned. The node budget
+// (CleaningOptions::max_fusion_nodes) and the exhaustive cap are reported
+// per tuple in FscrRecord::outcome. docs/perf.md ("FSCR search") has the
+// argument and the measurements.
 
 #ifndef MLNCLEAN_CLEANING_FSCR_H_
 #define MLNCLEAN_CLEANING_FSCR_H_

@@ -35,8 +35,11 @@ struct CleaningOptions {
   /// paper's rule sets have at most 7 rules, so the cap is rarely hit.
   size_t max_exhaustive_fusion = 7;
 
-  /// Safety cap on fusion search nodes per tuple (the m! blow-up of
-  /// Algorithm 2 is bounded in practice; this bounds it in theory too).
+  /// Safety cap on fusion search nodes visited per tuple. It cannot bind
+  /// at the default exhaustive cap: 7 versions give at most 13,700 nodes
+  /// (the sum of 7!/(7-k)! over k), fewer once dominance pruning skips
+  /// repeated states. A tuple whose search hits it keeps the best fusion
+  /// found so far and reports FusionOutcome::kBudgetExhausted.
   size_t max_fusion_nodes = 20000;
 
   /// Worker-parallelism cap for the parallelizable stages: AGP, weight

@@ -15,11 +15,16 @@ std::string CleaningReport::Summary() const {
   out << "agp: " << agp.size() << " abnormal groups (" << NumDetectedAbnormalPieces()
       << " pieces); rsc: " << rsc.size() << " replacements; fscr: ";
   size_t conflicted = 0;
+  size_t budget_exhausted = 0;
+  size_t greedy = 0;
   for (const auto& rec : fscr) {
     if (!rec.conflict_attrs.empty()) ++conflicted;
+    if (rec.outcome == FusionOutcome::kBudgetExhausted) ++budget_exhausted;
+    if (rec.outcome == FusionOutcome::kGreedy) ++greedy;
   }
-  out << conflicted << "/" << fscr.size() << " tuples with conflicts; duplicates: "
-      << duplicates.size();
+  out << conflicted << "/" << fscr.size() << " tuples with conflicts ("
+      << fscr.size() - budget_exhausted - greedy << " exhaustive, " << budget_exhausted
+      << " budget-exhausted, " << greedy << " greedy); duplicates: " << duplicates.size();
   return out.str();
 }
 

@@ -7,6 +7,7 @@
 #define MLNCLEAN_CLEANING_REPORT_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,6 +43,19 @@ struct RscRepairRecord {
   std::vector<TupleId> affected_tuples;
 };
 
+/// How FSCR searched for one tuple's fusion.
+enum class FusionOutcome : uint8_t {
+  /// Every merge order was accounted for (also a tuple with no version:
+  /// there is nothing to search).
+  kExhaustive,
+  /// The search stopped at CleaningOptions::max_fusion_nodes; the fusion
+  /// is the best one found before that.
+  kBudgetExhausted,
+  /// More versions than the exhaustive cap (max_exhaustive_fusion, and
+  /// never more than 31): versions were merged greedily by weight.
+  kGreedy,
+};
+
 /// FSCR outcome for one tuple.
 struct FscrRecord {
   TupleId tuple = 0;
@@ -50,6 +64,7 @@ struct FscrRecord {
   /// Whether a non-zero f-score fusion was found.
   bool fused = false;
   double f_score = 0.0;
+  FusionOutcome outcome = FusionOutcome::kExhaustive;
 };
 
 /// Wall-clock breakdown of one pipeline run, in seconds.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cleaning/agp.h"
 #include "cleaning/rsc.h"
 #include "datagen/sample.h"
@@ -114,9 +116,48 @@ TEST(FscrTest, GreedyPathForManyVersions) {
   StageOneFixture f;
   f.options.max_exhaustive_fusion = 0;
   Dataset cleaned = f.dirty.Clone();
-  RunFscr(f.dirty, f.rules, f.index, f.options, &cleaned, nullptr);
+  CleaningReport report;
+  RunFscr(f.dirty, f.rules, f.index, f.options, &cleaned, &report);
   // t3 has a conflict; greedy merges by weight and resolves via γ'.
   EXPECT_EQ(cleaned, *SampleHospitalClean());
+  for (const auto& rec : report.fscr) {
+    EXPECT_EQ(rec.outcome, FusionOutcome::kGreedy) << "tuple " << rec.tuple;
+  }
+  EXPECT_NE(report.Summary().find("6 greedy"), std::string::npos) << report.Summary();
+}
+
+TEST(FscrTest, NodeBudgetTruncationIsReported) {
+  // One node is the root alone: a tuple whose versions conflict needs
+  // more, so its search stops at the budget and says so; a conflict-free
+  // tuple is fused at the root and stays exhaustive.
+  StageOneFixture f;
+  f.options.max_fusion_nodes = 1;
+  Dataset cleaned = f.dirty.Clone();
+  CleaningReport report;
+  RunFscr(f.dirty, f.rules, f.index, f.options, &cleaned, &report);
+  size_t exhausted = 0;
+  for (const auto& rec : report.fscr) {
+    if (rec.conflict_attrs.empty()) {
+      EXPECT_EQ(rec.outcome, FusionOutcome::kExhaustive) << "tuple " << rec.tuple;
+    } else {
+      EXPECT_EQ(rec.outcome, FusionOutcome::kBudgetExhausted) << "tuple " << rec.tuple;
+      ++exhausted;
+    }
+  }
+  EXPECT_GT(exhausted, 0u);
+  EXPECT_EQ(report.fscr[2].outcome, FusionOutcome::kBudgetExhausted);  // t3
+  EXPECT_NE(report.Summary().find(std::to_string(exhausted) + " budget-exhausted"),
+            std::string::npos)
+      << report.Summary();
+
+  // At the default budget the same tuples are searched exhaustively.
+  CleaningReport full;
+  Dataset cleaned_full = f.dirty.Clone();
+  f.options.max_fusion_nodes = CleaningOptions().max_fusion_nodes;
+  RunFscr(f.dirty, f.rules, f.index, f.options, &cleaned_full, &full);
+  for (const auto& rec : full.fscr) {
+    EXPECT_EQ(rec.outcome, FusionOutcome::kExhaustive) << "tuple " << rec.tuple;
+  }
 }
 
 TEST(FscrTest, FScoreIsProductOfWeights) {
