@@ -200,20 +200,6 @@ void BM_WeightLearning(benchmark::State& state) {
 }
 BENCHMARK(BM_WeightLearning);
 
-// The opt-in vectorized-exp softmax (WeightLearnerOptions::fast_exp);
-// compare against BM_WeightLearning for the delta.
-void BM_WeightLearningFastExp(benchmark::State& state) {
-  const DirtyDataset& dd = SharedDirty();
-  const Workload& wl = SharedHai();
-  MlnIndex index = *MlnIndex::Build(dd.dirty, wl.rules);
-  WeightLearnerOptions options;
-  options.fast_exp = true;
-  for (auto _ : state) {
-    index.LearnWeights(options);
-  }
-}
-BENCHMARK(BM_WeightLearningFastExp);
-
 // Full rule discovery (lattice + MD mining + MLN scoring) on the shared
 // 40-hospital dirty table — the `mlnclean_model discover` hot path.
 void BM_DiscoverRules(benchmark::State& state) {
@@ -363,7 +349,7 @@ BENCHMARK(BM_ServerThroughput);
 // CleanFleet of M shards and harvesting their own tickets, on one shared
 // pool. Args are {clients, shards}. Beyond wall time, the run reports the
 // fleet's submit-to-harvest latency percentiles (p50_ms / p99_ms counters
-// from FleetStats) — the tail the EDF/coalescing queue work targets.
+// from FleetStats) — the tail the priority/EDF queue order governs.
 void BM_FleetSaturation(benchmark::State& state) {
   const size_t clients = static_cast<size_t>(state.range(0));
   const size_t shards = static_cast<size_t>(state.range(1));

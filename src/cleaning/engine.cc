@@ -131,16 +131,6 @@ CleanSession CleanModel::NewSession(const Dataset& dirty, SessionOptions opts) c
   return CleanSession(state_, &dirty, std::move(opts));
 }
 
-CleanSession CleanModel::ResumeSession(const Dataset& dirty, const MlnIndex* index,
-                                       CleaningReport report,
-                                       SessionOptions opts) const {
-  CleanSession session(state_, &dirty, std::move(opts));
-  session.borrowed_index_ = index;
-  session.report_ = std::move(report);
-  session.next_ = static_cast<int>(Stage::kFscr);
-  return session;
-}
-
 CleanSession CleanModel::NewIncrementalSession(SessionOptions opts) const {
   auto accumulated = std::make_unique<Dataset>(state_->rules.schema());
   CleanSession session(state_, accumulated.get(), std::move(opts));
@@ -215,10 +205,6 @@ Result<size_t> CleanModel::AdjustWeightsAcross(
       return Status::Invalid(
           "AdjustWeightsAcross: session must have completed kLearn and not "
           "yet run kRsc");
-    }
-    if (session->mutable_index() == nullptr) {
-      return Status::Invalid(
-          "AdjustWeightsAcross: session does not own its index");
     }
     table.Accumulate(session->index(), state_->rules);
   }
@@ -308,35 +294,35 @@ Status CleanSession::RunStage(Stage stage, const ExecContext& ctx) {
         MLN_RETURN_NOT_OK(
             base_index_.AppendRows(*dirty_, model_->rules, grounded_rows_, ctx));
         grounded_rows_ = dirty_->num_rows();
-        owned_index_ = base_index_;
+        index_ = base_index_;
         return Status::OK();
       }
-      MLN_ASSIGN_OR_RETURN(owned_index_,
+      MLN_ASSIGN_OR_RETURN(index_,
                            MlnIndex::Build(*dirty_, model_->rules, ctx));
       return Status::OK();
     }
     case Stage::kAgp:
-      RunAgpAll(&owned_index_, options, dist_, report, ctx);
+      RunAgpAll(&index_, options, dist_, report, ctx);
       return Status::OK();
     case Stage::kLearn: {
       bool reused = false;
       if (!options.learn_weights) {
-        owned_index_.AssignPriorWeights();  // ablation: Eq. 4 priors only
+        index_.AssignPriorWeights();  // ablation: Eq. 4 priors only
       } else if (opts_.reuse_model_weights) {
         // Serving path: Eq. 4 priors for γs the store has never seen,
         // stored Eq. 6 averages for the rest — no Newton solves. The
         // prior pass touches only this session's index, so it runs
         // outside the lock; Apply holds it shared, letting concurrent
         // reuse sessions read the store in parallel.
-        owned_index_.AssignPriorWeights();
+        index_.AssignPriorWeights();
         std::shared_lock<std::shared_mutex> lock(model_->weights_mu);
         if (model_->weights.size() > 0) {
-          model_->weights.Apply(&owned_index_, model_->rules);
+          model_->weights.Apply(&index_, model_->rules);
           reused = true;
         }
       }
       if (options.learn_weights && !reused) {
-        owned_index_.LearnWeights(options.learner, ctx);
+        index_.LearnWeights(options.learner, ctx);
       }
       // Only freshly learned weights enter the store: contributing reused
       // weights would re-average the store with its own output, and
@@ -347,12 +333,12 @@ Status CleanSession::RunStage(Stage stage, const ExecContext& ctx) {
           !ctx.Stopped()) {
         MLN_FAILPOINT("engine/weight-contribute");
         std::unique_lock<std::shared_mutex> lock(model_->weights_mu);
-        model_->weights.Accumulate(owned_index_, model_->rules);
+        model_->weights.Accumulate(index_, model_->rules);
       }
       return Status::OK();
     }
     case Stage::kRsc:
-      RunRscAll(&owned_index_, dist_, report, ctx);
+      RunRscAll(&index_, dist_, report, ctx);
       return Status::OK();
     case Stage::kFscr:
       cleaned_ = dirty_->Clone();

@@ -158,13 +158,6 @@ class CleanModel {
   /// and match the model's schema (checked on the first Run* call).
   CleanSession NewSession(const Dataset& dirty, SessionOptions opts = {}) const;
 
-  /// Opens a session positioned at Stage::kFscr over an externally built
-  /// stage-I index (borrowed; must outlive the session) and an existing
-  /// decision trace. Serves the stage-II-only flows (the deprecated
-  /// pipeline facade, index hand-off between processes).
-  CleanSession ResumeSession(const Dataset& dirty, const MlnIndex* index,
-                             CleaningReport report, SessionOptions opts = {}) const;
-
   /// Opens an empty row-incremental session: feed it micro-batches with
   /// CleanSession::AppendRows, then Resume() to clean everything
   /// accumulated so far. The session owns the accumulated dataset and
@@ -297,19 +290,12 @@ class CleanSession {
 
   /// Decision trace accumulated so far.
   const CleaningReport& report() const { return report_; }
-  /// Mutable trace, for callers that move it out or splice records in
-  /// (the deprecated pipeline facade's report-passing contract).
-  CleaningReport* mutable_report() { return &report_; }
 
   /// The stage-I index; meaningful after Stage::kIndex has run.
-  const MlnIndex& index() const {
-    return borrowed_index_ != nullptr ? *borrowed_index_ : owned_index_;
-  }
+  const MlnIndex& index() const { return index_; }
   /// Mutable index between stages (the model-level weight merge writes
-  /// through this). Null for ResumeSession-borrowed indexes.
-  MlnIndex* mutable_index() {
-    return borrowed_index_ == nullptr ? &owned_index_ : nullptr;
-  }
+  /// through this).
+  MlnIndex* mutable_index() { return &index_; }
 
   /// Repaired dataset; meaningful after Stage::kFscr has run.
   const Dataset& cleaned() const { return cleaned_; }
@@ -347,8 +333,7 @@ class CleanSession {
   MlnIndex base_index_;
   size_t grounded_rows_ = 0;
   bool incremental_ = false;
-  MlnIndex owned_index_;
-  const MlnIndex* borrowed_index_ = nullptr;  // ResumeSession only
+  MlnIndex index_;
   CleaningReport report_;
   Dataset cleaned_;
   Dataset deduped_;

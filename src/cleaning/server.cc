@@ -30,11 +30,12 @@ struct ServerJob {
   uint64_t seq = 0;
   std::chrono::steady_clock::time_point submitted_at;
 
-  // Staged submissions (SubmitStaged): leg 1 runs to `pause_after` and
-  // parks, leg 2 (after ResumeJob) runs to `final_stage`. The live
-  // session survives the park; `server` is what ResumeJob re-enqueues
-  // into (set only for staged jobs — a plain job never needs the server
-  // back).
+  // Every cold-lane job runs in legs over one session, created on the
+  // first leg. A plain job is one leg to `final_stage` = kDedup; a staged
+  // job (SubmitStaged) runs its first leg to `pause_after` and parks, and
+  // its second leg (after ResumeJob) to `final_stage`. `server` is what
+  // ResumeJob re-enqueues into (set only for staged jobs — a plain job
+  // never needs the server back).
   std::optional<Stage> pause_after;
   Stage final_stage = Stage::kDedup;
   std::unique_ptr<CleanSession> session;
@@ -113,87 +114,13 @@ bool JobAfter(const std::shared_ptr<ServerJob>& a,
   return a->seq > b->seq;
 }
 
-void RunJob(const std::shared_ptr<ServerState>& state,
-            const std::shared_ptr<ServerJob>& job) {
-  Status status;
-  std::optional<CleanResult> result;
-  StageTimings timings;
-  bool pause = false;  // this leg ends parked at pause_after, not terminal
-  // Backstop exception boundary: the session already converts stage and
-  // progress-callback exceptions to Status, but anything that still
-  // escapes (session construction, result hand-off, injected faults)
-  // must become a failed ticket — an exception leaving this frame would
-  // take down the executor thread and strand every waiter.
-  try {
-    MLN_FAILPOINT("server/worker-loop");
-    bool resumed_leg = false;
-    if (job->pause_after.has_value()) {
-      std::lock_guard<std::mutex> lock(job->mu);
-      resumed_leg = job->resumed;
-    }
-    if (job->pause_after.has_value() && !resumed_leg) {
-      // Staged leg 1: open the live session, run to the pause stage. The
-      // session outlives this leg on the job; the coordinating caller
-      // owns it between WaitPaused and ResumeJob.
-      job->session = std::make_unique<CleanSession>(
-          state->model.NewSession(*job->dirty, job->opts));
-      status = job->session->RunUntil(*job->pause_after);
-      if (status.ok()) {
-        pause = true;
-      } else {
-        timings = job->session->report().timings;
-      }
-    } else if (job->session != nullptr) {
-      // Staged leg 2: finish the parked session. With a final stage short
-      // of kDedup the outputs deliberately stay on the session — the
-      // fleet's merge reads session()->cleaned(), there is no CleanResult
-      // to move.
-      status = job->session->RunUntil(job->final_stage);
-      timings = job->session->report().timings;
-      if (status.ok() && job->final_stage == Stage::kDedup) {
-        Result<CleanResult> taken = job->session->TakeResult();
-        if (taken.ok()) {
-          result = std::move(taken).ValueUnsafe();
-        } else {
-          status = taken.status();
-        }
-      }
-    } else {
-      CleanSession session = state->model.NewSession(*job->dirty, job->opts);
-      status = session.Resume();
-      timings = session.report().timings;
-      if (status.ok()) {
-        Result<CleanResult> taken = session.TakeResult();
-        if (taken.ok()) {
-          result = std::move(taken).ValueUnsafe();
-        } else {
-          status = taken.status();
-        }
-      }
-    }
-  } catch (...) {
-    status = StatusFromCurrentException("serving job failed");
-    result.reset();
-  }
-  if (pause) {
-    // Parked OK at the pause stage: wake WaitPaused() callers and leave
-    // the job non-terminal. Timings, terminal counters, and the latency
-    // sample are all recorded once, when the resumed leg finishes.
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      --state->running;
-    }
-    {
-      std::lock_guard<std::mutex> lock(job->mu);
-      job->paused = true;
-    }
-    job->cv.notify_all();
-    return;
-  }
-  // `running` drops in the same critical section as the terminal
-  // counters, *before* the done flag wakes Wait()ers — a caller
-  // snapshotting Stats() right after Wait() must never see this job
-  // still counted as running.
+// The one completion of every job on either lane. `running` drops in the
+// same critical section as the terminal counters, *before* the done flag
+// wakes Wait()ers — a caller snapshotting Stats() right after Wait() must
+// never see this job still counted as running.
+void FinishJob(const std::shared_ptr<ServerState>& state,
+               const std::shared_ptr<ServerJob>& job, Status status,
+               std::optional<CleanResult> result, const StageTimings& timings) {
   {
     std::lock_guard<std::mutex> lock(state->mu);
     --state->running;
@@ -220,64 +147,114 @@ void RunJob(const std::shared_ptr<ServerState>& state,
   job->cv.notify_all();
 }
 
-// Appends one incremental submission to the live session and resolves its
-// ticket with the accumulated output. Runs only on the single drainer
-// task, so the session needs no lock of its own.
-void RunIncrementalJob(const std::shared_ptr<ServerState>& state,
-                       const std::shared_ptr<ServerJob>& job) {
+// The incremental lane's leg: appends the job's batch to the lane's live
+// session and resumes it. The accumulated outputs stay on the session for
+// the next append; the ticket gets copies. Runs only on the lane's single
+// drainer, so the session needs no lock of its own.
+Status RunIncrementalJob(ServerState* state, const ServerJob& job,
+                         std::optional<CleanResult>* result,
+                         StageTimings* timings) {
+  if (state->inc_session == nullptr) {
+    // The live session adopts the first submission's session-level flags
+    // (documented in SessionOptions::incremental); per-job progress/
+    // cancel/deadline stay off — they would act on the shared stream,
+    // not one job.
+    SessionOptions sopts;
+    sopts.reuse_model_weights = job.opts.reuse_model_weights;
+    sopts.contribute_weights = job.opts.contribute_weights;
+    sopts.collect_report = job.opts.collect_report;
+    state->inc_session = std::make_unique<CleanSession>(
+        state->model.NewIncrementalSession(std::move(sopts)));
+  }
+  CleanSession& session = *state->inc_session;
+  Status status = session.AppendRows(*job.dirty);
+  if (status.ok()) status = session.Resume();
+  *timings = session.report().timings;
+  if (status.ok()) {
+    CleanResult out;
+    out.cleaned = session.cleaned().Clone();
+    out.deduped = session.deduped().Clone();
+    out.report = session.report();
+    *result = std::move(out);
+  }
+  return status;
+}
+
+// Runs one leg of `job` on either lane. A cold-lane leg runs the job's
+// session to pause_after on the first leg of a staged job, else to
+// final_stage; a pausing leg that succeeds parks, any other leg is
+// terminal and ends in FinishJob.
+void RunJob(const std::shared_ptr<ServerState>& state,
+            const std::shared_ptr<ServerJob>& job) {
   Status status;
   std::optional<CleanResult> result;
   StageTimings timings;
+  bool park = false;
+  // Backstop exception boundary: the session already converts stage and
+  // progress-callback exceptions to Status, but anything that still
+  // escapes (session construction, result hand-off, injected faults)
+  // must become a failed ticket — an exception leaving this frame would
+  // take down the executor thread and strand every waiter.
   try {
-    if (state->inc_session == nullptr) {
-      // The live session adopts the first submission's session-level
-      // flags (documented in SessionOptions::incremental); per-job
-      // progress/cancel/deadline stay off — they would act on the shared
-      // stream, not one job.
-      SessionOptions sopts;
-      sopts.reuse_model_weights = job->opts.reuse_model_weights;
-      sopts.contribute_weights = job->opts.contribute_weights;
-      sopts.collect_report = job->opts.collect_report;
-      state->inc_session = std::make_unique<CleanSession>(
-          state->model.NewIncrementalSession(std::move(sopts)));
-    }
-    CleanSession& session = *state->inc_session;
-    status = session.AppendRows(*job->dirty);
-    if (status.ok()) status = session.Resume();
-    timings = session.report().timings;
-    if (status.ok()) {
-      // The accumulated outputs stay on the session for the next append;
-      // the ticket gets copies.
-      CleanResult out;
-      out.cleaned = session.cleaned().Clone();
-      out.deduped = session.deduped().Clone();
-      out.report = session.report();
-      result = std::move(out);
+    MLN_FAILPOINT("server/worker-loop");
+    if (job->opts.incremental) {
+      status = RunIncrementalJob(state.get(), *job, &result, &timings);
+    } else {
+      // The worker is the only writer of `session`; legs hand the job
+      // off through the queue lock, and the coordinating caller reads it
+      // only while the job is parked.
+      const bool first_leg = job->session == nullptr;
+      if (first_leg) {
+        job->session = std::make_unique<CleanSession>(
+            state->model.NewSession(*job->dirty, job->opts));
+      }
+      const bool pausing = first_leg && job->pause_after.has_value();
+      CleanSession& session = *job->session;
+      status = session.RunUntil(pausing ? *job->pause_after : job->final_stage);
+      park = pausing && status.ok();
+      if (!park) {
+        timings = session.report().timings;
+        // With a final stage short of kDedup the outputs deliberately
+        // stay on the session — the shard protocol's merge reads
+        // session()->cleaned(), there is no CleanResult to move.
+        if (status.ok() && job->final_stage == Stage::kDedup) {
+          Result<CleanResult> taken = session.TakeResult();
+          if (taken.ok()) {
+            result = std::move(taken).ValueUnsafe();
+          } else {
+            status = taken.status();
+          }
+        }
+      }
     }
   } catch (...) {
-    status = StatusFromCurrentException("incremental serving job failed");
+    status = StatusFromCurrentException("serving job failed");
     result.reset();
   }
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    --state->running;  // before the done flag wakes Wait()ers (see RunJob)
-    AddTimings(&state->totals.stage_seconds, timings);
-    state->latencies.Add(std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - job->submitted_at)
-                             .count());
-    if (status.ok()) {
-      ++state->totals.completed;
-    } else {
-      ++state->totals.failed;
+  if (park) {
+    // Parked OK at the pause stage: wake WaitPaused() callers and leave
+    // the job non-terminal. Timings, terminal counters, and the latency
+    // sample are all recorded once, when the resumed leg finishes.
+    {
+      std::lock_guard<std::mutex> lock(state->mu);
+      --state->running;
     }
+    {
+      std::lock_guard<std::mutex> lock(job->mu);
+      job->paused = true;
+    }
+    job->cv.notify_all();
+    return;
   }
-  {
+  if (job->final_stage == Stage::kDedup) {
+    // The result (if any) has moved out: a finished ticket pins no
+    // session and no index. The session is destroyed after the job lock
+    // drops (`released` outlives `lock`).
+    std::unique_ptr<CleanSession> released;
     std::lock_guard<std::mutex> lock(job->mu);
-    job->status = std::move(status);
-    job->result = std::move(result);
-    job->done = true;
+    released = std::move(job->session);
   }
-  job->cv.notify_all();
+  FinishJob(state, job, std::move(status), std::move(result), timings);
 }
 
 // The incremental lane's single drainer: runs submissions in FIFO order
@@ -297,7 +274,7 @@ void RunIncrementalDrainer(const std::shared_ptr<ServerState>& state) {
       state->inc_queue.pop_front();
       ++state->running;
     }
-    RunIncrementalJob(state, job);  // decrements `running` at its terminal
+    RunJob(state, job);  // decrements `running` at its terminal
   }
 }
 
@@ -305,11 +282,12 @@ void RunIncrementalDrainer(const std::shared_ptr<ServerState>& state) {
 // retires. Submit schedules a new worker whenever fewer than
 // max_concurrent_sessions are alive, so the worker count breathes with
 // the load instead of parking executor threads on an idle server. Jobs
-// pop in heap order (priority, EDF, admission order — see JobAfter); with
-// a coalescing budget the worker drains a run of small jobs in one pop.
+// pop one per lock acquisition in heap order (priority, EDF, admission
+// order — see JobAfter), so a later, more urgent submission overtakes
+// every job still queued.
 void RunWorker(const std::shared_ptr<ServerState>& state) {
   for (;;) {
-    std::vector<std::shared_ptr<ServerJob>> group;
+    std::shared_ptr<ServerJob> job;
     {
       std::lock_guard<std::mutex> lock(state->mu);
       if (state->queue.empty()) {
@@ -317,37 +295,11 @@ void RunWorker(const std::shared_ptr<ServerState>& state) {
         return;
       }
       std::pop_heap(state->queue.begin(), state->queue.end(), JobAfter);
-      group.push_back(std::move(state->queue.back()));
+      job = std::move(state->queue.back());
       state->queue.pop_back();
-      // Micro-batch coalescing: keep popping while the next job in queue
-      // order fits the row budget — the group then runs back-to-back on
-      // this worker as one dispatch. Each job still runs its own session
-      // (results are bit-identical to individual execution; coalescing
-      // batches the scheduling, not the evidence). Staged jobs coordinate
-      // externally and never join or start a group.
-      const size_t budget = state->options.coalesce_max_rows;
-      if (budget > 0 && !group.front()->pause_after.has_value()) {
-        size_t rows = group.front()->dirty->num_rows();
-        while (!state->queue.empty()) {
-          const std::shared_ptr<ServerJob>& next = state->queue.front();
-          if (next->pause_after.has_value()) break;
-          const size_t next_rows = next->dirty->num_rows();
-          if (rows + next_rows > budget) break;
-          std::pop_heap(state->queue.begin(), state->queue.end(), JobAfter);
-          group.push_back(std::move(state->queue.back()));
-          state->queue.pop_back();
-          rows += next_rows;
-        }
-        if (group.size() > 1) {
-          ++state->totals.coalesced_groups;
-          state->totals.coalesced_jobs += group.size();
-        }
-      }
-      state->running += group.size();
+      ++state->running;
     }
-    for (const std::shared_ptr<ServerJob>& job : group) {
-      RunJob(state, job);  // decrements `running` when it parks or finishes
-    }
+    RunJob(state, job);  // decrements `running` when it parks or finishes
   }
 }
 
@@ -417,6 +369,7 @@ Status CleanTicket::WaitPaused() const {
 }
 
 CleanSession* CleanTicket::session() const {
+  if (!job_->pause_after.has_value()) return nullptr;  // staged-only accessor
   std::lock_guard<std::mutex> lock(job_->mu);
   return job_->session.get();
 }
@@ -453,18 +406,12 @@ Result<CleanServer> CleanServer::Create(CleanModel model, ServerOptions options)
 }
 
 Result<CleanTicket> CleanServer::Submit(const Dataset& dirty, SessionOptions opts) {
-  auto job = std::make_shared<ServerJob>();
-  job->dirty = &dirty;
-  job->opts = std::move(opts);
-  return Enqueue(std::move(job));
+  return Enqueue(&dirty, std::nullopt, std::move(opts), std::nullopt, Stage::kDedup);
 }
 
 Result<CleanTicket> CleanServer::Submit(Dataset&& dirty, SessionOptions opts) {
-  auto job = std::make_shared<ServerJob>();
-  job->owned.emplace(std::move(dirty));
-  job->dirty = &*job->owned;
-  job->opts = std::move(opts);
-  return Enqueue(std::move(job));
+  return Enqueue(nullptr, std::move(dirty), std::move(opts), std::nullopt,
+                 Stage::kDedup);
 }
 
 Result<CleanTicket> CleanServer::SubmitCsv(std::string_view csv_text,
@@ -478,38 +425,14 @@ Result<CleanTicket> CleanServer::SubmitStaged(const Dataset& dirty,
                                               Stage pause_after,
                                               Stage final_stage,
                                               SessionOptions opts) {
-  if (opts.incremental) {
-    return Status::Invalid("staged submissions cannot use the incremental lane");
-  }
-  if (static_cast<int>(pause_after) >= static_cast<int>(final_stage)) {
-    return Status::Invalid("pause_after must precede final_stage");
-  }
-  auto job = std::make_shared<ServerJob>();
-  job->dirty = &dirty;
-  job->opts = std::move(opts);
-  job->pause_after = pause_after;
-  job->final_stage = final_stage;
-  job->server = state_;
-  return Enqueue(std::move(job));
+  return Enqueue(&dirty, std::nullopt, std::move(opts), pause_after, final_stage);
 }
 
 Result<CleanTicket> CleanServer::SubmitStaged(Dataset&& dirty, Stage pause_after,
                                               Stage final_stage,
                                               SessionOptions opts) {
-  if (opts.incremental) {
-    return Status::Invalid("staged submissions cannot use the incremental lane");
-  }
-  if (static_cast<int>(pause_after) >= static_cast<int>(final_stage)) {
-    return Status::Invalid("pause_after must precede final_stage");
-  }
-  auto job = std::make_shared<ServerJob>();
-  job->owned.emplace(std::move(dirty));
-  job->dirty = &*job->owned;
-  job->opts = std::move(opts);
-  job->pause_after = pause_after;
-  job->final_stage = final_stage;
-  job->server = state_;
-  return Enqueue(std::move(job));
+  return Enqueue(nullptr, std::move(dirty), std::move(opts), pause_after,
+                 final_stage);
 }
 
 Result<CleanTicket> CleanServer::SubmitWithRetry(const Dataset& dirty,
@@ -530,14 +453,35 @@ Result<CleanTicket> CleanServer::SubmitWithRetry(const Dataset& dirty,
   }
 }
 
-Result<CleanTicket> CleanServer::Enqueue(std::shared_ptr<ServerJob> job) {
+Result<CleanTicket> CleanServer::Enqueue(const Dataset* dirty,
+                                         std::optional<Dataset> owned,
+                                         SessionOptions opts,
+                                         std::optional<Stage> pause_after,
+                                         Stage final_stage) {
+  if (pause_after.has_value()) {
+    if (opts.incremental) {
+      return Status::Invalid("staged submissions cannot use the incremental lane");
+    }
+    if (static_cast<int>(*pause_after) >= static_cast<int>(final_stage)) {
+      return Status::Invalid("pause_after must precede final_stage");
+    }
+  }
+  auto job = std::make_shared<ServerJob>();
+  job->owned = std::move(owned);
+  job->dirty = job->owned.has_value() ? &*job->owned : dirty;
+  job->opts = std::move(opts);
+  job->pause_after = pause_after;
+  job->final_stage = final_stage;
+  if (pause_after.has_value()) job->server = state_;
+
   bool spawn = false;
   const bool incremental = job->opts.incremental;
   try {
     MLN_FAILPOINT("server/admission");
     std::lock_guard<std::mutex> lock(state_->mu);
-    auto& queue = incremental ? state_->inc_queue : state_->queue;
-    const size_t depth = queue.size();
+    // Both lanes share one capacity: pending work never exceeds it,
+    // whatever the mix (the same sum Stats().queued reports).
+    const size_t depth = state_->queue.size() + state_->inc_queue.size();
     if (depth >= state_->options.queue_capacity) {
       ++state_->totals.rejected;
       return Status::Unavailable(
@@ -547,6 +491,7 @@ Result<CleanTicket> CleanServer::Enqueue(std::shared_ptr<ServerJob> job) {
     }
     job->seq = state_->next_seq++;
     job->submitted_at = std::chrono::steady_clock::now();
+    auto& queue = incremental ? state_->inc_queue : state_->queue;
     queue.push_back(job);
     // The cold lane is a heap (priority/EDF/seq); push_heap only swaps
     // shared_ptrs under a non-throwing comparator, so push_back stays the

@@ -15,10 +15,9 @@
 // one priority class with the same deadline state run in submit order
 // (plain FIFO when nobody sets either knob), a higher
 // SessionOptions::priority always goes first, and within a class the
-// earliest deadline wins (EDF; deadline-less jobs sort last). Optionally
-// the popping worker coalesces runs of small queued jobs into one
-// dispatch (ServerOptions::coalesce_max_rows) — each job still runs its
-// own session, so results are bit-identical to individual execution.
+// earliest deadline wins (EDF; deadline-less jobs sort last). A worker
+// pops one job per lock acquisition, so the order is strict: a later,
+// more urgent submission overtakes every job still queued.
 // When the pending queue is full, Submit returns
 // StatusCode::kUnavailable immediately (backpressure — the caller sheds
 // or retries; nothing blocks). Every ticket carries its session's
@@ -34,7 +33,10 @@
 // (`WaitPaused` + `session()`), and re-enters the queue on `ResumeJob()`
 // to run to its final stage — which is exactly the RunUntil(kLearn) /
 // AdjustWeightsAcross / resume cut the Eq. 6 cross-shard weight merge
-// needs.
+// needs. Every cold-lane job runs this way: a plain submission is a
+// staged one with no pause and final stage kDedup, and every job on
+// either lane ends in one shared completion (terminal counters, stage
+// seconds, latency sample, then the ticket's done flag).
 //
 // Determinism: with weight reuse off (or a warmed, no-longer-written
 // store), K sessions served concurrently produce results bit-identical to
@@ -50,7 +52,8 @@
 // cleaned output over every batch appended so far — bit-identical to a
 // cold session over the concatenation (docs/streaming.md). The lane adds
 // at most one concurrently executing session on top of
-// max_concurrent_sessions and shares queue_capacity.
+// max_concurrent_sessions and shares queue_capacity: admission counts the
+// pending jobs of both lanes against the one capacity.
 
 #ifndef MLNCLEAN_CLEANING_SERVER_H_
 #define MLNCLEAN_CLEANING_SERVER_H_
@@ -83,19 +86,10 @@ struct ServerOptions {
   /// concurrency. More concurrent sessions than executor workers simply
   /// queue inside the executor.
   size_t max_concurrent_sessions = 0;
-  /// Submissions allowed to wait for a session slot. A Submit that would
-  /// push the pending queue past this returns kUnavailable.
+  /// Submissions allowed to wait for a session slot, summed over the
+  /// cold and incremental lanes. A Submit that would push the pending
+  /// jobs past this returns kUnavailable.
   size_t queue_capacity = 64;
-  /// Micro-batch coalescing budget, in rows. 0 = off. When a worker pops
-  /// a job, it keeps popping while the next queued job (in queue order)
-  /// would keep the group's total row count within this budget, then runs
-  /// the whole group back-to-back as one dispatch — one lock
-  /// acquisition and one worker wake-up for a flurry of small
-  /// submissions instead of one each. Every job still runs as its own
-  /// session, so each ticket's result is bit-identical to individual
-  /// execution; coalescing batches the scheduling, not the evidence
-  /// (grounding never mixes batches). Staged submissions never coalesce.
-  size_t coalesce_max_rows = 0;
 };
 
 /// A snapshot of server counters (all since Create).
@@ -108,8 +102,6 @@ struct ServerStats {
   size_t cancelled = 0;  // finished kCancelled
   size_t deadline_expired = 0;  // finished kDeadlineExceeded
   size_t rejected = 0;   // Submits refused with kUnavailable (queue full)
-  size_t coalesced_groups = 0;  // dispatch groups of >= 2 coalesced jobs
-  size_t coalesced_jobs = 0;    // jobs that ran inside such a group
   /// Cumulative wall seconds spent per stage across every finished
   /// session (partial stages of cancelled/expired sessions included).
   StageTimings stage_seconds;
@@ -156,8 +148,10 @@ class CleanTicket {
   /// The parked live session of a staged job — valid between a WaitPaused
   /// that returned OK and the matching ResumeJob(), exclusively for the
   /// coordinating caller (inspect weights, AdjustWeightsAcross). Null for
-  /// plain tickets. The session lives until the last ticket handle drops,
-  /// but must not be touched while the server is running it.
+  /// plain tickets. With a final stage short of kDedup the session lives
+  /// until the last ticket handle drops (its outputs stay on it); with
+  /// kDedup it is released once the result has moved into the ticket.
+  /// Must not be touched while the server is running it.
   CleanSession* session() const;
 
   /// Re-enqueues a parked staged job to run to its final stage. Bypasses
@@ -242,7 +236,12 @@ class CleanServer {
  private:
   explicit CleanServer(std::shared_ptr<ServerState> state)
       : state_(std::move(state)) {}
-  Result<CleanTicket> Enqueue(std::shared_ptr<ServerJob> job);
+  /// Builds the job behind every Submit/SubmitStaged overload — over
+  /// `owned` when set, else the borrowed `dirty` — validates staging (an
+  /// empty `pause_after` is a plain job), and admits it.
+  Result<CleanTicket> Enqueue(const Dataset* dirty, std::optional<Dataset> owned,
+                              SessionOptions opts, std::optional<Stage> pause_after,
+                              Stage final_stage);
   std::shared_ptr<ServerState> state_;
 };
 

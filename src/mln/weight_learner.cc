@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "mln/fast_exp.h"
-
 namespace mlnclean {
 
 std::vector<double> PriorWeights(const std::vector<double>& counts) {
@@ -51,51 +49,25 @@ std::vector<double> LearnWeights(const std::vector<double>& counts,
   if (members.empty()) return w;
 
   std::vector<double> probs(max_group);
-  // fast_exp scratch: the softmax inputs of every group, flattened so one
-  // wide exp batch per iteration keeps the SIMD lanes full (per-group
-  // batches of 2-6 elements never would).
-  std::vector<double> flat;
-  if (options.fast_exp) flat.resize(members.size());
   const size_t num_groups = n_group.size();
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     double max_delta = 0.0;
-    if (options.fast_exp) {
-      // Groups are disjoint, so no group's softmax inputs depend on
-      // another group's step within this iteration: gather them all,
-      // exponentiate once, step per group below.
-      for (size_t g = 0; g < num_groups; ++g) {
-        double wmax = -1e300;
-        for (size_t k = group_offsets[g]; k < group_offsets[g + 1]; ++k) {
-          wmax = std::max(wmax, w[members[k]]);
-        }
-        for (size_t k = group_offsets[g]; k < group_offsets[g + 1]; ++k) {
-          flat[k] = w[members[k]] - wmax;
-        }
-      }
-      FastExpBatch(flat.data(), flat.size());
-    }
     for (size_t g = 0; g < num_groups; ++g) {
       const size_t begin = group_offsets[g];
       const size_t end = group_offsets[g + 1];
       // Fused sweep: softmax, gradient, and diagonal-Hessian step all come
       // from two passes over the group's contiguous CSR slice.
       double z = 0.0;
-      const double* e = probs.data();
-      if (options.fast_exp) {
-        e = flat.data() + begin;
-        for (size_t k = begin; k < end; ++k) z += flat[k];
-      } else {
-        double wmax = -1e300;
-        for (size_t k = begin; k < end; ++k) wmax = std::max(wmax, w[members[k]]);
-        for (size_t k = begin; k < end; ++k) {
-          const double ek = std::exp(w[members[k]] - wmax);
-          probs[k - begin] = ek;
-          z += ek;
-        }
+      double wmax = -1e300;
+      for (size_t k = begin; k < end; ++k) wmax = std::max(wmax, w[members[k]]);
+      for (size_t k = begin; k < end; ++k) {
+        const double ek = std::exp(w[members[k]] - wmax);
+        probs[k - begin] = ek;
+        z += ek;
       }
       for (size_t k = begin; k < end; ++k) {
         const size_t idx = members[k];
-        const double p = e[k - begin] / z;
+        const double p = probs[k - begin] / z;
         const double expected = n_group[g] * p;
         const double grad =
             member_counts[k] - expected - lambda * (w[idx] - prior[idx]);

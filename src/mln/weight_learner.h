@@ -31,14 +31,6 @@ struct WeightLearnerOptions {
   /// intended effect), so an undamped step oscillates; 0.5 compensates
   /// exactly for two-member groups and converges for larger ones.
   double damping = 0.5;
-  /// Use the branch-free polynomial exp (mln/fast_exp.h, ~1e-13 relative
-  /// error, SIMD via per-process AVX2+FMA dispatch) for the softmax,
-  /// batched across all groups per Newton iteration. Off by default:
-  /// learned weights are then bit-identical to previous releases. With it
-  /// on, weights can drift by up to ~1e-8 (the Newton fixed point moves
-  /// with the exp) and may differ between CPU generations (FMA vs
-  /// portable path) — but never between thread counts or runs.
-  bool fast_exp = false;
 };
 
 /// Eq. 4 prior weights: w0_i = c_i / sum_j c_j over the whole block.

@@ -406,6 +406,10 @@ TEST(IncrementalServerTest, TicketsResolveToAccumulatedPrefixResults) {
   ServerStats stats = server.Stats();
   EXPECT_EQ(stats.completed, k);
   EXPECT_EQ(stats.failed, 0u);
+  // The lane ends in the cold lane's completion: one latency sample and
+  // the session's stage seconds per ticket.
+  EXPECT_EQ(stats.latency.samples, k);
+  EXPECT_GT(stats.stage_seconds.total, 0.0);
 }
 
 TEST(IncrementalServerTest, IncrementalAndColdLanesCoexist) {

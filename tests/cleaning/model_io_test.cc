@@ -153,28 +153,6 @@ TEST(ModelIoTest, LoadedModelServesBitIdentically) {
   }
 }
 
-TEST(ModelIoTest, ResumeSessionOnLoadedModelMatchesOriginal) {
-  // Stage-II hand-off: both models resume over the same stage-I index.
-  ServingFixture fx;
-  CleaningEngine engine;
-  CleanModel model = *engine.Compile(fx.dirty.schema(), fx.rules);
-  auto loaded = LoadFromString(SaveToString(model));
-  ASSERT_TRUE(loaded.ok());
-
-  CleanSession stage1 = model.NewSession(fx.batches[0]);
-  ASSERT_TRUE(stage1.RunUntil(Stage::kRsc).ok());
-  const MlnIndex& index = stage1.index();
-
-  auto finish = [&](const CleanModel& m) {
-    CleanSession session =
-        m.ResumeSession(fx.batches[0], &index, CleaningReport{});
-    EXPECT_TRUE(session.Resume().ok());
-    CleanResult result = *session.TakeResult();
-    return WriteCsv(result.cleaned.ToCsv()) + WriteCsv(result.deduped.ToCsv());
-  };
-  EXPECT_EQ(finish(model), finish(*loaded));
-}
-
 TEST(ModelIoTest, LoadedWeightsAreIdStableUnderDictionaryPermutation) {
   // The weight store keys γs in its own interners, not the serving
   // dataset's: a batch whose dictionaries assign *different ids* to the

@@ -202,27 +202,28 @@ TEST(PipelineTest, AutoThreadCountResolves) {
 }
 
 TEST(PipelineTest, StageDecompositionMatchesClean) {
-  // The old RunStageOne / RunStageTwo split, as staged sessions: run one
-  // session to kRsc, hand its index + trace to a ResumeSession, finish.
+  // The old RunStageOne / RunStageTwo split, as one staged session: run
+  // stage I to kRsc, then resume stage II on the same session.
   Dataset dirty = *SampleHospitalDirty();
   RuleSet rules = *SampleHospitalRules();
   CleaningOptions options;
   options.agp_threshold = 1;
   CleanModel model = *CleaningEngine(options).Compile(rules.schema(), rules);
 
-  CleanSession one = model.NewSession(dirty);
-  ASSERT_TRUE(one.RunUntil(Stage::kRsc).ok());
-  CleanSession two = model.ResumeSession(dirty, &one.index(),
-                                         std::move(*one.mutable_report()));
-  ASSERT_TRUE(two.Resume().ok());
-  auto decomposed = two.TakeResult();
+  CleanSession session = model.NewSession(dirty);
+  ASSERT_TRUE(session.RunUntil(Stage::kRsc).ok());
+  EXPECT_EQ(session.next_stage(), Stage::kFscr);
+  ASSERT_TRUE(session.Resume().ok());
+  auto decomposed = session.TakeResult();
   ASSERT_TRUE(decomposed.ok()) << decomposed.status().ToString();
 
   auto direct = model.Clean(dirty);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(decomposed->cleaned, direct->cleaned);
+  EXPECT_EQ(decomposed->deduped, direct->deduped);
   // Stage-one records flowed through into the final trace.
   EXPECT_EQ(decomposed->report.agp.size(), direct->report.agp.size());
+  EXPECT_EQ(decomposed->report.rsc.size(), direct->report.rsc.size());
   EXPECT_EQ(decomposed->report.fscr.size(), direct->report.fscr.size());
 }
 

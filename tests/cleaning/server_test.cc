@@ -224,6 +224,50 @@ TEST(CleanServerTest, FullQueueReturnsUnavailable) {
   EXPECT_EQ(server.Stats().rejected, 1u);  // cumulative, not reset
 }
 
+// Both lanes count against the one queue_capacity: with the only worker
+// parked, a job waiting in either lane fills a capacity-1 server, so a
+// submission to the other lane is refused.
+TEST(CleanServerTest, IncrementalLaneSharesQueueCapacity) {
+  Dataset dirty = *SampleHospitalDirty();
+  CleaningOptions options;
+  options.agp_threshold = 1;
+  CleanModel model = *CleaningEngine(options).Compile(dirty.schema(),
+                                                      *SampleHospitalRules());
+  SessionOptions cold;
+  SessionOptions incremental;
+  incremental.incremental = true;
+  for (bool cold_first : {true, false}) {
+    SCOPED_TRACE(cold_first ? "cold job queued" : "incremental job queued");
+    PoolExecutor pool(1);
+    ServerOptions sopts;
+    sopts.executor = &pool;
+    sopts.max_concurrent_sessions = 1;
+    sopts.queue_capacity = 1;
+    CleanServer server = *CleanServer::Create(model, sopts);
+
+    Gate gate;
+    SessionOptions blocking;
+    blocking.progress = [&gate](const StageProgress& p) {
+      if (p.stage == Stage::kIndex && p.units_done == 0) gate.Enter();
+    };
+    auto running = server.Submit(dirty, blocking);
+    ASSERT_TRUE(running.ok());
+    gate.AwaitEntered();  // the pool's one thread is parked inside the job
+
+    auto queued = server.Submit(dirty, cold_first ? cold : incremental);
+    auto rejected = server.Submit(dirty, cold_first ? incremental : cold);
+    ServerStats stats = server.Stats();
+    gate.Release();  // before any assertion can return past the parked job
+
+    ASSERT_TRUE(queued.ok()) << queued.status().ToString();
+    EXPECT_TRUE(rejected.status().IsUnavailable()) << rejected.status().ToString();
+    EXPECT_EQ(stats.queued, 1u);
+    EXPECT_EQ(stats.rejected, 1u);
+    EXPECT_TRUE(running->Wait().ok());
+    EXPECT_TRUE(queued->Wait().ok());
+  }
+}
+
 TEST(CleanServerTest, SubmitWithRetryIsPlainSubmitWhenUncontended) {
   ServingCase c = MakeServingCase(35, 2);
   CleaningOptions options = ServingOptions();
@@ -674,68 +718,6 @@ TEST(CleanServerTest, QueueStaysFifoWhenNobodySetsSchedulingKnobs) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-// Coalescing batches the scheduling, not the evidence: a flurry of small
-// jobs drained as one dispatch group produces results bit-identical to a
-// server that coalesces nothing, and the group counters record the
-// grouping.
-TEST(CleanServerTest, CoalescedMicroBatchesMatchIndividualExecution) {
-  ServingCase c = MakeServingCase(45, 4);
-  CleaningOptions options = ServingOptions();
-  CleanModel model =
-      *CleaningEngine(options).Compile(c.dd.dirty.schema(), c.wl.rules);
-
-  // Reference: a plain non-coalescing server.
-  PoolExecutor ref_pool(1);
-  ServerOptions ref_opts;
-  ref_opts.executor = &ref_pool;
-  ref_opts.queue_capacity = c.batches.size();
-  CleanServer reference = *CleanServer::Create(model, ref_opts);
-  std::vector<CleanResult> expected;
-  for (const Dataset& batch : c.batches) {
-    auto ticket = reference.Submit(batch);
-    ASSERT_TRUE(ticket.ok());
-    expected.push_back(*ticket->Take());
-  }
-  EXPECT_EQ(reference.Stats().coalesced_groups, 0u);
-
-  // Coalescing server: park the worker, queue all four small batches,
-  // release — the worker drains them as one group.
-  PoolExecutor pool(1);
-  ServerOptions sopts;
-  sopts.executor = &pool;
-  sopts.max_concurrent_sessions = 1;
-  sopts.queue_capacity = c.batches.size() + 1;
-  sopts.coalesce_max_rows = c.dd.dirty.num_rows() + 1;  // fits every batch
-  CleanServer server = *CleanServer::Create(model, sopts);
-
-  Gate gate;
-  SessionOptions blocking;
-  blocking.progress = [&gate](const StageProgress& p) {
-    if (p.stage == Stage::kIndex && p.units_done == 0) gate.Enter();
-  };
-  auto parked = server.Submit(c.batches[0], blocking);
-  ASSERT_TRUE(parked.ok());
-  gate.AwaitEntered();
-
-  std::vector<CleanTicket> tickets;
-  for (const Dataset& batch : c.batches) {
-    tickets.push_back(*server.Submit(batch));
-  }
-  gate.Release();
-  ASSERT_TRUE(parked->Wait().ok());
-  for (size_t i = 0; i < tickets.size(); ++i) {
-    auto served = tickets[i].Take();
-    ASSERT_TRUE(served.ok()) << served.status().ToString();
-    EXPECT_EQ(served->cleaned, expected[i].cleaned) << "batch " << i;
-    EXPECT_EQ(served->deduped, expected[i].deduped) << "batch " << i;
-    ExpectSameReport(served->report, expected[i].report);
-  }
-  ServerStats stats = server.Stats();
-  EXPECT_EQ(stats.coalesced_groups, 1u);
-  EXPECT_EQ(stats.coalesced_jobs, c.batches.size());
-  EXPECT_EQ(stats.completed, c.batches.size() + 1);
-}
-
 // The fleet's coordination primitive on its own: a staged submission
 // parks at the pause stage with its live session exposed, resumes on
 // demand, and ends bit-identical to a plain submission of the same batch.
@@ -761,6 +743,7 @@ TEST(CleanServerTest, StagedSubmissionParksResumesAndMatchesPlainSubmit) {
   EXPECT_TRUE(staged->ResumeJob().IsInvalid());  // resume is one-shot
   auto served = staged->Take();
   ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(staged->session(), nullptr);  // kDedup: released with the result
 
   auto plain = server.Submit(c.dd.dirty);
   ASSERT_TRUE(plain.ok());

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/random.h"
-#include "mln/fast_exp.h"
 
 namespace mlnclean {
 namespace {
@@ -165,61 +164,6 @@ TEST_P(LearnerPropertyTest, WeightsMonotoneInSupport) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LearnerPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
-
-TEST(FastExpTest, MatchesLibmAcrossTheSoftmaxRange) {
-  // Softmax inputs are w - wmax <= 0, but sweep both signs: relative
-  // error must stay ~1e-13 everywhere the result is representable.
-  for (double x = -700.0; x <= 700.0; x += 0.37) {
-    const double exact = std::exp(x);
-    EXPECT_NEAR(FastExp(x), exact, std::abs(exact) * 1e-12) << "x=" << x;
-  }
-  EXPECT_DOUBLE_EQ(FastExp(0.0), 1.0);
-  // Out-of-range inputs clamp instead of producing inf/garbage bits.
-  EXPECT_LT(FastExp(-1000.0), 1e-300);
-  EXPECT_TRUE(std::isfinite(FastExp(1000.0)));
-}
-
-TEST(FastExpTest, BatchMeetsTheAccuracyContract) {
-  // The batch may run the AVX2+FMA compilation of the loop, whose FMA
-  // contraction rounds the Horner steps differently from the portable
-  // scalar — both paths must still sit within ~1e-13 of libm.
-  Rng rng(99);
-  std::vector<double> xs(257);
-  for (double& x : xs) x = -20.0 * rng.NextDouble();
-  std::vector<double> batch = xs;
-  FastExpBatch(batch.data(), batch.size());
-  for (size_t i = 0; i < xs.size(); ++i) {
-    const double exact = std::exp(xs[i]);
-    EXPECT_NEAR(batch[i], exact, exact * 1e-12) << "x=" << xs[i];
-  }
-}
-
-TEST(LearnerTest, FastExpWeightsWithinTolerance) {
-  // The opt-in vectorized exp moves the Newton fixed point by at most the
-  // exp approximation error; learned weights must agree with the libm
-  // path far tighter than any consumer can observe. The default path
-  // (fast_exp off) is the libm path — bit-identity needs no test.
-  Rng rng(7);
-  std::vector<double> counts;
-  std::vector<std::vector<size_t>> groups;
-  for (size_t g = 0; g < 12; ++g) {
-    std::vector<size_t> members;
-    const size_t size = 2 + rng.NextIndex(6);
-    for (size_t i = 0; i < size; ++i) {
-      members.push_back(counts.size());
-      counts.push_back(static_cast<double>(1 + rng.NextIndex(30)));
-    }
-    groups.push_back(std::move(members));
-  }
-  WeightLearnerOptions fast;
-  fast.fast_exp = true;
-  std::vector<double> exact = LearnWeights(counts, groups);
-  std::vector<double> approx = LearnWeights(counts, groups, fast);
-  ASSERT_EQ(exact.size(), approx.size());
-  for (size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_NEAR(exact[i], approx[i], 1e-8) << "weight " << i;
-  }
-}
 
 }  // namespace
 }  // namespace mlnclean

@@ -397,11 +397,10 @@ void WriteServerStatsFooter(const ServerStats& stats, std::ostream& out) {
   char buf[160];
   std::snprintf(buf, sizeof(buf),
                 "== stats queued=%zu running=%zu submitted=%zu completed=%zu "
-                "failed=%zu cancelled=%zu deadline_expired=%zu rejected=%zu "
-                "coalesced_groups=%zu coalesced_jobs=%zu\n",
+                "failed=%zu cancelled=%zu deadline_expired=%zu rejected=%zu\n",
                 stats.queued, stats.running, stats.submitted, stats.completed,
                 stats.failed, stats.cancelled, stats.deadline_expired,
-                stats.rejected, stats.coalesced_groups, stats.coalesced_jobs);
+                stats.rejected);
   out << buf;
   std::snprintf(buf, sizeof(buf),
                 "-- latency samples=%zu p50_ms=%.3f p99_ms=%.3f p999_ms=%.3f\n",
