@@ -106,18 +106,39 @@ void BM_AgpAll(benchmark::State& state) {
   const DirtyDataset& dd = SharedDirty();
   const Workload& wl = SharedHai();
   CleaningOptions options = StageOneOptions();
-  DistanceFn dist = MakeNormalizedDistanceFn(options.distance);
   MlnIndex base = *MlnIndex::Build(dd.dirty, wl.rules);
   for (auto _ : state) {
     state.PauseTiming();
     MlnIndex index = base;  // AGP mutates the index; rebuild from the copy
     state.ResumeTiming();
-    RunAgpAll(&index, options, dist, nullptr);
+    RunAgpAll(&index, options, nullptr);
     benchmark::DoNotOptimize(index);
   }
 }
 // The lone Arg(0) keeps the name BM_AgpAll/0 that BENCH_micro.json gates.
 BENCHMARK(BM_AgpAll)->Arg(0);
+
+// AGP on sparse data, where it is most of a clean: CAR with 3,000 rows,
+// table 0 at seed 42, tau = 2 (the e2e car_batch input). One block holds
+// hundreds of abnormal and normal groups.
+void BM_AgpCar(benchmark::State& state) {
+  CarConfig config;
+  config.num_rows = 3000;
+  static const Workload wl = *MakeCarWorkload(config);
+  static const DirtyDataset dd = Corrupt(wl);
+  CleaningOptions options;
+  options.agp_threshold = 2;
+  options.num_threads = 1;
+  MlnIndex base = *MlnIndex::Build(dd.dirty, wl.rules);
+  for (auto _ : state) {
+    state.PauseTiming();
+    MlnIndex index = base;
+    state.ResumeTiming();
+    RunAgpAll(&index, options, nullptr);
+    benchmark::DoNotOptimize(index);
+  }
+}
+BENCHMARK(BM_AgpCar)->Unit(benchmark::kMillisecond);
 
 void BM_RscAll(benchmark::State& state) {
   const DirtyDataset& dd = SharedDirty();
@@ -125,7 +146,7 @@ void BM_RscAll(benchmark::State& state) {
   CleaningOptions options = StageOneOptions();
   DistanceFn dist = MakeNormalizedDistanceFn(options.distance);
   MlnIndex base = *MlnIndex::Build(dd.dirty, wl.rules);
-  RunAgpAll(&base, options, dist, nullptr);
+  RunAgpAll(&base, options, nullptr);
   base.LearnWeights();
   for (auto _ : state) {
     state.PauseTiming();

@@ -302,7 +302,7 @@ Status CleanSession::RunStage(Stage stage, const ExecContext& ctx) {
       return Status::OK();
     }
     case Stage::kAgp:
-      RunAgpAll(&index_, options, dist_, report, ctx);
+      RunAgpAll(&index_, options, report, ctx);
       return Status::OK();
     case Stage::kLearn: {
       bool reused = false;

@@ -303,14 +303,25 @@ DistanceFn MakeDistanceFn(DistanceMetric metric) {
 }
 
 DistanceFn MakeNormalizedDistanceFn(DistanceMetric metric) {
-  if (metric == DistanceMetric::kCosine) return MakeDistanceFn(metric);
-  DistanceFn raw = MakeDistanceFn(metric);
-  return [raw](std::string_view a, std::string_view b) {
-    if (a == b) return 0.0;
-    size_t max_len = std::max(a.size(), b.size());
-    if (max_len == 0) return 0.0;
-    return raw(a, b) / static_cast<double>(max_len);
+  return [metric](std::string_view a, std::string_view b) {
+    return NormalizedDistance(metric, a, b);
   };
+}
+
+double NormalizedDistance(DistanceMetric metric, std::string_view a, std::string_view b) {
+  if (metric == DistanceMetric::kCosine) return CosineBigramDistance(a, b);
+  if (a == b) return 0.0;
+  const size_t max_len = std::max(a.size(), b.size());
+  const size_t raw = metric == DistanceMetric::kDamerau ? DamerauLevenshtein(a, b)
+                                                        : Levenshtein(a, b);
+  return static_cast<double>(raw) / static_cast<double>(max_len);
+}
+
+double NormalizedDistanceLowerBound(DistanceMetric metric, size_t la, size_t lb) {
+  if (metric == DistanceMetric::kCosine) return 0.0;
+  const size_t diff = la > lb ? la - lb : lb - la;
+  return static_cast<double>(std::max<size_t>(diff, 1)) /
+         static_cast<double>(std::max(la, lb));
 }
 
 Result<DistanceMetric> ParseDistanceMetric(std::string_view name) {

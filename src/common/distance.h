@@ -3,8 +3,9 @@
 // (Table 5); Damerau-Levenshtein is provided as an extension.
 //
 // The kernels here are the pipeline's innermost hot path: stage I calls
-// them for every abnormal-vs-normal γ* pair (AGP) and every γ pair inside
-// every group (RSC). All entry points are allocation-free in steady state —
+// them for every γ pair inside every group (RSC), and AGP once per distinct
+// normal-group value and position plus on the γ* pairs its lower bounds
+// cannot rule out. All entry points are allocation-free in steady state —
 // the DP rows and bigram profiles live in caller-provided (or thread-local)
 // scratch that only ever grows.
 
@@ -111,6 +112,19 @@ DistanceFn MakeDistanceFn(DistanceMetric metric);
 /// (so every attribute contributes at most ~1 regardless of value
 /// length); cosine is already normalized and is returned unchanged.
 DistanceFn MakeNormalizedDistanceFn(DistanceMetric metric);
+
+/// The normalized distance itself: MakeNormalizedDistanceFn(metric)(a, b),
+/// bit for bit, without the std::function indirection.
+double NormalizedDistance(DistanceMetric metric, std::string_view a, std::string_view b);
+
+/// A lower bound on NormalizedDistance(metric, a, b) for any two unequal
+/// strings of lengths `la` and `lb`. An edit distance is at least the
+/// length difference and at least 1, so Levenshtein and Damerau are
+/// bounded by max(|la - lb|, 1) / max(la, lb) — computed with the same
+/// denominator as the kernel, so the bound never exceeds the rounded
+/// distance (and it also bounds the raw, unnormalized edit distance).
+/// Cosine has no length bound and returns 0.
+double NormalizedDistanceLowerBound(DistanceMetric metric, size_t la, size_t lb);
 
 /// Parses "levenshtein" | "cosine" | "damerau" (case-insensitive).
 Result<DistanceMetric> ParseDistanceMetric(std::string_view name);

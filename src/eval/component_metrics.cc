@@ -94,7 +94,7 @@ Result<ComponentEvaluation> EvaluateComponents(const Dataset& dirty,
 
   // ---- AGP.
   CleaningReport report;
-  RunAgpAll(&index, options, dist, &report);
+  RunAgpAll(&index, options, &report);
 
   // Blocks are positionally aligned with rules, so report.agp[i].block is
   // also the index into group_truth.

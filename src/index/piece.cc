@@ -30,11 +30,10 @@ std::string Piece::ToString(const Schema& schema,
 
 namespace {
 
-// Attribute-wise accumulation shared by the two distance entry points.
-// `use_ids` callers guarantee both γs carry complete id mirrors.
-template <bool kUseIds, bool kBounded>
-double Accumulate(const Piece& a, const Piece& b, const DistanceFn& dist,
-                  double bound) {
+// Attribute-wise accumulation. `kUseIds` callers guarantee both γs carry
+// complete id mirrors.
+template <bool kUseIds>
+double Accumulate(const Piece& a, const Piece& b, const DistanceFn& dist) {
   double total = 0.0;
   const size_t nr = std::min(a.reason.size(), b.reason.size());
   for (size_t i = 0; i < nr; ++i) {
@@ -42,7 +41,6 @@ double Accumulate(const Piece& a, const Piece& b, const DistanceFn& dist,
       if (a.reason_ids[i] == b.reason_ids[i]) continue;
     }
     total += dist(a.reason[i], b.reason[i]);
-    if (kBounded && total >= bound) return total;
   }
   const size_t ns = std::min(a.result.size(), b.result.size());
   for (size_t i = 0; i < ns; ++i) {
@@ -50,7 +48,6 @@ double Accumulate(const Piece& a, const Piece& b, const DistanceFn& dist,
       if (a.result_ids[i] == b.result_ids[i]) continue;
     }
     total += dist(a.result[i], b.result[i]);
-    if (kBounded && total >= bound) return total;
   }
   return total;
 }
@@ -58,18 +55,8 @@ double Accumulate(const Piece& a, const Piece& b, const DistanceFn& dist,
 }  // namespace
 
 double PieceDistance(const Piece& a, const Piece& b, const DistanceFn& dist) {
-  if (a.has_ids() && b.has_ids()) {
-    return Accumulate<true, false>(a, b, dist, 0.0);
-  }
-  return Accumulate<false, false>(a, b, dist, 0.0);
-}
-
-double PieceDistanceBounded(const Piece& a, const Piece& b, const DistanceFn& dist,
-                            double bound) {
-  if (a.has_ids() && b.has_ids()) {
-    return Accumulate<true, true>(a, b, dist, bound);
-  }
-  return Accumulate<false, true>(a, b, dist, bound);
+  if (a.has_ids() && b.has_ids()) return Accumulate<true>(a, b, dist);
+  return Accumulate<false>(a, b, dist);
 }
 
 }  // namespace mlnclean

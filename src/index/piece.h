@@ -53,14 +53,6 @@ struct Piece {
 /// integer compare, not a kernel call.
 double PieceDistance(const Piece& a, const Piece& b, const DistanceFn& dist);
 
-/// PieceDistance with early abandon: stops accumulating attribute
-/// distances once the running sum reaches `bound` and returns it (some
-/// value >= bound). Nearest-neighbour scans that only keep the strict
-/// minimum can pass their current best — abandoned candidates could never
-/// have won, so the selected minimum is unchanged.
-double PieceDistanceBounded(const Piece& a, const Piece& b, const DistanceFn& dist,
-                            double bound);
-
 }  // namespace mlnclean
 
 #endif  // MLNCLEAN_INDEX_PIECE_H_

@@ -1,0 +1,387 @@
+// Differential test of AGP against the all-pairs scan it replaced.
+//
+// The reference compares each abnormal γ* with the γ* of every normal
+// group of its block, in group order, by PieceDistance under
+// MakeNormalizedDistanceFn(metric); it keeps the first strict minimum (so
+// a tie goes to the earliest normal group) and merges at once, so a later
+// abnormal group sees the target's new γ*.
+//
+// RunAgpAll must agree with it bit for bit — every AgpMergeRecord and
+// every group left behind, piece by piece — at 1 and 4 threads, on seeded
+// random grounded indexes (ids), on hand-built id-less and mixed blocks,
+// for all three metrics and τ from 1 to 3.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <limits>
+#include <map>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "cleaning/agp.h"
+
+namespace mlnclean {
+namespace {
+
+struct RefStats {
+  size_t merges = 0;
+  size_t ties = 0;          // a later candidate at exactly the best distance
+  size_t star_changes = 0;  // a merge that changed the target's γ*
+};
+
+size_t StarIndex(const Group& group) {
+  return static_cast<size_t>(&group.Star() - group.pieces.data());
+}
+
+// The all-pairs scan, one block at a time, in block order.
+CleaningReport ReferenceAgp(MlnIndex* index, size_t tau, DistanceMetric metric,
+                            RefStats* stats) {
+  const DistanceFn dist = MakeNormalizedDistanceFn(metric);
+  CleaningReport report;
+  for (size_t bi = 0; bi < index->num_blocks(); ++bi) {
+    Block& block = index->block(bi);
+    std::vector<size_t> normal, abnormal;
+    for (size_t gi = 0; gi < block.groups.size(); ++gi) {
+      (block.groups[gi].TupleCount() <= tau ? abnormal : normal).push_back(gi);
+    }
+    std::vector<bool> remove(block.groups.size(), false);
+    for (size_t ai : abnormal) {
+      Group& group = block.groups[ai];
+      AgpMergeRecord rec;
+      rec.block = block.rule_index;
+      rec.abnormal_key = group.key;
+      rec.num_pieces = group.pieces.size();
+      for (const Piece& piece : group.pieces) {
+        rec.abnormal_tuples.insert(rec.abnormal_tuples.end(), piece.tuples.begin(),
+                                   piece.tuples.end());
+      }
+      if (!normal.empty()) {
+        double best = std::numeric_limits<double>::infinity();
+        size_t best_gi = normal.front();
+        for (size_t ni : normal) {
+          const double d = PieceDistance(group.Star(), block.groups[ni].Star(), dist);
+          if (d < best) {
+            best = d;
+            best_gi = ni;
+          } else if (d == best) {
+            ++stats->ties;
+          }
+        }
+        Group& target = block.groups[best_gi];
+        const size_t star_before = StarIndex(target);
+        for (Piece& piece : group.pieces) target.pieces.push_back(std::move(piece));
+        group.pieces.clear();
+        if (StarIndex(target) != star_before) ++stats->star_changes;
+        rec.target_key = target.key;
+        rec.merged = true;
+        remove[ai] = true;
+        ++stats->merges;
+      }
+      report.agp.push_back(std::move(rec));
+    }
+    std::vector<Group> kept;
+    for (size_t gi = 0; gi < block.groups.size(); ++gi) {
+      if (!remove[gi]) kept.push_back(std::move(block.groups[gi]));
+    }
+    block.groups = std::move(kept);
+    index->ReindexBlock(bi);
+  }
+  return report;
+}
+
+void ExpectSameRecords(const CleaningReport& got, const CleaningReport& want) {
+  ASSERT_EQ(got.agp.size(), want.agp.size());
+  for (size_t i = 0; i < want.agp.size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    const AgpMergeRecord& g = got.agp[i];
+    const AgpMergeRecord& w = want.agp[i];
+    EXPECT_EQ(g.block, w.block);
+    EXPECT_EQ(g.abnormal_key, w.abnormal_key);
+    EXPECT_EQ(g.abnormal_tuples, w.abnormal_tuples);
+    EXPECT_EQ(g.num_pieces, w.num_pieces);
+    EXPECT_EQ(g.target_key, w.target_key);
+    EXPECT_EQ(g.merged, w.merged);
+  }
+}
+
+void ExpectSameGroups(const MlnIndex& got, const MlnIndex& want) {
+  ASSERT_EQ(got.num_blocks(), want.num_blocks());
+  for (size_t bi = 0; bi < want.num_blocks(); ++bi) {
+    const std::vector<Group>& g = got.block(bi).groups;
+    const std::vector<Group>& w = want.block(bi).groups;
+    ASSERT_EQ(g.size(), w.size()) << "block " << bi;
+    for (size_t gi = 0; gi < w.size(); ++gi) {
+      SCOPED_TRACE("block " + std::to_string(bi) + " group " + std::to_string(gi));
+      EXPECT_EQ(g[gi].key, w[gi].key);
+      // The group map was rebuilt over the surviving groups.
+      const Result<size_t> found = got.FindGroup(bi, w[gi].key);
+      ASSERT_TRUE(found.ok());
+      EXPECT_EQ(*found, gi);
+      ASSERT_EQ(g[gi].pieces.size(), w[gi].pieces.size());
+      for (size_t pi = 0; pi < w[gi].pieces.size(); ++pi) {
+        const Piece& gp = g[gi].pieces[pi];
+        const Piece& wp = w[gi].pieces[pi];
+        EXPECT_EQ(gp.reason, wp.reason);
+        EXPECT_EQ(gp.result, wp.result);
+        EXPECT_EQ(gp.tuples, wp.tuples);
+        EXPECT_EQ(gp.reason_ids, wp.reason_ids);
+        EXPECT_EQ(gp.result_ids, wp.result_ids);
+      }
+    }
+  }
+}
+
+// Runs RunAgpAll on copies of `index` at 1 and 4 threads and diffs both
+// against the reference. Returns the reference's counts.
+RefStats ExpectMatchesReference(const MlnIndex& index, size_t tau, DistanceMetric metric,
+                                const std::string& label) {
+  RefStats stats;
+  MlnIndex want = index;
+  const CleaningReport want_report = ReferenceAgp(&want, tau, metric, &stats);
+  CleaningOptions options;
+  options.agp_threshold = tau;
+  options.distance = metric;
+  PoolExecutor pool(4);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(label + " metric=" + DistanceMetricName(metric) +
+                 " tau=" + std::to_string(tau) + " threads=" + std::to_string(threads));
+    ExecContext ctx;
+    if (threads > 1) ctx.executor = &pool;
+    MlnIndex got = index;
+    CleaningReport report;
+    RunAgpAll(&got, options, &report, ctx);
+    ExpectSameRecords(report, want_report);
+    ExpectSameGroups(got, want);
+  }
+  return stats;
+}
+
+constexpr DistanceMetric kMetrics[] = {DistanceMetric::kLevenshtein,
+                                       DistanceMetric::kDamerau, DistanceMetric::kCosine};
+
+// A value pool per attribute: short strings over a small alphabet, so
+// lengths repeat (length bounds tie) and distances tie, plus the empty
+// value.
+std::vector<std::string> ValuePool(std::mt19937* rng, size_t size) {
+  std::vector<std::string> pool = {""};
+  while (pool.size() < size) {
+    std::string value;
+    const size_t len = 1 + (*rng)() % 6;
+    for (size_t i = 0; i < len; ++i) value.push_back("abc"[(*rng)() % 3]);
+    pool.push_back(value);
+  }
+  return pool;
+}
+
+TEST(AgpOracleTest, RandomGroundedIndexesMatchReference) {
+  RefStats total;
+  size_t records = 0;
+  for (uint32_t seed = 1; seed <= 60; ++seed) {
+    std::mt19937 rng(seed);
+    auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+    const size_t num_attrs = 3 + pick(3);
+    std::vector<std::string> names;
+    for (size_t a = 0; a < num_attrs; ++a) names.push_back("A" + std::to_string(a));
+    Schema schema = *Schema::Make(names);
+    // Pools of very different sizes: wide ones give blocks with many
+    // groups (a reason position with one value per candidate), narrow
+    // ones give positions the scan tables.
+    std::vector<std::vector<std::string>> pools;
+    for (size_t a = 0; a < num_attrs; ++a) {
+      pools.push_back(ValuePool(&rng, 2 + pick(2) * 10 + pick(30)));
+    }
+    RuleSet rules(schema);
+    const size_t num_rules = 1 + pick(3);
+    for (size_t r = 0; r < num_rules; ++r) {
+      std::vector<AttrId> lhs = {static_cast<AttrId>(pick(num_attrs))};
+      if (pick(3) == 0) {
+        const AttrId second = static_cast<AttrId>(pick(num_attrs));
+        if (second != lhs[0]) lhs.push_back(second);
+      }
+      AttrId rhs = static_cast<AttrId>(pick(num_attrs));
+      while (std::find(lhs.begin(), lhs.end(), rhs) != lhs.end()) {
+        rhs = static_cast<AttrId>(pick(num_attrs));
+      }
+      rules.Add(*Constraint::MakeFd(schema, lhs, {rhs}));
+    }
+    // Skewed draws: a few frequent values (normal groups) and a long tail
+    // (abnormal groups).
+    const size_t num_rows = 40 + pick(160);
+    std::vector<std::vector<Value>> rows(num_rows, std::vector<Value>(num_attrs));
+    for (auto& row : rows) {
+      for (size_t a = 0; a < num_attrs; ++a) {
+        const size_t w = pools[a].size();
+        row[a] = pools[a][std::min(pick(w), pick(w))];
+      }
+    }
+    Dataset dirty = *Dataset::Make(schema, rows);
+    const MlnIndex index = *MlnIndex::Build(dirty, rules);
+    for (DistanceMetric metric : kMetrics) {
+      for (size_t tau = 1; tau <= 3; ++tau) {
+        RefStats stats =
+            ExpectMatchesReference(index, tau, metric, "seed " + std::to_string(seed));
+        total.merges += stats.merges;
+        total.ties += stats.ties;
+        total.star_changes += stats.star_changes;
+        ++records;
+      }
+    }
+  }
+  // The corpus exercises what it is meant to.
+  EXPECT_EQ(records, 60u * 9u);
+  EXPECT_GT(total.merges, 10000u);
+  EXPECT_GT(total.ties, 5000u);
+  EXPECT_GT(total.star_changes, 100u);
+}
+
+// Hand-built blocks with no id mirrors (string keying), some with one γ
+// that has ids when the rest do not, and some with ragged arities.
+TEST(AgpOracleTest, HandBuiltIdLessBlocksMatchReference) {
+  RefStats total;
+  for (uint32_t seed = 1; seed <= 60; ++seed) {
+    std::mt19937 rng(1000 + seed);
+    auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+    const size_t reason_width = 1 + pick(2);
+    const size_t result_width = 1 + pick(2);
+    const bool ragged = seed % 4 == 0;
+    const bool mixed = seed % 4 == 1;
+    std::vector<std::vector<std::string>> pools;
+    for (size_t p = 0; p < reason_width + result_width; ++p) {
+      pools.push_back(ValuePool(&rng, 3 + pick(25)));
+    }
+    std::vector<std::map<std::string, ValueId>> dicts(pools.size());
+    auto id_of = [&dicts](size_t p, const std::string& v) {
+      return dicts[p].emplace(v, static_cast<ValueId>(dicts[p].size())).first->second;
+    };
+    std::vector<Block> blocks(1 + pick(3));
+    TupleId next_tuple = 0;
+    for (size_t bi = 0; bi < blocks.size(); ++bi) {
+      Block& block = blocks[bi];
+      block.rule_index = bi;
+      std::map<std::vector<Value>, bool> seen;
+      const size_t num_groups = 2 + pick(40);
+      for (size_t g = 0; g < num_groups; ++g) {
+        std::vector<Value> key;
+        for (size_t p = 0; p < reason_width; ++p) key.push_back(pools[p][pick(pools[p].size())]);
+        if (!seen.emplace(key, true).second) continue;
+        Group group;
+        group.key = key;
+        const size_t num_pieces = 1 + pick(3);
+        for (size_t k = 0; k < num_pieces; ++k) {
+          Piece piece;
+          piece.reason = key;
+          for (size_t p = 0; p < result_width; ++p) {
+            const auto& pool = pools[reason_width + p];
+            piece.result.push_back(pool[pick(pool.size())]);
+          }
+          if (ragged && pick(5) == 0) piece.result.pop_back();
+          const size_t support = 1 + pick(3);
+          for (size_t t = 0; t < support; ++t) piece.tuples.push_back(next_tuple++);
+          if (mixed && pick(8) != 0) {
+            for (size_t p = 0; p < piece.reason.size(); ++p) {
+              piece.reason_ids.push_back(id_of(p, piece.reason[p]));
+            }
+            for (size_t p = 0; p < piece.result.size(); ++p) {
+              piece.result_ids.push_back(id_of(reason_width + p, piece.result[p]));
+            }
+          }
+          group.pieces.push_back(std::move(piece));
+        }
+        block.groups.push_back(std::move(group));
+      }
+    }
+    const MlnIndex index = MlnIndex::FromBlocks(std::move(blocks));
+    for (DistanceMetric metric : kMetrics) {
+      for (size_t tau = 1; tau <= 3; ++tau) {
+        RefStats stats =
+            ExpectMatchesReference(index, tau, metric, "seed " + std::to_string(seed));
+        total.merges += stats.merges;
+        total.ties += stats.ties;
+        total.star_changes += stats.star_changes;
+      }
+    }
+  }
+  EXPECT_GT(total.merges, 3000u);
+  EXPECT_GT(total.ties, 1000u);
+  EXPECT_GT(total.star_changes, 50u);
+}
+
+Group MakeGroup(const std::string& key, const std::vector<std::pair<std::string, size_t>>& pieces,
+                TupleId* next_tuple) {
+  Group group;
+  group.key = {key};
+  for (const auto& [result, support] : pieces) {
+    Piece piece;
+    piece.reason = {key};
+    piece.result = {result};
+    for (size_t t = 0; t < support; ++t) piece.tuples.push_back((*next_tuple)++);
+    group.pieces.push_back(std::move(piece));
+  }
+  return group;
+}
+
+TEST(AgpOracleTest, MergeThatChangesTheTargetsStarSteersTheNextMerge) {
+  // τ = 2. G0 holds three single-tuple γs (γ* = its first), G1 one γ of
+  // three tuples. Keys differ by substitutions only, 8 characters long:
+  // A1 is 2 from G0 and 5 from G1, so it merges into G0 and, with two
+  // tuples, becomes G0's γ*. A2 is 4 from G0's old γ*, 3 from G1 and 2
+  // from A1: only a scan that reloads G0's γ* sends it to G0.
+  TupleId next = 0;
+  Block block;
+  block.groups.push_back(MakeGroup("aaaaaaaa", {{"r", 1}, {"s", 1}, {"t", 1}}, &next));
+  block.groups.push_back(MakeGroup("abbbbbbb", {{"r", 3}}, &next));
+  block.groups.push_back(MakeGroup("aaaaaabb", {{"r", 2}}, &next));
+  block.groups.push_back(MakeGroup("aaaabbbb", {{"r", 1}}, &next));
+  std::vector<Block> blocks;
+  blocks.push_back(std::move(block));
+  const MlnIndex index = MlnIndex::FromBlocks(std::move(blocks));
+
+  for (DistanceMetric metric : kMetrics) {
+    RefStats stats = ExpectMatchesReference(index, 2, metric, "star change");
+    if (metric == DistanceMetric::kCosine) continue;
+    EXPECT_EQ(stats.star_changes, 1u);
+    MlnIndex got = index;
+    CleaningOptions options;
+    options.agp_threshold = 2;
+    options.distance = metric;
+    CleaningReport report;
+    RunAgpAll(&got, options, &report);
+    ASSERT_EQ(report.agp.size(), 2u);
+    EXPECT_EQ(report.agp[0].target_key, (std::vector<Value>{"aaaaaaaa"}));
+    EXPECT_EQ(report.agp[1].target_key, (std::vector<Value>{"aaaaaaaa"}));
+    ASSERT_EQ(got.block(0).groups.size(), 2u);
+    EXPECT_EQ(got.block(0).groups[0].pieces.size(), 5u);
+  }
+}
+
+TEST(AgpOracleTest, TiesGoToTheEarliestNormalGroup) {
+  // The abnormal key is two substitutions from each of three normal keys
+  // of its length: every bound and every distance ties, and the first
+  // normal group wins.
+  TupleId next = 0;
+  Block block;
+  block.groups.push_back(MakeGroup("bbbx", {{"r", 1}}, &next));
+  block.groups.push_back(MakeGroup("abbb", {{"r", 2}}, &next));
+  block.groups.push_back(MakeGroup("babb", {{"r", 2}}, &next));
+  block.groups.push_back(MakeGroup("bbab", {{"r", 2}}, &next));
+  std::vector<Block> blocks;
+  blocks.push_back(std::move(block));
+  const MlnIndex index = MlnIndex::FromBlocks(std::move(blocks));
+  for (DistanceMetric metric : {DistanceMetric::kLevenshtein, DistanceMetric::kDamerau}) {
+    RefStats stats = ExpectMatchesReference(index, 1, metric, "ties");
+    EXPECT_EQ(stats.ties, 2u);
+    MlnIndex got = index;
+    CleaningOptions options;
+    options.distance = metric;
+    CleaningReport report;
+    RunAgpAll(&got, options, &report);
+    ASSERT_EQ(report.agp.size(), 1u);
+    EXPECT_EQ(report.agp[0].target_key, (std::vector<Value>{"abbb"}));
+  }
+}
+
+}  // namespace
+}  // namespace mlnclean

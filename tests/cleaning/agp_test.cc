@@ -12,7 +12,6 @@ struct SampleFixture {
   RuleSet rules = *SampleHospitalRules();
   MlnIndex index = *MlnIndex::Build(dirty, rules);
   CleaningOptions options;
-  DistanceFn dist = MakeDistanceFn(DistanceMetric::kLevenshtein);
 };
 
 TEST(AgpTest, PaperExampleMergesWithTauOne) {
@@ -21,7 +20,7 @@ TEST(AgpTest, PaperExampleMergesWithTauOne) {
   SampleFixture f;
   f.options.agp_threshold = 1;
   CleaningReport report;
-  RunAgpAll(&f.index, f.options, f.dist, &report);
+  RunAgpAll(&f.index, f.options, &report);
 
   ASSERT_EQ(report.agp.size(), 3u);
   EXPECT_EQ(report.agp[0].abnormal_key, (std::vector<Value>{"DOTH"}));
@@ -46,7 +45,7 @@ TEST(AgpTest, TauZeroDetectsNothing) {
   SampleFixture f;
   f.options.agp_threshold = 0;
   CleaningReport report;
-  RunAgpAll(&f.index, f.options, f.dist, &report);
+  RunAgpAll(&f.index, f.options, &report);
   EXPECT_TRUE(report.agp.empty());
   EXPECT_EQ(f.index.block(0).groups.size(), 3u);
 }
@@ -57,7 +56,7 @@ TEST(AgpTest, LargeTauSwallowsEverythingIntoNothing) {
   SampleFixture f;
   f.options.agp_threshold = 100;
   CleaningReport report;
-  RunAgpAll(&f.index, f.options, f.dist, &report);
+  RunAgpAll(&f.index, f.options, &report);
   EXPECT_EQ(report.agp.size(), 8u);  // all groups of all blocks
   for (const auto& rec : report.agp) {
     EXPECT_FALSE(rec.merged);
@@ -69,7 +68,7 @@ TEST(AgpTest, DagCountsPieces) {
   SampleFixture f;
   f.options.agp_threshold = 1;
   CleaningReport report;
-  RunAgpAll(&f.index, f.options, f.dist, &report);
+  RunAgpAll(&f.index, f.options, &report);
   // Each abnormal group in the sample holds exactly one γ.
   EXPECT_EQ(report.NumDetectedAbnormalPieces(), 3u);
   EXPECT_EQ(report.NumDetectedAbnormalGroups(), 3u);
@@ -79,7 +78,7 @@ TEST(AgpTest, ThresholdTwoMergesMidSizeGroups) {
   SampleFixture f;
   f.options.agp_threshold = 2;
   CleaningReport report;
-  RunAgpAll(&f.index, f.options, f.dist, &report);
+  RunAgpAll(&f.index, f.options, &report);
   // B1: G11 (2 tuples) and G12 (1) are now abnormal; only G13 (3) is
   // normal, so both merge into it.
   EXPECT_EQ(f.index.block(0).groups.size(), 1u);
@@ -90,7 +89,7 @@ TEST(AgpTest, RecordsAffectedTuples) {
   SampleFixture f;
   f.options.agp_threshold = 1;
   CleaningReport report;
-  RunAgpAll(&f.index, f.options, f.dist, &report);
+  RunAgpAll(&f.index, f.options, &report);
   EXPECT_EQ(report.agp[0].abnormal_tuples, (std::vector<TupleId>{1}));  // t2
   EXPECT_EQ(report.agp[2].abnormal_tuples, (std::vector<TupleId>{2}));  // t3
 }
@@ -98,7 +97,7 @@ TEST(AgpTest, RecordsAffectedTuples) {
 TEST(AgpTest, NullReportIsAllowed) {
   SampleFixture f;
   f.options.agp_threshold = 1;
-  RunAgpAll(&f.index, f.options, f.dist, nullptr);
+  RunAgpAll(&f.index, f.options, nullptr);
   EXPECT_EQ(f.index.block(0).groups.size(), 2u);
 }
 

@@ -300,7 +300,7 @@ MlnIndex StageOne(const Dataset& dirty, const RuleSet& rules,
                   const CleaningOptions& options) {
   MlnIndex index = *MlnIndex::Build(dirty, rules);
   DistanceFn dist = MakeDistanceFn(options.distance);
-  RunAgpAll(&index, options, dist, nullptr);
+  RunAgpAll(&index, options, nullptr);
   index.LearnWeights();
   RunRscAll(&index, dist, nullptr);
   return index;

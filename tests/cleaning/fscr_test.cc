@@ -21,7 +21,7 @@ struct StageOneFixture {
   StageOneFixture() {
     options.agp_threshold = 1;
     DistanceFn dist = MakeDistanceFn(options.distance);
-    RunAgpAll(&index, options, dist, nullptr);
+    RunAgpAll(&index, options, nullptr);
     index.LearnWeights();
     RunRscAll(&index, dist, nullptr);
   }

@@ -52,7 +52,7 @@ TEST(RscTest, Figure4CleanVersionsAfterAgpAndRsc) {
   CleaningOptions options;
   options.agp_threshold = 1;
   CleaningReport report;
-  RunAgpAll(&index, options, Lev(), &report);
+  RunAgpAll(&index, options, &report);
   index.LearnWeights();
   RunRscAll(&index, Lev(), &report);
 

@@ -145,6 +145,30 @@ TEST_P(DistancePropertyTest, EditDistancesSatisfyTriangleInequality) {
   }
 }
 
+TEST_P(DistancePropertyTest, LengthBoundNeverExceedsTheDistance) {
+  // AGP skips candidates on this bound, so it must hold after rounding,
+  // for the normalized kernel it uses and for the raw one.
+  const DistanceMetric metric = GetParam();
+  DistanceFn norm = MakeNormalizedDistanceFn(metric);
+  DistanceFn raw = MakeDistanceFn(metric);
+  Rng rng(99);
+  const std::string alphabet = "abc";
+  size_t unequal = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    std::string a, b;
+    for (size_t i = rng.NextIndex(9); i > 0; --i) a += alphabet[rng.NextIndex(3)];
+    for (size_t i = rng.NextIndex(9); i > 0; --i) b += alphabet[rng.NextIndex(3)];
+    const double d = NormalizedDistance(metric, a, b);
+    EXPECT_EQ(d, norm(a, b)) << a << " vs " << b;
+    if (a == b) continue;
+    ++unequal;
+    const double bound = NormalizedDistanceLowerBound(metric, a.size(), b.size());
+    EXPECT_LE(bound, d) << a << " vs " << b;
+    EXPECT_LE(bound, raw(a, b)) << a << " vs " << b;
+  }
+  EXPECT_GT(unequal, 400u);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllMetrics, DistancePropertyTest,
                          ::testing::Values(DistanceMetric::kLevenshtein,
                                            DistanceMetric::kCosine,

@@ -34,9 +34,6 @@ TEST(PieceDistanceTest, IdFastPathMatchesStringDistance) {
   Piece a{{"DOTH"}, {"AL"}, {1}, 0.0, {1}, {5}};
   Piece b{{"DOTHAN"}, {"AL"}, {0, 2}, 0.0, {2}, {5}};
   EXPECT_DOUBLE_EQ(PieceDistance(a, b, lev), 2.0);
-  EXPECT_DOUBLE_EQ(PieceDistanceBounded(a, b, lev, 100.0), 2.0);
-  // Bounded abandon still returns >= bound.
-  EXPECT_GE(PieceDistanceBounded(a, b, lev, 1.0), 1.0);
 }
 
 TEST(PieceDistanceTest, Example2Distances) {
