@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <iterator>
+#include <tuple>
+#include <utility>
 
 #include "common/distance.h"
 
@@ -11,14 +12,26 @@ namespace mlnclean {
 
 namespace {
 
+// 64-bit finalizer (MurmurHash3's fmix64).
+uint64_t Mix(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xFF51AFD7ED558CCDull;
+  x ^= x >> 33;
+  x *= 0xC4CEB9FE1A85EC53ull;
+  x ^= x >> 33;
+  return x;
+}
+
 // One fused cell: the target attribute, the repair value's id in the
 // cleaned dataset's dictionary (dirty ids are a prefix of it, so dirty
-// cells compare directly), and a pointer to the value string owned by the
-// γ it came from.
+// cells compare directly), a pointer to the value string owned by the γ it
+// came from, and the cell's word in the dominance memo's incremental hash
+// (a mix of attr and id, computed once per γ).
 struct AssignedCell {
   AttrId attr;
   ValueId id;
   const Value* value;
+  uint64_t hash;
 };
 
 // The cells one γ assigns. Conflict checks compare ids — within one
@@ -35,14 +48,6 @@ struct Version {
   const Assignment* assignment = nullptr;
   double weight = 0.0;
 };
-
-// Returns the cell assigned to `attr`, or nullptr.
-const AssignedCell* Lookup(const Assignment& a, AttrId attr) {
-  for (const auto& cell : a) {
-    if (cell.attr == attr) return &cell;
-  }
-  return nullptr;
-}
 
 // Flattens a γ into assigned cells using its rule's attribute lists,
 // resolving every value to an id in `cleaned`'s dictionaries (interning is
@@ -63,7 +68,10 @@ Assignment PieceAssignment(const Constraint& rule, const Piece& piece,
     } else {
       id = cleaned->InternValue(attr, value);
     }
-    out.push_back(AssignedCell{attr, id, &value});
+    const uint64_t hash =
+        Mix((static_cast<uint64_t>(static_cast<uint32_t>(attr)) << 32 | id) +
+            0x9E3779B97F4A7C15ull);
+    out.push_back(AssignedCell{attr, id, &value, hash});
   };
   for (size_t i = 0; i < reason_attrs.size(); ++i) {
     resolve(reason_attrs[i], piece.reason[i], piece.reason_ids, i);
@@ -74,21 +82,70 @@ Assignment PieceAssignment(const Constraint& rule, const Piece& piece,
   return out;
 }
 
+// Posting lists of one γ position of a block: the ranks (indexes into
+// BlockCandidates::by_weight) of the γs holding id `id` at that position
+// are ranks[offsets[id], offsets[id + 1]), ascending. An id past the last
+// offset has no posting.
+struct Postings {
+  std::vector<uint32_t> offsets;
+  std::vector<uint32_t> ranks;
+
+  // Sets [*first, *last) to id's list.
+  void Of(ValueId id, const uint32_t** first, const uint32_t** last) const {
+    if (id + size_t{1} < offsets.size()) {
+      *first = ranks.data() + offsets[id];
+      *last = ranks.data() + offsets[id + 1];
+    } else {
+      *first = *last = ranks.data();
+    }
+  }
+};
+
 // Per-block list of γs sorted by descending weight, for the γ' fallback
-// search of Algorithm 2 (line 19). Assignments point into the per-piece
-// storage owned by RunFscr.
+// search of Algorithm 2 (line 19), with one Postings per γ position (every
+// γ of a block assigns its rule's attributes, in the same order).
+// Assignments point into the per-piece storage owned by RunFscr.
 struct BlockCandidates {
   std::vector<const Piece*> by_weight;
   std::vector<const Assignment*> assignments;
+  std::vector<Postings> postings;
 };
+
+// Builds `cands`' posting lists with one counting sort over the ids per
+// position: filling in rank order keeps each list ascending.
+void BuildPostings(BlockCandidates* cands) {
+  if (cands->assignments.empty()) return;
+  const size_t arity = cands->assignments.front()->size();
+  const size_t n = cands->assignments.size();
+  cands->postings.resize(arity);
+  for (size_t p = 0; p < arity; ++p) {
+    Postings& post = cands->postings[p];
+    ValueId max_id = 0;
+    for (const Assignment* a : cands->assignments) max_id = std::max(max_id, (*a)[p].id);
+    post.offsets.assign(size_t{max_id} + 2, 0);
+    for (const Assignment* a : cands->assignments) ++post.offsets[(*a)[p].id + size_t{1}];
+    for (size_t i = 1; i < post.offsets.size(); ++i) post.offsets[i] += post.offsets[i - 1];
+    post.ranks.resize(n);
+    // Each id's offset advances past its entries as they are placed, so
+    // afterwards offsets[id] holds the end of id's list; shifting the
+    // array by one slot restores the starts.
+    for (size_t r = 0; r < n; ++r) {
+      post.ranks[post.offsets[(*cands->assignments[r])[p].id]++] = static_cast<uint32_t>(r);
+    }
+    for (size_t i = post.offsets.size() - 1; i > 0; --i) post.offsets[i] = post.offsets[i - 1];
+    post.offsets[0] = 0;
+  }
+}
 
 constexpr uint32_t kUnassigned = ~uint32_t{0};
 
 // Dominance memo of one tuple's search: fixed-width word keys, each
 // mapped to the largest f seen with it. Open addressing with linear
-// probing; every entry carries the generation it was written in, so
-// Clear() is O(1) and the table allocates only while growing towards the
-// largest search its shard has run.
+// probing on a hash the caller maintains incrementally; each entry stores
+// its hash, compared before the full key, and carries the generation it
+// was written in, so Clear() is O(1) and the table allocates only while
+// growing towards the largest search its shard has run. The full key is
+// always compared, so a hash collision never merges two states.
 class DominanceMemo {
  public:
   explicit DominanceMemo(size_t width) : width_(width) {}
@@ -101,13 +158,13 @@ class DominanceMemo {
     }
   }
 
-  // True when `key` was seen before with an f >= `f`; otherwise records
-  // `f` as the key's best and returns false.
-  bool Dominated(const uint32_t* key, double f) {
+  // True when `key` (with hash `hash`) was seen before with an f >= `f`;
+  // otherwise records `f` as the key's best and returns false.
+  bool Dominated(const uint32_t* key, uint64_t hash, double f) {
     if (2 * (size_ + 1) > capacity_) Grow();
-    size_t slot = Hash(key) & (capacity_ - 1);
+    size_t slot = hash & (capacity_ - 1);
     while (stamps_[slot] == generation_) {
-      if (std::equal(key, key + width_, &keys_[slot * width_])) {
+      if (hashes_[slot] == hash && std::equal(key, key + width_, &keys_[slot * width_])) {
         if (f <= best_[slot]) return true;
         best_[slot] = f;
         return false;
@@ -115,6 +172,7 @@ class DominanceMemo {
       slot = (slot + 1) & (capacity_ - 1);
     }
     stamps_[slot] = generation_;
+    hashes_[slot] = hash;
     std::copy(key, key + width_, &keys_[slot * width_]);
     best_[slot] = f;
     ++size_;
@@ -122,30 +180,24 @@ class DominanceMemo {
   }
 
  private:
-  uint64_t Hash(const uint32_t* key) const {
-    uint64_t h = 0x9E3779B97F4A7C15ull;
-    for (size_t i = 0; i < width_; ++i) {
-      h = (h ^ key[i]) * 0xFF51AFD7ED558CCDull;
-      h ^= h >> 29;
-    }
-    return h;
-  }
-
   void Grow() {
     std::vector<uint32_t> old_keys = std::move(keys_);
+    std::vector<uint64_t> old_hashes = std::move(hashes_);
     std::vector<double> old_best = std::move(best_);
     std::vector<uint32_t> old_stamps = std::move(stamps_);
     const size_t old_capacity = capacity_;
     capacity_ = std::max<size_t>(64, 2 * capacity_);
     keys_.assign(capacity_ * width_, 0);
+    hashes_.assign(capacity_, 0);
     best_.assign(capacity_, 0.0);
     stamps_.assign(capacity_, 0);
     for (size_t i = 0; i < old_capacity; ++i) {
       if (old_stamps[i] != generation_) continue;
-      const uint32_t* key = &old_keys[i * width_];
-      size_t slot = Hash(key) & (capacity_ - 1);
+      size_t slot = old_hashes[i] & (capacity_ - 1);
       while (stamps_[slot] == generation_) slot = (slot + 1) & (capacity_ - 1);
       stamps_[slot] = generation_;
+      hashes_[slot] = old_hashes[i];
+      const uint32_t* key = old_keys.data() + i * width_;
       std::copy(key, key + width_, &keys_[slot * width_]);
       best_[slot] = old_best[i];
     }
@@ -156,8 +208,81 @@ class DominanceMemo {
   size_t size_ = 0;
   uint32_t generation_ = 0;
   std::vector<uint32_t> keys_;
+  std::vector<uint64_t> hashes_;
   std::vector<double> best_;
   std::vector<uint32_t> stamps_;
+};
+
+// Normalized edit distance between a repair value and the dirty value it
+// replaces, memoized per (attr, dirty id, repair id): the term Push adds
+// to the running distance sum. Ids are fixed while FSCR runs, so one
+// table serves every tuple of a shard. Open addressing, linear probing.
+class CellDistanceMemo {
+ public:
+  double Get(AttrId attr, ValueId dirty_id, const Value& dirty_value,
+             const AssignedCell& cell) {
+    const uint64_t key = static_cast<uint64_t>(static_cast<uint32_t>(attr)) << 32 | dirty_id;
+    if (2 * (size_ + 1) > entries_.size()) Grow();
+    const size_t mask = entries_.size() - 1;
+    size_t slot = Mix(key ^ Mix(cell.id)) & mask;
+    while (entries_[slot].key != kEmpty) {
+      if (entries_[slot].key == key && entries_[slot].repair == cell.id) {
+        return entries_[slot].distance;
+      }
+      slot = (slot + 1) & mask;
+    }
+    const size_t max_len = std::max(dirty_value.size(), cell.value->size());
+    const double distance =
+        max_len == 0 ? 0.0
+                     : static_cast<double>(Levenshtein(dirty_value, *cell.value)) / max_len;
+    entries_[slot] = Entry{key, cell.id, distance};
+    ++size_;
+    return distance;
+  }
+
+ private:
+  static constexpr uint64_t kEmpty = ~uint64_t{0};  // no attr is ~0u
+
+  struct Entry {
+    uint64_t key = kEmpty;  // attr << 32 | dirty id
+    ValueId repair = 0;
+    double distance = 0.0;
+  };
+
+  void Grow() {
+    std::vector<Entry> old = std::move(entries_);
+    entries_.assign(std::max<size_t>(64, 2 * old.size()), Entry{});
+    const size_t mask = entries_.size() - 1;
+    for (const Entry& e : old) {
+      if (e.key == kEmpty) continue;
+      size_t slot = Mix(e.key ^ Mix(e.repair)) & mask;
+      while (entries_[slot].key != kEmpty) slot = (slot + 1) & mask;
+      entries_[slot] = e;
+    }
+  }
+
+  size_t size_ = 0;
+  std::vector<Entry> entries_;  // size a power of two (or 0)
+};
+
+// One cell of a tuple's versions, filed under its attribute: the
+// version's index, the id it assigns, and the cell's position in the
+// version's assignment.
+struct VersionCell {
+  uint32_t version;
+  ValueId id;
+  uint32_t pos;
+};
+
+// The first conflict found on an attribute: versions i < j and the
+// position of i's disagreeing cell.
+struct FirstConflict {
+  uint32_t i, j, pos;
+  AttrId attr;
+
+  bool operator<(const FirstConflict& o) const {
+    return std::tie(i, j, pos) < std::tie(o.i, o.j, o.pos);
+  }
 };
 
 // Search state one shard reuses across the tuples it fuses. `key` is the
@@ -165,24 +290,112 @@ class DominanceMemo {
 // key[0] is the remaining-version mask, key[1 + attr] the id assigned to
 // `attr` (kUnassigned when none; conflict checks read this slot table),
 // and the last two words the bits of the running distance sum. `cells`
-// is the fusion being built, in merge order, and `sums[k]` the distance
-// sum of its first k cells. Between tuples the stack is empty, `sums` is
-// {0} and every attribute slot is kUnassigned.
+// is the fusion being built, in merge order, `sums[k]` the distance sum
+// of its first k cells, and `masks[k]` the versions its first k cells
+// conflict with (kept only while a search tracks conflicts). The
+// per-attribute version lists are `entries[list_begin[a],
+// list_begin[a + 1])`, in version order. Between tuples the stack is
+// empty, `sums` and `masks` hold one 0 and every attribute slot is
+// kUnassigned.
 struct FusionWorkspace {
   explicit FusionWorkspace(size_t num_attrs)
-      : key(num_attrs + 3, kUnassigned), memo(key.size()) {
+      : key(num_attrs + 3, kUnassigned), list_begin(num_attrs + 1, 0), memo(key.size()) {
     cells.reserve(num_attrs);
     sums.reserve(num_attrs + 1);
     sums.push_back(0.0);
+    masks.reserve(num_attrs + 1);
+    masks.push_back(0);
   }
 
   std::vector<AssignedCell> cells;
   std::vector<double> sums;
+  std::vector<uint32_t> masks;
   std::vector<uint32_t> key;
   std::vector<AssignedCell> best;
   std::vector<uint32_t> conflict_masks;
+  std::vector<uint32_t> list_begin;
+  std::vector<VersionCell> entries;
+  std::vector<FirstConflict> first_conflicts;
   DominanceMemo memo;
+  CellDistanceMemo distances;
 };
+
+// True when two of `versions` assign different ids to one attribute. Uses
+// the workspace's slot table and leaves it clear.
+bool CellsDisagree(const std::vector<Version>& versions, FusionWorkspace* ws) {
+  bool disagree = false;
+  for (const Version& v : versions) {
+    for (const AssignedCell& cell : *v.assignment) {
+      uint32_t& slot = ws->key[1 + static_cast<size_t>(cell.attr)];
+      if (slot == kUnassigned) {
+        slot = cell.id;
+      } else if (slot != cell.id) {
+        disagree = true;
+      }
+    }
+  }
+  for (const Version& v : versions) {
+    for (const AssignedCell& cell : *v.assignment) {
+      ws->key[1 + static_cast<size_t>(cell.attr)] = kUnassigned;
+    }
+  }
+  return disagree;
+}
+
+// Files every cell of `versions` under its attribute (a counting sort, so
+// each list is in version order, then position order) and derives from
+// the lists the pairwise conflict masks (over the first 32 versions) and
+// `conflict_attrs`. Versions i < j conflict when a cell of i disagrees
+// with j's first cell on the same attribute; an attribute is listed in
+// the order it is first found over (i, j) pairs in lexicographic order,
+// then over i's cells. Returns whether any pair conflicts.
+bool IndexConflicts(const std::vector<Version>& versions, FusionWorkspace* ws,
+                    std::vector<AttrId>* conflict_attrs) {
+  std::vector<uint32_t>& begin = ws->list_begin;
+  std::fill(begin.begin(), begin.end(), 0);
+  size_t total = 0;
+  for (const Version& v : versions) {
+    for (const AssignedCell& cell : *v.assignment) ++begin[static_cast<size_t>(cell.attr) + 1];
+    total += v.assignment->size();
+  }
+  for (size_t a = 1; a < begin.size(); ++a) begin[a] += begin[a - 1];
+  ws->entries.resize(total);
+  for (size_t j = 0; j < versions.size(); ++j) {
+    const Assignment& cells = *versions[j].assignment;
+    for (size_t pos = 0; pos < cells.size(); ++pos) {
+      ws->entries[begin[static_cast<size_t>(cells[pos].attr)]++] = VersionCell{
+          static_cast<uint32_t>(j), cells[pos].id, static_cast<uint32_t>(pos)};
+    }
+  }
+  for (size_t a = begin.size() - 1; a > 0; --a) begin[a] = begin[a - 1];
+  begin[0] = 0;
+
+  ws->conflict_masks.assign(versions.size(), 0);
+  std::vector<FirstConflict>& found = ws->first_conflicts;
+  found.clear();
+  for (size_t a = 0; a + 1 < begin.size(); ++a) {
+    const VersionCell* first = ws->entries.data() + begin[a];
+    const VersionCell* last = ws->entries.data() + begin[a + 1];
+    bool any = false;
+    FirstConflict earliest{};
+    for (const VersionCell* q = first; q < last; ++q) {
+      if (q != first && (q - 1)->version == q->version) continue;  // j's first cell only
+      for (const VersionCell* p = first; p < q; ++p) {  // versions before j's
+        if (p->id == q->id) continue;
+        if (q->version < 32) ws->conflict_masks[p->version] |= uint32_t{1} << q->version;
+        if (p->version < 32) ws->conflict_masks[q->version] |= uint32_t{1} << p->version;
+        const FirstConflict c{p->version, q->version, p->pos, static_cast<AttrId>(a)};
+        if (!any || c < earliest) earliest = c;
+        any = true;
+      }
+    }
+    if (any) found.push_back(earliest);
+  }
+  if (found.empty()) return false;
+  std::sort(found.begin(), found.end());
+  for (const FirstConflict& c : found) conflict_attrs->push_back(c.attr);
+  return true;
+}
 
 // GetFusionT for one tuple: a depth-first walk of merge orders over a
 // cell stack (`remaining` is a bitmask over the tuple's versions), with
@@ -198,16 +411,25 @@ struct FusionWorkspace {
 // and best_f_ moves only on a strict improvement: skipping it changes
 // nothing. The distance sum has to be part of the state — (0.1+0.2)+0.3
 // and (0.3+0.2)+0.1 differ in the last bit.
+//
+// A search that tracks conflicts (`track`: the tuple's versions conflict
+// pairwise and it is searched exhaustively, so it has at most 31
+// versions) keeps, beside the stack, the mask of versions its cells
+// conflict with and the XOR of its cells' hash words; a version's
+// conflict check is then one bit, and the memo hash costs three words.
+// Every other search (the conflict-free root, the greedy path) tests
+// versions cell by cell.
 class FusionSearch {
  public:
   FusionSearch(const std::vector<Version>& versions,
                const std::vector<BlockCandidates>& candidates, size_t node_budget,
-               bool prune, const Dataset& dirty, TupleId tid,
+               bool prune, bool track, const Dataset& dirty, TupleId tid,
                double minimality_discount, FusionWorkspace* ws)
       : versions_(versions),
         candidates_(candidates),
         node_budget_(node_budget),
         prune_(prune),
+        track_(track),
         dirty_(dirty),
         tid_(tid),
         minimality_discount_(minimality_discount),
@@ -216,7 +438,7 @@ class FusionSearch {
   // Exhaustive search. Returns the best (minimality-discounted) f-score,
   // 0 when every merge order fails; the fusion is left in ws->best.
   double Run() {
-    if (prune_) ws_.memo.Clear();
+    if (prune_ && track_) ws_.memo.Clear();
     Explore(FullMask(), 1.0);
     return best_f_;
   }
@@ -234,7 +456,7 @@ class FusionSearch {
     double f = 1.0;
     for (size_t j : order) {
       double w = 0.0;
-      if (!Merge(versions_[j], &w)) {
+      if (!Merge<false>(j, &w)) {
         f = 0.0;
         break;
       }
@@ -244,12 +466,17 @@ class FusionSearch {
       f = Score(f);
       ws_.best = ws_.cells;
     }
-    Pop(0);
+    Pop<false>(0);
     return f;
   }
 
   // True when the node budget cut the exhaustive search short.
   bool truncated() const { return truncated_; }
+
+  // Work counters (FscrRecord::nodes, dominance_hits, substitutions).
+  size_t nodes() const { return nodes_; }
+  size_t dominance_hits() const { return dominance_hits_; }
+  size_t substitutions() const { return substitutions_; }
 
  private:
   uint32_t FullMask() const {
@@ -290,62 +517,96 @@ class FusionSearch {
   // Pushes the cells of `v` on attributes not yet assigned. Each cell's
   // distance to the tuple's current value (unchanged cells are detected
   // by id alone) is added to the running sum as it is pushed, so the sum
-  // folds left to right in merge order.
+  // folds left to right in merge order. A tracking push also marks the
+  // versions the cell conflicts with and folds the cell into the hash.
+  template <bool kTrack>
   void Push(const Assignment& v) {
     for (const auto& cell : v) {
       uint32_t& slot = Slot(cell.attr);
       if (slot != kUnassigned) continue;
       slot = cell.id;
       double sum = ws_.sums.back();
-      if (dirty_.id_at(tid_, cell.attr) != cell.id) {
-        const Value& current = dirty_.at(tid_, cell.attr);
-        const size_t max_len = std::max(current.size(), cell.value->size());
-        if (max_len != 0) {
-          sum += static_cast<double>(Levenshtein(current, *cell.value)) / max_len;
-        }
+      const ValueId current = dirty_.id_at(tid_, cell.attr);
+      if (current != cell.id) {
+        sum += ws_.distances.Get(cell.attr, current, dirty_.at(tid_, cell.attr), cell);
       }
       ws_.cells.push_back(cell);
       ws_.sums.push_back(sum);
+      if (kTrack) {
+        uint32_t mask = ws_.masks.back();
+        const size_t a = static_cast<size_t>(cell.attr);
+        for (uint32_t e = ws_.list_begin[a]; e < ws_.list_begin[a + 1]; ++e) {
+          if (ws_.entries[e].id != cell.id) mask |= uint32_t{1} << ws_.entries[e].version;
+        }
+        ws_.masks.push_back(mask);
+        cell_hash_ ^= cell.hash;
+      }
     }
   }
 
-  // Pops the stack back to `depth` cells.
+  // Pops the stack back to `depth` cells, undoing pushes of the same kind.
+  template <bool kTrack>
   void Pop(size_t depth) {
     while (ws_.cells.size() > depth) {
+      if (kTrack) {
+        cell_hash_ ^= ws_.cells.back().hash;
+        ws_.masks.pop_back();
+      }
       Slot(ws_.cells.back().attr) = kUnassigned;
       ws_.cells.pop_back();
       ws_.sums.pop_back();
     }
   }
 
-  // Merges version `v` into the stack and sets `*w` to the weight of the
-  // γ merged. When `v` conflicts with the stack, it is substituted by the
-  // highest-weight γ' of its block (other than v's own γ) that does not
+  // Merges version `j` into the stack and sets `*w` to the weight of the
+  // γ merged. When it conflicts with the stack, it is substituted by the
+  // highest-weight γ' of its block (other than its own γ) that does not
   // (Algorithm 2 line 19); false when there is none (this merge order
-  // fails, f = 0).
-  bool Merge(const Version& v, double* w) {
-    if (!Conflicts(*v.assignment)) {
-      Push(*v.assignment);
+  // fails, f = 0). A γ' must agree with the stack on every position the
+  // stack assigns, so only the shortest such posting list is scanned, in
+  // rank order; an assigned id with no posting means there is no γ'.
+  template <bool kTrack>
+  bool Merge(size_t j, double* w) {
+    const Version& v = versions_[j];
+    const bool conflicts = kTrack ? ((ws_.masks.back() >> j) & 1u) != 0
+                                  : Conflicts(*v.assignment);
+    if (!conflicts) {
+      Push<kTrack>(*v.assignment);
       *w = v.weight;
       return true;
     }
     const BlockCandidates& cands = candidates_[v.block_index];
-    for (size_t c = 0; c < cands.by_weight.size(); ++c) {
-      if (cands.by_weight[c] == v.piece) continue;  // Bj - {γj}
-      if (!Conflicts(*cands.assignments[c])) {
-        Push(*cands.assignments[c]);
-        *w = cands.by_weight[c]->weight;
+    const Assignment& own = *v.assignment;
+    const uint32_t* begin = nullptr;
+    const uint32_t* end = nullptr;
+    for (size_t p = 0; p < own.size(); ++p) {
+      const uint32_t cur = Slot(own[p].attr);
+      if (cur == kUnassigned) continue;
+      const uint32_t* first;
+      const uint32_t* last;
+      cands.postings[p].Of(cur, &first, &last);
+      if (first == last) return false;
+      if (begin == nullptr || last - first < end - begin) {
+        begin = first;
+        end = last;
+      }
+    }
+    for (const uint32_t* r = begin; r != end; ++r) {
+      if (cands.by_weight[*r] == v.piece) continue;  // Bj - {γj}
+      if (!Conflicts(*cands.assignments[*r])) {
+        ++substitutions_;
+        Push<kTrack>(*cands.assignments[*r]);
+        *w = cands.by_weight[*r]->weight;
         return true;
       }
     }
     return false;
   }
 
-  bool RemainingConflictFree(uint32_t remaining) {
-    for (size_t j = 0; j < versions_.size(); ++j) {
-      if (((remaining >> j) & 1u) == 0) continue;
-      if (ws_.conflict_masks[j] & remaining) return false;
-      if (Conflicts(*versions_[j].assignment)) return false;
+  bool RemainingConflictFree(uint32_t remaining) const {
+    if (ws_.masks.back() & remaining) return false;
+    for (uint32_t m = remaining; m != 0; m &= m - 1) {
+      if (ws_.conflict_masks[static_cast<size_t>(__builtin_ctz(m))] & remaining) return false;
     }
     return true;
   }
@@ -360,7 +621,9 @@ class FusionSearch {
     key[0] = remaining;
     key[n - 2] = static_cast<uint32_t>(sum_bits);
     key[n - 1] = static_cast<uint32_t>(sum_bits >> 32);
-    return ws_.memo.Dominated(key.data(), f);
+    const uint64_t hash =
+        cell_hash_ ^ Mix(remaining) ^ Mix(sum_bits ^ 0x9E3779B97F4A7C15ull);
+    return ws_.memo.Dominated(key.data(), hash, f);
   }
 
   void Explore(uint32_t remaining, double f) {
@@ -369,6 +632,7 @@ class FusionSearch {
       return;
     }
     --node_budget_;
+    ++nodes_;
     if (remaining == 0) {
       Consider(f);
       return;
@@ -376,30 +640,33 @@ class FusionSearch {
     const size_t depth = ws_.cells.size();
     // Fast path: when the remaining versions neither conflict pairwise nor
     // with the stack, the product is order-independent; they are merged
-    // once, in version order.
-    if (RemainingConflictFree(remaining)) {
+    // once, in version order. A search that does not track conflicts is
+    // at the root of a tuple whose versions agree.
+    if (!track_ || RemainingConflictFree(remaining)) {
       double total = f;
-      for (size_t j = 0; j < versions_.size(); ++j) {
-        if ((remaining >> j) & 1u) {
-          total *= versions_[j].weight;
-          Push(*versions_[j].assignment);
-        }
+      for (uint32_t m = remaining; m != 0; m &= m - 1) {
+        const Version& v = versions_[static_cast<size_t>(__builtin_ctz(m))];
+        total *= v.weight;
+        Push<false>(*v.assignment);
       }
       Consider(total);
-      Pop(depth);
+      Pop<false>(depth);
       return;
     }
-    if (prune_ && Dominated(remaining, f)) return;
-    for (size_t j = 0; j < versions_.size(); ++j) {
-      if (((remaining >> j) & 1u) == 0) continue;
+    if (prune_ && Dominated(remaining, f)) {
+      ++dominance_hits_;
+      return;
+    }
+    for (uint32_t m = remaining; m != 0; m &= m - 1) {
+      const size_t j = static_cast<size_t>(__builtin_ctz(m));
       if (node_budget_ == 0) {
         truncated_ = true;
         return;
       }
       double w = 0.0;
-      if (!Merge(versions_[j], &w)) continue;
+      if (!Merge<true>(j, &w)) continue;
       Explore(remaining & ~(uint32_t{1} << j), f * w);
-      Pop(depth);
+      Pop<true>(depth);
     }
   }
 
@@ -407,12 +674,17 @@ class FusionSearch {
   const std::vector<BlockCandidates>& candidates_;
   size_t node_budget_;
   const bool prune_;
+  const bool track_;
   const Dataset& dirty_;
   TupleId tid_;
   double minimality_discount_;
   FusionWorkspace& ws_;
+  uint64_t cell_hash_ = 0;
   double best_f_ = 0.0;
   bool truncated_ = false;
+  size_t nodes_ = 0;
+  size_t dominance_hits_ = 0;
+  size_t substitutions_ = 0;
 };
 
 }  // namespace
@@ -473,54 +745,49 @@ void RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index,
       cands.by_weight.push_back(pieces[i]);
       cands.assignments.push_back(&assignments[i]);
     }
+    BuildPostings(&cands);
   }
 
   // Fusion is per tuple (reads shared candidates, writes only its own row
   // and record slot), so the tuple space shards freely across threads; the
-  // record vector is indexed by tid, keeping the report in tuple order no
-  // matter which shard finishes first. Without a report the records are
-  // not materialized at all.
-  std::vector<FscrRecord> records(report ? num_rows : 0);
+  // records are appended to the report up front and indexed by tid,
+  // keeping the report in tuple order no matter which shard finishes
+  // first. Without a report the records are not materialized at all.
+  const size_t first_record = report ? report->fscr.size() : 0;
+  FscrRecord* records = nullptr;
+  if (report) {
+    report->fscr.resize(first_record + num_rows);
+    records = report->fscr.data() + first_record;
+  }
   auto fuse_tuple = [&](size_t tid, FusionWorkspace* ws) {
     std::vector<Version>& versions = versions_of[tid];
     FscrRecord local;
     FscrRecord& rec = report ? records[tid] : local;
     rec.tuple = static_cast<TupleId>(tid);
     if (versions.empty()) return;
-    // Conflict attributes among the original versions (order-independent;
-    // this is the "detected conflicts" signal of the Precision-F metric).
-    // The bitmask only tracks the first 32 versions — the exhaustive search
-    // is capped below that anyway — but conflict_attrs records every pair.
-    std::vector<uint32_t>& conflict_masks = ws->conflict_masks;
-    conflict_masks.assign(versions.size(), 0);
-    for (size_t i = 0; i < versions.size(); ++i) {
-      for (size_t j = i + 1; j < versions.size(); ++j) {
-        for (const auto& cell : *versions[i].assignment) {
-          const AssignedCell* other = Lookup(*versions[j].assignment, cell.attr);
-          if (other != nullptr && other->id != cell.id) {
-            if (j < 32) conflict_masks[i] |= uint32_t{1} << j;
-            if (i < 32) conflict_masks[j] |= uint32_t{1} << i;
-            if (std::find(rec.conflict_attrs.begin(), rec.conflict_attrs.end(),
-                          cell.attr) == rec.conflict_attrs.end()) {
-              rec.conflict_attrs.push_back(cell.attr);
-            }
-          }
-        }
-      }
-    }
-
-    FusionSearch search(versions, candidates, options.max_fusion_nodes, prune, dirty,
-                        static_cast<TupleId>(tid), options.fscr_minimality_discount,
-                        ws);
     // The search's version bitmask is a uint32_t, so exhaustive exploration
     // is hard-capped at 31 versions regardless of the configured limit.
     const bool exhaustive =
         versions.size() <= std::min<size_t>(options.max_exhaustive_fusion, 31);
+    // Conflict attributes among the original versions (the "detected
+    // conflicts" signal of the Precision-F metric). Most tuples' versions
+    // agree cell for cell; only the others get per-attribute lists, and
+    // an exhaustive search over them tracks conflicts as masks.
+    const bool conflicted =
+        CellsDisagree(versions, ws) && IndexConflicts(versions, ws, &rec.conflict_attrs);
+    FusionSearch search(versions, candidates, options.max_fusion_nodes, prune,
+                        exhaustive && conflicted, dirty, static_cast<TupleId>(tid),
+                        options.fscr_minimality_discount, ws);
     const double f = exhaustive ? search.Run() : search.Greedy();
     if (!exhaustive) {
       rec.outcome = FusionOutcome::kGreedy;
     } else if (search.truncated()) {
       rec.outcome = FusionOutcome::kBudgetExhausted;
+    }
+    if (report) {
+      rec.nodes = search.nodes();
+      rec.dominance_hits = search.dominance_hits();
+      rec.substitutions = search.substitutions();
     }
     if (f > 0.0) {
       rec.fused = true;
@@ -538,7 +805,10 @@ void RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index,
   if (parallelism <= 1 || num_rows <= 1) {
     FusionWorkspace ws(num_attrs);
     for (size_t tid = 0; tid < num_rows; ++tid) {
-      if (ctx.Stopped()) return;
+      if (ctx.Stopped()) {
+        if (report) report->fscr.resize(first_record);  // a stopped run appends none
+        return;
+      }
       fuse_tuple(tid, &ws);
       ctx.Tick(1);
     }
@@ -559,11 +829,6 @@ void RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index,
         ctx.Tick(1);
       }
     });
-  }
-
-  if (report) {
-    report->fscr.reserve(report->fscr.size() + records.size());
-    std::move(records.begin(), records.end(), std::back_inserter(report->fscr));
   }
 }
 

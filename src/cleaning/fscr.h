@@ -20,8 +20,15 @@
 // while every γ weight is >= 0, which RunFscr checks once per call; with a
 // negative weight the search runs unpruned. The node budget
 // (CleaningOptions::max_fusion_nodes) and the exhaustive cap are reported
-// per tuple in FscrRecord::outcome. docs/perf.md ("FSCR search") has the
-// argument and the measurements.
+// per tuple in FscrRecord::outcome, beside the search's work counters.
+//
+// Each node is cheap: γ' candidates are looked up in per-block posting
+// lists keyed by dictionary id, a tuple whose versions conflict keeps the
+// set of versions its stack conflicts with as a bitmask (one bit test per
+// conflict check), the memo hash is updated incrementally as cells are
+// pushed and popped, and cell distances are memoized per shard. A tuple
+// whose versions agree is fused at the root without any of it.
+// docs/perf.md ("FSCR search") has the argument and the measurements.
 
 #ifndef MLNCLEAN_CLEANING_FSCR_H_
 #define MLNCLEAN_CLEANING_FSCR_H_

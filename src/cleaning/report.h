@@ -65,6 +65,12 @@ struct FscrRecord {
   bool fused = false;
   double f_score = 0.0;
   FusionOutcome outcome = FusionOutcome::kExhaustive;
+  /// Search work: nodes visited (each counts against max_fusion_nodes;
+  /// 0 on the greedy path), nodes skipped by the dominance memo, and γ'
+  /// substitutions made (Algorithm 2 line 19).
+  size_t nodes = 0;
+  size_t dominance_hits = 0;
+  size_t substitutions = 0;
 };
 
 /// Wall-clock breakdown of one pipeline run, in seconds.

@@ -8,17 +8,22 @@
 // the dirty values, also folded in merge order. Once the versions still to
 // merge conflict neither pairwise nor with the fusion, they are merged once,
 // in version order (the conflict-free rule of the specification, which
-// fixes that fold order). Ties keep the first fusion found.
+// fixes that fold order). Ties keep the first fusion found. A tuple with
+// more versions than the exhaustive cap is fused greedily instead: its
+// versions are merged once, by descending weight (the same std::sort
+// comparator RunFscr uses), with the same substitution rule.
 //
 // RunFscr must agree with it bit for bit — every cleaned cell, and each
-// record's `fused`, `f_score` (compared with ==) and `conflict_attrs` — at 1
-// and 4 threads, on seeded random instances and on hand-built ones.
+// record's `fused`, `f_score` (compared with ==), `conflict_attrs` and
+// `outcome` — at 1 and 4 threads, on seeded random instances and on
+// hand-built ones.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <random>
 #include <string>
 #include <tuple>
@@ -97,6 +102,7 @@ struct RefOutcome {
   bool fused = false;
   double f_score = 0.0;
   RefFusion fusion;
+  FusionOutcome outcome = FusionOutcome::kExhaustive;
 };
 
 // Reference fusion of every tuple of `dirty`, with the search counters the
@@ -105,7 +111,9 @@ class ReferenceFscr {
  public:
   ReferenceFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index,
                 const CleaningOptions& options)
-      : dirty_(dirty), discount_(options.fscr_minimality_discount) {
+      : dirty_(dirty),
+        discount_(options.fscr_minimality_discount),
+        exhaustive_cap_(std::min<size_t>(options.max_exhaustive_fusion, 31)) {
     versions_of_.resize(dirty.num_rows());
     candidates_.resize(index.num_blocks());
     for (size_t bi = 0; bi < index.num_blocks(); ++bi) {
@@ -151,6 +159,11 @@ class ReferenceFscr {
       }
     }
     if (versions.empty()) return out;
+    if (versions.size() > exhaustive_cap_) {
+      out.outcome = FusionOutcome::kGreedy;
+      Greedy(&out);
+      return out;
+    }
     best_f_ = 0.0;
     best_.clear();
     Explore(std::vector<bool>(versions.size(), true), {}, 1.0);
@@ -163,6 +176,7 @@ class ReferenceFscr {
   }
 
   size_t substitutions() const { return substitutions_; }
+  size_t failed_substitutions() const { return failed_substitutions_; }
 
  private:
   double Score(double f, const RefFusion& fusion) const {
@@ -181,6 +195,47 @@ class ReferenceFscr {
     if (score > best_f_) {
       best_f_ = score;
       best_ = fusion;
+    }
+  }
+
+  // The γ merged for `v` into `fusion`: v itself when it agrees, else
+  // (Algorithm 2 line 19) the highest-weight other γ' of its block that
+  // agrees; nullptr when there is none.
+  const RefVersion* Pick(const RefFusion& fusion, const RefVersion& v) {
+    if (!Conflicts(fusion, v.cells)) return &v;
+    for (const RefVersion& cand : candidates_[v.block]) {
+      if (cand.piece != v.piece && !Conflicts(fusion, cand.cells)) {
+        ++substitutions_;
+        return &cand;
+      }
+    }
+    ++failed_substitutions_;
+    return nullptr;
+  }
+
+  void Greedy(RefOutcome* out) {
+    const std::vector<RefVersion>& versions = *versions_;
+    std::vector<size_t> order(versions.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return versions[a].weight > versions[b].weight;
+    });
+    RefFusion fusion;
+    double f = 1.0;
+    for (size_t j : order) {
+      const RefVersion* merged = Pick(fusion, versions[j]);
+      if (merged == nullptr) {
+        f = 0.0;
+        break;
+      }
+      MergeInto(&fusion, merged->cells);
+      f *= merged->weight;
+    }
+    if (f > 0.0) f = Score(f, fusion);
+    if (f > 0.0) {
+      out->fused = true;
+      out->f_score = f;
+      out->fusion = fusion;
     }
   }
 
@@ -210,21 +265,8 @@ class ReferenceFscr {
     }
     for (size_t j = 0; j < versions.size(); ++j) {
       if (!remaining[j]) continue;
-      const RefVersion* merged = nullptr;
-      if (!Conflicts(fusion, versions[j].cells)) {
-        merged = &versions[j];
-      } else {
-        // Algorithm 2 line 19: the highest-weight other γ' of the block
-        // that agrees with the fusion; none means this order fails.
-        for (const RefVersion& cand : candidates_[versions[j].block]) {
-          if (cand.piece != versions[j].piece && !Conflicts(fusion, cand.cells)) {
-            merged = &cand;
-            ++substitutions_;
-            break;
-          }
-        }
-        if (merged == nullptr) continue;
-      }
+      const RefVersion* merged = Pick(fusion, versions[j]);
+      if (merged == nullptr) continue;  // this order fails
       RefFusion next = fusion;
       MergeInto(&next, merged->cells);
       std::vector<bool> rest = remaining;
@@ -235,6 +277,7 @@ class ReferenceFscr {
 
   const Dataset& dirty_;
   double discount_;
+  size_t exhaustive_cap_;
   std::vector<std::vector<RefVersion>> versions_of_;
   std::vector<std::vector<RefVersion>> candidates_;
   TupleId tid_ = 0;
@@ -242,13 +285,16 @@ class ReferenceFscr {
   double best_f_ = 0.0;
   RefFusion best_;
   size_t substitutions_ = 0;
+  size_t failed_substitutions_ = 0;
 };
 
 struct OracleStats {
   size_t conflict_tuples = 0;
   size_t fused = 0;
   size_t unfused = 0;
+  size_t greedy = 0;
   size_t substitutions = 0;
+  size_t failed_substitutions = 0;
 };
 
 // Runs RunFscr at 1 and 4 threads and checks both against the reference.
@@ -262,8 +308,10 @@ OracleStats ExpectMatchesReference(const Dataset& dirty, const RuleSet& rules,
     expected.push_back(reference.Fuse(static_cast<TupleId>(t)));
     if (!expected.back().conflict_attrs.empty()) ++stats.conflict_tuples;
     ++(expected.back().fused ? stats.fused : stats.unfused);
+    if (expected.back().outcome == FusionOutcome::kGreedy) ++stats.greedy;
   }
   stats.substitutions = reference.substitutions();
+  stats.failed_substitutions = reference.failed_substitutions();
 
   PoolExecutor pool(4);
   for (size_t threads : {size_t{1}, size_t{4}}) {
@@ -286,7 +334,7 @@ OracleStats ExpectMatchesReference(const Dataset& dirty, const RuleSet& rules,
       EXPECT_EQ(rec.conflict_attrs, want.conflict_attrs);
       EXPECT_EQ(rec.fused, want.fused);
       EXPECT_EQ(rec.f_score, want.f_score);
-      EXPECT_EQ(rec.outcome, FusionOutcome::kExhaustive);
+      EXPECT_EQ(rec.outcome, want.outcome);
       std::vector<Value> row = dirty.row(tid);
       for (const RefCell& cell : want.fusion) row[static_cast<size_t>(cell.attr)] = cell.value;
       EXPECT_EQ(cleaned.row(tid), row);
@@ -314,6 +362,57 @@ std::vector<Piece*> AllPieces(MlnIndex* index) {
     }
   }
   return pieces;
+}
+
+// The γ of `block` whose first tuple is `tid`.
+Piece& PieceOfTuple(MlnIndex* index, size_t block, TupleId tid) {
+  for (Group& group : index->block(block).groups) {
+    for (Piece& piece : group.pieces) {
+      if (piece.tuples.front() == tid) return piece;
+    }
+  }
+  ADD_FAILURE() << "no piece for tuple " << tid << " in block " << block;
+  return index->block(block).groups.front().pieces.front();
+}
+
+// A seeded instance whose every tuple has `num_rules` versions: distinct
+// FDs between `num_attrs` attributes (all in scope), through stage I;
+// odd seeds overwrite the learned weights with tied ones.
+OracleStats ManyVersionsMatchReference(uint32_t seed, size_t num_attrs, size_t num_rules) {
+  std::mt19937 rng(seed);
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  std::vector<std::string> names;
+  for (size_t a = 0; a < num_attrs; ++a) names.push_back("A" + std::to_string(a));
+  Schema schema = *Schema::Make(names);
+  std::vector<std::pair<AttrId, AttrId>> pairs;
+  for (size_t l = 0; l < num_attrs; ++l) {
+    for (size_t r = 0; r < num_attrs; ++r) {
+      if (l != r) pairs.emplace_back(static_cast<AttrId>(l), static_cast<AttrId>(r));
+    }
+  }
+  EXPECT_LE(num_rules, pairs.size());
+  std::shuffle(pairs.begin(), pairs.end(), rng);
+  RuleSet rules(schema);
+  for (size_t r = 0; r < num_rules; ++r) {
+    rules.Add(*Constraint::MakeFd(schema, {pairs[r].first}, {pairs[r].second}));
+  }
+  const std::vector<std::string> alphabet = {"a", "ab", "abc", "b"};
+  const size_t width = 2 + pick(2);
+  std::vector<std::vector<Value>> rows(10 + pick(11), std::vector<Value>(num_attrs));
+  for (auto& row : rows) {
+    for (auto& value : row) value = alphabet[pick(width)];
+  }
+  Dataset dirty = *Dataset::Make(schema, rows);
+  CleaningOptions options;
+  options.agp_threshold = pick(3);
+  MlnIndex index = StageOne(dirty, rules, options);
+  if (seed % 2 == 1) {
+    const double weights[] = {0.1, 0.25, 0.5, 1.0};
+    for (Piece* piece : AllPieces(&index)) piece->weight = weights[pick(4)];
+  }
+  return ExpectMatchesReference(dirty, rules, index, options,
+                                "seed " + std::to_string(seed) + " rules " +
+                                    std::to_string(num_rules));
 }
 
 TEST(FscrOracleTest, RandomInstancesMatchReference) {
@@ -488,18 +587,9 @@ TEST(FscrOracleTest, DistanceSumFoldsInMergeOrder) {
           {"k2", "xxxxxxxxxq", "yyyyyyyyyy", "zzzzzzzzzz", "w"}});
   MlnIndex index = *MlnIndex::Build(dirty, rules);
   for (Piece* piece : AllPieces(&index)) piece->weight = 0.5;
-  auto piece_of_tuple0 = [&](size_t block) -> Piece& {
-    for (Group& group : index.block(block).groups) {
-      for (Piece& piece : group.pieces) {
-        if (piece.tuples.front() == 0) return piece;
-      }
-    }
-    ADD_FAILURE() << "no piece for tuple 0 in block " << block;
-    return index.block(block).groups.front().pieces.front();
-  };
-  piece_of_tuple0(0).result[0] = "xxxxxxxxxq";  // distance 1/10
-  piece_of_tuple0(1).result[0] = "yyyyyyyyqq";  // distance 2/10
-  piece_of_tuple0(2).result[0] = "zzzzzzzqqq";  // distance 3/10
+  PieceOfTuple(&index, 0, 0).result[0] = "xxxxxxxxxq";  // distance 1/10
+  PieceOfTuple(&index, 1, 0).result[0] = "yyyyyyyyqq";  // distance 2/10
+  PieceOfTuple(&index, 2, 0).result[0] = "zzzzzzzqqq";  // distance 3/10
   CleaningOptions options;
   options.fscr_minimality_discount = discount;
   ExpectMatchesReference(dirty, rules, index, options, "distances");
@@ -510,6 +600,145 @@ TEST(FscrOracleTest, DistanceSumFoldsInMergeOrder) {
   EXPECT_EQ(report.fscr[0].f_score, 0.0625 * std::pow(discount, (0.2 + 0.3) + 0.1));
   EXPECT_EQ(cleaned.row(0), (std::vector<Value>{"k", "xxxxxxxxxq", "yyyyyyyyqq",
                                                 "zzzzzzzqqq", "w"}));
+}
+
+TEST(FscrOracleTest, GreedyPathMatchesReference) {
+  // 8-12 versions per tuple, past the default exhaustive cap of 7: every
+  // tuple is fused greedily, by descending weight.
+  OracleStats total;
+  for (uint32_t seed = 1; seed <= 20; ++seed) {
+    OracleStats stats = ManyVersionsMatchReference(seed, 5, 8 + seed % 5);
+    EXPECT_EQ(stats.greedy, stats.fused + stats.unfused);
+    total.conflict_tuples += stats.conflict_tuples;
+    total.fused += stats.fused;
+    total.unfused += stats.unfused;
+    total.substitutions += stats.substitutions;
+    total.failed_substitutions += stats.failed_substitutions;
+  }
+  EXPECT_GT(total.conflict_tuples, 100u);
+  EXPECT_GT(total.fused, 0u);
+  EXPECT_GT(total.unfused, 0u);
+  EXPECT_GT(total.substitutions, 50u);
+  EXPECT_GT(total.failed_substitutions, 0u);
+}
+
+TEST(FscrOracleTest, GreedyPathPastTheMaskWidth) {
+  // 33-36 versions per tuple: more than a 32-bit version mask holds, so
+  // conflicts among versions 32 and up reach only conflict_attrs.
+  OracleStats total;
+  for (uint32_t seed = 1; seed <= 4; ++seed) {
+    OracleStats stats = ManyVersionsMatchReference(seed, 7, 32 + seed);
+    EXPECT_EQ(stats.greedy, stats.fused + stats.unfused);
+    total.conflict_tuples += stats.conflict_tuples;
+    total.substitutions += stats.substitutions;
+  }
+  EXPECT_GT(total.conflict_tuples, 0u);
+  EXPECT_GT(total.substitutions, 0u);
+}
+
+// Posting-list edge cases. Each instance has blocks K -> X and W -> X
+// (and more where said) over rows with one γ per group; a tuple's γs are
+// then rewritten so its versions conflict on X, and the γ' search hits
+// the named case in at least one merge order.
+
+TEST(FscrOracleTest, GammaPrimeWithAValueOutsideTheData) {
+  // Tuple 0's K -> X γ and tuple 1's W -> X γ both say X = xnew, a value
+  // no row holds, so its id is interned past the dirty dictionary. With
+  // (k, xnew) merged first, tuple 0's (w, xa) conflicts and the γ' is
+  // tuple 1's (w1, xnew), found under xnew's id.
+  Schema s = *Schema::Make({"K", "X", "W"});
+  RuleSet rules(s);
+  rules.Add(*Constraint::MakeFd(s, {0}, {1}));  // K -> X
+  rules.Add(*Constraint::MakeFd(s, {2}, {1}));  // W -> X
+  Dataset dirty = *Dataset::Make(
+      s, {{"k", "xa", "w"}, {"k1", "xb", "w1"}, {"k2", "xc", "w2"}});
+  MlnIndex index = *MlnIndex::Build(dirty, rules);
+  for (Piece* piece : AllPieces(&index)) piece->weight = 0.5;
+  PieceOfTuple(&index, 0, 0).result[0] = "xnew";
+  PieceOfTuple(&index, 1, 1).result[0] = "xnew";
+  ASSERT_EQ(dirty.dict(1).Find("xnew"), kInvalidValueId);
+  CleaningOptions options;
+  OracleStats stats = ExpectMatchesReference(dirty, rules, index, options, "interned");
+  EXPECT_GT(stats.substitutions, 0u);
+  Dataset cleaned = dirty.Clone();
+  RunFscr(dirty, rules, index, options, &cleaned, nullptr);
+  EXPECT_EQ(cleaned.row(0), (std::vector<Value>{"k", "xnew", "w1"}));
+}
+
+TEST(FscrOracleTest, AssignedIdWithNoPosting) {
+  // Tuple 0: (k, xa) against (w, xb). With (k, xa) first, no W -> X γ
+  // holds xa, an id inside the block's posting range. Tuple 4: (k4, xd)
+  // against (w4, xc). With (k4, xd) first, xd's id is past every id the
+  // W -> X block holds. Both orders fail there; the other merge order
+  // finds a γ' in the K -> X block.
+  Schema s = *Schema::Make({"K", "X", "W"});
+  RuleSet rules(s);
+  rules.Add(*Constraint::MakeFd(s, {0}, {1}));  // K -> X
+  rules.Add(*Constraint::MakeFd(s, {2}, {1}));  // W -> X
+  Dataset dirty = *Dataset::Make(s, {{"k", "xa", "w"},
+                                     {"k1", "xb", "w1"},
+                                     {"k2", "xb", "w2"},
+                                     {"k3", "xc", "w3"},
+                                     {"k4", "xd", "w4"}});
+  MlnIndex index = *MlnIndex::Build(dirty, rules);
+  for (Piece* piece : AllPieces(&index)) piece->weight = 0.5;
+  PieceOfTuple(&index, 1, 0).result[0] = "xb";
+  PieceOfTuple(&index, 1, 4).result[0] = "xc";
+  CleaningOptions options;
+  OracleStats stats = ExpectMatchesReference(dirty, rules, index, options, "no posting");
+  EXPECT_GE(stats.failed_substitutions, 2u);
+  EXPECT_GE(stats.substitutions, 2u);
+  EXPECT_EQ(stats.fused, 5u);
+}
+
+TEST(FscrOracleTest, PostingListHoldingOnlyTheOwnGamma) {
+  // Blocks K -> X, K -> Y and W -> X. Tuple 0's K -> X γ becomes (k, x2)
+  // against its W -> X γ (w, x1). Merged last, (k, x2) conflicts on X
+  // while the stack holds K = k: the K posting list, shorter than X's,
+  // holds only the version's own γ, so there is no γ'.
+  Schema s = *Schema::Make({"K", "X", "Y", "W"});
+  RuleSet rules(s);
+  rules.Add(*Constraint::MakeFd(s, {0}, {1}));  // K -> X
+  rules.Add(*Constraint::MakeFd(s, {0}, {2}));  // K -> Y
+  rules.Add(*Constraint::MakeFd(s, {3}, {1}));  // W -> X
+  Dataset dirty = *Dataset::Make(s, {{"k", "x1", "y", "w"},
+                                     {"k1", "x1", "y1", "w1"},
+                                     {"k2", "x1", "y2", "w2"},
+                                     {"k3", "x2", "y3", "w3"}});
+  MlnIndex index = *MlnIndex::Build(dirty, rules);
+  for (Piece* piece : AllPieces(&index)) piece->weight = 0.5;
+  PieceOfTuple(&index, 0, 0).result[0] = "x2";
+  CleaningOptions options;
+  OracleStats stats = ExpectMatchesReference(dirty, rules, index, options, "own only");
+  EXPECT_GT(stats.failed_substitutions, 0u);
+  EXPECT_GT(stats.fused, 0u);
+}
+
+TEST(FscrOracleTest, StackCellAssignedByAGammaPrime) {
+  // Blocks K -> X, W -> X and W -> Z. Tuple 0's W -> X γ becomes (w, x2)
+  // against (k, x1). After (k, x1), it is substituted by tuple 1's
+  // (w9, x1), which assigns W = w9; tuple 0's W -> Z γ (w, z1) then
+  // conflicts on that W, and its γ' (w9, z9) is found under w9's id.
+  Schema s = *Schema::Make({"K", "X", "W", "Z"});
+  RuleSet rules(s);
+  rules.Add(*Constraint::MakeFd(s, {0}, {1}));  // K -> X
+  rules.Add(*Constraint::MakeFd(s, {2}, {1}));  // W -> X
+  rules.Add(*Constraint::MakeFd(s, {2}, {3}));  // W -> Z
+  Dataset dirty = *Dataset::Make(s, {{"k", "x1", "w", "z1"},
+                                     {"k1", "x1", "w9", "z9"},
+                                     {"k2", "x2", "w2", "z2"}});
+  MlnIndex index = *MlnIndex::Build(dirty, rules);
+  for (Piece* piece : AllPieces(&index)) piece->weight = 0.5;
+  PieceOfTuple(&index, 1, 0).result[0] = "x2";
+  // Weight the substitutes so that the order K -> X, W -> X, W -> Z wins.
+  PieceOfTuple(&index, 1, 1).weight = 0.9;
+  PieceOfTuple(&index, 2, 1).weight = 0.9;
+  CleaningOptions options;
+  OracleStats stats = ExpectMatchesReference(dirty, rules, index, options, "γ' on stack");
+  EXPECT_GE(stats.substitutions, 2u);
+  Dataset cleaned = dirty.Clone();
+  RunFscr(dirty, rules, index, options, &cleaned, nullptr);
+  EXPECT_EQ(cleaned.row(0), (std::vector<Value>{"k", "x1", "w9", "z9"}));
 }
 
 }  // namespace

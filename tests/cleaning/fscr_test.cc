@@ -6,7 +6,9 @@
 
 #include "cleaning/agp.h"
 #include "cleaning/rsc.h"
+#include "datagen/hospital.h"
 #include "datagen/sample.h"
+#include "errorgen/injector.h"
 
 namespace mlnclean {
 namespace {
@@ -181,6 +183,44 @@ TEST(FscrTest, FScoreIsProductOfWeights) {
   ASSERT_GT(w1, 0.0);
   ASSERT_GT(w2, 0.0);
   EXPECT_NEAR(report.fscr[0].f_score, w1 * w2, 1e-9);
+}
+
+TEST(FscrTest, SearchWorkTotalsArePinned) {
+  // One fixed stage-I HAI-40 index (seed 42, τ = 3, as bench/e2e's
+  // hai_batch table 0). The totals were recorded with the search before
+  // its per-node rewrite: a change to how a node is evaluated must visit
+  // the same nodes, hit the memo as often and pick the same γ's.
+  Workload wl = *MakeHospitalWorkload({.num_hospitals = 40, .num_measures = 10});
+  ErrorSpec spec;
+  spec.seed = 42;
+  Dataset dirty = InjectErrors(wl.clean, wl.rules, spec)->dirty;
+  CleaningOptions options;
+  options.agp_threshold = 3;
+  MlnIndex index = *MlnIndex::Build(dirty, wl.rules);
+  RunAgpAll(&index, options, nullptr);
+  index.LearnWeights();
+  RunRscAll(&index, MakeDistanceFn(options.distance), nullptr);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    PoolExecutor pool(threads);
+    ExecContext ctx;
+    if (threads > 1) ctx.executor = &pool;
+    Dataset cleaned = dirty.Clone();
+    CleaningReport report;
+    RunFscr(dirty, wl.rules, index, options, &cleaned, &report, ctx);
+    size_t nodes = 0;
+    size_t hits = 0;
+    size_t substitutions = 0;
+    for (const FscrRecord& rec : report.fscr) {
+      nodes += rec.nodes;
+      hits += rec.dominance_hits;
+      substitutions += rec.substitutions;
+    }
+    EXPECT_EQ(nodes, 24720u) << "threads " << threads;
+    EXPECT_EQ(hits, 12370u) << "threads " << threads;
+    EXPECT_EQ(substitutions, 10728u) << "threads " << threads;
+    EXPECT_NE(report.Summary().find(std::to_string(nodes) + " nodes"), std::string::npos)
+        << report.Summary();
+  }
 }
 
 }  // namespace

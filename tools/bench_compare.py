@@ -12,6 +12,10 @@ BENCH_micro.json is committed) and REMOVED (baseline only; pass
 --fail-on-removed to make dropped coverage fail the job instead of just
 being reported). Malformed benchmark entries are a clean diagnostic, not a
 KeyError.
+
+Both runs' `num_cpus` (from the google-benchmark context) are printed
+first, with a WARNING line when they differ: timings from hosts of
+different sizes are not comparable. The warning does not fail the job.
 """
 
 import argparse
@@ -45,6 +49,7 @@ def check_release(path, data):
 
 
 def load(path, require_release=False):
+    """Returns ({name: (real_time, unit)}, num_cpus or None) of one run."""
     try:
         with open(path) as f:
             data = json.load(f)
@@ -70,7 +75,7 @@ def load(path, require_release=False):
                 f"bench_compare: {path}: benchmark '{name}' has a non-numeric "
                 f"real_time: {b['real_time']!r}")
         out[name] = (real_time, b.get("time_unit", "ns"))
-    return out
+    return out, data.get("context", {}).get("num_cpus")
 
 
 def main():
@@ -88,8 +93,13 @@ def main():
                              "library_build_type as a fallback)")
     args = parser.parse_args()
 
-    base = load(args.baseline, require_release=args.require_release)
-    fresh = load(args.fresh, require_release=args.require_release)
+    base, base_cpus = load(args.baseline, require_release=args.require_release)
+    fresh, fresh_cpus = load(args.fresh, require_release=args.require_release)
+
+    print(f"num_cpus: baseline {base_cpus}, fresh run {fresh_cpus}")
+    if base_cpus != fresh_cpus:
+        print(f"WARNING num_cpus differs (baseline {base_cpus}, fresh run "
+              f"{fresh_cpus}): the timings come from different hosts")
 
     added = sorted(fresh.keys() - base.keys())
     removed = sorted(base.keys() - fresh.keys())
