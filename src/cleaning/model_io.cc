@@ -217,7 +217,6 @@ struct DecodedSnapshot {
   std::vector<std::string> rule_texts;
   CleaningOptions options;
   std::vector<ValueDict> dicts;  // weight-store interners, ids preserved
-  uint64_t weight_batches = 0;   // decay clock of the store
   std::vector<GlobalWeightTable::EntryView> entries;
   bool has_index = false;        // v5 index section present flag
   uint64_t indexed_rows = 0;     // rows the saved index covers
@@ -239,7 +238,7 @@ void EncodeOptions(const CleaningOptions& o, Encoder* e) {
   e->U64(o.num_threads);
   e->U8(0);  // reserved: the retired distance-memo flag; see snapshot_format.md
   e->F64(o.fscr_minimality_discount);
-  e->U64(o.weight_half_life_batches);
+  e->U64(0);  // reserved: the retired weight half-life; see snapshot_format.md
 }
 
 Status DecodeOptions(Decoder* d, CleaningOptions* o) {
@@ -270,8 +269,8 @@ Status DecodeOptions(Decoder* d, CleaningOptions* o) {
   // so snapshots that set it still load.
   MLN_RETURN_NOT_OK(d->U8("reserved options byte").status());
   MLN_ASSIGN_OR_RETURN(o->fscr_minimality_discount, d->F64("fscr_minimality_discount"));
-  MLN_ASSIGN_OR_RETURN(uint64_t half_life, d->U64("weight_half_life_batches"));
-  o->weight_half_life_batches = static_cast<size_t>(half_life);
+  // Reserved u64 (the retired weight half-life): read, then ignored.
+  MLN_RETURN_NOT_OK(d->U64("reserved options u64").status());
   return Status::OK();
 }
 
@@ -324,14 +323,18 @@ Status DecodeWeightsSection(Decoder* d, DecodedSnapshot* snap) {
                              : static_cast<size_t>(null_rank));
     snap->dicts.push_back(std::move(dict));
   }
-  MLN_ASSIGN_OR_RETURN(snap->weight_batches, d->U64("weight batch counter"));
+  // Reserved counter and (below) per-entry stamp column: the retired
+  // weight-decay clock. Read and ignored, but the stamp <= counter check
+  // stays so the accepted inputs are unchanged.
+  MLN_ASSIGN_OR_RETURN(uint64_t reserved_counter,
+                       d->U64("reserved weight batch counter"));
   MLN_ASSIGN_OR_RETURN(uint64_t num_entries, d->U64("weight entry count"));
 
   // v4 columnar entries: four group-varint blocks (rule indexes, the two
-  // arities, the flat id stream) followed by the raw float and batch-stamp
-  // columns. Every block's value count is bounds-checked against its byte
-  // length before anything is allocated — a forged entry count cannot
-  // force a huge allocation, it just fails the plausibility check.
+  // arities, the flat id stream) followed by the raw float and reserved
+  // stamp columns. Every block's value count is bounds-checked against
+  // its byte length before anything is allocated — a forged entry count
+  // cannot force a huge allocation, it just fails the plausibility check.
   auto read_block = [&](uint64_t count, bool delta,
                         const char* what) -> Result<std::vector<uint32_t>> {
     MLN_ASSIGN_OR_RETURN(auto blob, d->Blob(what));
@@ -391,11 +394,9 @@ Status DecodeWeightsSection(Decoder* d, DecodedSnapshot* snap) {
                          d->F64("weight entry support"));
   }
   for (uint64_t i = 0; i < num_entries; ++i) {
-    GlobalWeightTable::EntryView& entry = snap->entries[static_cast<size_t>(i)];
-    MLN_ASSIGN_OR_RETURN(entry.last_batch, d->U64("weight entry last batch"));
-    if (entry.last_batch > snap->weight_batches) {
-      return d->Fail("weight entry last batch " +
-                     std::to_string(entry.last_batch) +
+    MLN_ASSIGN_OR_RETURN(uint64_t stamp, d->U64("reserved weight entry stamp"));
+    if (stamp > reserved_counter) {
+      return d->Fail("weight entry stamp " + std::to_string(stamp) +
                      " is ahead of the store's batch counter");
     }
   }
@@ -657,17 +658,17 @@ Result<std::string> CleanModel::EncodeSnapshotBytes(const MlnIndex* index,
       for (ValueId id = 1; id < dict.size(); ++id) weights_section.Str(dict.value(id));
       weights_section.U64(dict.null_used() ? dict.null_rank() : kNoNullRankWire);
     }
-    weights_section.U64(table.batches());
+    weights_section.U64(0);  // reserved: the retired batch counter
     weights_section.U64(table.size());
     // v4: columnar entries. The integer columns (rule index, arities, the
     // flat reason+result id stream) are group-varint coded — entries come
     // out of ForEachEntrySorted ordered by rule and ids, so the
     // zigzag+delta streams are mostly one byte per value. The float
-    // columns and batch stamps stay raw fixed-width.
+    // columns stay raw fixed-width, followed by the reserved stamp column
+    // (one zero u64 per entry).
     std::vector<uint32_t> rule_indexes, reason_arities, result_arities;
     std::vector<uint32_t> flat_ids;
     std::vector<double> sums, supports;
-    std::vector<uint64_t> last_batches;
     table.ForEachEntrySorted([&](const GlobalWeightTable::EntryView& entry) {
       rule_indexes.push_back(static_cast<uint32_t>(entry.rule_index));
       reason_arities.push_back(static_cast<uint32_t>(entry.reason_ids.size()));
@@ -678,7 +679,6 @@ Result<std::string> CleanModel::EncodeSnapshotBytes(const MlnIndex* index,
                       entry.result_ids.end());
       sums.push_back(entry.weighted_sum);
       supports.push_back(entry.support);
-      last_batches.push_back(entry.last_batch);
     });
     std::vector<uint8_t> packed;
     auto put_block = [&](const std::vector<uint32_t>& values, bool delta) {
@@ -695,7 +695,7 @@ Result<std::string> CleanModel::EncodeSnapshotBytes(const MlnIndex* index,
     put_block(flat_ids, /*delta=*/true);
     for (double v : sums) weights_section.F64(v);
     for (double v : supports) weights_section.F64(v);
-    for (uint64_t v : last_batches) weights_section.U64(v);
+    for (size_t i = 0; i < supports.size(); ++i) weights_section.U64(0);
   }
 
   Encoder index_section;
@@ -888,7 +888,6 @@ Result<LoadedSnapshot> CleaningEngine::LoadWithIndex(std::istream& in) const {
   // Freshly compiled and unpublished: no lock needed yet.
   GlobalWeightTable& weights = model.state_->weights;
   weights.RestoreDicts(std::move(snap.dicts));
-  weights.RestoreBatches(snap.weight_batches);
   for (const GlobalWeightTable::EntryView& entry : snap.entries) {
     Status st = weights.RestoreEntry(model.state_->rules, entry);
     if (!st.ok()) {

@@ -22,18 +22,21 @@
 //                   load). num_threads is stored raw: 0 = "auto" resolves
 //                   against the *serving* host, as it should. The
 //                   executor pointer is never stored — the serving
-//                   process wires its own. v2 appended
-//                   weight_half_life_batches (u64).
+//                   process wires its own. The u8 after num_threads
+//                   and the trailing u64 are reserved (retired options):
+//                   written 0, read and ignored.
 //   tag 4 weights:  the Eq. 6 GlobalWeightTable — u32 #dicts (0 or
 //                   #attrs), per dict the interned values in id order plus
 //                   the NULL rank (so restored ids equal saved ids), then
-//                   (v2) the u64 contributed-batch counter, u64 #entries,
-//                   per entry the γ key (u32 rule index, u32 reason
-//                   arity, u32 result arity, the ids), f64 weighted_sum /
-//                   support, and (v2) the u64 last-contribution batch —
-//                   the decay state weight_half_life_batches ages entries
-//                   by. Entries are written in sorted key order: saving
-//                   the same model twice produces identical bytes.
+//                   a reserved u64 counter, u64 #entries, per entry the γ
+//                   key (u32 rule index, u32 reason arity, u32 result
+//                   arity, the ids), f64 weighted_sum / support, and a
+//                   reserved u64 stamp. The reserved fields held the
+//                   retired weight-decay state: written 0, read and
+//                   ignored, except that a stamp above the counter is
+//                   still rejected. Entries are written in sorted key
+//                   order: saving the same model twice produces identical
+//                   bytes.
 //   tag 5 index:    (v5) an optional serialized pre-AGP MlnIndex — the
 //                   base index of a row-incremental session, so another
 //                   process can ResumeIncrementalSession without
@@ -82,8 +85,8 @@ namespace mlnclean {
 inline constexpr char kModelSnapshotMagic[4] = {'M', 'L', 'N', 'M'};
 
 /// Current snapshot format version. v2 added the weight-store decay
-/// state (weight_half_life_batches option, batch counter, per-entry batch
-/// stamps); v3 moved integrity from one global header CRC-32 to a
+/// state (an options u64, a batch counter, per-entry batch stamps; all
+/// reserved since the decay was retired); v3 moved integrity from one global header CRC-32 to a
 /// per-section CRC-32C verified before the payload is parsed (checksum
 /// mismatch = kCorruption with the section named); v4 made the weight
 /// entries columnar with the rule indexes, arities, and γ value ids

@@ -22,9 +22,7 @@ namespace mlnclean {
 /// immutable after Compile.
 struct CleanModel::State {
   State(RuleSet rules_in, CleaningOptions options_in)
-      : rules(std::move(rules_in)), options(std::move(options_in)) {
-    weights.set_half_life_batches(options.weight_half_life_batches);
-  }
+      : rules(std::move(rules_in)), options(std::move(options_in)) {}
 
   const RuleSet rules;
   const CleaningOptions options;

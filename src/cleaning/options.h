@@ -63,18 +63,6 @@ struct CleaningOptions {
   /// process wires its own executor).
   Executor* executor = nullptr;
 
-  /// Half-life, in contributed batches, of the Eq. 6 weight store's
-  /// memory (0 = off, the default: plain all-history averaging). With a
-  /// half-life H, every γ's previously stored support decays by 2^(-1/H)
-  /// per batch folded into the store, so on a drifting stream the stored
-  /// average tracks recent batches instead of pinning to stale history: a
-  /// γ contributed H batches ago weighs half as much as one contributed
-  /// now. Decay applies to the model's store (Warm / contribute_weights);
-  /// the per-run distributed Eq. 6 merge is a one-shot average and
-  /// ignores it. The snapshot format carries the decay state (batch
-  /// counter and per-entry batch stamps), see docs/snapshot_format.md.
-  size_t weight_half_life_batches = 0;
-
   /// Minimality bias of FSCR: each attribute a candidate fusion changes
   /// away from the tuple's current (dirty) value multiplies its f-score
   /// by this factor. Pure Eq. 5 maximization ties between "repair the one

@@ -381,11 +381,13 @@ Status CleanTicket::ResumeJob() {
     if (!job_->pause_after.has_value()) {
       return Status::Invalid("ResumeJob on a ticket that was not staged");
     }
+    // Checked before `done`: the resumed leg may already have finished,
+    // and a second ResumeJob must still be Invalid, not its status.
+    if (job_->resumed) return Status::Invalid("job already resumed");
     if (job_->done) return job_->status;  // the first leg already failed
     if (!job_->paused) {
       return Status::Invalid("job has not reached its pause stage yet");
     }
-    if (job_->resumed) return Status::Invalid("job already resumed");
     job_->resumed = true;
     server = job_->server;
   }

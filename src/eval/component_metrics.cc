@@ -1,13 +1,9 @@
 #include "eval/component_metrics.h"
 
-#include <algorithm>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 
-#include "cleaning/agp.h"
-#include "cleaning/fscr.h"
-#include "cleaning/rsc.h"
+#include "cleaning/engine.h"
 #include "index/mln_index.h"
 
 namespace mlnclean {
@@ -53,9 +49,13 @@ Result<ComponentEvaluation> EvaluateComponents(const Dataset& dirty,
                                                const RuleSet& rules,
                                                const CleaningOptions& options,
                                                const GroundTruth& truth) {
-  MLN_RETURN_NOT_OK(options.Validate());
-  DistanceFn dist = MakeNormalizedDistanceFn(options.distance);
-  MLN_ASSIGN_OR_RETURN(MlnIndex index, MlnIndex::Build(dirty, rules));
+  // One session drives every stage; the scoring below only reads its
+  // index and report between RunUntil steps.
+  MLN_ASSIGN_OR_RETURN(CleanModel model,
+                       CleaningEngine(options).Compile(rules.schema(), rules));
+  CleanSession session = model.NewSession(dirty);
+  MLN_RETURN_NOT_OK(session.RunUntil(Stage::kIndex));
+  const MlnIndex& index = session.index();
 
   ComponentEvaluation eval;
 
@@ -93,8 +93,8 @@ Result<ComponentEvaluation> EvaluateComponents(const Dataset& dirty,
   }
 
   // ---- AGP.
-  CleaningReport report;
-  RunAgpAll(&index, options, &report);
+  MLN_RETURN_NOT_OK(session.RunUntil(Stage::kAgp));
+  const CleaningReport& report = session.report();
 
   // Blocks are positionally aligned with rules, so report.agp[i].block is
   // also the index into group_truth.
@@ -128,12 +128,7 @@ Result<ComponentEvaluation> EvaluateComponents(const Dataset& dirty,
   }
 
   // ---- Weight learning + RSC.
-  if (options.learn_weights) {
-    index.LearnWeights(options.learner);
-  } else {
-    index.AssignPriorWeights();
-  }
-  RunRscAll(&index, dist, &report);
+  MLN_RETURN_NOT_OK(session.RunUntil(Stage::kRsc));
 
   eval.rsc.detected = report.rsc.size();
   eval.rsc.real = erroneous_pieces;
@@ -146,8 +141,8 @@ Result<ComponentEvaluation> EvaluateComponents(const Dataset& dirty,
   }
 
   // ---- FSCR.
-  eval.cleaned = dirty.Clone();
-  RunFscr(dirty, rules, index, options, &eval.cleaned, &report);
+  MLN_RETURN_NOT_OK(session.RunUntil(Stage::kFscr));
+  eval.cleaned = session.cleaned();
 
   size_t fscr_correct = 0;
   size_t erroneous_conflict_cells = 0;
@@ -165,7 +160,7 @@ Result<ComponentEvaluation> EvaluateComponents(const Dataset& dirty,
   eval.fscr.real = truth.NumErrors();
 
   eval.overall = EvaluateRepair(dirty, eval.cleaned, truth);
-  eval.report = std::move(report);
+  eval.report = report;
   return eval;
 }
 

@@ -54,9 +54,12 @@ struct ComponentEvaluation {
   Dataset cleaned;
 };
 
-/// Runs the MLNClean stages with instrumentation and scores every
-/// component against `truth`. Duplicate removal is skipped (it does not
-/// affect cell metrics).
+/// Runs one CleanSession over `dirty` through Stage::kFscr, reading its
+/// index and report between stages, and scores every component against
+/// `truth`. The session honours the options' executor and num_threads
+/// cap, and its schema check: a dataset whose schema is not the rules'
+/// returns Invalid. Duplicate removal is skipped (it does not affect cell
+/// metrics).
 Result<ComponentEvaluation> EvaluateComponents(const Dataset& dirty,
                                                const RuleSet& rules,
                                                const CleaningOptions& options,

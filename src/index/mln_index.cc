@@ -7,6 +7,17 @@
 
 namespace mlnclean {
 
+namespace {
+
+// Grounding reads data.column(a) for every rule attribute a: a dataset
+// over another schema would be read out of bounds.
+Status CheckSameSchema(const Dataset& data, const RuleSet& rules) {
+  if (data.schema() == rules.schema()) return Status::OK();
+  return Status::Invalid("dataset schema does not match the rule set's schema");
+}
+
+}  // namespace
+
 size_t Group::TupleCount() const {
   size_t n = 0;
   for (const auto& p : pieces) n += p.support();
@@ -43,6 +54,7 @@ std::string MlnIndex::KeyOf(const std::vector<Value>& values) {
 
 Result<MlnIndex> MlnIndex::Build(const Dataset& data, const RuleSet& rules,
                                  const ExecContext& ctx) {
+  MLN_RETURN_NOT_OK(CheckSameSchema(data, rules));
   MlnIndex index;
   index.blocks_.resize(rules.size());
   index.group_maps_.resize(rules.size());
@@ -105,6 +117,7 @@ Status MlnIndex::AppendRows(const Dataset& data, const RuleSet& rules,
                            " blocks for a " + std::to_string(rules.size()) +
                            "-rule set");
   }
+  MLN_RETURN_NOT_OK(CheckSameSchema(data, rules));
   if (first_row > data.num_rows()) {
     return Status::Invalid("append start " + std::to_string(first_row) +
                            " is past the dataset's " +

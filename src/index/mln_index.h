@@ -51,7 +51,8 @@ class MlnIndex {
  public:
   /// Builds the index: one block per rule, groups keyed by reason values
   /// (lines 1-13 of Algorithm 1). Fails on rules the index cannot host
-  /// (general DCs). Rules ground in parallel on `ctx`'s executor; the
+  /// (general DCs) and, with Invalid, on a dataset whose schema is not
+  /// the rule set's. Rules ground in parallel on `ctx`'s executor; the
   /// result is identical for any executor or worker cap. One progress
   /// unit is ticked per grounded rule. When `ctx` is stopped (cancelled
   /// or past its deadline), rules not yet grounded are skipped and Build

@@ -1,7 +1,6 @@
 #include "index/weight_merge.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 namespace mlnclean {
@@ -80,8 +79,6 @@ bool GlobalWeightTable::FindIds(const Constraint& rule,
 
 void GlobalWeightTable::Accumulate(const MlnIndex& part_index, const RuleSet& rules) {
   if (dicts_.empty()) dicts_.resize(rules.schema().num_attrs());
-  ++batches_;  // the decay clock; counted even with decay off so a
-               // snapshot records how many batches ever contributed
   std::vector<ValueId> reason_ids, result_ids;
   for (const Block& block : part_index.blocks()) {
     if (block.rule_index >= rules.size()) continue;  // foreign index; skip
@@ -92,20 +89,6 @@ void GlobalWeightTable::Accumulate(const MlnIndex& part_index, const RuleSet& ru
           continue;  // arity mismatch: γ not built from this rule set
         }
         Entry& entry = table_[PackKey(block.rule_index, reason_ids, result_ids)];
-        // Lazy geometric aging: scale the mass stored Δ batches ago by
-        // 2^(-Δ/H) before the new batch lands on top. Reads never need
-        // the factor — within one entry it cancels in the Eq. 6 ratio
-        // until new (undecayed) mass arrives, which is exactly when the
-        // recency bias is supposed to show.
-        if (half_life_ > 0 && entry.support != 0.0 &&
-            entry.last_batch < batches_) {
-          const double decay =
-              std::exp2(-static_cast<double>(batches_ - entry.last_batch) /
-                        static_cast<double>(half_life_));
-          entry.weighted_sum *= decay;
-          entry.support *= decay;
-        }
-        entry.last_batch = batches_;
         const double n = static_cast<double>(piece.support());
         entry.weighted_sum += n * piece.weight;
         entry.support += n;
@@ -172,7 +155,6 @@ void GlobalWeightTable::ForEachEntrySorted(
     }
     view.weighted_sum = kv->second.weighted_sum;
     view.support = kv->second.support;
-    view.last_batch = kv->second.last_batch;
     fn(view);
   }
 }
@@ -210,7 +192,6 @@ Status GlobalWeightTable::RestoreEntry(const RuleSet& rules, const EntryView& en
   Entry& e = table_[PackKey(entry.rule_index, entry.reason_ids, entry.result_ids)];
   e.weighted_sum = entry.weighted_sum;
   e.support = entry.support;
-  e.last_batch = entry.last_batch;
   return Status::OK();
 }
 

@@ -33,21 +33,6 @@ namespace mlnclean {
 /// value position of a γ to its schema attribute.
 class GlobalWeightTable {
  public:
-  /// Staleness control for long-lived stores serving drifting streams
-  /// (CleaningOptions::weight_half_life_batches): with a half-life H > 0,
-  /// every Accumulate counts as one contributed batch and an entry's
-  /// previously stored mass (Σ n_i w_i and Σ n_i alike) decays by
-  /// 2^(-Δ/H) for the Δ batches since it last received support — so the
-  /// Eq. 6 average tracks recent evidence geometrically instead of
-  /// pinning to all-history means. 0 (default) disables decay; reads
-  /// (Apply/Lookup) are unaffected either way, they always return
-  /// weighted_sum / support. Set before the first Accumulate.
-  void set_half_life_batches(size_t batches) { half_life_ = batches; }
-  size_t half_life_batches() const { return half_life_; }
-
-  /// Contributed batches so far (Accumulate calls; snapshot state).
-  uint64_t batches() const { return batches_; }
-
   /// Folds in one part's post-learning index (call after weight learning,
   /// before RSC). The only member that interns new values: callers that
   /// share a table across threads may run Apply/Lookup concurrently with
@@ -74,11 +59,8 @@ class GlobalWeightTable {
     size_t rule_index;
     std::vector<ValueId> reason_ids;
     std::vector<ValueId> result_ids;
-    double weighted_sum;  // Σ n_i w_i (decayed when a half-life is set)
-    double support;       // Σ n_i (ditto)
-    /// Batch counter value when the entry last received support; the
-    /// decay state a snapshot must carry for lazy aging to resume.
-    uint64_t last_batch = 0;
+    double weighted_sum;  // Σ n_i w_i
+    double support;       // Σ n_i
   };
 
   /// Per-attribute interners backing the γ keys (empty until the first
@@ -99,14 +81,10 @@ class GlobalWeightTable {
   /// must exist in its attribute's dictionary); Invalid otherwise.
   Status RestoreEntry(const RuleSet& rules, const EntryView& entry);
 
-  /// Snapshot decode: restores the contributed-batch counter.
-  void RestoreBatches(uint64_t batches) { batches_ = batches; }
-
  private:
   struct Entry {
     double weighted_sum = 0.0;  // Σ n_i w_i
     double support = 0.0;       // Σ n_i
-    uint64_t last_batch = 0;    // batches_ when last accumulated into
   };
 
   // Packed key: u32 rule_index, u32 reason arity, then the reason ids
@@ -127,8 +105,6 @@ class GlobalWeightTable {
 
   std::vector<ValueDict> dicts_;  // one per schema attribute
   std::unordered_map<std::string, Entry> table_;
-  size_t half_life_ = 0;   // 0 = no decay
-  uint64_t batches_ = 0;   // Accumulate calls (the decay clock)
 };
 
 }  // namespace mlnclean

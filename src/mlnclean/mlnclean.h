@@ -41,9 +41,8 @@
 //
 // Sessions remain the streaming/staged core under both paths: Warm /
 // reuse_model_weights amortize weight learning across micro-batches
-// (CleaningOptions::weight_half_life_batches ages the store for drifting
-// streams), staged sessions add per-stage and intra-stage progress
-// callbacks plus cancellation:
+// (the store keeps the all-history Eq. 6 average), staged sessions add
+// per-stage and intra-stage progress callbacks plus cancellation:
 //
 //   CleanSession session = model.NewSession(batch, options);
 //   session.RunUntil(Stage::kLearn);   // inspect, then

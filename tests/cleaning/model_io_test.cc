@@ -189,40 +189,6 @@ TEST(ModelIoTest, LoadedWeightsAreIdStableUnderDictionaryPermutation) {
   EXPECT_TRUE(original.deduped == via_snapshot.deduped);
 }
 
-TEST(ModelIoTest, DecayStateRoundTripsAndAgingResumes) {
-  // A store with an active half-life must carry its decay clock through a
-  // snapshot: the batch counter and per-entry batch stamps ride along, so
-  // a loaded model ages exactly like the original when serving resumes.
-  ServingFixture fx;
-  CleaningOptions options;
-  options.agp_threshold = 2;
-  options.weight_half_life_batches = 1;
-  CleaningEngine engine(options);
-  CleanModel model = *engine.Compile(fx.dirty.schema(), fx.rules);
-  ASSERT_TRUE(model.Warm(fx.batches[0]).ok());  // batch 1
-  ASSERT_TRUE(model.Warm(fx.batches[1]).ok());  // batch 2 decays batch 1
-  ASSERT_GT(model.num_stored_weights(), 0u);
-
-  const std::string bytes = SaveToString(model);
-  auto loaded = LoadFromString(bytes);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->options().weight_half_life_batches, 1u);
-  EXPECT_EQ(loaded->num_stored_weights(), model.num_stored_weights());
-  // Bit-exact including the decay state: saving the loaded model writes
-  // the same bytes (batch counter and stamps included).
-  EXPECT_EQ(SaveToString(*loaded), bytes);
-
-  // Aging resumes identically: one more contributed batch on each side
-  // must leave both stores byte-identical (wrong/missing batch stamps
-  // would produce different decay factors here).
-  ASSERT_TRUE(model.Warm(fx.batches[2]).ok());
-  ASSERT_TRUE(loaded->Warm(fx.batches[2]).ok());
-  EXPECT_EQ(SaveToString(*loaded), SaveToString(model));
-  // And the aged stores serve identically.
-  EXPECT_EQ(ServeTranscript(model, fx.batches, /*reuse=*/true),
-            ServeTranscript(*loaded, fx.batches, /*reuse=*/true));
-}
-
 // ---------------------------------------------------------- corrupt input
 
 // One snapshot mutation, the StatusCode it must reject with, and the
@@ -539,6 +505,133 @@ TEST(ModelIoTest, RetiredOptionsByteIsIgnoredOnLoad) {
               ServeTranscript(*from_one, fx.batches, reuse))
         << "reuse_model_weights=" << reuse;
   }
+}
+
+// Byte offsets, within a valid snapshot, of the retired weight-decay
+// fields (docs/snapshot_format.md): the options section's trailing u64,
+// the weights section's batch counter, and its trailing stamp column.
+struct RetiredDecayFields {
+  size_t options_begin, options_end;  // options payload [begin, end)
+  size_t weights_begin, weights_end;  // weights payload [begin, end)
+  size_t half_life;                   // u64 at the end of the options
+  size_t counter;                     // u64 after the weight dictionaries
+  size_t stamps;                      // num_entries x u64, ends the payload
+  uint64_t num_entries;
+};
+
+uint64_t ReadLeAt(const std::string& bytes, size_t pos, int width) {
+  uint64_t v = 0;
+  for (int i = width - 1; i >= 0; --i) {
+    v = (v << 8) | static_cast<unsigned char>(bytes[pos + i]);
+  }
+  return v;
+}
+uint64_t ReadU64At(const std::string& bytes, size_t pos) {
+  return ReadLeAt(bytes, pos, 8);
+}
+
+RetiredDecayFields LocateRetiredDecayFields(const std::string& bytes) {
+  const auto ranges = SectionRanges(bytes);
+  RetiredDecayFields f{};
+  f.options_begin = ranges[2].first + 16;  // tag[4] len[8] crc[4]
+  f.options_end = ranges[2].second;
+  f.weights_begin = ranges[3].first + 16;
+  f.weights_end = ranges[3].second;
+  f.half_life = f.options_end - 8;
+  // Weights payload: u32 #dicts, per dict u64 #values, every value but
+  // NULL (id 0) as str (u32 length + bytes), u64 null rank; then the
+  // counter and u64 #entries.
+  size_t pos = f.weights_begin;
+  const uint64_t num_dicts = ReadLeAt(bytes, pos, 4);
+  pos += 4;
+  for (uint64_t d = 0; d < num_dicts; ++d) {
+    const uint64_t num_values = ReadU64At(bytes, pos);
+    pos += 8;
+    for (uint64_t v = 1; v < num_values; ++v) {
+      pos += 4 + static_cast<size_t>(ReadLeAt(bytes, pos, 4));
+    }
+    pos += 8;  // null rank
+  }
+  f.counter = pos;
+  f.num_entries = ReadU64At(bytes, pos + 8);
+  f.stamps = f.weights_end - 8 * static_cast<size_t>(f.num_entries);
+  return f;
+}
+
+void ResealSection(std::string* bytes, size_t payload_begin, size_t payload_end) {
+  PatchU32(bytes, payload_begin - 4,
+           TestCrc32c(bytes->data() + payload_begin, payload_end - payload_begin));
+}
+
+TEST(ModelIoTest, RetiredDecayFieldsAreIgnoredOnLoad) {
+  // v2 added a weight-decay option (an options u64), a store batch
+  // counter and a per-entry batch stamp. The decay is gone; the fields are
+  // reserved (docs/snapshot_format.md). Builds that still had it wrote
+  // nonzero values there — such a snapshot must load and serve
+  // bit-identically to the zeroed one, and re-save with zeros.
+  ServingFixture fx;
+  CleanModel model = *CleaningEngine().Compile(fx.dirty.schema(), fx.rules);
+  ASSERT_TRUE(model.Warm(fx.batches[0]).ok());
+  const std::string zero = SaveToString(model);
+  const RetiredDecayFields f = LocateRetiredDecayFields(zero);
+  ASSERT_EQ(f.num_entries, model.num_stored_weights());
+  ASSERT_GT(f.num_entries, 0u);
+  ASSERT_EQ(ReadU64At(zero, f.half_life), 0u);
+  ASSERT_EQ(ReadU64At(zero, f.counter), 0u);
+  for (uint64_t i = 0; i < f.num_entries; ++i) {
+    ASSERT_EQ(ReadU64At(zero, f.stamps + 8 * i), 0u) << "stamp " << i;
+  }
+
+  std::string forged = zero;
+  PatchU64(&forged, f.half_life, 3);  // half-life of three batches
+  PatchU64(&forged, f.counter, 5);    // five contributed batches
+  for (uint64_t i = 0; i < f.num_entries; ++i) {
+    PatchU64(&forged, f.stamps + 8 * i, 1 + i % 5);  // each stamp <= 5
+  }
+  ResealSection(&forged, f.options_begin, f.options_end);
+  ResealSection(&forged, f.weights_begin, f.weights_end);
+  ASSERT_NE(forged, zero);
+
+  auto from_zero = LoadFromString(zero);
+  auto from_forged = LoadFromString(forged);
+  ASSERT_TRUE(from_zero.ok()) << from_zero.status().ToString();
+  ASSERT_TRUE(from_forged.ok()) << from_forged.status().ToString();
+  EXPECT_EQ(from_forged->num_stored_weights(), model.num_stored_weights());
+  EXPECT_EQ(SaveToString(*from_forged), zero);
+  for (bool reuse : {false, true}) {
+    EXPECT_EQ(ServeTranscript(*from_zero, fx.batches, reuse),
+              ServeTranscript(*from_forged, fx.batches, reuse))
+        << "reuse_model_weights=" << reuse;
+  }
+  // Contributing more batches afterwards is plain Eq. 6 averaging on
+  // both sides: the stores stay byte-identical.
+  ASSERT_TRUE(from_zero->Warm(fx.batches[1]).ok());
+  ASSERT_TRUE(from_forged->Warm(fx.batches[1]).ok());
+  EXPECT_EQ(SaveToString(*from_forged), SaveToString(*from_zero));
+}
+
+TEST(ModelIoTest, EntryStampAheadOfCounterIsRejected) {
+  // The reserved stamps are ignored, but the decoder still rejects a
+  // stamp above the reserved counter, so the set of accepted inputs is
+  // the same as when the fields carried decay state.
+  const std::string valid = ValidSnapshotBytes();
+  const RetiredDecayFields f = LocateRetiredDecayFields(valid);
+  ASSERT_GT(f.num_entries, 0u);
+  std::string ahead = valid;
+  PatchU64(&ahead, f.stamps + 8 * (f.num_entries - 1), 1);  // counter is 0
+  ResealSection(&ahead, f.weights_begin, f.weights_end);
+  auto loaded = LoadFromString(ahead);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalid)
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find("ahead of the store's batch counter"),
+            std::string::npos)
+      << loaded.status().ToString();
+
+  // The same stamp under a counter that covers it loads.
+  PatchU64(&ahead, f.counter, 1);
+  ResealSection(&ahead, f.weights_begin, f.weights_end);
+  EXPECT_TRUE(LoadFromString(ahead).ok());
 }
 
 TEST(ModelIoTest, NullValuesInWeightDictionariesRoundTrip) {

@@ -124,61 +124,6 @@ TEST(WeightMergeTest, SortedEntryVisitRoundTripsIds) {
   EXPECT_NEAR(*restored.Lookup(rules, 0, {"BOAZ"}, {"AL"}), 0.4, 1e-12);
 }
 
-TEST(WeightMergeTest, HalfLifeDecaysOlderBatchesGeometrically) {
-  // Same γ contributed in two consecutive batches with a one-batch
-  // half-life: the first batch's mass halves before the second lands.
-  //   w = (0.5·3·0.9 + 1·0.1) / (0.5·3 + 1) = 1.45 / 2.5 = 0.58
-  // (vs 0.7 with decay off — see Eq6SupportWeightedAverage above).
-  RuleSet rules = CtStRules();
-  MlnIndex part1 = IndexOver({{"DOTHAN", "AL"}, {"DOTHAN", "AL"}, {"DOTHAN", "AL"}},
-                             0.9);
-  MlnIndex part2 = IndexOver({{"DOTHAN", "AL"}}, 0.1);
-  GlobalWeightTable table;
-  table.set_half_life_batches(1);
-  table.Accumulate(part1, rules);
-  table.Accumulate(part2, rules);
-  EXPECT_EQ(table.batches(), 2u);
-  auto w = table.Lookup(rules, 0, {"DOTHAN"}, {"AL"});
-  ASSERT_TRUE(w.ok());
-  EXPECT_NEAR(*w, 0.58, 1e-12);
-}
-
-TEST(WeightMergeTest, HalfLifeSkipsIdleBatchesLazily) {
-  // A γ untouched for Δ batches decays by 2^(-Δ/H) in one step when it
-  // finally receives support again: contribute at batch 1, let batches 2
-  // and 3 pass without it, contribute at batch 4 (Δ = 3, H = 1).
-  //   w = (2^-3·1·0.8 + 1·0.2) / (2^-3·1 + 1) = 0.3 / 1.125
-  RuleSet rules = CtStRules();
-  MlnIndex hit1 = IndexOver({{"DOTHAN", "AL"}}, 0.8);
-  MlnIndex other = IndexOver({{"BOAZ", "AL"}}, 0.5);
-  MlnIndex hit2 = IndexOver({{"DOTHAN", "AL"}}, 0.2);
-  GlobalWeightTable table;
-  table.set_half_life_batches(1);
-  table.Accumulate(hit1, rules);
-  table.Accumulate(other, rules);
-  table.Accumulate(other, rules);
-  table.Accumulate(hit2, rules);
-  EXPECT_NEAR(*table.Lookup(rules, 0, {"DOTHAN"}, {"AL"}), 0.3 / 1.125, 1e-12);
-  // An entry's stored average is untouched while it idles (the factor
-  // cancels in the ratio): BOAZ still reads 0.5.
-  EXPECT_NEAR(*table.Lookup(rules, 0, {"BOAZ"}, {"AL"}), 0.5, 1e-12);
-}
-
-TEST(WeightMergeTest, ZeroHalfLifeMatchesPlainAveragingBitExactly) {
-  RuleSet rules = CtStRules();
-  MlnIndex part1 = IndexOver({{"DOTHAN", "AL"}, {"DOTHAN", "AL"}}, 0.8);
-  MlnIndex part2 = IndexOver({{"DOTHAN", "AL"}}, 0.2);
-  GlobalWeightTable plain;
-  plain.Accumulate(part1, rules);
-  plain.Accumulate(part2, rules);
-  GlobalWeightTable off;
-  off.set_half_life_batches(0);
-  off.Accumulate(part1, rules);
-  off.Accumulate(part2, rules);
-  EXPECT_EQ(*plain.Lookup(rules, 0, {"DOTHAN"}, {"AL"}),
-            *off.Lookup(rules, 0, {"DOTHAN"}, {"AL"}));
-}
-
 TEST(WeightMergeTest, RestoreEntryRejectsOutOfRange) {
   RuleSet rules = CtStRules();
   GlobalWeightTable table;

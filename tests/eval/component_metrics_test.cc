@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cleaning/engine.h"
 #include "datagen/hospital.h"
 #include "datagen/sample.h"
 
@@ -81,15 +82,25 @@ TEST(ComponentMetricsTest, OversizedTauHurtsPrecision) {
   EXPECT_DOUBLE_EQ(eval->agp.Precision(), 0.0);
 }
 
-TEST(ComponentMetricsTest, ScoresBoundedOnGeneratedWorkload) {
+struct GeneratedHai {
+  Workload wl;
+  DirtyDataset dd;
+};
+
+GeneratedHai MakeGeneratedHai() {
   Workload wl = *MakeHospitalWorkload({.num_hospitals = 20, .num_measures = 8});
   ErrorSpec spec;
   spec.error_rate = 0.08;
   spec.seed = 5;
   DirtyDataset dd = *InjectErrors(wl.clean, wl.rules, spec);
+  return {std::move(wl), std::move(dd)};
+}
+
+TEST(ComponentMetricsTest, ScoresBoundedOnGeneratedWorkload) {
+  GeneratedHai hai = MakeGeneratedHai();
   CleaningOptions options;
   options.agp_threshold = 2;
-  auto eval = EvaluateComponents(dd.dirty, wl.rules, options, dd.truth);
+  auto eval = EvaluateComponents(hai.dd.dirty, hai.wl.rules, options, hai.dd.truth);
   ASSERT_TRUE(eval.ok()) << eval.status().ToString();
   for (const ComponentScore* s : {&eval->agp, &eval->rsc, &eval->fscr}) {
     EXPECT_GE(s->Precision(), 0.0);
@@ -98,6 +109,71 @@ TEST(ComponentMetricsTest, ScoresBoundedOnGeneratedWorkload) {
     EXPECT_LE(s->Recall(), 1.0);
   }
   EXPECT_GT(eval->overall.F1(), 0.3);
+}
+
+TEST(ComponentMetricsTest, SchemaMismatchIsInvalid) {
+  // A dataset narrower than the rules' schema is refused by the session's
+  // schema check before any stage reads a column.
+  Schema narrow = *Schema::Make({"HN", "CT"});
+  Dataset dirty = *Dataset::Make(narrow, {{"ALABAMA", "DOTHAN"}});
+  RuleSet rules = *SampleHospitalRules();
+  auto eval = EvaluateComponents(dirty, rules, CleaningOptions(), SampleTruth());
+  ASSERT_FALSE(eval.ok());
+  EXPECT_TRUE(eval.status().IsInvalid()) << eval.status().ToString();
+}
+
+void ExpectSameFscrRecords(const std::vector<FscrRecord>& a,
+                           const std::vector<FscrRecord>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].tuple, b[i].tuple) << "record " << i;
+    EXPECT_EQ(a[i].conflict_attrs, b[i].conflict_attrs) << "record " << i;
+    EXPECT_EQ(a[i].fused, b[i].fused) << "record " << i;
+    EXPECT_EQ(a[i].f_score, b[i].f_score) << "record " << i;  // bitwise
+    EXPECT_EQ(a[i].outcome, b[i].outcome) << "record " << i;
+    EXPECT_EQ(a[i].nodes, b[i].nodes) << "record " << i;
+    EXPECT_EQ(a[i].dominance_hits, b[i].dominance_hits) << "record " << i;
+    EXPECT_EQ(a[i].substitutions, b[i].substitutions) << "record " << i;
+  }
+}
+
+TEST(ComponentMetricsTest, RunsTheSamePipelineAsClean) {
+  // The evaluator is staged steps on one CleanSession: its repair and
+  // FSCR trace are exactly what CleanModel::Clean produces.
+  GeneratedHai hai = MakeGeneratedHai();
+  CleaningOptions options;
+  options.agp_threshold = 2;
+  auto eval = EvaluateComponents(hai.dd.dirty, hai.wl.rules, options, hai.dd.truth);
+  ASSERT_TRUE(eval.ok()) << eval.status().ToString();
+  CleanModel model =
+      *CleaningEngine(options).Compile(hai.wl.rules.schema(), hai.wl.rules);
+  auto clean = model.Clean(hai.dd.dirty);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  EXPECT_TRUE(eval->cleaned == clean->cleaned);
+  ExpectSameFscrRecords(eval->report.fscr, clean->report.fscr);
+}
+
+TEST(ComponentMetricsTest, ThreadCapDoesNotChangeScores) {
+  GeneratedHai hai = MakeGeneratedHai();
+  CleaningOptions options;
+  options.agp_threshold = 2;
+  options.num_threads = 1;
+  auto one = EvaluateComponents(hai.dd.dirty, hai.wl.rules, options, hai.dd.truth);
+  options.num_threads = 4;
+  auto four = EvaluateComponents(hai.dd.dirty, hai.wl.rules, options, hai.dd.truth);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  ASSERT_TRUE(four.ok()) << four.status().ToString();
+  for (auto [a, b] : {std::pair{&one->agp, &four->agp},
+                      std::pair{&one->rsc, &four->rsc},
+                      std::pair{&one->fscr, &four->fscr}}) {
+    EXPECT_EQ(a->correct, b->correct);
+    EXPECT_EQ(a->detected, b->detected);
+    EXPECT_EQ(a->real, b->real);
+  }
+  EXPECT_EQ(one->dag, four->dag);
+  EXPECT_EQ(one->overall.F1(), four->overall.F1());
+  EXPECT_TRUE(one->cleaned == four->cleaned);
+  ExpectSameFscrRecords(one->report.fscr, four->report.fscr);
 }
 
 TEST(ComponentScoreTest, EdgeConventions) {

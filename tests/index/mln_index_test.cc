@@ -106,6 +106,21 @@ TEST(MlnIndexTest, GeneralDcRejectedAtBuild) {
   EXPECT_TRUE(r.status().IsInvalid());
 }
 
+TEST(MlnIndexTest, SchemaMismatchRejectedAtBuild) {
+  // A dataset narrower than the rules' schema: grounding would read
+  // columns the dataset does not have.
+  Schema narrow = *Schema::Make({"HN", "CT"});
+  Dataset d = *Dataset::Make(narrow, {{"ALABAMA", "DOTHAN"}});
+  RuleSet rules = *SampleHospitalRules();
+  auto r = MlnIndex::Build(d, rules);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInvalid()) << r.status().ToString();
+
+  // AppendRows has the same guard.
+  MlnIndex index = BuildSampleIndex();
+  EXPECT_TRUE(index.AppendRows(d, rules, 0).IsInvalid());
+}
+
 TEST(MlnIndexTest, EmptyRuleSetYieldsEmptyIndex) {
   Dataset dirty = *SampleHospitalDirty();
   RuleSet rules(dirty.schema());
