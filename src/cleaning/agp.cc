@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <string_view>
 #include <utility>
 
@@ -11,31 +12,102 @@ namespace mlnclean {
 
 namespace {
 
-// Slot 0 of every position stands for "no value to compare here": a γ*
+// Index 0 of every ValueIndex stands for "no value": as a slot, a γ*
 // narrower than the block's widest, or an abnormal value no normal γ*
 // holds. Its term is always 0.
 constexpr uint32_t kNoSlot = 0;
 
+// Open addressing from a value (its dictionary id on id-keyed blocks, its
+// string otherwise) to a dense index from 1. Reused across blocks.
+struct ValueIndex {
+  std::vector<std::string_view> values;  // index -> value
+  std::vector<ValueId> ids;              // index -> id (id-keyed)
+  std::vector<uint32_t> table;           // index per cell, kNoSlot if empty
+
+  void Reset(size_t capacity) {
+    values.assign(1, std::string_view());
+    ids.assign(1, 0);
+    table.assign(capacity, kNoSlot);
+  }
+  size_t size() const { return values.size(); }
+
+  // The index of `value`, inserting it when `add`; kNoSlot when absent.
+  uint32_t Find(std::string_view value, ValueId id, bool use_ids, bool add) {
+    const size_t mask = table.size() - 1;
+    const size_t h = use_ids
+                         ? static_cast<size_t>((uint64_t{id} * 0x9E3779B97F4A7C15ull) >> 32)
+                         : std::hash<std::string_view>{}(value);
+    for (size_t b = h & mask;; b = (b + 1) & mask) {
+      const uint32_t s = table[b];
+      if (s == kNoSlot) {
+        if (!add) return kNoSlot;
+        const uint32_t index = static_cast<uint32_t>(values.size());
+        values.push_back(value);
+        ids.push_back(id);
+        table[b] = index;
+        return index;
+      }
+      if (use_ids ? ids[s] == id : values[s] == value) return s;
+    }
+  }
+};
+
+// Term rows over one position's slots, cached per block: a row is a
+// deterministic function of its key, computed once and extended when a
+// star reload adds slots.
+struct RowCache {
+  ValueIndex keys;
+  std::vector<std::vector<double>> rows;  // key index -> term per slot
+
+  void Reset(size_t capacity) {
+    for (size_t r = 1; r < keys.size(); ++r) rows[r].clear();
+    keys.Reset(capacity);
+  }
+
+  // The row of `key`, extended to `k` slots with `term(s)`.
+  template <typename Term>
+  double* Row(std::string_view value, ValueId id, bool use_ids, size_t k, Term term) {
+    const uint32_t r = keys.Find(value, id, use_ids, true);
+    if (rows.size() <= r) rows.resize(r + 1);
+    std::vector<double>& row = rows[r];
+    if (row.empty()) row.push_back(0.0);  // kNoSlot
+    for (size_t s = row.size(); s < k; ++s) row.push_back(term(s));
+    return row.data();
+  }
+};
+
 // The distinct values one γ* position takes among a block's normal γ*s,
-// and the per-abnormal-γ* term of each.
+// the term rows over them, and the current abnormal γ*'s view of it.
 struct PositionSlots {
-  std::vector<std::string_view> values;  // slot -> value
-  std::vector<ValueId> ids;              // slot -> id (id-keyed blocks)
-  std::vector<uint32_t> buckets;         // open addressing, slot per bucket
-  // Per abnormal γ*: slot -> exact distance (tabled) or lower bound.
-  std::vector<double> terms;
+  ValueIndex slots;
+  // Tabled positions (fewer slots than candidates) take the kernel row of
+  // the abnormal value; the others the length-bound row of its length.
+  RowCache kernel_rows, length_rows;
+  bool tabled = false;
+  // The current abnormal γ*: its value, its slot, and its term row, whose
+  // own slot reads 0 for the length of this abnormal's scan.
   std::string_view abnormal_value;
   uint32_t abnormal_slot = kNoSlot;
-  bool tabled = false;
+  double* terms = nullptr;
+  double own_term = 0.0;  // the row's own-slot entry, restored after the scan
 };
 
 // Per-thread scratch, reused across blocks and cleans: only ever grows.
 struct AgpScratch {
   std::vector<PositionSlots> positions;
   std::vector<size_t> active;          // positions the abnormal γ* has
+  std::vector<size_t> active_tabled;   // those of them that are tabled
   std::vector<uint32_t> slots;         // candidate-major: [c * P + p]
+  std::vector<uint32_t> old_slots;     // a reloaded candidate's previous row
   std::vector<const Piece*> stars;     // current γ* of each normal group
-  std::vector<double> bounds;
+  std::vector<double> bounds;          // per candidate
+  // Candidates bucketed by their slots on the tabled positions (CSR):
+  // bucket b holds members[bucket_start[b] .. bucket_start[b + 1]), each
+  // bucket in candidate order.
+  std::vector<size_t> bucket_positions;  // the tabled positions keyed on
+  std::vector<uint32_t> members;
+  std::vector<uint32_t> bucket_start;
+  std::vector<double> bucket_bounds;
   std::vector<size_t> normal_idx, abnormal_idx;
   std::vector<std::pair<size_t, size_t>> merges;  // (abnormal, target) groups
   std::vector<char> remove;
@@ -54,35 +126,10 @@ bool ValueAt(const Piece& piece, size_t p, size_t reason_width, bool use_ids,
   return true;
 }
 
-size_t Bucket(const PositionSlots& ps, std::string_view value, ValueId id,
-              bool use_ids) {
-  const size_t h = use_ids ? static_cast<size_t>((uint64_t{id} * 0x9E3779B97F4A7C15ull) >> 32)
-                           : std::hash<std::string_view>{}(value);
-  return h & (ps.buckets.size() - 1);
-}
-
-// The slot holding `value`, inserting it when `add`; kNoSlot when absent.
-uint32_t FindSlot(PositionSlots* ps, std::string_view value, ValueId id, bool use_ids,
-                  bool add) {
-  const size_t mask = ps->buckets.size() - 1;
-  for (size_t b = Bucket(*ps, value, id, use_ids);; b = (b + 1) & mask) {
-    const uint32_t s = ps->buckets[b];
-    if (s == kNoSlot) {
-      if (!add) return kNoSlot;
-      const uint32_t slot = static_cast<uint32_t>(ps->values.size());
-      ps->values.push_back(value);
-      ps->ids.push_back(id);
-      ps->buckets[b] = slot;
-      return slot;
-    }
-    if (use_ids ? ps->ids[s] == id : ps->values[s] == value) return s;
-  }
-}
-
 // One γ* distance with the kernel on the bounded positions: the fold of
 // Accumulate (index/piece.cc) over the same nonzero terms, in its order.
 double ExactDistance(const AgpScratch& scratch, const uint32_t* row,
-                     DistanceMetric metric) {
+                     DistanceMetric metric, size_t* kernel_calls) {
   double total = 0.0;
   for (size_t p : scratch.active) {
     const PositionSlots& ps = scratch.positions[p];
@@ -90,10 +137,42 @@ double ExactDistance(const AgpScratch& scratch, const uint32_t* row,
     if (ps.tabled || s == kNoSlot || s == ps.abnormal_slot) {
       total += ps.terms[s];
     } else {
-      total += NormalizedDistance(metric, ps.abnormal_value, ps.values[s]);
+      total += NormalizedDistance(metric, ps.abnormal_value, ps.slots.values[s]);
+      ++*kernel_calls;
     }
   }
   return total;
+}
+
+// Groups the candidates by their slots on the currently tabled positions.
+void BuildBuckets(AgpScratch* scratch, size_t n, size_t num_pos) {
+  std::vector<size_t>& keyed = scratch->bucket_positions;
+  keyed.clear();
+  for (size_t p = 0; p < num_pos; ++p) {
+    if (scratch->positions[p].tabled) keyed.push_back(p);
+  }
+  const uint32_t* slots = scratch->slots.data();
+  auto compare = [&](uint32_t a, uint32_t b) {
+    for (size_t p : keyed) {
+      const uint32_t sa = slots[a * num_pos + p], sb = slots[b * num_pos + p];
+      if (sa != sb) return sa < sb ? -1 : 1;
+    }
+    return 0;
+  };
+  std::vector<uint32_t>& members = scratch->members;
+  members.resize(n);
+  for (size_t c = 0; c < n; ++c) members[c] = static_cast<uint32_t>(c);
+  std::sort(members.begin(), members.end(), [&](uint32_t a, uint32_t b) {
+    const int order = compare(a, b);
+    return order != 0 ? order < 0 : a < b;
+  });
+  scratch->bucket_start.clear();
+  for (size_t i = 0; i < n; ++i) {
+    if (i == 0 || compare(members[i - 1], members[i]) != 0) {
+      scratch->bucket_start.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  scratch->bucket_start.push_back(static_cast<uint32_t>(n));
 }
 
 }  // namespace
@@ -113,6 +192,28 @@ size_t RunAgp(Block* block, const CleaningOptions& options, CleaningReport* repo
   if (abnormal_idx.empty()) return 0;
   const size_t n = normal_idx.size();
 
+  // The record's account of the abnormal group as it was detected.
+  auto describe = [&](const Group& abnormal, AgpMergeRecord* rec) {
+    rec->block = block->rule_index;
+    rec->abnormal_key = abnormal.key;
+    rec->num_pieces = abnormal.pieces.size();
+    for (const auto& piece : abnormal.pieces) {
+      rec->abnormal_tuples.insert(rec->abnormal_tuples.end(), piece.tuples.begin(),
+                                  piece.tuples.end());
+    }
+  };
+  if (n == 0) {
+    // No normal group to merge into: every group stays in place.
+    if (report) {
+      for (size_t ai : abnormal_idx) {
+        AgpMergeRecord rec;
+        describe(groups[ai], &rec);
+        report->agp.push_back(std::move(rec));
+      }
+    }
+    return 0;
+  }
+
   // Layout and keying: positions cover the widest γ of the block; slots
   // are keyed by dictionary id when every γ carries its id mirrors.
   size_t reason_width = 0, result_width = 0;
@@ -126,17 +227,19 @@ size_t RunAgp(Block* block, const CleaningOptions& options, CleaningReport* repo
   }
   const size_t num_pos = reason_width + result_width;
   if (scratch.positions.size() < num_pos) scratch.positions.resize(num_pos);
-  // A position gains at most one slot per merge, so the tables never fill
-  // past half.
+  // A position gains at most one slot per merge and one row key per
+  // abnormal γ*, so the tables never fill past half. Row caches are
+  // cleared per block: their keys view γ values that move after the scan.
   size_t capacity = 16;
   while (capacity < 2 * (n + abnormal_idx.size() + 1)) capacity *= 2;
-  for (size_t p = 0; p < num_pos && n > 0; ++p) {
+  for (size_t p = 0; p < num_pos; ++p) {
     PositionSlots& ps = scratch.positions[p];
-    ps.values.assign(1, std::string_view());
-    ps.ids.assign(1, 0);
-    ps.buckets.assign(capacity, kNoSlot);
+    ps.slots.Reset(capacity);
+    ps.kernel_rows.Reset(capacity);
+    ps.length_rows.Reset(capacity);
   }
   scratch.slots.resize(n * num_pos);
+  scratch.old_slots.resize(num_pos);
   scratch.stars.resize(n);
   scratch.bounds.resize(n);
   auto load_slots = [&](size_t c) {
@@ -145,7 +248,7 @@ size_t RunAgp(Block* block, const CleaningOptions& options, CleaningReport* repo
     ValueId id = 0;
     for (size_t p = 0; p < num_pos; ++p) {
       row[p] = ValueAt(*scratch.stars[c], p, reason_width, use_ids, &value, &id)
-                   ? FindSlot(&scratch.positions[p], value, id, use_ids, true)
+                   ? scratch.positions[p].slots.Find(value, id, use_ids, true)
                    : kNoSlot;
     }
   };
@@ -153,97 +256,155 @@ size_t RunAgp(Block* block, const CleaningOptions& options, CleaningReport* repo
     scratch.stars[c] = &groups[normal_idx[c]].Star();
     load_slots(c);
   }
+  // A position with fewer distinct values than candidates is tabled: one
+  // kernel call per slot gives every candidate's exact term.
+  for (size_t p = 0; p < num_pos; ++p) {
+    PositionSlots& ps = scratch.positions[p];
+    ps.tabled = ps.slots.size() - 1 < n;
+  }
+  BuildBuckets(&scratch, n, num_pos);
 
   // Merged pieces move only after the scan, so every γ* (and every value
-  // a slot points at) stays put while the block is being scanned.
+  // a slot or row key points at) stays put while the block is scanned.
   scratch.merges.clear();
   for (size_t ai : abnormal_idx) {
     const Group& abnormal = groups[ai];
-    AgpMergeRecord rec;
-    rec.block = block->rule_index;
-    rec.abnormal_key = abnormal.key;
-    rec.num_pieces = abnormal.pieces.size();
-    for (const auto& piece : abnormal.pieces) {
-      rec.abnormal_tuples.insert(rec.abnormal_tuples.end(), piece.tuples.begin(),
-                                 piece.tuples.end());
-    }
-    if (n == 0) {
-      // No normal group to merge into: leave the group in place.
-      rec.merged = false;
-      if (report) report->agp.push_back(std::move(rec));
-      continue;
-    }
+    AgpMergeRecord rec;  // counts the scan's work; described if reported
 
-    // Terms of this γ*: one kernel call per slot where the position has
-    // fewer distinct values than there are candidates, a length bound
-    // per slot elsewhere; equal values and missing positions cost 0.
+    // Term rows of this γ*: the kernel row of its value on tabled
+    // positions, the length-bound row of its length elsewhere, each
+    // computed once per block and extended to the current slots; equal
+    // values and missing positions cost 0.
     const Piece& a_star = abnormal.Star();
     scratch.active.clear();
+    scratch.active_tabled.clear();
     for (size_t p = 0; p < num_pos; ++p) {
       PositionSlots& ps = scratch.positions[p];
       ValueId id = 0;
       if (!ValueAt(a_star, p, reason_width, use_ids, &ps.abnormal_value, &id)) continue;
       scratch.active.push_back(p);
-      ps.abnormal_slot = FindSlot(&ps, ps.abnormal_value, id, use_ids, false);
-      const size_t k = ps.values.size();
-      ps.tabled = k - 1 < n;
-      ps.terms.resize(k);
-      ps.terms[kNoSlot] = 0.0;
-      for (size_t s = 1; s < k; ++s) {
-        if (s == ps.abnormal_slot) {
-          ps.terms[s] = 0.0;
-        } else if (ps.tabled) {
-          ps.terms[s] = NormalizedDistance(metric, ps.abnormal_value, ps.values[s]);
-        } else {
-          ps.terms[s] = NormalizedDistanceLowerBound(metric, ps.abnormal_value.size(),
-                                                     ps.values[s].size());
-        }
+      ps.abnormal_slot = ps.slots.Find(ps.abnormal_value, id, use_ids, false);
+      const size_t k = ps.slots.size();
+      const std::string_view value = ps.abnormal_value;
+      if (ps.tabled) {
+        scratch.active_tabled.push_back(p);
+        ps.terms = ps.kernel_rows.Row(value, id, use_ids, k, [&](size_t s) {
+          ++rec.kernel_calls;
+          return NormalizedDistance(metric, value, ps.slots.values[s]);
+        });
+      } else {
+        ps.terms = ps.length_rows.Row({}, static_cast<ValueId>(value.size()), true, k,
+                                      [&](size_t s) {
+                                        return NormalizedDistanceLowerBound(
+                                            metric, value.size(), ps.slots.values[s].size());
+                                      });
       }
+      ps.own_term = ps.terms[ps.abnormal_slot];
+      ps.terms[ps.abnormal_slot] = 0.0;
     }
 
-    // Lower bounds, folded in the exact distance's order: rounding is
-    // monotone, so each bound is <= the rounded exact distance.
-    size_t first = 0;
-    for (size_t c = 0; c < n; ++c) {
-      const uint32_t* row = scratch.slots.data() + c * num_pos;
+    // One bound per bucket: its tabled terms folded in the exact
+    // distance's order, bounded positions counted as 0. Rounding is
+    // monotone, so it is <= the bound of every member, and each member's
+    // bound (tabled terms and length bounds) is <= its rounded distance.
+    const size_t num_buckets = scratch.bucket_start.size() - 1;
+    scratch.bucket_bounds.resize(num_buckets);
+    size_t first_bucket = 0;
+    for (size_t b = 0; b < num_buckets; ++b) {
+      const uint32_t* row =
+          scratch.slots.data() + size_t{scratch.members[scratch.bucket_start[b]]} * num_pos;
       double total = 0.0;
-      for (size_t p : scratch.active) total += scratch.positions[p].terms[row[p]];
-      scratch.bounds[c] = total;
-      if (total < scratch.bounds[first]) first = c;
+      for (size_t p : scratch.active_tabled) total += scratch.positions[p].terms[row[p]];
+      scratch.bucket_bounds[b] = total;
+      if (total < scratch.bucket_bounds[first_bucket]) first_bucket = b;
     }
+    rec.bucket_bounds = num_buckets;
+
     // Lexicographic (distance, position) minimum, as the all-pairs scan's
     // strict `<` keeps: a candidate before the best may still win a tie,
-    // one after it must beat the best.
-    size_t best_pos = first;
-    double best = ExactDistance(scratch, scratch.slots.data() + first * num_pos, metric);
-    for (size_t c = 0; c < n; ++c) {
-      const double bound = scratch.bounds[c];
-      if (c == first || (c < best_pos ? bound > best : bound >= best)) continue;
-      const double d = ExactDistance(scratch, scratch.slots.data() + c * num_pos, metric);
-      if (d < best || (d == best && c < best_pos)) {
-        best = d;
-        best_pos = c;
+    // one after it must beat the best. The bucket of the smallest bound
+    // goes first and its smallest-bound member is evaluated exactly.
+    double best = std::numeric_limits<double>::infinity();
+    size_t best_pos = n;
+    auto scan_bucket = [&](size_t b) {
+      const uint32_t* begin = scratch.members.data() + scratch.bucket_start[b];
+      const uint32_t* end = scratch.members.data() + scratch.bucket_start[b + 1];
+      rec.candidate_bounds += static_cast<size_t>(end - begin);
+      for (const uint32_t* it = begin; it != end; ++it) {
+        const uint32_t* row = scratch.slots.data() + size_t{*it} * num_pos;
+        double total = 0.0;
+        for (size_t p : scratch.active) total += scratch.positions[p].terms[row[p]];
+        scratch.bounds[*it] = total;
       }
+      size_t first = n;
+      if (best_pos == n) {
+        first = *begin;
+        for (const uint32_t* it = begin; it != end; ++it) {
+          if (scratch.bounds[*it] < scratch.bounds[first]) first = *it;
+        }
+        best = ExactDistance(scratch, scratch.slots.data() + first * num_pos, metric,
+                             &rec.kernel_calls);
+        best_pos = first;
+        ++rec.exact_evaluations;
+      }
+      for (const uint32_t* it = begin; it != end; ++it) {
+        const size_t c = *it;
+        const double bound = scratch.bounds[c];
+        if (c == first || (c < best_pos ? bound > best : bound >= best)) continue;
+        const double d = ExactDistance(scratch, scratch.slots.data() + c * num_pos, metric,
+                                       &rec.kernel_calls);
+        ++rec.exact_evaluations;
+        if (d < best || (d == best && c < best_pos)) {
+          best = d;
+          best_pos = c;
+        }
+      }
+    };
+    scan_bucket(first_bucket);
+    // A bucket whose bound equals the best may still hold a tie that wins
+    // on position: only a strictly larger bound skips it.
+    for (size_t b = 0; b < num_buckets; ++b) {
+      if (b != first_bucket && scratch.bucket_bounds[b] <= best) scan_bucket(b);
+    }
+    for (size_t p : scratch.active) {
+      PositionSlots& ps = scratch.positions[p];
+      ps.terms[ps.abnormal_slot] = ps.own_term;
     }
 
     const size_t target_gi = normal_idx[best_pos];
-    rec.target_key = groups[target_gi].key;
-    rec.merged = true;
     scratch.merges.emplace_back(ai, target_gi);
+    if (report) {
+      describe(abnormal, &rec);
+      rec.target_key = groups[target_gi].key;
+      rec.merged = true;
+      rec.pairs = n;
+      report->agp.push_back(std::move(rec));
+    }
     // The target's γ* over its pieces followed by the merged-in ones
     // (Group::Star's first-maximum rule); reload its slots if it moved.
     const Piece* star = scratch.stars[best_pos];
     for (const Piece& piece : abnormal.pieces) {
       if (piece.support() > star->support()) star = &piece;
     }
-    if (star != scratch.stars[best_pos]) {
-      scratch.stars[best_pos] = star;
-      load_slots(best_pos);
+    if (star == scratch.stars[best_pos]) continue;
+    scratch.stars[best_pos] = star;
+    uint32_t* row = scratch.slots.data() + best_pos * num_pos;
+    std::copy(row, row + num_pos, scratch.old_slots.begin());
+    load_slots(best_pos);
+    // Rebuild the buckets when the reloaded candidate changed bucket or a
+    // tabled position grew to as many slots as there are candidates.
+    bool rebucket = false;
+    for (size_t p : scratch.bucket_positions) {
+      PositionSlots& ps = scratch.positions[p];
+      if (row[p] != scratch.old_slots[p]) rebucket = true;
+      if (ps.slots.size() - 1 >= n) {
+        ps.tabled = false;
+        rebucket = true;
+      }
     }
-    if (report) report->agp.push_back(std::move(rec));
+    if (rebucket) BuildBuckets(&scratch, n, num_pos);
   }
 
-  if (scratch.merges.empty()) return 0;
   scratch.remove.assign(groups.size(), 0);
   for (const auto& [ai, target_gi] : scratch.merges) {
     Group& abnormal = groups[ai];
@@ -268,8 +429,7 @@ void RunAgpAll(MlnIndex* index, const CleaningOptions& options, CleaningReport* 
   if (ctx.parallelism() <= 1 || num_blocks <= 1) {
     for (size_t bi = 0; bi < num_blocks; ++bi) {
       if (ctx.Stopped()) return;
-      size_t merged = RunAgp(&index->block(bi), options, report);
-      if (merged > 0) index->ReindexBlock(bi);
+      RunAgp(&index->block(bi), options, report);
       ctx.Tick(1);
     }
     return;
@@ -279,8 +439,7 @@ void RunAgpAll(MlnIndex* index, const CleaningOptions& options, CleaningReport* 
   std::vector<CleaningReport> local(report ? num_blocks : 0);
   ParallelFor(num_blocks, ctx, [&](size_t bi) {
     if (ctx.Stopped()) return;
-    size_t merged = RunAgp(&index->block(bi), options, report ? &local[bi] : nullptr);
-    if (merged > 0) index->ReindexBlock(bi);
+    RunAgp(&index->block(bi), options, report ? &local[bi] : nullptr);
     ctx.Tick(1);
   });
   if (report) {

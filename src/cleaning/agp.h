@@ -17,8 +17,11 @@
 // still win get an exact distance. Terms and bounds are folded in
 // PieceDistance's attribute order, skipping equal positions, so a bound
 // never exceeds the rounded distance it bounds and every comparison is
-// the one the all-pairs scan makes. A merge that changes the target's γ*
-// reloads only that target's slots.
+// the one the all-pairs scan makes. Term rows are computed once per block
+// and abnormal value (or length), and candidates are bucketed by their
+// tabled slots, so a whole bucket whose tabled terms alone exceed the
+// best is skipped. A merge that changes the target's γ* reloads only that
+// target's slots.
 
 #ifndef MLNCLEAN_CLEANING_AGP_H_
 #define MLNCLEAN_CLEANING_AGP_H_
@@ -35,7 +38,7 @@ namespace mlnclean {
 /// abnormal groups that were actually merged.
 size_t RunAgp(Block* block, const CleaningOptions& options, CleaningReport* report);
 
-/// Runs AGP over every block of the index and reindexes the group maps.
+/// Runs AGP over every block of the index.
 /// Blocks run in parallel on `ctx`'s executor (one progress unit per
 /// block); when `ctx` is stopped (cancelled or past its deadline), blocks
 /// not yet started are skipped (cooperative; the caller reports the

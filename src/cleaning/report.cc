@@ -12,8 +12,23 @@ size_t CleaningReport::NumDetectedAbnormalPieces() const {
 
 std::string CleaningReport::Summary() const {
   std::ostringstream out;
+  size_t pairs = 0;
+  size_t bucket_bounds = 0;
+  size_t candidate_bounds = 0;
+  size_t exact_evaluations = 0;
+  size_t kernel_calls = 0;
+  for (const auto& rec : agp) {
+    pairs += rec.pairs;
+    bucket_bounds += rec.bucket_bounds;
+    candidate_bounds += rec.candidate_bounds;
+    exact_evaluations += rec.exact_evaluations;
+    kernel_calls += rec.kernel_calls;
+  }
   out << "agp: " << agp.size() << " abnormal groups (" << NumDetectedAbnormalPieces()
-      << " pieces); rsc: " << rsc.size() << " replacements; fscr: ";
+      << " pieces; " << pairs << " pairs, " << bucket_bounds << " bucket bounds, "
+      << candidate_bounds << " candidate bounds, " << exact_evaluations
+      << " exact evaluations, " << kernel_calls << " kernel calls); rsc: " << rsc.size()
+      << " replacements; fscr: ";
   size_t conflicted = 0;
   size_t budget_exhausted = 0;
   size_t greedy = 0;

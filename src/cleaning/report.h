@@ -29,6 +29,16 @@ struct AgpMergeRecord {
   /// block had no normal group and the merge was skipped.
   std::vector<Value> target_key;
   bool merged = false;
+  /// Scan work (all 0 when the group was not merged): normal candidates
+  /// covered, bucket bounds and candidate bounds folded, exact γ*
+  /// distances, and kernel calls. Term rows are shared by the block's
+  /// abnormal groups; their kernel calls count for the first group that
+  /// needed them.
+  size_t pairs = 0;
+  size_t bucket_bounds = 0;
+  size_t candidate_bounds = 0;
+  size_t exact_evaluations = 0;
+  size_t kernel_calls = 0;
 };
 
 /// One RSC replacement: a losing γ rewritten to the group's winner.

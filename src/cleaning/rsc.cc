@@ -110,15 +110,12 @@ void RunRscGroupImpl(Group* group, size_t block_rule_index, const DistanceFn& di
 }
 
 // RSC over one block: one scratch for all of its groups.
-void RunRscBlock(MlnIndex* index, size_t block_index, const DistanceFn& dist,
-                 CleaningReport* report) {
-  Block& block = index->block(block_index);
+void RunRscBlock(Block* block, const DistanceFn& dist, CleaningReport* report) {
   RscScratch scratch;
   std::vector<double> scores;
-  for (Group& group : block.groups) {
-    RunRscGroupImpl(&group, block.rule_index, dist, report, &scratch, &scores);
+  for (Group& group : block->groups) {
+    RunRscGroupImpl(&group, block->rule_index, dist, report, &scratch, &scores);
   }
-  index->ReindexBlock(block_index);
 }
 
 }  // namespace
@@ -129,7 +126,7 @@ void RunRscAll(MlnIndex* index, const DistanceFn& dist, CleaningReport* report,
   if (ctx.parallelism() <= 1 || num_blocks <= 1) {
     for (size_t bi = 0; bi < num_blocks; ++bi) {
       if (ctx.Stopped()) return;
-      RunRscBlock(index, bi, dist, report);
+      RunRscBlock(&index->block(bi), dist, report);
       ctx.Tick(1);
     }
     return;
@@ -139,7 +136,7 @@ void RunRscAll(MlnIndex* index, const DistanceFn& dist, CleaningReport* report,
   std::vector<CleaningReport> local(report ? num_blocks : 0);
   ParallelFor(num_blocks, ctx, [&](size_t bi) {
     if (ctx.Stopped()) return;
-    RunRscBlock(index, bi, dist, report ? &local[bi] : nullptr);
+    RunRscBlock(&index->block(bi), dist, report ? &local[bi] : nullptr);
     ctx.Tick(1);
   });
   if (report) {

@@ -26,7 +26,7 @@ std::vector<double> ReliabilityScores(const Group& group, const DistanceFn& dist
 void RunRscGroup(Group* group, size_t block_rule_index, const DistanceFn& dist,
                  CleaningReport* report);
 
-/// Runs RSC over every group of every block and refreshes the group maps.
+/// Runs RSC over every group of every block.
 /// Blocks run in parallel on `ctx`'s executor (one progress unit per
 /// block); when `ctx` is stopped, blocks not yet started are skipped
 /// (cooperative; the caller reports the terminal Status).

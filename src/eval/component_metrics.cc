@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "cleaning/engine.h"
+#include "common/string_util.h"
 #include "index/mln_index.h"
 
 namespace mlnclean {
@@ -37,10 +38,6 @@ std::vector<Value> PluralityTruth(const GroundTruth& truth,
     }
   }
   return best == nullptr ? std::vector<Value>{} : *best;
-}
-
-std::string KeyOf(const std::vector<Value>& values) {
-  return MlnIndex::KeyOf(values);
 }
 
 }  // namespace
@@ -88,7 +85,7 @@ Result<ComponentEvaluation> EvaluateComponents(const Dataset& dirty,
       }
       gt.really_abnormal = !any_match;
       if (gt.really_abnormal) ++real_abnormal_total;
-      group_truth[bi].emplace(KeyOf(group.key), std::move(gt));
+      group_truth[bi].emplace(JoinKey(group.key), std::move(gt));
     }
   }
 
@@ -103,7 +100,7 @@ Result<ComponentEvaluation> EvaluateComponents(const Dataset& dirty,
   eval.dag = report.NumDetectedAbnormalPieces();
   for (const auto& rec : report.agp) {
     const auto& map = group_truth[rec.block];
-    auto it = map.find(KeyOf(rec.abnormal_key));
+    auto it = map.find(JoinKey(rec.abnormal_key));
     if (it == map.end()) continue;
     if (rec.merged && it->second.really_abnormal &&
         rec.target_key == it->second.plurality_reason) {

@@ -1,8 +1,8 @@
 #include "index/mln_index.h"
 
 #include <algorithm>
+#include <unordered_map>
 
-#include "common/string_util.h"
 #include "mln/ground_rule.h"
 
 namespace mlnclean {
@@ -14,6 +14,25 @@ namespace {
 Status CheckSameSchema(const Dataset& data, const RuleSet& rules) {
   if (data.schema() == rules.schema()) return Status::OK();
   return Status::Invalid("dataset schema does not match the rule set's schema");
+}
+
+// A block's groups by the hash of their reason ids (those of each group's
+// first γ, which in a pre-AGP index are its key's ids).
+using GroupsByReason = std::unordered_map<uint64_t, std::vector<size_t>>;
+
+// The group of `g`'s reason binding in `block`; a miss appends a new group
+// at the end of the block, where a cold build first sees that binding.
+// The caller adds `g`'s γ to the group before the next lookup.
+size_t GroupOf(const GroundRule& g, Block* block, GroupsByReason* by_reason) {
+  std::vector<size_t>& bucket = (*by_reason)[HashValueIds(g.reason_ids)];
+  for (size_t gi : bucket) {
+    if (block->groups[gi].pieces.front().reason_ids == g.reason_ids) return gi;
+  }
+  bucket.push_back(block->groups.size());
+  Group group;
+  group.key = g.reason;
+  block->groups.push_back(std::move(group));
+  return block->groups.size() - 1;
 }
 
 }  // namespace
@@ -48,16 +67,11 @@ size_t Block::PieceCount() const {
   return n;
 }
 
-std::string MlnIndex::KeyOf(const std::vector<Value>& values) {
-  return JoinKey(values);
-}
-
 Result<MlnIndex> MlnIndex::Build(const Dataset& data, const RuleSet& rules,
                                  const ExecContext& ctx) {
   MLN_RETURN_NOT_OK(CheckSameSchema(data, rules));
   MlnIndex index;
   index.blocks_.resize(rules.size());
-  index.group_maps_.resize(rules.size());
   // Each rule grounds and groups independently into its own slot; errors
   // are surfaced in rule order so the result is thread-count-agnostic.
   std::vector<Status> statuses(rules.size());
@@ -72,27 +86,10 @@ Result<MlnIndex> MlnIndex::Build(const Dataset& data, const RuleSet& rules,
     }
     Block& block = index.blocks_[ri];
     block.rule_index = ri;
-    auto& group_map = index.group_maps_[ri];
-    // Groups dedup on reason ids (γs carry them from grounding); the
-    // string key of the lookup map is built once per final group, for the
-    // FindGroup/ReindexBlock facade.
-    std::unordered_map<uint64_t, std::vector<size_t>> by_reason_ids;
+    // Groups dedup on reason ids (γs carry them from grounding).
+    GroupsByReason by_reason;
     for (auto& g : grounds.ValueUnsafe()) {
-      auto& bucket = by_reason_ids[HashValueIds(g.reason_ids)];
-      size_t group_idx = block.groups.size();
-      for (size_t gi : bucket) {
-        if (block.groups[gi].pieces.front().reason_ids == g.reason_ids) {
-          group_idx = gi;
-          break;
-        }
-      }
-      if (group_idx == block.groups.size()) {
-        bucket.push_back(group_idx);
-        group_map.emplace(KeyOf(g.reason), group_idx);
-        Group group;
-        group.key = g.reason;
-        block.groups.push_back(std::move(group));
-      }
+      const size_t group_idx = GroupOf(g, &block, &by_reason);
       Piece piece;
       piece.reason = std::move(g.reason);
       piece.result = std::move(g.result);
@@ -137,23 +134,18 @@ Status MlnIndex::AppendRows(const Dataset& data, const RuleSet& rules,
       return;
     }
     Block& block = blocks_[ri];
-    auto& group_map = group_maps_[ri];
+    // The lookup is built per call over the block as it is now, the way
+    // Build groups: ids keep their meaning across appends (dictionaries
+    // only grow).
+    GroupsByReason by_reason;
+    for (size_t gi = 0; gi < block.groups.size(); ++gi) {
+      by_reason[HashValueIds(block.groups[gi].pieces.front().reason_ids)].push_back(gi);
+    }
     for (auto& g : grounds.ValueUnsafe()) {
-      // Touch rule: locate the γ's group by reason key; a miss is a
-      // brand-new reason binding, appended where a cold build would have
-      // first seen it (the end of the block).
-      size_t group_idx = 0;
-      auto it = group_map.find(KeyOf(g.reason));
-      if (it != group_map.end()) {
-        group_idx = it->second;
-      } else {
-        group_idx = block.groups.size();
-        group_map.emplace(KeyOf(g.reason), group_idx);
-        Group group;
-        group.key = g.reason;
-        block.groups.push_back(std::move(group));
-      }
-      Group& group = block.groups[group_idx];
+      // Touch rule: locate the γ's group by reason binding; a miss is a
+      // brand-new one, appended where a cold build would have first seen
+      // it (the end of the block).
+      Group& group = block.groups[GroupOf(g, &block, &by_reason)];
       Piece* match = nullptr;
       for (Piece& piece : group.pieces) {
         if (piece.reason_ids == g.reason_ids &&
@@ -254,19 +246,16 @@ Status MlnIndex::Validate(const Dataset& data, const RuleSet& rules) const {
 MlnIndex MlnIndex::FromBlocks(std::vector<Block> blocks) {
   MlnIndex index;
   index.blocks_ = std::move(blocks);
-  index.group_maps_.resize(index.blocks_.size());
-  for (size_t bi = 0; bi < index.blocks_.size(); ++bi) index.ReindexBlock(bi);
   return index;
 }
 
 Result<size_t> MlnIndex::FindGroup(size_t block_index,
                                    const std::vector<Value>& key) const {
-  const auto& map = group_maps_[block_index];
-  auto it = map.find(KeyOf(key));
-  if (it == map.end()) {
-    return Status::NotFound("no group for the given reason key");
+  const std::vector<Group>& groups = blocks_[block_index].groups;
+  for (size_t gi = 0; gi < groups.size(); ++gi) {
+    if (groups[gi].key == key) return gi;
   }
-  return it->second;
+  return Status::NotFound("no group for the given reason key");
 }
 
 void MlnIndex::LearnBlockWeights(Block* block, const WeightLearnerOptions& options) {
@@ -313,15 +302,6 @@ void MlnIndex::AssignPriorWeights() {
     }
     std::vector<double> prior = PriorWeights(counts);
     for (size_t i = 0; i < pieces.size(); ++i) pieces[i]->weight = prior[i];
-  }
-}
-
-void MlnIndex::ReindexBlock(size_t block_index) {
-  auto& map = group_maps_[block_index];
-  map.clear();
-  const Block& block = blocks_[block_index];
-  for (size_t gi = 0; gi < block.groups.size(); ++gi) {
-    map.emplace(KeyOf(block.groups[gi].key), gi);
   }
 }
 

@@ -7,8 +7,6 @@
 #ifndef MLNCLEAN_INDEX_MLN_INDEX_H_
 #define MLNCLEAN_INDEX_MLN_INDEX_H_
 
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/executor.h"
@@ -70,7 +68,8 @@ class MlnIndex {
   /// whole dataset would produce, so the appended index is bit-identical
   /// to that cold build. `data` must be the same dataset the index was
   /// built over plus the appended rows (same dictionaries; Append only
-  /// grows them, so existing ids are stable). Weights of touched γs are
+  /// grows them, so existing ids are stable): groups are found by their
+  /// first γ's reason ids, as Build groups them. Weights of touched γs are
   /// stale after an append; callers re-run the learn stage downstream.
   /// When `ctx` is stopped mid-append the index is left partially
   /// appended — callers must treat it as unusable (sessions go terminal).
@@ -85,7 +84,7 @@ class MlnIndex {
   Status Validate(const Dataset& data, const RuleSet& rules) const;
 
   /// Reassembles an index from externally decoded blocks (the snapshot
-  /// loader) and rebuilds the per-block group maps.
+  /// loader).
   static MlnIndex FromBlocks(std::vector<Block> blocks);
 
   size_t num_blocks() const { return blocks_.size(); }
@@ -94,8 +93,10 @@ class MlnIndex {
   const std::vector<Block>& blocks() const { return blocks_; }
   std::vector<Block>& blocks() { return blocks_; }
 
-  /// Looks up the group with the given reason key; NotFound if absent or
-  /// merged away.
+  /// Looks up the first group of the block with the given reason key;
+  /// NotFound if absent or merged away. A scan of the block's groups: it
+  /// reads the groups as they are, whatever mutated them, and never writes,
+  /// so concurrent calls on a shared const index are safe.
   Result<size_t> FindGroup(size_t block_index, const std::vector<Value>& key) const;
 
   /// Learns MLN weights for every γ of every block: Eq. 4 priors refined
@@ -114,17 +115,8 @@ class MlnIndex {
   /// ablation counterpart of LearnWeights.
   void AssignPriorWeights();
 
-  /// Rebuilds the key -> group map of a block after external mutation
-  /// (AGP merges groups in place).
-  void ReindexBlock(size_t block_index);
-
-  /// Hash key for a reason-value vector (exposed for reuse by cleaners).
-  static std::string KeyOf(const std::vector<Value>& values);
-
  private:
   std::vector<Block> blocks_;
-  // Per block: reason key -> index into block.groups.
-  std::vector<std::unordered_map<std::string, size_t>> group_maps_;
 };
 
 }  // namespace mlnclean

@@ -29,7 +29,11 @@ struct WeightLearnerOptions {
   /// Newton step damping. The diagonal approximation ignores the softmax
   /// cross-coupling (moving every group member at once roughly doubles the
   /// intended effect), so an undamped step oscillates; 0.5 compensates
-  /// exactly for two-member groups and converges for larger ones.
+  /// exactly for two-member groups, which settle to a fixed point or a
+  /// ulp-level cycle. Groups of three or more members do not reach
+  /// `tolerance` at this damping: their weights still move (steps of
+  /// 1e-5 to 1e-3) when `max_iterations` stops the solve, and nothing
+  /// reports that the cap was hit.
   double damping = 0.5;
 };
 

@@ -87,7 +87,6 @@ CleaningReport ReferenceAgp(MlnIndex* index, size_t tau, DistanceMetric metric,
       if (!remove[gi]) kept.push_back(std::move(block.groups[gi]));
     }
     block.groups = std::move(kept);
-    index->ReindexBlock(bi);
   }
   return report;
 }
@@ -116,7 +115,7 @@ void ExpectSameGroups(const MlnIndex& got, const MlnIndex& want) {
     for (size_t gi = 0; gi < w.size(); ++gi) {
       SCOPED_TRACE("block " + std::to_string(bi) + " group " + std::to_string(gi));
       EXPECT_EQ(g[gi].key, w[gi].key);
-      // The group map was rebuilt over the surviving groups.
+      // FindGroup reads the surviving groups, with no reindex step.
       const Result<size_t> found = got.FindGroup(bi, w[gi].key);
       ASSERT_TRUE(found.ok());
       EXPECT_EQ(*found, gi);
@@ -309,18 +308,48 @@ TEST(AgpOracleTest, HandBuiltIdLessBlocksMatchReference) {
   EXPECT_GT(total.star_changes, 50u);
 }
 
-Group MakeGroup(const std::string& key, const std::vector<std::pair<std::string, size_t>>& pieces,
-                TupleId* next_tuple) {
+// A group keyed by `key` holding one id-less γ per (result values,
+// support) pair.
+Group MakeGroupOf(const std::vector<Value>& key,
+                  const std::vector<std::pair<std::vector<Value>, size_t>>& pieces,
+                  TupleId* next_tuple) {
   Group group;
-  group.key = {key};
+  group.key = key;
   for (const auto& [result, support] : pieces) {
     Piece piece;
-    piece.reason = {key};
-    piece.result = {result};
+    piece.reason = key;
+    piece.result = result;
     for (size_t t = 0; t < support; ++t) piece.tuples.push_back((*next_tuple)++);
     group.pieces.push_back(std::move(piece));
   }
   return group;
+}
+
+Group MakeGroup(const std::string& key, const std::vector<std::pair<std::string, size_t>>& pieces,
+                TupleId* next_tuple) {
+  std::vector<std::pair<std::vector<Value>, size_t>> wide;
+  for (const auto& [result, support] : pieces) wide.push_back({{result}, support});
+  return MakeGroupOf({key}, wide, next_tuple);
+}
+
+MlnIndex OneBlock(std::vector<Group> groups) {
+  std::vector<Block> blocks(1);
+  blocks[0].groups = std::move(groups);
+  return MlnIndex::FromBlocks(std::move(blocks));
+}
+
+// The targets RunAgpAll picks under `metric`, in record order.
+std::vector<std::vector<Value>> Targets(const MlnIndex& index, size_t tau,
+                                        DistanceMetric metric) {
+  MlnIndex got = index;
+  CleaningOptions options;
+  options.agp_threshold = tau;
+  options.distance = metric;
+  CleaningReport report;
+  RunAgpAll(&got, options, &report);
+  std::vector<std::vector<Value>> targets;
+  for (const AgpMergeRecord& rec : report.agp) targets.push_back(rec.target_key);
+  return targets;
 }
 
 TEST(AgpOracleTest, MergeThatChangesTheTargetsStarSteersTheNextMerge) {
@@ -380,6 +409,129 @@ TEST(AgpOracleTest, TiesGoToTheEarliestNormalGroup) {
     RunAgpAll(&got, options, &report);
     ASSERT_EQ(report.agp.size(), 1u);
     EXPECT_EQ(report.agp[0].target_key, (std::vector<Value>{"abbb"}));
+  }
+}
+
+// The cases below pin the scan's bookkeeping: term rows cached per block
+// and extended by star reloads, the own slot of each abnormal γ* read as
+// 0, buckets rebuilt when a candidate's tabled slots change, and bucket
+// bounds that skip only on a strict `>`. Distances quoted are normalized
+// Levenshtein (and Damerau: no transpositions occur).
+
+TEST(AgpOracleTest, StarReloadExtendsCachedRowsAndRebucketsTheTarget) {
+  // τ = 2. The result position is tabled (3 values, 5 candidates); the
+  // buckets are {G0, G1} on "x", {G2, G4} on "y", {G3} on "xy". A0 caches
+  // the "x" row over {x, y, xy}. A1 merges into G0 and, with two tuples,
+  // becomes its γ*: a new slot "z" extends every row and G0 moves to its
+  // own bucket. A2 is 0.25 from G1 and 0.75 from G3. Were G0 still G1's
+  // bucket representative, that bucket's bound would read 1 (x vs z), and
+  // G3's 0.75 would skip G1.
+  TupleId next = 0;
+  std::vector<Group> groups;
+  groups.push_back(MakeGroupOf({"aaaa"}, {{{"x"}, 1}, {{"w"}, 1}, {{"v"}, 1}}, &next));
+  groups.push_back(MakeGroupOf({"bbbb"}, {{{"x"}, 3}}, &next));
+  groups.push_back(MakeGroupOf({"cccc"}, {{{"y"}, 3}}, &next));
+  groups.push_back(MakeGroupOf({"bbcc"}, {{{"xy"}, 3}}, &next));
+  groups.push_back(MakeGroupOf({"eeee"}, {{{"y"}, 3}}, &next));
+  groups.push_back(MakeGroupOf({"gggg"}, {{{"x"}, 1}}, &next));  // A0
+  groups.push_back(MakeGroupOf({"aaab"}, {{{"z"}, 2}}, &next));  // A1
+  groups.push_back(MakeGroupOf({"bbbc"}, {{{"x"}, 1}}, &next));  // A2
+  const MlnIndex index = OneBlock(std::move(groups));
+  for (DistanceMetric metric : kMetrics) {
+    const RefStats stats = ExpectMatchesReference(index, 2, metric, "reload");
+    EXPECT_EQ(stats.star_changes, 1u);
+  }
+  const std::vector<std::vector<Value>> want = {{"aaaa"}, {"aaaa"}, {"bbbb"}};
+  EXPECT_EQ(Targets(index, 2, DistanceMetric::kLevenshtein), want);
+}
+
+TEST(AgpOracleTest, ValueThatBecameASlotMidBlockReadsZeroOnItsOwnSlot) {
+  // τ = 2; both positions are bounded (as many values as candidates). A0
+  // caches the length-4 bound row of the result position. A1 merges into
+  // G1 and becomes its γ* ("ccccccccdd", "zzzz"), so "zzzz" is a slot from
+  // then on. A2 holds "zzzz" too: its own slot in the shared length-4 row
+  // holds the bound 0.25 for unequal values and must read 0. A2 is 0.2
+  // from G1 and 0.35 from G2; with 0.25 added, G2 would win.
+  TupleId next = 0;
+  std::vector<Group> groups;
+  groups.push_back(MakeGroupOf({"aaaaaaaaaa"}, {{{"pppp"}, 3}}, &next));
+  groups.push_back(
+      MakeGroupOf({"ccccccccdx"}, {{{"zzzw"}, 1}, {{"zzzv"}, 1}, {{"zzzu"}, 1}}, &next));
+  groups.push_back(MakeGroupOf({"ccccccccce"}, {{{"zzzq"}, 3}}, &next));
+  groups.push_back(MakeGroupOf({"bbbbbbbbbb"}, {{{"tttt"}, 1}}, &next));  // A0
+  groups.push_back(MakeGroupOf({"ccccccccdd"}, {{{"zzzz"}, 2}}, &next));  // A1
+  groups.push_back(MakeGroupOf({"cccccccccc"}, {{{"zzzz"}, 1}}, &next));  // A2
+  const MlnIndex index = OneBlock(std::move(groups));
+  for (DistanceMetric metric : kMetrics) {
+    const RefStats stats = ExpectMatchesReference(index, 2, metric, "own slot");
+    EXPECT_EQ(stats.star_changes, 1u);
+  }
+  const std::vector<std::vector<Value>> want = {
+      {"aaaaaaaaaa"}, {"ccccccccdx"}, {"ccccccccdx"}};
+  EXPECT_EQ(Targets(index, 2, DistanceMetric::kLevenshtein), want);
+}
+
+TEST(AgpOracleTest, TabledPositionFlipsToBoundedAsItsSlotsGrow) {
+  // τ = 2. The result position starts tabled (2 values, 3 candidates). A1
+  // becomes G0's γ* and adds "z": 3 values for 3 candidates, so from A2
+  // on it is bounded and A0's cached kernel row gives way to length rows.
+  TupleId next = 0;
+  std::vector<Group> groups;
+  groups.push_back(MakeGroupOf({"aaaa"}, {{{"x"}, 1}, {{"w"}, 1}, {{"v"}, 1}}, &next));
+  groups.push_back(MakeGroupOf({"bbbb"}, {{{"x"}, 3}}, &next));
+  groups.push_back(MakeGroupOf({"cccc"}, {{{"y"}, 3}}, &next));
+  groups.push_back(MakeGroupOf({"gggg"}, {{{"zz"}, 1}}, &next));  // A0
+  groups.push_back(MakeGroupOf({"aaab"}, {{{"z"}, 2}}, &next));   // A1
+  groups.push_back(MakeGroupOf({"aabb"}, {{{"zz"}, 1}}, &next));  // A2
+  groups.push_back(MakeGroupOf({"cccd"}, {{{"y"}, 1}}, &next));   // A3
+  const MlnIndex index = OneBlock(std::move(groups));
+  for (DistanceMetric metric : kMetrics) {
+    const RefStats stats = ExpectMatchesReference(index, 2, metric, "flip");
+    EXPECT_EQ(stats.star_changes, 1u);
+  }
+  const std::vector<std::vector<Value>> want = {{"aaaa"}, {"aaaa"}, {"aaaa"}, {"cccc"}};
+  EXPECT_EQ(Targets(index, 2, DistanceMetric::kLevenshtein), want);
+}
+
+TEST(AgpOracleTest, RaggedBlockSignaturesHoldNoSlot) {
+  // Two tabled result positions; G0's γ* has only the first, so its
+  // bucket signature is (x, no slot) and that position costs it 0. A1
+  // lacks the second position itself.
+  TupleId next = 0;
+  std::vector<Group> groups;
+  groups.push_back(MakeGroupOf({"aaaa"}, {{{"x"}, 3}}, &next));
+  groups.push_back(MakeGroupOf({"bbbb"}, {{{"x", "m"}, 3}}, &next));
+  groups.push_back(MakeGroupOf({"cccc"}, {{{"y", "m"}, 3}}, &next));
+  groups.push_back(MakeGroupOf({"dddd"}, {{{"x", "n"}, 3}}, &next));
+  groups.push_back(MakeGroupOf({"aaab"}, {{{"x", "n"}, 1}}, &next));  // A0
+  groups.push_back(MakeGroupOf({"bbbc"}, {{{"y"}, 1}}, &next));       // A1
+  const MlnIndex index = OneBlock(std::move(groups));
+  for (DistanceMetric metric : kMetrics) ExpectMatchesReference(index, 2, metric, "ragged");
+  const std::vector<std::vector<Value>> want = {{"aaaa"}, {"cccc"}};
+  EXPECT_EQ(Targets(index, 2, DistanceMetric::kLevenshtein), want);
+}
+
+TEST(AgpOracleTest, BucketBoundEqualToTheBestIsStillScanned) {
+  // τ = 1. Reason = (tabled, bounded); the abnormal key is
+  // ("aaaa", "kkkk"). G1 and G2 share the first reason value "aaab", so
+  // their bucket has the smallest bound (0.25) and is scanned first: G1
+  // is exactly 0.25 + 0.25 = 0.5. G0's bucket bound is 0.5 (aaaa vs
+  // aabb) and G0 is exactly 0.5 too (its "kkkk" is the abnormal's own
+  // slot), so it ties the best and wins on position. A bucket skipped on
+  // `>=` would hand the merge to G1.
+  TupleId next = 0;
+  std::vector<Group> groups;
+  groups.push_back(MakeGroupOf({"aabb", "kkkk"}, {{{"r"}, 2}}, &next));
+  groups.push_back(MakeGroupOf({"aaab", "kkkj"}, {{{"r"}, 2}}, &next));
+  groups.push_back(MakeGroupOf({"aaab", "zzzz"}, {{{"r"}, 2}}, &next));
+  groups.push_back(MakeGroupOf({"aaaa", "kkkk"}, {{{"r"}, 1}}, &next));
+  const MlnIndex index = OneBlock(std::move(groups));
+  for (DistanceMetric metric : kMetrics) {
+    const RefStats stats = ExpectMatchesReference(index, 1, metric, "bucket tie");
+    if (metric == DistanceMetric::kCosine) continue;
+    EXPECT_EQ(stats.ties, 1u);
+    const std::vector<std::vector<Value>> want = {{"aabb", "kkkk"}};
+    EXPECT_EQ(Targets(index, 1, metric), want);
   }
 }
 

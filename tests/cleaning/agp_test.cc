@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "datagen/car.h"
 #include "datagen/sample.h"
+#include "errorgen/injector.h"
 
 namespace mlnclean {
 namespace {
@@ -99,6 +103,54 @@ TEST(AgpTest, NullReportIsAllowed) {
   f.options.agp_threshold = 1;
   RunAgpAll(&f.index, f.options, nullptr);
   EXPECT_EQ(f.index.block(0).groups.size(), 2u);
+}
+
+TEST(AgpTest, ScanWorkTotalsArePinned) {
+  // CAR with 3,000 rows, table 0 at seed 42, τ = 2 (bench/e2e's car_batch
+  // table 0), where one block holds ~260 abnormal and 300 normal groups.
+  // The totals pin how much of the scan the term-row caches and the
+  // bucket bounds save: a change to how the scan gets to its merges must
+  // say what it does to them.
+  CarConfig config;
+  config.num_rows = 3000;
+  Workload wl = *MakeCarWorkload(config);
+  ErrorSpec spec;
+  spec.error_rate = 0.05;
+  spec.replacement_ratio = 0.5;
+  spec.seed = 42;
+  Dataset dirty = InjectErrors(wl.clean, wl.rules, spec)->dirty;
+  const MlnIndex base = *MlnIndex::Build(dirty, wl.rules);
+  CleaningOptions options;
+  options.agp_threshold = 2;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    PoolExecutor pool(threads);
+    ExecContext ctx;
+    if (threads > 1) ctx.executor = &pool;
+    MlnIndex index = base;
+    CleaningReport report;
+    RunAgpAll(&index, options, &report, ctx);
+    size_t pairs = 0;
+    size_t bucket_bounds = 0;
+    size_t candidate_bounds = 0;
+    size_t exact_evaluations = 0;
+    size_t kernel_calls = 0;
+    for (const AgpMergeRecord& rec : report.agp) {
+      pairs += rec.pairs;
+      bucket_bounds += rec.bucket_bounds;
+      candidate_bounds += rec.candidate_bounds;
+      exact_evaluations += rec.exact_evaluations;
+      kernel_calls += rec.kernel_calls;
+    }
+    EXPECT_EQ(report.agp.size(), 268u) << "threads " << threads;
+    EXPECT_EQ(pairs, 78636u) << "threads " << threads;
+    EXPECT_EQ(bucket_bounds, 18882u) << "threads " << threads;
+    EXPECT_EQ(candidate_bounds, 2645u) << "threads " << threads;
+    EXPECT_EQ(exact_evaluations, 910u) << "threads " << threads;
+    EXPECT_EQ(kernel_calls, 1236u) << "threads " << threads;
+    EXPECT_NE(report.Summary().find(std::to_string(candidate_bounds) + " candidate bounds"),
+              std::string::npos)
+        << report.Summary();
+  }
 }
 
 }  // namespace

@@ -75,7 +75,6 @@ TEST(FscrTest, TupleWithNoVersionsKeepsValues) {
   index.LearnWeights();
   // Hack: pretend `other`'s pieces cover no tuple of `d` by clearing them.
   index.block(0).groups.clear();
-  index.ReindexBlock(0);
   Dataset cleaned = d.Clone();
   CleaningOptions options;
   CleaningReport report;

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "cleaning/agp.h"
+#include "cleaning/rsc.h"
 #include "datagen/sample.h"
 
 namespace mlnclean {
@@ -83,17 +89,120 @@ TEST(MlnIndexTest, LearnedWeightsOrderBySupportWithinGroup) {
   EXPECT_GT(g13.pieces[1].weight, g13.pieces[0].weight);  // AL beats AK
 }
 
-TEST(MlnIndexTest, ReindexAfterMutation) {
+TEST(MlnIndexTest, FindGroupSeesMutationWithoutReindex) {
   MlnIndex index = BuildSampleIndex();
   Block& b1 = index.block(0);
-  // Merge group 1 (DOTH) into group 0 (DOTHAN) manually.
+  // Merge group 1 (DOTH) into group 0 (DOTHAN) manually: lookups read the
+  // groups as they are, so no reindex step follows.
   for (auto& piece : b1.groups[1].pieces) {
     b1.groups[0].pieces.push_back(std::move(piece));
   }
   b1.groups.erase(b1.groups.begin() + 1);
-  index.ReindexBlock(0);
   EXPECT_TRUE(index.FindGroup(0, {"DOTH"}).status().IsNotFound());
   EXPECT_EQ(*index.FindGroup(0, {"BOAZ"}), 1u);
+  // A duplicated key answers with its first group, as a first-wins map
+  // would.
+  b1.groups.push_back(b1.groups[0]);
+  EXPECT_EQ(*index.FindGroup(0, {"DOTHAN"}), 0u);
+}
+
+// Every group of every block is found at its own position (keys are
+// unique in these indexes).
+void ExpectEveryGroupFound(const MlnIndex& index) {
+  for (size_t bi = 0; bi < index.num_blocks(); ++bi) {
+    const std::vector<Group>& groups = index.block(bi).groups;
+    for (size_t gi = 0; gi < groups.size(); ++gi) {
+      const Result<size_t> found = index.FindGroup(bi, groups[gi].key);
+      ASSERT_TRUE(found.ok()) << "block " << bi << " group " << gi;
+      EXPECT_EQ(*found, gi) << "block " << bi;
+    }
+  }
+}
+
+TEST(MlnIndexTest, FindGroupAfterAgpRscAndFromBlocks) {
+  MlnIndex index = BuildSampleIndex();
+  CleaningOptions options;
+  options.agp_threshold = 1;
+  RunAgpAll(&index, options, nullptr);
+  ExpectEveryGroupFound(index);
+  // G12 (DOTH) merged into G11; G13 moved up to position 1.
+  EXPECT_TRUE(index.FindGroup(0, {"DOTH"}).status().IsNotFound());
+  EXPECT_EQ(*index.FindGroup(0, {"BOAZ"}), 1u);
+
+  index.LearnWeights();
+  RunRscAll(&index, MakeDistanceFn(options.distance), nullptr);
+  ExpectEveryGroupFound(index);
+  // RSC rekeys each group by its winner's reason values.
+  for (size_t bi = 0; bi < index.num_blocks(); ++bi) {
+    for (const Group& group : index.block(bi).groups) {
+      EXPECT_EQ(group.key, group.pieces.front().reason);
+    }
+  }
+
+  const MlnIndex rebuilt = MlnIndex::FromBlocks(index.blocks());
+  ExpectEveryGroupFound(rebuilt);
+  EXPECT_TRUE(rebuilt.FindGroup(2, {"NOWHERE", "AT ALL"}).status().IsNotFound());
+}
+
+TEST(MlnIndexTest, AppendRowsOnFromBlocksBaseEqualsColdBuild) {
+  // The snapshot path: a base reassembled from decoded blocks has no
+  // lookup state of its own, and appending to it must still land every γ
+  // where a cold build over all rows puts it.
+  Dataset dirty = *SampleHospitalDirty();
+  RuleSet rules = *SampleHospitalRules();
+  const MlnIndex cold = *MlnIndex::Build(dirty, rules);
+  for (size_t cut = 0; cut <= dirty.num_rows(); ++cut) {
+    SCOPED_TRACE("cut " + std::to_string(cut));
+    const MlnIndex prefix = *MlnIndex::Build(dirty.Slice(0, cut), rules);
+    MlnIndex base = MlnIndex::FromBlocks(prefix.blocks());
+    ASSERT_TRUE(base.AppendRows(dirty, rules, cut).ok());
+    ASSERT_EQ(base.num_blocks(), cold.num_blocks());
+    for (size_t bi = 0; bi < cold.num_blocks(); ++bi) {
+      const std::vector<Group>& got = base.block(bi).groups;
+      const std::vector<Group>& want = cold.block(bi).groups;
+      ASSERT_EQ(got.size(), want.size()) << "block " << bi;
+      for (size_t gi = 0; gi < want.size(); ++gi) {
+        EXPECT_EQ(got[gi].key, want[gi].key);
+        ASSERT_EQ(got[gi].pieces.size(), want[gi].pieces.size());
+        for (size_t pi = 0; pi < want[gi].pieces.size(); ++pi) {
+          const Piece& g = got[gi].pieces[pi];
+          const Piece& w = want[gi].pieces[pi];
+          EXPECT_EQ(g.reason, w.reason);
+          EXPECT_EQ(g.result, w.result);
+          EXPECT_EQ(g.tuples, w.tuples);
+          EXPECT_EQ(g.reason_ids, w.reason_ids);
+          EXPECT_EQ(g.result_ids, w.result_ids);
+        }
+      }
+    }
+    ExpectEveryGroupFound(base);
+  }
+}
+
+TEST(MlnIndexTest, ConcurrentFindGroupOnConstIndex) {
+  // A served model's snapshot index is shared read-only by every session:
+  // FindGroup must not write anything (TSan checks this suite).
+  MlnIndex built = BuildSampleIndex();
+  CleaningOptions options;
+  options.agp_threshold = 1;
+  RunAgpAll(&built, options, nullptr);
+  const MlnIndex& index = built;
+  std::vector<std::thread> threads;
+  std::vector<size_t> found(4, 0);
+  for (size_t t = 0; t < found.size(); ++t) {
+    threads.emplace_back([&index, &found, t] {
+      for (int round = 0; round < 200; ++round) {
+        for (size_t bi = 0; bi < index.num_blocks(); ++bi) {
+          for (const Group& group : index.block(bi).groups) {
+            if (index.FindGroup(bi, group.key).ok()) ++found[t];
+          }
+          if (index.FindGroup(bi, {"NOWHERE"}).ok()) --found[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t count : found) EXPECT_EQ(count, 200u * 5u);  // 2 + 2 + 1 groups
 }
 
 TEST(MlnIndexTest, GeneralDcRejectedAtBuild) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/random.h"
@@ -86,6 +87,29 @@ TEST(LearnWeightsTest, ZeroIterationsReturnsPrior) {
   opts.max_iterations = 0;
   std::vector<double> w = LearnWeights(counts, groups, opts);
   EXPECT_EQ(w, PriorWeights(counts));
+}
+
+TEST(LearnWeightsTest, ThreeMemberGroupStillMovesAtTheIterationCap) {
+  // Characterization, not a contract: under the default options a group
+  // of three or more members does not reach the tolerance, so the learner
+  // stops at max_iterations with weights still moving. One more iteration
+  // changes a weight by more than the tolerance.
+  std::vector<double> counts{6, 3, 1};
+  std::vector<std::vector<size_t>> groups{{0, 1, 2}};
+  WeightLearnerOptions at_cap;
+  WeightLearnerOptions one_more;
+  one_more.max_iterations = at_cap.max_iterations + 1;
+  const std::vector<double> w = LearnWeights(counts, groups, at_cap);
+  const std::vector<double> next = LearnWeights(counts, groups, one_more);
+  double max_delta = 0.0;
+  for (size_t i = 0; i < w.size(); ++i) max_delta = std::max(max_delta, std::fabs(next[i] - w[i]));
+  EXPECT_GT(max_delta, at_cap.tolerance);
+  // A two-member group does settle before the cap.
+  WeightLearnerOptions pair_cap;
+  const std::vector<double> pair = LearnWeights({6, 3}, {{0, 1}}, pair_cap);
+  pair_cap.max_iterations = 1000;
+  const std::vector<double> pair_long = LearnWeights({6, 3}, {{0, 1}}, pair_cap);
+  for (size_t i = 0; i < pair.size(); ++i) EXPECT_NEAR(pair[i], pair_long[i], 1e-12);
 }
 
 TEST(LearnWeightsTest, MultipleGroupsLearnedIndependently) {
