@@ -322,7 +322,7 @@ Status CleanSession::RunStage(Stage stage, const ExecContext& ctx) {
         }
       }
       if (options.learn_weights && !reused) {
-        index_.LearnWeights(options.learner, ctx);
+        index_.LearnWeights(ctx);
       }
       // Only freshly learned weights enter the store: contributing reused
       // weights would re-average the store with its own output, and
@@ -345,12 +345,7 @@ Status CleanSession::RunStage(Stage stage, const ExecContext& ctx) {
       RunFscr(*dirty_, model_->rules, index(), options, &cleaned_, report, ctx);
       return Status::OK();
     case Stage::kDedup:
-      if (options.remove_duplicates) {
-        deduped_ = RemoveDuplicates(cleaned_,
-                                    report ? &report->duplicates : nullptr, ctx);
-      } else {
-        deduped_ = cleaned_;
-      }
+      deduped_ = RemoveDuplicates(cleaned_, report ? &report->duplicates : nullptr, ctx);
       return Status::OK();
   }
   return Status::Internal("unknown stage");

@@ -12,6 +12,12 @@ namespace mlnclean {
 
 namespace {
 
+// A tuple with at most this many versions is searched exhaustively; one
+// with more is fused greedily. The paper's rule sets have at most 7
+// rules, hence at most 7 versions per tuple, and 7 versions bound the
+// search at the sum of 7!/(7-k)! over k = 0..7, i.e. 13,700 nodes.
+constexpr size_t kMaxExhaustiveFusion = 7;
+
 // 64-bit finalizer (MurmurHash3's fmix64).
 uint64_t Mix(uint64_t x) {
   x ^= x >> 33;
@@ -413,21 +419,21 @@ bool IndexConflicts(const std::vector<Version>& versions, FusionWorkspace* ws,
 // and (0.3+0.2)+0.1 differ in the last bit.
 //
 // A search that tracks conflicts (`track`: the tuple's versions conflict
-// pairwise and it is searched exhaustively, so it has at most 31
-// versions) keeps, beside the stack, the mask of versions its cells
-// conflict with and the XOR of its cells' hash words; a version's
-// conflict check is then one bit, and the memo hash costs three words.
+// pairwise and it is searched exhaustively, so it has at most
+// kMaxExhaustiveFusion versions) keeps, beside the stack, the mask of
+// versions its cells conflict with and the XOR of its cells' hash words;
+// a version's conflict check is then one bit, and the memo hash costs
+// three words.
 // Every other search (the conflict-free root, the greedy path) tests
 // versions cell by cell.
 class FusionSearch {
  public:
   FusionSearch(const std::vector<Version>& versions,
-               const std::vector<BlockCandidates>& candidates, size_t node_budget,
-               bool prune, bool track, const Dataset& dirty, TupleId tid,
-               double minimality_discount, FusionWorkspace* ws)
+               const std::vector<BlockCandidates>& candidates, bool prune, bool track,
+               const Dataset& dirty, TupleId tid, double minimality_discount,
+               FusionWorkspace* ws)
       : versions_(versions),
         candidates_(candidates),
-        node_budget_(node_budget),
         prune_(prune),
         track_(track),
         dirty_(dirty),
@@ -439,11 +445,11 @@ class FusionSearch {
   // 0 when every merge order fails; the fusion is left in ws->best.
   double Run() {
     if (prune_ && track_) ws_.memo.Clear();
-    Explore(FullMask(), 1.0);
+    Explore((uint32_t{1} << versions_.size()) - 1, 1.0);
     return best_f_;
   }
 
-  // Fallback for tuples with more versions than the exhaustive cap: merge
+  // Fallback for tuples with more than kMaxExhaustiveFusion versions: merge
   // in descending-weight order with the same substitution rule. Returns
   // the f-score (<= 0 when the order fails); the fusion is left in
   // ws->best.
@@ -470,20 +476,12 @@ class FusionSearch {
     return f;
   }
 
-  // True when the node budget cut the exhaustive search short.
-  bool truncated() const { return truncated_; }
-
   // Work counters (FscrRecord::nodes, dominance_hits, substitutions).
   size_t nodes() const { return nodes_; }
   size_t dominance_hits() const { return dominance_hits_; }
   size_t substitutions() const { return substitutions_; }
 
  private:
-  uint32_t FullMask() const {
-    return versions_.size() >= 32 ? ~uint32_t{0}
-                                  : ((uint32_t{1} << versions_.size()) - 1);
-  }
-
   // f-score of the complete fusion on the stack: the Eq. 5 weight product
   // times the minimality discount raised to the total *normalized edit
   // distance* between the fusion and the tuple's current values.
@@ -627,11 +625,6 @@ class FusionSearch {
   }
 
   void Explore(uint32_t remaining, double f) {
-    if (node_budget_ == 0) {
-      truncated_ = true;
-      return;
-    }
-    --node_budget_;
     ++nodes_;
     if (remaining == 0) {
       Consider(f);
@@ -659,10 +652,6 @@ class FusionSearch {
     }
     for (uint32_t m = remaining; m != 0; m &= m - 1) {
       const size_t j = static_cast<size_t>(__builtin_ctz(m));
-      if (node_budget_ == 0) {
-        truncated_ = true;
-        return;
-      }
       double w = 0.0;
       if (!Merge<true>(j, &w)) continue;
       Explore(remaining & ~(uint32_t{1} << j), f * w);
@@ -672,7 +661,6 @@ class FusionSearch {
 
   const std::vector<Version>& versions_;
   const std::vector<BlockCandidates>& candidates_;
-  size_t node_budget_;
   const bool prune_;
   const bool track_;
   const Dataset& dirty_;
@@ -681,7 +669,6 @@ class FusionSearch {
   FusionWorkspace& ws_;
   uint64_t cell_hash_ = 0;
   double best_f_ = 0.0;
-  bool truncated_ = false;
   size_t nodes_ = 0;
   size_t dominance_hits_ = 0;
   size_t substitutions_ = 0;
@@ -765,25 +752,17 @@ void RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index,
     FscrRecord& rec = report ? records[tid] : local;
     rec.tuple = static_cast<TupleId>(tid);
     if (versions.empty()) return;
-    // The search's version bitmask is a uint32_t, so exhaustive exploration
-    // is hard-capped at 31 versions regardless of the configured limit.
-    const bool exhaustive =
-        versions.size() <= std::min<size_t>(options.max_exhaustive_fusion, 31);
+    const bool exhaustive = versions.size() <= kMaxExhaustiveFusion;
     // Conflict attributes among the original versions (the "detected
     // conflicts" signal of the Precision-F metric). Most tuples' versions
     // agree cell for cell; only the others get per-attribute lists, and
     // an exhaustive search over them tracks conflicts as masks.
     const bool conflicted =
         CellsDisagree(versions, ws) && IndexConflicts(versions, ws, &rec.conflict_attrs);
-    FusionSearch search(versions, candidates, options.max_fusion_nodes, prune,
-                        exhaustive && conflicted, dirty, static_cast<TupleId>(tid),
-                        options.fscr_minimality_discount, ws);
+    FusionSearch search(versions, candidates, prune, exhaustive && conflicted, dirty,
+                        static_cast<TupleId>(tid), options.fscr_minimality_discount, ws);
     const double f = exhaustive ? search.Run() : search.Greedy();
-    if (!exhaustive) {
-      rec.outcome = FusionOutcome::kGreedy;
-    } else if (search.truncated()) {
-      rec.outcome = FusionOutcome::kBudgetExhausted;
-    }
+    if (!exhaustive) rec.outcome = FusionOutcome::kGreedy;
     if (report) {
       rec.nodes = search.nodes();
       rec.dominance_hits = search.dominance_hits();

@@ -18,9 +18,11 @@
 // (remaining versions, assigned cells, distance-sum bits) was already
 // explored with an f at least as large. The skip never changes a result
 // while every γ weight is >= 0, which RunFscr checks once per call; with a
-// negative weight the search runs unpruned. The node budget
-// (CleaningOptions::max_fusion_nodes) and the exhaustive cap are reported
-// per tuple in FscrRecord::outcome, beside the search's work counters.
+// negative weight the search runs unpruned. A tuple with at most 7
+// versions (the paper's rule sets have at most 7 rules) is searched
+// exhaustively, in at most 13,700 nodes; one with more is fused greedily
+// by descending weight, and FscrRecord::outcome says which, beside the
+// search's work counters.
 //
 // Each node is cheap: γ' candidates are looked up in per-block posting
 // lists keyed by dictionary id, a tuple whose versions conflict keeps the

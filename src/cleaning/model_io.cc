@@ -226,19 +226,9 @@ struct DecodedSnapshot {
 void EncodeOptions(const CleaningOptions& o, Encoder* e) {
   e->U64(o.agp_threshold);
   e->U32(static_cast<uint32_t>(o.distance));
-  e->U32(static_cast<uint32_t>(o.learner.max_iterations));
-  e->F64(o.learner.l2);
-  e->F64(o.learner.tolerance);
-  e->F64(o.learner.max_step);
-  e->F64(o.learner.damping);
   e->U8(o.learn_weights ? 1 : 0);
-  e->U8(o.remove_duplicates ? 1 : 0);
-  e->U64(o.max_exhaustive_fusion);
-  e->U64(o.max_fusion_nodes);
   e->U64(o.num_threads);
-  e->U8(0);  // reserved: the retired distance-memo flag; see snapshot_format.md
   e->F64(o.fscr_minimality_discount);
-  e->U64(0);  // reserved: the retired weight half-life; see snapshot_format.md
 }
 
 Status DecodeOptions(Decoder* d, CleaningOptions* o) {
@@ -249,28 +239,12 @@ Status DecodeOptions(Decoder* d, CleaningOptions* o) {
     return d->Fail("unknown distance metric " + std::to_string(metric));
   }
   o->distance = static_cast<DistanceMetric>(metric);
-  MLN_ASSIGN_OR_RETURN(uint32_t iters, d->U32("learner.max_iterations"));
-  o->learner.max_iterations = static_cast<int>(iters);
-  MLN_ASSIGN_OR_RETURN(o->learner.l2, d->F64("learner.l2"));
-  MLN_ASSIGN_OR_RETURN(o->learner.tolerance, d->F64("learner.tolerance"));
-  MLN_ASSIGN_OR_RETURN(o->learner.max_step, d->F64("learner.max_step"));
-  MLN_ASSIGN_OR_RETURN(o->learner.damping, d->F64("learner.damping"));
   MLN_ASSIGN_OR_RETURN(uint8_t learn, d->U8("learn_weights"));
+  if (learn > 1) return d->Fail("learn_weights byte is " + std::to_string(learn));
   o->learn_weights = learn != 0;
-  MLN_ASSIGN_OR_RETURN(uint8_t dedup, d->U8("remove_duplicates"));
-  o->remove_duplicates = dedup != 0;
-  MLN_ASSIGN_OR_RETURN(uint64_t exhaustive, d->U64("max_exhaustive_fusion"));
-  o->max_exhaustive_fusion = static_cast<size_t>(exhaustive);
-  MLN_ASSIGN_OR_RETURN(uint64_t nodes, d->U64("max_fusion_nodes"));
-  o->max_fusion_nodes = static_cast<size_t>(nodes);
   MLN_ASSIGN_OR_RETURN(uint64_t threads, d->U64("num_threads"));
   o->num_threads = static_cast<size_t>(threads);
-  // Reserved byte (the retired distance-memo flag): read, then ignored,
-  // so snapshots that set it still load.
-  MLN_RETURN_NOT_OK(d->U8("reserved options byte").status());
   MLN_ASSIGN_OR_RETURN(o->fscr_minimality_discount, d->F64("fscr_minimality_discount"));
-  // Reserved u64 (the retired weight half-life): read, then ignored.
-  MLN_RETURN_NOT_OK(d->U64("reserved options u64").status());
   return Status::OK();
 }
 
@@ -323,18 +297,13 @@ Status DecodeWeightsSection(Decoder* d, DecodedSnapshot* snap) {
                              : static_cast<size_t>(null_rank));
     snap->dicts.push_back(std::move(dict));
   }
-  // Reserved counter and (below) per-entry stamp column: the retired
-  // weight-decay clock. Read and ignored, but the stamp <= counter check
-  // stays so the accepted inputs are unchanged.
-  MLN_ASSIGN_OR_RETURN(uint64_t reserved_counter,
-                       d->U64("reserved weight batch counter"));
   MLN_ASSIGN_OR_RETURN(uint64_t num_entries, d->U64("weight entry count"));
 
-  // v4 columnar entries: four group-varint blocks (rule indexes, the two
-  // arities, the flat id stream) followed by the raw float and reserved
-  // stamp columns. Every block's value count is bounds-checked against
-  // its byte length before anything is allocated — a forged entry count
-  // cannot force a huge allocation, it just fails the plausibility check.
+  // Columnar entries: four group-varint blocks (rule indexes, the two
+  // arities, the flat id stream) followed by the two raw float columns.
+  // Every block's value count is bounds-checked against its byte length
+  // before anything is allocated — a forged entry count cannot force a
+  // huge allocation, it just fails the plausibility check.
   auto read_block = [&](uint64_t count, bool delta,
                         const char* what) -> Result<std::vector<uint32_t>> {
     MLN_ASSIGN_OR_RETURN(auto blob, d->Blob(what));
@@ -392,13 +361,6 @@ Status DecodeWeightsSection(Decoder* d, DecodedSnapshot* snap) {
   for (uint64_t i = 0; i < num_entries; ++i) {
     MLN_ASSIGN_OR_RETURN(snap->entries[static_cast<size_t>(i)].support,
                          d->F64("weight entry support"));
-  }
-  for (uint64_t i = 0; i < num_entries; ++i) {
-    MLN_ASSIGN_OR_RETURN(uint64_t stamp, d->U64("reserved weight entry stamp"));
-    if (stamp > reserved_counter) {
-      return d->Fail("weight entry stamp " + std::to_string(stamp) +
-                     " is ahead of the store's batch counter");
-    }
   }
   return Status::OK();
 }
@@ -658,14 +620,12 @@ Result<std::string> CleanModel::EncodeSnapshotBytes(const MlnIndex* index,
       for (ValueId id = 1; id < dict.size(); ++id) weights_section.Str(dict.value(id));
       weights_section.U64(dict.null_used() ? dict.null_rank() : kNoNullRankWire);
     }
-    weights_section.U64(0);  // reserved: the retired batch counter
     weights_section.U64(table.size());
-    // v4: columnar entries. The integer columns (rule index, arities, the
-    // flat reason+result id stream) are group-varint coded — entries come
-    // out of ForEachEntrySorted ordered by rule and ids, so the
-    // zigzag+delta streams are mostly one byte per value. The float
-    // columns stay raw fixed-width, followed by the reserved stamp column
-    // (one zero u64 per entry).
+    // Columnar entries. The integer columns (rule index, arities, the flat
+    // reason+result id stream) are group-varint coded — entries come out
+    // of ForEachEntrySorted ordered by rule and ids, so the zigzag+delta
+    // streams are mostly one byte per value. The float columns stay raw
+    // fixed-width.
     std::vector<uint32_t> rule_indexes, reason_arities, result_arities;
     std::vector<uint32_t> flat_ids;
     std::vector<double> sums, supports;
@@ -695,7 +655,6 @@ Result<std::string> CleanModel::EncodeSnapshotBytes(const MlnIndex* index,
     put_block(flat_ids, /*delta=*/true);
     for (double v : sums) weights_section.F64(v);
     for (double v : supports) weights_section.F64(v);
-    for (size_t i = 0; i < supports.size(); ++i) weights_section.U64(0);
   }
 
   Encoder index_section;

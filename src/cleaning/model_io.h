@@ -17,26 +17,22 @@
 //   tag 2 rules:    u32 #rules, then per rule: str name, f64 rule weight,
 //                   str canonical DSL text (Constraint::CanonicalText,
 //                   decoded via ParseRule)
-//   tag 3 options:  the resolved CleaningOptions field by field (see
-//                   model_io.cc; validated by CleaningOptions::Validate on
-//                   load). num_threads is stored raw: 0 = "auto" resolves
-//                   against the *serving* host, as it should. The
-//                   executor pointer is never stored — the serving
-//                   process wires its own. The u8 after num_threads
-//                   and the trailing u64 are reserved (retired options):
-//                   written 0, read and ignored.
+//   tag 3 options:  u64 agp_threshold, u32 distance, u8 learn_weights
+//                   (0 or 1), u64 num_threads, f64
+//                   fscr_minimality_discount (validated by
+//                   CleaningOptions::Validate on load). num_threads is
+//                   stored raw: 0 = "auto" resolves against the *serving*
+//                   host, as it should. The executor pointer is never
+//                   stored — the serving process wires its own.
 //   tag 4 weights:  the Eq. 6 GlobalWeightTable — u32 #dicts (0 or
 //                   #attrs), per dict the interned values in id order plus
 //                   the NULL rank (so restored ids equal saved ids), then
-//                   a reserved u64 counter, u64 #entries, per entry the γ
-//                   key (u32 rule index, u32 reason arity, u32 result
-//                   arity, the ids), f64 weighted_sum / support, and a
-//                   reserved u64 stamp. The reserved fields held the
-//                   retired weight-decay state: written 0, read and
-//                   ignored, except that a stamp above the counter is
-//                   still rejected. Entries are written in sorted key
-//                   order: saving the same model twice produces identical
-//                   bytes.
+//                   u64 #entries and the entries as columns: the γ keys
+//                   (rule indexes, reason arities, result arities, the
+//                   ids; four group-varint blocks), then every f64
+//                   weighted_sum, then every f64 support. Entries are
+//                   written in sorted key order: saving the same model
+//                   twice produces identical bytes.
 //   tag 5 index:    (v5) an optional serialized pre-AGP MlnIndex — the
 //                   base index of a row-incremental session, so another
 //                   process can ResumeIncrementalSession without
@@ -85,16 +81,18 @@ namespace mlnclean {
 inline constexpr char kModelSnapshotMagic[4] = {'M', 'L', 'N', 'M'};
 
 /// Current snapshot format version. v2 added the weight-store decay
-/// state (an options u64, a batch counter, per-entry batch stamps; all
-/// reserved since the decay was retired); v3 moved integrity from one global header CRC-32 to a
-/// per-section CRC-32C verified before the payload is parsed (checksum
-/// mismatch = kCorruption with the section named); v4 made the weight
-/// entries columnar with the rule indexes, arities, and γ value ids
-/// group-varint compressed; v5 added the optional index section (tag 5)
-/// carrying an incremental session's pre-AGP base index
+/// state (an options u64, a batch counter, per-entry batch stamps); v3
+/// moved integrity from one global header CRC-32 to a per-section CRC-32C
+/// verified before the payload is parsed (checksum mismatch =
+/// kCorruption with the section named); v4 made the weight entries
+/// columnar with the rule indexes, arities, and γ value ids group-varint
+/// compressed; v5 added the optional index section (tag 5) carrying an
+/// incremental session's pre-AGP base index; v6 stores only the five
+/// options CleaningOptions has and drops every reserved field (the
+/// retired options and the weight-decay counter and stamps)
 /// (docs/snapshot_format.md). Per the version policy, older snapshots
 /// are rejected — regenerate from the builder.
-inline constexpr uint32_t kModelSnapshotVersion = 5;
+inline constexpr uint32_t kModelSnapshotVersion = 6;
 
 /// Summary of a snapshot, decoded without compiling a model — what
 /// `mlnclean_model inspect` prints.

@@ -18,16 +18,9 @@ Executor* CleaningOptions::ResolvedExecutor() const {
 }
 
 Status CleaningOptions::Validate() const {
-  if (learner.max_iterations < 0) {
-    return Status::Invalid("learner.max_iterations must be >= 0");
-  }
-  if (learner.l2 < 0.0) {
-    return Status::Invalid("learner.l2 must be >= 0");
-  }
-  if (max_fusion_nodes == 0) {
-    return Status::Invalid("max_fusion_nodes must be > 0");
-  }
-  if (fscr_minimality_discount <= 0.0 || fscr_minimality_discount > 1.0) {
+  // Written so that NaN fails too: a NaN discount would score every
+  // fusion that changes a cell NaN, and FSCR would silently drop them all.
+  if (!(fscr_minimality_discount > 0.0 && fscr_minimality_discount <= 1.0)) {
     return Status::Invalid("fscr_minimality_discount must be in (0, 1]");
   }
   return Status::OK();

@@ -7,12 +7,14 @@
 
 #include "common/distance.h"
 #include "common/executor.h"
-#include "mln/weight_learner.h"
 
 namespace mlnclean {
 
-/// Knobs of the two-stage cleaner. Defaults follow the paper: τ = 1,
-/// Levenshtein distance, duplicates removed after FSCR.
+/// Knobs of the two-stage cleaner. Defaults follow the paper: τ = 1 and
+/// Levenshtein distance. What no caller varies is fixed: weight learning
+/// runs with WeightLearnerOptions{}, duplicates are always removed after
+/// FSCR, and FSCR searches a tuple exhaustively up to 7 versions (the
+/// paper's rule sets have at most 7 rules) and greedily beyond.
 struct CleaningOptions {
   /// AGP threshold τ: a group whose tuple count is <= τ is abnormal.
   /// τ = 0 disables abnormal-group detection.
@@ -21,26 +23,8 @@ struct CleaningOptions {
   /// Distance metric for AGP group distance and the RSC reliability score.
   DistanceMetric distance = DistanceMetric::kLevenshtein;
 
-  /// Markov weight learning configuration (Section 5.1.2).
-  WeightLearnerOptions learner;
-
   /// When false, γ weights stay at the Eq. 4 priors (ablation knob).
   bool learn_weights = true;
-
-  /// Remove exact duplicate tuples after FSCR (instance-level duplicates).
-  bool remove_duplicates = true;
-
-  /// FSCR explores merge orders exhaustively only up to this many versions
-  /// per tuple; beyond it, versions are merged greedily by weight. The
-  /// paper's rule sets have at most 7 rules, so the cap is rarely hit.
-  size_t max_exhaustive_fusion = 7;
-
-  /// Safety cap on fusion search nodes visited per tuple. It cannot bind
-  /// at the default exhaustive cap: 7 versions give at most 13,700 nodes
-  /// (the sum of 7!/(7-k)! over k), fewer once dominance pruning skips
-  /// repeated states. A tuple whose search hits it keeps the best fusion
-  /// found so far and reports FusionOutcome::kBudgetExhausted.
-  size_t max_fusion_nodes = 20000;
 
   /// Worker-parallelism cap for the parallelizable stages: AGP, weight
   /// learning, and RSC run per block; FSCR runs sharded over tuples.

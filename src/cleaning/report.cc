@@ -30,23 +30,20 @@ std::string CleaningReport::Summary() const {
       << " exact evaluations, " << kernel_calls << " kernel calls); rsc: " << rsc.size()
       << " replacements; fscr: ";
   size_t conflicted = 0;
-  size_t budget_exhausted = 0;
   size_t greedy = 0;
   size_t nodes = 0;
   size_t dominance_hits = 0;
   size_t substitutions = 0;
   for (const auto& rec : fscr) {
     if (!rec.conflict_attrs.empty()) ++conflicted;
-    if (rec.outcome == FusionOutcome::kBudgetExhausted) ++budget_exhausted;
     if (rec.outcome == FusionOutcome::kGreedy) ++greedy;
     nodes += rec.nodes;
     dominance_hits += rec.dominance_hits;
     substitutions += rec.substitutions;
   }
   out << conflicted << "/" << fscr.size() << " tuples with conflicts ("
-      << fscr.size() - budget_exhausted - greedy << " exhaustive, " << budget_exhausted
-      << " budget-exhausted, " << greedy << " greedy; " << nodes << " nodes, "
-      << dominance_hits << " dominance hits, " << substitutions
+      << fscr.size() - greedy << " exhaustive, " << greedy << " greedy; " << nodes
+      << " nodes, " << dominance_hits << " dominance hits, " << substitutions
       << " substitutions); duplicates: " << duplicates.size();
   return out.str();
 }

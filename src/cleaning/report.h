@@ -56,13 +56,11 @@ struct RscRepairRecord {
 /// How FSCR searched for one tuple's fusion.
 enum class FusionOutcome : uint8_t {
   /// Every merge order was accounted for (also a tuple with no version:
-  /// there is nothing to search).
+  /// there is nothing to search). At most 7 versions, so at most 13,700
+  /// nodes.
   kExhaustive,
-  /// The search stopped at CleaningOptions::max_fusion_nodes; the fusion
-  /// is the best one found before that.
-  kBudgetExhausted,
-  /// More versions than the exhaustive cap (max_exhaustive_fusion, and
-  /// never more than 31): versions were merged greedily by weight.
+  /// More than 7 versions: they were merged once, greedily by weight.
+  /// The only way FSCR cuts its search short.
   kGreedy,
 };
 
@@ -75,9 +73,9 @@ struct FscrRecord {
   bool fused = false;
   double f_score = 0.0;
   FusionOutcome outcome = FusionOutcome::kExhaustive;
-  /// Search work: nodes visited (each counts against max_fusion_nodes;
-  /// 0 on the greedy path), nodes skipped by the dominance memo, and γ'
-  /// substitutions made (Algorithm 2 line 19).
+  /// Search work: nodes visited (at most 13,700; 0 on the greedy path),
+  /// nodes skipped by the dominance memo, and γ' substitutions made
+  /// (Algorithm 2 line 19).
   size_t nodes = 0;
   size_t dominance_hits = 0;
   size_t substitutions = 0;

@@ -156,12 +156,8 @@ Result<ShardProtocolResult> RunShardProtocol(
     }
   }
   result.cleaned = std::move(assembled);
-  if (model.options().remove_duplicates) {
-    result.deduped = RemoveDuplicates(
-        result.cleaned, collect_report ? &result.report.duplicates : nullptr);
-  } else {
-    result.deduped = result.cleaned;
-  }
+  result.deduped = RemoveDuplicates(
+      result.cleaned, collect_report ? &result.report.duplicates : nullptr);
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "mln/ground_rule.h"
+#include "mln/weight_learner.h"
 
 namespace mlnclean {
 
@@ -258,7 +259,7 @@ Result<size_t> MlnIndex::FindGroup(size_t block_index,
   return Status::NotFound("no group for the given reason key");
 }
 
-void MlnIndex::LearnBlockWeights(Block* block, const WeightLearnerOptions& options) {
+void MlnIndex::LearnBlockWeights(Block* block) {
   // Flatten the block's γs into the learner's count/group representation.
   std::vector<double> counts;
   std::vector<std::vector<size_t>> groups;
@@ -275,17 +276,16 @@ void MlnIndex::LearnBlockWeights(Block* block, const WeightLearnerOptions& optio
   }
   // Probability-scale weights: comparable across groups and blocks, which
   // FSCR's f-score products and the distributed Eq. 6 averaging require.
-  std::vector<double> weights = LearnGroupProbabilities(counts, groups, options);
+  std::vector<double> weights = LearnGroupProbabilities(counts, groups);
   for (size_t i = 0; i < pieces.size(); ++i) pieces[i]->weight = weights[i];
 }
 
-void MlnIndex::LearnWeights(const WeightLearnerOptions& options,
-                            const ExecContext& ctx) {
+void MlnIndex::LearnWeights(const ExecContext& ctx) {
   // Blocks are independent weight-learning problems; each task writes only
   // its own block's γ weights.
   ParallelFor(blocks_.size(), ctx, [&](size_t bi) {
     if (ctx.Stopped()) return;
-    LearnBlockWeights(&blocks_[bi], options);
+    LearnBlockWeights(&blocks_[bi]);
     ctx.Tick(1);
   });
 }

@@ -12,7 +12,6 @@
 #include "common/executor.h"
 #include "common/result.h"
 #include "index/piece.h"
-#include "mln/weight_learner.h"
 #include "rules/constraint.h"
 
 namespace mlnclean {
@@ -100,16 +99,15 @@ class MlnIndex {
   Result<size_t> FindGroup(size_t block_index, const std::vector<Value>& key) const;
 
   /// Learns MLN weights for every γ of every block: Eq. 4 priors refined
-  /// by diagonal Newton over the current (post-AGP) grouping. Blocks are
-  /// learned in parallel on `ctx`'s executor (deterministic: each block's
-  /// problem is independent and computed identically); one progress unit
-  /// per block. When `ctx` is stopped, blocks not yet learned are skipped
+  /// by diagonal Newton (WeightLearnerOptions{}) over the current
+  /// (post-AGP) grouping. Blocks are learned in parallel on `ctx`'s
+  /// executor (deterministic: each block's problem is independent and
+  /// computed identically); one progress unit per block. When `ctx` is stopped, blocks not yet learned are skipped
   /// (cooperative cancellation; the caller reports the terminal Status).
-  void LearnWeights(const WeightLearnerOptions& options = {},
-                    const ExecContext& ctx = {});
+  void LearnWeights(const ExecContext& ctx = {});
 
   /// Learns weights for a single block.
-  static void LearnBlockWeights(Block* block, const WeightLearnerOptions& options = {});
+  static void LearnBlockWeights(Block* block);
 
   /// Sets every γ weight to its Eq. 4 prior (no Newton refinement); the
   /// ablation counterpart of LearnWeights.

@@ -63,7 +63,7 @@ void ExpectSameReport(const CleaningReport& a, const CleaningReport& b) {
 
 TEST(CleaningEngineTest, CompileRejectsInvalidOptions) {
   CleaningOptions options;
-  options.max_fusion_nodes = 0;
+  options.fscr_minimality_discount = 0.0;
   auto model = CleaningEngine(options).Compile(SampleHospitalDirty()->schema(),
                                                *SampleHospitalRules());
   ASSERT_FALSE(model.ok());

@@ -2,21 +2,22 @@
 //
 // The reference works on plain strings: a fusion is a vector of
 // (attribute, value) cells in merge order. It walks every merge order with
-// no node budget, no pruning and no memo, and scores a complete fusion the
-// way RunFscr specifies it: the weight product folded in merge order, times
-// the minimality discount raised to the sum of normalized edit distances to
+// no pruning and no memo, and scores a complete fusion the way RunFscr
+// specifies it: the weight product folded in merge order, times the
+// minimality discount raised to the sum of normalized edit distances to
 // the dirty values, also folded in merge order. Once the versions still to
 // merge conflict neither pairwise nor with the fusion, they are merged once,
 // in version order (the conflict-free rule of the specification, which
 // fixes that fold order). Ties keep the first fusion found. A tuple with
-// more versions than the exhaustive cap is fused greedily instead: its
+// more than kExhaustiveCap versions is fused greedily instead: its
 // versions are merged once, by descending weight (the same std::sort
 // comparator RunFscr uses), with the same substitution rule.
 //
 // RunFscr must agree with it bit for bit — every cleaned cell, and each
 // record's `fused`, `f_score` (compared with ==), `conflict_attrs` and
 // `outcome` — at 1 and 4 threads, on seeded random instances and on
-// hand-built ones.
+// hand-built ones. An exhaustive record may visit at most kMaxNodes nodes,
+// pruned or not.
 
 #include <gtest/gtest.h>
 
@@ -36,6 +37,11 @@
 
 namespace mlnclean {
 namespace {
+
+// The paper's rule sets have at most 7 rules, so FSCR searches up to 7
+// versions exhaustively: at most the sum of 7!/(7-k)! over k = 0..7 nodes.
+constexpr size_t kExhaustiveCap = 7;
+constexpr size_t kMaxNodes = 13700;
 
 struct RefCell {
   AttrId attr;
@@ -112,8 +118,7 @@ class ReferenceFscr {
   ReferenceFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index,
                 const CleaningOptions& options)
       : dirty_(dirty),
-        discount_(options.fscr_minimality_discount),
-        exhaustive_cap_(std::min<size_t>(options.max_exhaustive_fusion, 31)) {
+        discount_(options.fscr_minimality_discount) {
     versions_of_.resize(dirty.num_rows());
     candidates_.resize(index.num_blocks());
     for (size_t bi = 0; bi < index.num_blocks(); ++bi) {
@@ -159,7 +164,7 @@ class ReferenceFscr {
       }
     }
     if (versions.empty()) return out;
-    if (versions.size() > exhaustive_cap_) {
+    if (versions.size() > kExhaustiveCap) {
       out.outcome = FusionOutcome::kGreedy;
       Greedy(&out);
       return out;
@@ -277,7 +282,6 @@ class ReferenceFscr {
 
   const Dataset& dirty_;
   double discount_;
-  size_t exhaustive_cap_;
   std::vector<std::vector<RefVersion>> versions_of_;
   std::vector<std::vector<RefVersion>> candidates_;
   TupleId tid_ = 0;
@@ -295,6 +299,7 @@ struct OracleStats {
   size_t greedy = 0;
   size_t substitutions = 0;
   size_t failed_substitutions = 0;
+  size_t max_nodes = 0;  // most nodes RunFscr visited for one tuple
 };
 
 // Runs RunFscr at 1 and 4 threads and checks both against the reference.
@@ -335,6 +340,10 @@ OracleStats ExpectMatchesReference(const Dataset& dirty, const RuleSet& rules,
       EXPECT_EQ(rec.fused, want.fused);
       EXPECT_EQ(rec.f_score, want.f_score);
       EXPECT_EQ(rec.outcome, want.outcome);
+      if (rec.outcome == FusionOutcome::kExhaustive) {
+        EXPECT_LE(rec.nodes, kMaxNodes);
+      }
+      stats.max_nodes = std::max(stats.max_nodes, rec.nodes);
       std::vector<Value> row = dirty.row(tid);
       for (const RefCell& cell : want.fusion) row[static_cast<size_t>(cell.attr)] = cell.value;
       EXPECT_EQ(cleaned.row(tid), row);
@@ -377,8 +386,10 @@ Piece& PieceOfTuple(MlnIndex* index, size_t block, TupleId tid) {
 
 // A seeded instance whose every tuple has `num_rules` versions: distinct
 // FDs between `num_attrs` attributes (all in scope), through stage I;
-// odd seeds overwrite the learned weights with tied ones.
-OracleStats ManyVersionsMatchReference(uint32_t seed, size_t num_attrs, size_t num_rules) {
+// odd seeds overwrite the learned weights with tied ones. With `negative`,
+// one γ then gets a negative weight, which turns dominance pruning off.
+OracleStats ManyVersionsMatchReference(uint32_t seed, size_t num_attrs, size_t num_rules,
+                                       bool negative = false) {
   std::mt19937 rng(seed);
   auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
   std::vector<std::string> names;
@@ -409,6 +420,10 @@ OracleStats ManyVersionsMatchReference(uint32_t seed, size_t num_attrs, size_t n
   if (seed % 2 == 1) {
     const double weights[] = {0.1, 0.25, 0.5, 1.0};
     for (Piece* piece : AllPieces(&index)) piece->weight = weights[pick(4)];
+  }
+  if (negative) {
+    std::vector<Piece*> pieces = AllPieces(&index);
+    pieces[pick(pieces.size())]->weight = -0.5;
   }
   return ExpectMatchesReference(dirty, rules, index, options,
                                 "seed " + std::to_string(seed) + " rules " +
@@ -602,8 +617,22 @@ TEST(FscrOracleTest, DistanceSumFoldsInMergeOrder) {
                                                 "zzzzzzzqqq", "w"}));
 }
 
+TEST(FscrOracleTest, SevenVersionsAreSearchedExhaustively) {
+  // 7 versions per tuple, the most the exhaustive search takes: no tuple
+  // is fused greedily, and no search, pruned or not, passes kMaxNodes.
+  OracleStats total;
+  for (uint32_t seed = 1; seed <= 8; ++seed) {
+    OracleStats stats = ManyVersionsMatchReference(seed, 5, 7, /*negative=*/seed > 4);
+    EXPECT_EQ(stats.greedy, 0u);
+    total.conflict_tuples += stats.conflict_tuples;
+    total.max_nodes = std::max(total.max_nodes, stats.max_nodes);
+  }
+  EXPECT_GT(total.conflict_tuples, 50u);
+  EXPECT_GT(total.max_nodes, 1000u);
+}
+
 TEST(FscrOracleTest, GreedyPathMatchesReference) {
-  // 8-12 versions per tuple, past the default exhaustive cap of 7: every
+  // 8-12 versions per tuple, past the exhaustive limit of 7: every
   // tuple is fused greedily, by descending weight.
   OracleStats total;
   for (uint32_t seed = 1; seed <= 20; ++seed) {

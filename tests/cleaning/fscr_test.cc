@@ -111,54 +111,65 @@ TEST(FscrTest, FusionFailureLeavesTupleUntouched) {
   }
 }
 
-TEST(FscrTest, GreedyPathForManyVersions) {
-  // With max_exhaustive_fusion = 0 every tuple takes the greedy path;
-  // on the conflict-free sample it must still reach the ground truth.
-  StageOneFixture f;
-  f.options.max_exhaustive_fusion = 0;
-  Dataset cleaned = f.dirty.Clone();
-  CleaningReport report;
-  RunFscr(f.dirty, f.rules, f.index, f.options, &cleaned, &report);
-  // t3 has a conflict; greedy merges by weight and resolves via γ'.
-  EXPECT_EQ(cleaned, *SampleHospitalClean());
-  for (const auto& rec : report.fscr) {
-    EXPECT_EQ(rec.outcome, FusionOutcome::kGreedy) << "tuple " << rec.tuple;
+// Rows of two entities k1 and k2 (three copies each, plus a k1 copy with
+// a typo in A0) under the FDs K -> A0 .. K -> A{num_rules - 1}, so every
+// tuple has `num_rules` versions; stage I, then FSCR.
+CleaningReport FuseKeyedRows(size_t num_rules, Dataset* cleaned, Dataset* clean) {
+  std::vector<std::string> names = {"K"};
+  for (size_t a = 0; a < 8; ++a) names.push_back("A" + std::to_string(a));
+  Schema s = *Schema::Make(names);
+  RuleSet rules(s);
+  for (size_t r = 0; r < num_rules; ++r) {
+    rules.Add(*Constraint::MakeFd(s, {0}, {static_cast<AttrId>(1 + r)}));
   }
-  EXPECT_NE(report.Summary().find("6 greedy"), std::string::npos) << report.Summary();
+  std::vector<std::vector<Value>> rows;
+  for (const std::string k : {"k1", "k2"}) {
+    std::vector<Value> row = {k};
+    for (size_t a = 0; a < 8; ++a) row.push_back(k + "v" + std::to_string(a));
+    rows.insert(rows.end(), 3, row);
+  }
+  rows.push_back(rows[0]);
+  *clean = *Dataset::Make(s, rows);
+  rows.back()[1] = "k1v0x";
+  Dataset dirty = *Dataset::Make(s, rows);
+  CleaningOptions options;
+  MlnIndex index = *MlnIndex::Build(dirty, rules);
+  RunAgpAll(&index, options, nullptr);
+  index.LearnWeights();
+  RunRscAll(&index, MakeDistanceFn(options.distance), nullptr);
+  *cleaned = dirty.Clone();
+  CleaningReport report;
+  RunFscr(dirty, rules, index, options, cleaned, &report);
+  return report;
 }
 
-TEST(FscrTest, NodeBudgetTruncationIsReported) {
-  // One node is the root alone: a tuple whose versions conflict needs
-  // more, so its search stops at the budget and says so; a conflict-free
-  // tuple is fused at the root and stays exhaustive.
-  StageOneFixture f;
-  f.options.max_fusion_nodes = 1;
-  Dataset cleaned = f.dirty.Clone();
-  CleaningReport report;
-  RunFscr(f.dirty, f.rules, f.index, f.options, &cleaned, &report);
-  size_t exhausted = 0;
+TEST(FscrTest, GreedyPathForManyVersions) {
+  // Eight rules give every tuple eight versions, one past the exhaustive
+  // limit of 7: each is fused greedily, without a search node, and the
+  // typo is still repaired.
+  Dataset cleaned;
+  Dataset clean;
+  CleaningReport report = FuseKeyedRows(8, &cleaned, &clean);
+  EXPECT_EQ(cleaned, clean);
+  ASSERT_EQ(report.fscr.size(), 7u);
   for (const auto& rec : report.fscr) {
-    if (rec.conflict_attrs.empty()) {
-      EXPECT_EQ(rec.outcome, FusionOutcome::kExhaustive) << "tuple " << rec.tuple;
-    } else {
-      EXPECT_EQ(rec.outcome, FusionOutcome::kBudgetExhausted) << "tuple " << rec.tuple;
-      ++exhausted;
-    }
+    EXPECT_EQ(rec.outcome, FusionOutcome::kGreedy) << "tuple " << rec.tuple;
+    EXPECT_TRUE(rec.fused) << "tuple " << rec.tuple;
+    EXPECT_EQ(rec.nodes, 0u) << "tuple " << rec.tuple;
   }
-  EXPECT_GT(exhausted, 0u);
-  EXPECT_EQ(report.fscr[2].outcome, FusionOutcome::kBudgetExhausted);  // t3
-  EXPECT_NE(report.Summary().find(std::to_string(exhausted) + " budget-exhausted"),
-            std::string::npos)
+  EXPECT_NE(report.Summary().find("0 exhaustive, 7 greedy"), std::string::npos)
       << report.Summary();
 
-  // At the default budget the same tuples are searched exhaustively.
-  CleaningReport full;
-  Dataset cleaned_full = f.dirty.Clone();
-  f.options.max_fusion_nodes = CleaningOptions().max_fusion_nodes;
-  RunFscr(f.dirty, f.rules, f.index, f.options, &cleaned_full, &full);
-  for (const auto& rec : full.fscr) {
+  // Seven rules, seven versions: every tuple is searched exhaustively.
+  report = FuseKeyedRows(7, &cleaned, &clean);
+  EXPECT_EQ(cleaned, clean);
+  for (const auto& rec : report.fscr) {
     EXPECT_EQ(rec.outcome, FusionOutcome::kExhaustive) << "tuple " << rec.tuple;
+    EXPECT_TRUE(rec.fused) << "tuple " << rec.tuple;
+    EXPECT_GT(rec.nodes, 0u) << "tuple " << rec.tuple;
   }
+  EXPECT_NE(report.Summary().find("7 exhaustive, 0 greedy"), std::string::npos)
+      << report.Summary();
 }
 
 TEST(FscrTest, FScoreIsProductOfWeights) {

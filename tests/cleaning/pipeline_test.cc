@@ -34,7 +34,6 @@ TEST(PipelineTest, CleanInputIsFixpoint) {
   RuleSet rules = *SampleHospitalRules();
   CleaningOptions options;
   options.agp_threshold = 1;
-  options.remove_duplicates = false;
   auto result = CleaningEngine(options).Clean(clean, rules);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->cleaned, clean);
@@ -53,22 +52,11 @@ TEST(PipelineTest, TimingsPopulated) {
 
 TEST(PipelineTest, OptionValidationRejectsBadConfig) {
   CleaningOptions options;
-  options.max_fusion_nodes = 0;
+  options.fscr_minimality_discount = 1.5;
   auto result =
       CleaningEngine(options).Clean(*SampleHospitalDirty(), *SampleHospitalRules());
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalid());
-}
-
-TEST(PipelineTest, DuplicateRemovalCanBeDisabled) {
-  Dataset dirty = *SampleHospitalDirty();
-  RuleSet rules = *SampleHospitalRules();
-  CleaningOptions options;
-  options.remove_duplicates = false;
-  auto result = CleaningEngine(options).Clean(dirty, rules);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->deduped.num_rows(), dirty.num_rows());
-  EXPECT_TRUE(result->report.duplicates.empty());
 }
 
 TEST(PipelineTest, PriorOnlyAblationStillCleansSample) {

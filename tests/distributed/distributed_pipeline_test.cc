@@ -83,8 +83,7 @@ void ExpectMatchesManualOrchestration(const Dataset& dirty, const RuleSet& rules
   for (size_t p = 0; p < sessions.size(); ++p) {
     MergeShardRows(sessions[p].cleaned(), partition.parts[p], shipped, &cleaned);
   }
-  Dataset deduped = copts.remove_duplicates ? RemoveDuplicates(cleaned, nullptr)
-                                            : cleaned;
+  Dataset deduped = RemoveDuplicates(cleaned, nullptr);
 
   EXPECT_EQ(distr->cleaned, cleaned);
   EXPECT_EQ(distr->deduped, deduped);

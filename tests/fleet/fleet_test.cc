@@ -204,10 +204,7 @@ TEST(CleanFleetTest, TwoShardFleetMatchesManualStagedOrchestration) {
       MergeShardRows(sessions[i].cleaned(), sharded.mapping[active[i]],
                      shipped, &expected_cleaned);
     }
-    Dataset expected_deduped =
-        model.options().remove_duplicates
-            ? RemoveDuplicates(expected_cleaned, nullptr)
-            : expected_cleaned;
+    Dataset expected_deduped = RemoveDuplicates(expected_cleaned, nullptr);
 
     FleetTicket ticket = *fleet.Submit(batch);
     auto served = ticket.Take();

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "cleaning/engine.h"
 #include "common/csv.h"
 #include "datagen/hospital.h"
@@ -35,7 +37,6 @@ TEST(RegressionTest, FscrPrefersMinimalRepairOverIdentityDrift) {
 
   CleaningOptions options;
   options.agp_threshold = 0;  // isolate the FSCR behaviour
-  options.remove_duplicates = false;
   auto result = CleaningEngine(options).Clean(dirty, rules);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Minimal repair: phone restored to 1111, everything else untouched.
@@ -60,7 +61,6 @@ TEST(RegressionTest, MinimalityDiscountIsTheTieBreaker) {
 
   CleaningOptions with_bias;
   with_bias.agp_threshold = 0;
-  with_bias.remove_duplicates = false;
   CleaningOptions without_bias = with_bias;
   without_bias.fscr_minimality_discount = 1.0;
 
@@ -143,7 +143,7 @@ TEST(RegressionTest, OptionValidationCoverage) {
   EXPECT_TRUE(CleaningEngine(bad2).Clean(d, rules).status().IsInvalid());
 
   CleaningOptions bad3;
-  bad3.learner.l2 = -1.0;
+  bad3.fscr_minimality_discount = std::numeric_limits<double>::quiet_NaN();
   EXPECT_TRUE(CleaningEngine(bad3).Clean(d, rules).status().IsInvalid());
 }
 

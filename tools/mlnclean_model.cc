@@ -716,9 +716,12 @@ int RunInspect(const Args& args) {
     std::printf("  %s (w=%g): %s\n", info->rule_names[i].c_str(),
                 info->rule_weights[i], info->rule_texts[i].c_str());
   }
-  std::printf("options: agp_threshold=%zu learn_weights=%d num_threads=%zu\n",
-              info->options.agp_threshold, info->options.learn_weights ? 1 : 0,
-              info->options.num_threads);
+  std::printf(
+      "options: agp_threshold=%zu distance=%s learn_weights=%d num_threads=%zu "
+      "fscr_minimality_discount=%g\n",
+      info->options.agp_threshold, DistanceMetricName(info->options.distance),
+      info->options.learn_weights ? 1 : 0, info->options.num_threads,
+      info->options.fscr_minimality_discount);
   size_t dict_values = 0;
   for (size_t n : info->weight_dict_sizes) dict_values += n;
   std::printf("weight store: %zu γ entries, %zu dicts (%zu interned values)\n",
