@@ -322,7 +322,7 @@ Status CleanSession::RunStage(Stage stage, const ExecContext& ctx) {
         }
       }
       if (options.learn_weights && !reused) {
-        index_.LearnWeights(ctx);
+        report_.learn_capped_groups = index_.LearnWeights(ctx);
       }
       // Only freshly learned weights enter the store: contributing reused
       // weights would re-average the store with its own output, and
@@ -342,7 +342,8 @@ Status CleanSession::RunStage(Stage stage, const ExecContext& ctx) {
       return Status::OK();
     case Stage::kFscr:
       cleaned_ = dirty_->Clone();
-      RunFscr(*dirty_, model_->rules, index(), options, &cleaned_, report, ctx);
+      report_.fscr_greedy_tuples =
+          RunFscr(*dirty_, model_->rules, index(), options, &cleaned_, report, ctx);
       return Status::OK();
     case Stage::kDedup:
       deduped_ = RemoveDuplicates(cleaned_, report ? &report->duplicates : nullptr, ctx);

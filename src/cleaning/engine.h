@@ -126,8 +126,9 @@ struct SessionOptions {
   /// store cannot re-average itself or absorb unlearned priors.
   bool contribute_weights = false;
   /// When false, the per-decision trace (AGP/RSC/FSCR records, duplicate
-  /// pairs) is not materialized — only stage timings are kept. Serving
-  /// paths that never read the trace skip its allocation cost.
+  /// pairs) is not materialized — only stage timings and the learn/FSCR
+  /// counters are kept. Serving paths that never read the trace skip its
+  /// allocation cost.
   bool collect_report = true;
   /// CleanServer routing flag: Submit appends this batch to the server's
   /// single live incremental session (created on first use) instead of

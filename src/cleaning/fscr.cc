@@ -676,9 +676,9 @@ class FusionSearch {
 
 }  // namespace
 
-void RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index,
-             const CleaningOptions& options, Dataset* cleaned,
-             CleaningReport* report, const ExecContext& ctx) {
+size_t RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index,
+               const CleaningOptions& options, Dataset* cleaned,
+               CleaningReport* report, const ExecContext& ctx) {
   const size_t num_rows = dirty.num_rows();
   // Per block: every γ's flattened assignment, computed exactly once (a γ
   // covering k tuples used to be flattened k times). Value-to-id
@@ -734,6 +734,10 @@ void RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index,
     }
     BuildPostings(&cands);
   }
+  size_t greedy = 0;
+  for (const std::vector<Version>& versions : versions_of) {
+    if (versions.size() > kMaxExhaustiveFusion) ++greedy;
+  }
 
   // Fusion is per tuple (reads shared candidates, writes only its own row
   // and record slot), so the tuple space shards freely across threads; the
@@ -786,7 +790,7 @@ void RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index,
     for (size_t tid = 0; tid < num_rows; ++tid) {
       if (ctx.Stopped()) {
         if (report) report->fscr.resize(first_record);  // a stopped run appends none
-        return;
+        return greedy;
       }
       fuse_tuple(tid, &ws);
       ctx.Tick(1);
@@ -809,6 +813,7 @@ void RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index,
       }
     });
   }
+  return greedy;
 }
 
 }  // namespace mlnclean

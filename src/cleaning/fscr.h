@@ -50,10 +50,12 @@ namespace mlnclean {
 /// group holds exactly one γ. Tuples run sharded on `ctx`'s executor (one
 /// progress unit per fused tuple); when `ctx` is stopped, tuples not yet
 /// fused are skipped (cooperative; the caller reports the terminal Status
-/// and discards the partially fused copy).
-void RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index,
-             const CleaningOptions& options, Dataset* cleaned,
-             CleaningReport* report, const ExecContext& ctx = {});
+/// and discards the partially fused copy). Returns the number of tuples
+/// with more than 7 versions, which are fused greedily
+/// (FusionOutcome::kGreedy) whether or not `report` is null.
+size_t RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index,
+               const CleaningOptions& options, Dataset* cleaned,
+               CleaningReport* report, const ExecContext& ctx = {});
 
 }  // namespace mlnclean
 

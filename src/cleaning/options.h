@@ -12,9 +12,10 @@ namespace mlnclean {
 
 /// Knobs of the two-stage cleaner. Defaults follow the paper: τ = 1 and
 /// Levenshtein distance. What no caller varies is fixed: weight learning
-/// runs with WeightLearnerOptions{}, duplicates are always removed after
-/// FSCR, and FSCR searches a tuple exhaustively up to 7 versions (the
-/// paper's rule sets have at most 7 rules) and greedily beyond.
+/// solves each group to convergence and has no settings, duplicates are
+/// always removed after FSCR, and FSCR searches a tuple exhaustively up to
+/// 7 versions (the paper's rule sets have at most 7 rules) and greedily
+/// beyond.
 struct CleaningOptions {
   /// AGP threshold τ: a group whose tuple count is <= τ is abnormal.
   /// τ = 0 disables abnormal-group detection.

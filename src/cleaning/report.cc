@@ -27,22 +27,23 @@ std::string CleaningReport::Summary() const {
   out << "agp: " << agp.size() << " abnormal groups (" << NumDetectedAbnormalPieces()
       << " pieces; " << pairs << " pairs, " << bucket_bounds << " bucket bounds, "
       << candidate_bounds << " candidate bounds, " << exact_evaluations
-      << " exact evaluations, " << kernel_calls << " kernel calls); rsc: " << rsc.size()
+      << " exact evaluations, " << kernel_calls << " kernel calls); learn: "
+      << learn_capped_groups << " capped groups; rsc: " << rsc.size()
       << " replacements; fscr: ";
   size_t conflicted = 0;
-  size_t greedy = 0;
+  size_t exhaustive = 0;
   size_t nodes = 0;
   size_t dominance_hits = 0;
   size_t substitutions = 0;
   for (const auto& rec : fscr) {
     if (!rec.conflict_attrs.empty()) ++conflicted;
-    if (rec.outcome == FusionOutcome::kGreedy) ++greedy;
+    if (rec.outcome == FusionOutcome::kExhaustive) ++exhaustive;
     nodes += rec.nodes;
     dominance_hits += rec.dominance_hits;
     substitutions += rec.substitutions;
   }
   out << conflicted << "/" << fscr.size() << " tuples with conflicts ("
-      << fscr.size() - greedy << " exhaustive, " << greedy << " greedy; " << nodes
+      << exhaustive << " exhaustive, " << fscr_greedy_tuples << " greedy; " << nodes
       << " nodes, " << dominance_hits << " dominance hits, " << substitutions
       << " substitutions); duplicates: " << duplicates.size();
   return out.str();

@@ -100,6 +100,12 @@ struct CleaningReport {
   /// (removed tuple, kept representative) pairs from duplicate removal.
   std::vector<std::pair<TupleId, TupleId>> duplicates;
   StageTimings timings;
+  /// Set by the session, like `timings`, and kept when it collects no
+  /// records: weight-learning groups whose Newton solve stopped at its
+  /// step cap unconverged (expected 0), and tuples FSCR fused greedily
+  /// (FusionOutcome::kGreedy).
+  size_t learn_capped_groups = 0;
+  size_t fscr_greedy_tuples = 0;
 
   /// #dag: total number of γs inside detected abnormal groups (Fig. 8).
   size_t NumDetectedAbnormalPieces() const;

@@ -72,6 +72,8 @@ void SpliceShardReport(const CleaningReport& shard,
   into->timings.fscr += shard.timings.fscr;
   into->timings.dedup += shard.timings.dedup;
   into->timings.total += shard.timings.total;
+  into->learn_capped_groups += shard.learn_capped_groups;
+  into->fscr_greedy_tuples += shard.fscr_greedy_tuples;
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "index/mln_index.h"
 
 #include <algorithm>
+#include <atomic>
 #include <unordered_map>
 
 #include "mln/ground_rule.h"
@@ -259,7 +260,7 @@ Result<size_t> MlnIndex::FindGroup(size_t block_index,
   return Status::NotFound("no group for the given reason key");
 }
 
-void MlnIndex::LearnBlockWeights(Block* block) {
+size_t MlnIndex::LearnBlockWeights(Block* block) {
   // Flatten the block's γs into the learner's count/group representation.
   std::vector<double> counts;
   std::vector<std::vector<size_t>> groups;
@@ -276,18 +277,22 @@ void MlnIndex::LearnBlockWeights(Block* block) {
   }
   // Probability-scale weights: comparable across groups and blocks, which
   // FSCR's f-score products and the distributed Eq. 6 averaging require.
-  std::vector<double> weights = LearnGroupProbabilities(counts, groups);
+  size_t capped = 0;
+  std::vector<double> weights = LearnGroupProbabilities(counts, groups, &capped);
   for (size_t i = 0; i < pieces.size(); ++i) pieces[i]->weight = weights[i];
+  return capped;
 }
 
-void MlnIndex::LearnWeights(const ExecContext& ctx) {
+size_t MlnIndex::LearnWeights(const ExecContext& ctx) {
   // Blocks are independent weight-learning problems; each task writes only
   // its own block's γ weights.
+  std::atomic<size_t> capped{0};
   ParallelFor(blocks_.size(), ctx, [&](size_t bi) {
     if (ctx.Stopped()) return;
-    LearnBlockWeights(&blocks_[bi]);
+    capped += LearnBlockWeights(&blocks_[bi]);
     ctx.Tick(1);
   });
+  return capped;
 }
 
 void MlnIndex::AssignPriorWeights() {

@@ -99,15 +99,18 @@ class MlnIndex {
   Result<size_t> FindGroup(size_t block_index, const std::vector<Value>& key) const;
 
   /// Learns MLN weights for every γ of every block: Eq. 4 priors refined
-  /// by diagonal Newton (WeightLearnerOptions{}) over the current
-  /// (post-AGP) grouping. Blocks are learned in parallel on `ctx`'s
-  /// executor (deterministic: each block's problem is independent and
-  /// computed identically); one progress unit per block. When `ctx` is stopped, blocks not yet learned are skipped
+  /// by an exact Newton solve per reason-key group (mln/weight_learner.h)
+  /// over the current (post-AGP) grouping. Blocks are learned in parallel
+  /// on `ctx`'s executor (deterministic: each block's problem is
+  /// independent and computed identically); one progress unit per block.
+  /// When `ctx` is stopped, blocks not yet learned are skipped
   /// (cooperative cancellation; the caller reports the terminal Status).
-  void LearnWeights(const ExecContext& ctx = {});
+  /// Returns the number of groups whose solve stopped at the step cap
+  /// unconverged (expected 0).
+  size_t LearnWeights(const ExecContext& ctx = {});
 
-  /// Learns weights for a single block.
-  static void LearnBlockWeights(Block* block);
+  /// Learns weights for a single block; returns its capped group count.
+  static size_t LearnBlockWeights(Block* block);
 
   /// Sets every γ weight to its Eq. 4 prior (no Newton refinement); the
   /// ablation counterpart of LearnWeights.

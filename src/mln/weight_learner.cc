@@ -5,6 +5,73 @@
 
 namespace mlnclean {
 
+namespace {
+
+/// L2 pull towards the Eq. 4 prior.
+constexpr double kL2 = 0.05;
+/// A group has converged once every |gradient| ≤ kTolerance·max(1, N):
+/// the gradient's terms, and their rounding error, grow with N.
+constexpr double kTolerance = 1e-10;
+/// Newton steps per group before it counts as capped. Random groups of up
+/// to 64 members with N up to 1e6 converge in at most 16.
+constexpr int kMaxSteps = 50;
+
+/// Solves one group in place on `weights`. Returns false when the solve
+/// stopped at kMaxSteps unconverged.
+bool SolveGroup(const std::vector<size_t>& group, const std::vector<double>& counts,
+                const std::vector<double>& prior, std::vector<double>* weights) {
+  std::vector<double>& w = *weights;
+  const size_t k = group.size();
+  std::vector<double> p(k);
+  std::vector<double> g(k);
+  double n = 0.0;
+  for (size_t idx : group) n += counts[idx];
+  const double tolerance = kTolerance * std::max(1.0, n);
+  for (int step = 0;; ++step) {
+    // Softmax p and gradient g = c − N·p − λ(w − w0).
+    double wmax = -1e300;
+    for (size_t idx : group) wmax = std::max(wmax, w[idx]);
+    double z = 0.0;
+    for (size_t j = 0; j < k; ++j) z += (p[j] = std::exp(w[group[j]] - wmax));
+    double gmax = 0.0;
+    for (size_t j = 0; j < k; ++j) {
+      const size_t idx = group[j];
+      p[j] /= z;
+      g[j] = counts[idx] - n * p[j] - kL2 * (w[idx] - prior[idx]);
+      gmax = std::max(gmax, std::abs(g[j]));
+    }
+    const bool converged = gmax <= tolerance;
+    if (!converged && step == kMaxSteps) return false;
+    // Newton step s = (D − N·p·pᵀ)⁻¹g with D = diag(N·p + λ), by
+    // Sherman–Morrison: s = D⁻¹g + (N·pᵀD⁻¹g / (1 − N·pᵀD⁻¹p))·D⁻¹p.
+    // Since Σp = 1, the denominator equals λ·pᵀD⁻¹1: positive, and summed
+    // without the cancellation of 1 − N·pᵀD⁻¹p.
+    double pdg = 0.0;
+    double pd = 0.0;
+    for (size_t j = 0; j < k; ++j) {
+      const double d = 1.0 / (n * p[j] + kL2);
+      pdg += p[j] * d * g[j];
+      pd += p[j] * d;
+    }
+    const double coupling = n * pdg / (kL2 * pd);
+    double smax = 0.0;
+    for (size_t j = 0; j < k; ++j) {
+      g[j] = (g[j] + coupling * p[j]) / (n * p[j] + kL2);
+      smax = std::max(smax, std::abs(g[j]));
+    }
+    // Far from the optimum a full step can overshoot and diverge; no
+    // weight moves by more than 1 per step.
+    const double scale = smax > 1.0 ? 1.0 / smax : 1.0;
+    for (size_t j = 0; j < k; ++j) w[group[j]] += scale * g[j];
+    // The step from a converged gradient is still taken: the mean of the
+    // group's weights has curvature only λ, so stopping before it would
+    // leave the mean up to tolerance/λ from the optimum.
+    if (converged) return true;
+  }
+}
+
+}  // namespace
+
 std::vector<double> PriorWeights(const std::vector<double>& counts) {
   double total = 0.0;
   for (double c : counts) total += c;
@@ -16,79 +83,25 @@ std::vector<double> PriorWeights(const std::vector<double>& counts) {
 
 std::vector<double> LearnWeights(const std::vector<double>& counts,
                                  const std::vector<std::vector<size_t>>& groups,
-                                 const WeightLearnerOptions& options) {
-  std::vector<double> prior = PriorWeights(counts);
+                                 size_t* capped_groups) {
+  const std::vector<double> prior = PriorWeights(counts);
   std::vector<double> w = prior;
-  const double lambda = std::max(options.l2, 1e-9);
-
-  // Flatten the multi-member groups into CSR arrays once, hoisting
-  // everything the Newton iterations never change: the member lists, the
-  // gathered member counts, and the per-group support totals. Singleton
-  // groups are excluded up front — their gradient is exactly zero, so
-  // they keep the prior. The iterate-order arithmetic below matches the
-  // nested-vector formulation operation for operation, so learned weights
-  // are bit-identical to it.
-  std::vector<size_t> group_offsets;
-  group_offsets.push_back(0);
-  std::vector<size_t> members;
-  std::vector<double> member_counts;
-  std::vector<double> n_group;
-  size_t max_group = 0;
+  size_t capped = 0;
   for (const auto& group : groups) {
+    // A singleton's gradient is exactly zero at its prior.
     if (group.size() < 2) continue;
-    double total = 0.0;
-    for (size_t idx : group) {
-      members.push_back(idx);
-      member_counts.push_back(counts[idx]);
-      total += counts[idx];
-    }
-    group_offsets.push_back(members.size());
-    n_group.push_back(total);
-    max_group = std::max(max_group, group.size());
+    if (!SolveGroup(group, counts, prior, &w)) ++capped;
   }
-  if (members.empty()) return w;
-
-  std::vector<double> probs(max_group);
-  const size_t num_groups = n_group.size();
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    double max_delta = 0.0;
-    for (size_t g = 0; g < num_groups; ++g) {
-      const size_t begin = group_offsets[g];
-      const size_t end = group_offsets[g + 1];
-      // Fused sweep: softmax, gradient, and diagonal-Hessian step all come
-      // from two passes over the group's contiguous CSR slice.
-      double z = 0.0;
-      double wmax = -1e300;
-      for (size_t k = begin; k < end; ++k) wmax = std::max(wmax, w[members[k]]);
-      for (size_t k = begin; k < end; ++k) {
-        const double ek = std::exp(w[members[k]] - wmax);
-        probs[k - begin] = ek;
-        z += ek;
-      }
-      for (size_t k = begin; k < end; ++k) {
-        const size_t idx = members[k];
-        const double p = probs[k - begin] / z;
-        const double expected = n_group[g] * p;
-        const double grad =
-            member_counts[k] - expected - lambda * (w[idx] - prior[idx]);
-        const double hess = n_group[g] * p * (1.0 - p) + lambda;
-        double step = options.damping * grad / hess;
-        step = std::clamp(step, -options.max_step, options.max_step);
-        w[idx] += step;
-        max_delta = std::max(max_delta, std::abs(step));
-      }
-    }
-    if (max_delta < options.tolerance) break;
-  }
+  if (capped_groups != nullptr) *capped_groups = capped;
   return w;
 }
 
 std::vector<double> LearnGroupProbabilities(
     const std::vector<double>& counts, const std::vector<std::vector<size_t>>& groups,
-    const WeightLearnerOptions& options) {
+    size_t* capped_groups) {
   // Items outside every group default to their Eq. 4 prior.
   std::vector<double> out = PriorWeights(counts);
-  std::vector<double> log_w = LearnWeights(counts, groups, options);
+  std::vector<double> log_w = LearnWeights(counts, groups, capped_groups);
   double total = 0.0;
   for (double c : counts) total += c;
   if (total <= 0.0) return out;

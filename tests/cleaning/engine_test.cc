@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "baseline/holoclean.h"
+#include "datagen/car.h"
 #include "datagen/hospital.h"
 #include "datagen/sample.h"
 #include "distributed/distributed_pipeline.h"
@@ -349,6 +350,26 @@ TEST(CleaningEngineTest, DistributedDriverHonoursCancellation) {
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsCancelled());
   EXPECT_EQ(c.dd.dirty, snapshot);
+}
+
+TEST(CleaningEngineTest, LearnerHitsNoStepCapOnBenchTables) {
+  // Every group's Newton solve converges on the pinned HAI-40 table
+  // (seed 42, τ = 3) and on a CAR-3000 table (τ = 2), and the count is
+  // kept without records.
+  ErrorSpec spec;
+  spec.seed = 42;
+  const Workload hai = *MakeHospitalWorkload({.num_hospitals = 40, .num_measures = 10});
+  const Workload car = *MakeCarWorkload({.num_rows = 3000});
+  for (const auto& [wl, tau] : {std::pair{&hai, size_t{3}}, std::pair{&car, size_t{2}}}) {
+    const Dataset dirty = InjectErrors(wl->clean, wl->rules, spec)->dirty;
+    CleaningOptions options;
+    options.agp_threshold = tau;
+    SessionOptions opts;
+    opts.collect_report = false;
+    const CleanResult result = *CleaningEngine(options).Clean(dirty, wl->rules, opts);
+    EXPECT_EQ(result.report.learn_capped_groups, 0u) << "tau " << tau;
+    EXPECT_TRUE(result.report.fscr.empty());
+  }
 }
 
 TEST(CleaningEngineTest, HoloCleanBaselineHonoursCancellation) {

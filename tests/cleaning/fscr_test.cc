@@ -5,6 +5,7 @@
 #include <string>
 
 #include "cleaning/agp.h"
+#include "cleaning/engine.h"
 #include "cleaning/rsc.h"
 #include "datagen/hospital.h"
 #include "datagen/sample.h"
@@ -113,8 +114,8 @@ TEST(FscrTest, FusionFailureLeavesTupleUntouched) {
 
 // Rows of two entities k1 and k2 (three copies each, plus a k1 copy with
 // a typo in A0) under the FDs K -> A0 .. K -> A{num_rules - 1}, so every
-// tuple has `num_rules` versions; stage I, then FSCR.
-CleaningReport FuseKeyedRows(size_t num_rules, Dataset* cleaned, Dataset* clean) {
+// tuple has `num_rules` versions.
+RuleSet KeyedRows(size_t num_rules, Dataset* dirty, Dataset* clean) {
   std::vector<std::string> names = {"K"};
   for (size_t a = 0; a < 8; ++a) names.push_back("A" + std::to_string(a));
   Schema s = *Schema::Make(names);
@@ -131,7 +132,14 @@ CleaningReport FuseKeyedRows(size_t num_rules, Dataset* cleaned, Dataset* clean)
   rows.push_back(rows[0]);
   *clean = *Dataset::Make(s, rows);
   rows.back()[1] = "k1v0x";
-  Dataset dirty = *Dataset::Make(s, rows);
+  *dirty = *Dataset::Make(s, rows);
+  return rules;
+}
+
+// KeyedRows through stage I, then FSCR.
+CleaningReport FuseKeyedRows(size_t num_rules, Dataset* cleaned, Dataset* clean) {
+  Dataset dirty;
+  const RuleSet rules = KeyedRows(num_rules, &dirty, clean);
   CleaningOptions options;
   MlnIndex index = *MlnIndex::Build(dirty, rules);
   RunAgpAll(&index, options, nullptr);
@@ -139,7 +147,7 @@ CleaningReport FuseKeyedRows(size_t num_rules, Dataset* cleaned, Dataset* clean)
   RunRscAll(&index, MakeDistanceFn(options.distance), nullptr);
   *cleaned = dirty.Clone();
   CleaningReport report;
-  RunFscr(dirty, rules, index, options, cleaned, &report);
+  report.fscr_greedy_tuples = RunFscr(dirty, rules, index, options, cleaned, &report);
   return report;
 }
 
@@ -172,6 +180,26 @@ TEST(FscrTest, GreedyPathForManyVersions) {
       << report.Summary();
 }
 
+TEST(FscrTest, GreedyCountIsKeptWithoutRecords) {
+  // A session counts greedy fusions beside its timings: the count equals
+  // the kGreedy records, and survives a session that collects none.
+  Dataset dirty;
+  Dataset clean;
+  const RuleSet rules = KeyedRows(8, &dirty, &clean);
+  const CleanModel model = *CleaningEngine().Compile(dirty.schema(), rules);
+  for (bool collect : {true, false}) {
+    SessionOptions opts;
+    opts.collect_report = collect;
+    const CleanResult result = *model.Clean(dirty, opts);
+    size_t greedy_records = 0;
+    for (const auto& rec : result.report.fscr) {
+      if (rec.outcome == FusionOutcome::kGreedy) ++greedy_records;
+    }
+    EXPECT_EQ(greedy_records, collect ? 7u : 0u) << "collect " << collect;
+    EXPECT_EQ(result.report.fscr_greedy_tuples, 7u) << "collect " << collect;
+  }
+}
+
 TEST(FscrTest, FScoreIsProductOfWeights) {
   // For a tuple with two conflict-free versions the f-score is w1 * w2.
   StageOneFixture f;
@@ -197,9 +225,9 @@ TEST(FscrTest, FScoreIsProductOfWeights) {
 
 TEST(FscrTest, SearchWorkTotalsArePinned) {
   // One fixed stage-I HAI-40 index (seed 42, τ = 3, as bench/e2e's
-  // hai_batch table 0). The totals were recorded with the search before
-  // its per-node rewrite: a change to how a node is evaluated must visit
-  // the same nodes, hit the memo as often and pick the same γ's.
+  // hai_batch table 0). A change to how a node is evaluated must visit
+  // the same nodes, hit the memo as often and pick the same γ's. The
+  // totals follow the learned weights, so a learner change re-pins them.
   Workload wl = *MakeHospitalWorkload({.num_hospitals = 40, .num_measures = 10});
   ErrorSpec spec;
   spec.seed = 42;
@@ -225,9 +253,9 @@ TEST(FscrTest, SearchWorkTotalsArePinned) {
       hits += rec.dominance_hits;
       substitutions += rec.substitutions;
     }
-    EXPECT_EQ(nodes, 24720u) << "threads " << threads;
-    EXPECT_EQ(hits, 12370u) << "threads " << threads;
-    EXPECT_EQ(substitutions, 10728u) << "threads " << threads;
+    EXPECT_EQ(nodes, 24357u) << "threads " << threads;
+    EXPECT_EQ(hits, 12206u) << "threads " << threads;
+    EXPECT_EQ(substitutions, 10612u) << "threads " << threads;
     EXPECT_NE(report.Summary().find(std::to_string(nodes) + " nodes"), std::string::npos)
         << report.Summary();
   }
