@@ -12,6 +12,7 @@
 
 #include "bench_util.h"
 #include "cleaning/agp.h"
+#include "cleaning/dedup.h"
 #include "cleaning/rsc.h"
 
 using namespace mlnclean;
@@ -32,6 +33,29 @@ const Workload& SharedHai() {
 const DirtyDataset& SharedDirty() {
   static const DirtyDataset dd = Corrupt(SharedHai());
   return dd;
+}
+
+// The e2e car_batch input: CAR with 3,000 rows, table 0 at seed 42,
+// cleaned with tau = 2.
+const Workload& SharedCar() {
+  static const Workload wl = [] {
+    CarConfig config;
+    config.num_rows = 3000;
+    return *MakeCarWorkload(config);
+  }();
+  return wl;
+}
+
+const DirtyDataset& SharedCarDirty() {
+  static const DirtyDataset dd = Corrupt(SharedCar());
+  return dd;
+}
+
+CleaningOptions CarOptions() {
+  CleaningOptions options;
+  options.agp_threshold = 2;
+  options.num_threads = 1;
+  return options;
 }
 
 void BM_Levenshtein(benchmark::State& state) {
@@ -118,17 +142,12 @@ void BM_AgpAll(benchmark::State& state) {
 // The lone Arg(0) keeps the name BM_AgpAll/0 that BENCH_micro.json gates.
 BENCHMARK(BM_AgpAll)->Arg(0);
 
-// AGP on sparse data, where it is most of a clean: CAR with 3,000 rows,
-// table 0 at seed 42, tau = 2 (the e2e car_batch input). One block holds
-// hundreds of abnormal and normal groups.
+// AGP on sparse data (the e2e car_batch input). One block holds hundreds
+// of abnormal and normal groups.
 void BM_AgpCar(benchmark::State& state) {
-  CarConfig config;
-  config.num_rows = 3000;
-  static const Workload wl = *MakeCarWorkload(config);
-  static const DirtyDataset dd = Corrupt(wl);
-  CleaningOptions options;
-  options.agp_threshold = 2;
-  options.num_threads = 1;
+  const Workload& wl = SharedCar();
+  const DirtyDataset& dd = SharedCarDirty();
+  CleaningOptions options = CarOptions();
   MlnIndex base = *MlnIndex::Build(dd.dirty, wl.rules);
   for (auto _ : state) {
     state.PauseTiming();
@@ -158,6 +177,44 @@ void BM_RscAll(benchmark::State& state) {
 }
 // The lone Arg(0) keeps the name BM_RscAll/0 that BENCH_micro.json gates.
 BENCHMARK(BM_RscAll)->Arg(0);
+
+// RSC on the e2e car_batch input after AGP and learning; Arg = report off
+// (0) or on (1), so the cost of building the replacement records shows.
+// The index copy and the old report are released untimed.
+void BM_RscCar(benchmark::State& state) {
+  const Workload& wl = SharedCar();
+  CleaningOptions options = CarOptions();
+  DistanceFn dist = MakeNormalizedDistanceFn(options.distance);
+  MlnIndex base = *MlnIndex::Build(SharedCarDirty().dirty, wl.rules);
+  RunAgpAll(&base, options, nullptr);
+  base.LearnWeights();
+  const bool collect = state.range(0) != 0;
+  MlnIndex index = base;
+  CleaningReport report;
+  for (auto _ : state) {
+    state.PauseTiming();
+    index = base;
+    report = CleaningReport();
+    state.ResumeTiming();
+    RunRscAll(&index, dist, collect ? &report : nullptr);
+    benchmark::DoNotOptimize(index);
+  }
+}
+BENCHMARK(BM_RscCar)->Arg(0)->Arg(1);
+
+// Duplicate elimination on the fused (pre-dedup) e2e car_batch table,
+// with the (removed, kept) pairs collected as a session does.
+void BM_DedupCar(benchmark::State& state) {
+  const Workload& wl = SharedCar();
+  static const Dataset fused =
+      CleaningEngine(CarOptions()).Clean(SharedCarDirty().dirty, wl.rules)->cleaned;
+  std::vector<std::pair<TupleId, TupleId>> removed;
+  for (auto _ : state) {
+    removed.clear();
+    benchmark::DoNotOptimize(RemoveDuplicates(fused, &removed));
+  }
+}
+BENCHMARK(BM_DedupCar);
 
 void BM_GroundConstraint(benchmark::State& state) {
   const Workload& wl = SharedHai();

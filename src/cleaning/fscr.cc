@@ -326,12 +326,12 @@ struct FusionWorkspace {
   CellDistanceMemo distances;
 };
 
-// True when two of `versions` assign different ids to one attribute. Uses
-// the workspace's slot table and leaves it clear.
-bool CellsDisagree(const std::vector<Version>& versions, FusionWorkspace* ws) {
+// True when two of the `n` versions at `versions` assign different ids to
+// one attribute. Uses the workspace's slot table and leaves it clear.
+bool CellsDisagree(const Version* versions, size_t n, FusionWorkspace* ws) {
   bool disagree = false;
-  for (const Version& v : versions) {
-    for (const AssignedCell& cell : *v.assignment) {
+  for (const Version* v = versions; v != versions + n; ++v) {
+    for (const AssignedCell& cell : *v->assignment) {
       uint32_t& slot = ws->key[1 + static_cast<size_t>(cell.attr)];
       if (slot == kUnassigned) {
         slot = cell.id;
@@ -340,33 +340,33 @@ bool CellsDisagree(const std::vector<Version>& versions, FusionWorkspace* ws) {
       }
     }
   }
-  for (const Version& v : versions) {
-    for (const AssignedCell& cell : *v.assignment) {
+  for (const Version* v = versions; v != versions + n; ++v) {
+    for (const AssignedCell& cell : *v->assignment) {
       ws->key[1 + static_cast<size_t>(cell.attr)] = kUnassigned;
     }
   }
   return disagree;
 }
 
-// Files every cell of `versions` under its attribute (a counting sort, so
-// each list is in version order, then position order) and derives from
-// the lists the pairwise conflict masks (over the first 32 versions) and
-// `conflict_attrs`. Versions i < j conflict when a cell of i disagrees
+// Files every cell of the `n` versions at `versions` under its attribute
+// (a counting sort, so each list is in version order, then position
+// order) and derives from the lists the pairwise conflict masks (over the
+// first 32 versions) and `conflict_attrs`. Versions i < j conflict when a cell of i disagrees
 // with j's first cell on the same attribute; an attribute is listed in
 // the order it is first found over (i, j) pairs in lexicographic order,
 // then over i's cells. Returns whether any pair conflicts.
-bool IndexConflicts(const std::vector<Version>& versions, FusionWorkspace* ws,
+bool IndexConflicts(const Version* versions, size_t n, FusionWorkspace* ws,
                     std::vector<AttrId>* conflict_attrs) {
   std::vector<uint32_t>& begin = ws->list_begin;
   std::fill(begin.begin(), begin.end(), 0);
   size_t total = 0;
-  for (const Version& v : versions) {
-    for (const AssignedCell& cell : *v.assignment) ++begin[static_cast<size_t>(cell.attr) + 1];
-    total += v.assignment->size();
+  for (const Version* v = versions; v != versions + n; ++v) {
+    for (const AssignedCell& cell : *v->assignment) ++begin[static_cast<size_t>(cell.attr) + 1];
+    total += v->assignment->size();
   }
   for (size_t a = 1; a < begin.size(); ++a) begin[a] += begin[a - 1];
   ws->entries.resize(total);
-  for (size_t j = 0; j < versions.size(); ++j) {
+  for (size_t j = 0; j < n; ++j) {
     const Assignment& cells = *versions[j].assignment;
     for (size_t pos = 0; pos < cells.size(); ++pos) {
       ws->entries[begin[static_cast<size_t>(cells[pos].attr)]++] = VersionCell{
@@ -376,7 +376,7 @@ bool IndexConflicts(const std::vector<Version>& versions, FusionWorkspace* ws,
   for (size_t a = begin.size() - 1; a > 0; --a) begin[a] = begin[a - 1];
   begin[0] = 0;
 
-  ws->conflict_masks.assign(versions.size(), 0);
+  ws->conflict_masks.assign(n, 0);
   std::vector<FirstConflict>& found = ws->first_conflicts;
   found.clear();
   for (size_t a = 0; a + 1 < begin.size(); ++a) {
@@ -428,11 +428,12 @@ bool IndexConflicts(const std::vector<Version>& versions, FusionWorkspace* ws,
 // versions cell by cell.
 class FusionSearch {
  public:
-  FusionSearch(const std::vector<Version>& versions,
+  FusionSearch(const Version* versions, size_t num_versions,
                const std::vector<BlockCandidates>& candidates, bool prune, bool track,
                const Dataset& dirty, TupleId tid, double minimality_discount,
                FusionWorkspace* ws)
       : versions_(versions),
+        num_versions_(num_versions),
         candidates_(candidates),
         prune_(prune),
         track_(track),
@@ -445,7 +446,7 @@ class FusionSearch {
   // 0 when every merge order fails; the fusion is left in ws->best.
   double Run() {
     if (prune_ && track_) ws_.memo.Clear();
-    Explore((uint32_t{1} << versions_.size()) - 1, 1.0);
+    Explore((uint32_t{1} << num_versions_) - 1, 1.0);
     return best_f_;
   }
 
@@ -454,7 +455,7 @@ class FusionSearch {
   // the f-score (<= 0 when the order fails); the fusion is left in
   // ws->best.
   double Greedy() {
-    std::vector<size_t> order(versions_.size());
+    std::vector<size_t> order(num_versions_);
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
     std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
       return versions_[a].weight > versions_[b].weight;
@@ -659,7 +660,8 @@ class FusionSearch {
     }
   }
 
-  const std::vector<Version>& versions_;
+  const Version* versions_;
+  const size_t num_versions_;
   const std::vector<BlockCandidates>& candidates_;
   const bool prune_;
   const bool track_;
@@ -687,8 +689,11 @@ size_t RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index
   // dictionaries and writes column slots via set_id.
   std::vector<std::vector<const Piece*>> block_pieces(index.num_blocks());
   std::vector<std::vector<Assignment>> block_assignments(index.num_blocks());
-  // tid -> versions (one per block whose γ covers the tuple).
-  std::vector<std::vector<Version>> versions_of(num_rows);
+  // tid -> versions (one per block whose γ covers the tuple, in block
+  // order): versions[version_begin[tid], version_begin[tid + 1]), filled
+  // after a count pass over every γ's tuples.
+  std::vector<size_t> version_begin(num_rows + 1, 0);
+  std::vector<Version> versions;
   std::vector<BlockCandidates> candidates(index.num_blocks());
   // Dominance pruning is exact only while extending a fusion can never
   // reverse the order of two f values, i.e. when no weight is negative (or
@@ -708,16 +713,9 @@ size_t RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index
     for (const Piece* piece : pieces) {
       assignments.push_back(PieceAssignment(rule, *piece, cleaned));
     }
-    for (size_t pi = 0; pi < pieces.size(); ++pi) {
-      Version v;
-      v.block_index = bi;
-      v.piece = pieces[pi];
-      v.assignment = &assignments[pi];
-      v.weight = pieces[pi]->weight;
-      if (!(v.weight >= 0.0)) prune = false;
-      for (TupleId tid : pieces[pi]->tuples) {
-        versions_of[static_cast<size_t>(tid)].push_back(v);
-      }
+    for (const Piece* piece : pieces) {
+      if (!(piece->weight >= 0.0)) prune = false;
+      for (TupleId tid : piece->tuples) ++version_begin[static_cast<size_t>(tid) + 1];
     }
     // Candidate order for the γ' fallback: descending weight.
     BlockCandidates& cands = candidates[bi];
@@ -734,9 +732,21 @@ size_t RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index
     }
     BuildPostings(&cands);
   }
+  // The counts become offsets by a prefix sum; the fill keeps block order,
+  // then piece order, within each tuple.
   size_t greedy = 0;
-  for (const std::vector<Version>& versions : versions_of) {
-    if (versions.size() > kMaxExhaustiveFusion) ++greedy;
+  for (size_t tid = 0; tid < num_rows; ++tid) {
+    if (version_begin[tid + 1] > kMaxExhaustiveFusion) ++greedy;
+    version_begin[tid + 1] += version_begin[tid];
+  }
+  versions.resize(version_begin[num_rows]);
+  std::vector<size_t> next(version_begin.begin(), version_begin.end() - 1);
+  for (size_t bi = 0; bi < index.num_blocks(); ++bi) {
+    const std::vector<const Piece*>& pieces = block_pieces[bi];
+    for (size_t pi = 0; pi < pieces.size(); ++pi) {
+      const Version v{bi, pieces[pi], &block_assignments[bi][pi], pieces[pi]->weight};
+      for (TupleId tid : pieces[pi]->tuples) versions[next[static_cast<size_t>(tid)]++] = v;
+    }
   }
 
   // Fusion is per tuple (reads shared candidates, writes only its own row
@@ -751,20 +761,22 @@ size_t RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index
     records = report->fscr.data() + first_record;
   }
   auto fuse_tuple = [&](size_t tid, FusionWorkspace* ws) {
-    std::vector<Version>& versions = versions_of[tid];
+    const Version* tuple_versions = versions.data() + version_begin[tid];
+    const size_t n = version_begin[tid + 1] - version_begin[tid];
     FscrRecord local;
     FscrRecord& rec = report ? records[tid] : local;
     rec.tuple = static_cast<TupleId>(tid);
-    if (versions.empty()) return;
-    const bool exhaustive = versions.size() <= kMaxExhaustiveFusion;
+    if (n == 0) return;
+    const bool exhaustive = n <= kMaxExhaustiveFusion;
     // Conflict attributes among the original versions (the "detected
     // conflicts" signal of the Precision-F metric). Most tuples' versions
     // agree cell for cell; only the others get per-attribute lists, and
     // an exhaustive search over them tracks conflicts as masks.
-    const bool conflicted =
-        CellsDisagree(versions, ws) && IndexConflicts(versions, ws, &rec.conflict_attrs);
-    FusionSearch search(versions, candidates, prune, exhaustive && conflicted, dirty,
-                        static_cast<TupleId>(tid), options.fscr_minimality_discount, ws);
+    const bool conflicted = CellsDisagree(tuple_versions, n, ws) &&
+                            IndexConflicts(tuple_versions, n, ws, &rec.conflict_attrs);
+    FusionSearch search(tuple_versions, n, candidates, prune, exhaustive && conflicted,
+                        dirty, static_cast<TupleId>(tid), options.fscr_minimality_discount,
+                        ws);
     const double f = exhaustive ? search.Run() : search.Greedy();
     if (!exhaustive) rec.outcome = FusionOutcome::kGreedy;
     if (report) {

@@ -24,6 +24,11 @@
 // by descending weight, and FscrRecord::outcome says which, beside the
 // search's work counters.
 //
+// Building the search's input costs a handful of allocations per call,
+// not one per tuple: every tuple's versions sit in one CSR array over the
+// tuples (a count pass over every γ's tuples, a prefix sum, then a fill
+// in block order), and a search reads its tuple's slice of it.
+//
 // Each node is cheap: γ' candidates are looked up in per-block posting
 // lists keyed by dictionary id, a tuple whose versions conflict keeps the
 // set of versions its stack conflicts with as a bitmask (one bit test per

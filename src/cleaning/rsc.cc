@@ -87,20 +87,27 @@ void RunRscGroupImpl(Group* group, size_t block_rule_index, const DistanceFn& di
     }
   }
   Piece winner = std::move(group->pieces[best]);
+  std::vector<Value> winner_values;
+  if (report) winner_values = winner.AllValues();
   for (size_t i = 0; i < group->pieces.size(); ++i) {
     if (i == best) continue;
     Piece& loser = group->pieces[i];
+    winner.tuples.insert(winner.tuples.end(), loser.tuples.begin(),
+                         loser.tuples.end());
     if (report) {
+      // The loser is discarded below, so its values and tuples move into
+      // its record.
       RscRepairRecord rec;
       rec.block = block_rule_index;
       rec.group_key = group->key;
-      rec.winner_values = winner.AllValues();
-      rec.loser_values = loser.AllValues();
-      rec.affected_tuples = loser.tuples;
+      rec.winner_values = winner_values;
+      rec.loser_values = std::move(loser.reason);
+      rec.loser_values.insert(rec.loser_values.end(),
+                              std::make_move_iterator(loser.result.begin()),
+                              std::make_move_iterator(loser.result.end()));
+      rec.affected_tuples = std::move(loser.tuples);
       report->rsc.push_back(std::move(rec));
     }
-    winner.tuples.insert(winner.tuples.end(), loser.tuples.begin(),
-                         loser.tuples.end());
   }
   group->pieces.clear();
   group->pieces.push_back(std::move(winner));

@@ -1,6 +1,7 @@
 #include "dataset/dataset.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace mlnclean {
 
@@ -35,9 +36,7 @@ Result<Dataset> Dataset::FromCsvFile(const std::string& path,
 }
 
 Dataset Dataset::EmptyLike(const Dataset& other) {
-  Dataset ds(other.schema_);
-  ds.dicts_ = other.dicts_;
-  return ds;
+  return Dataset(other.schema_, other.dicts_);
 }
 
 std::vector<Value> Dataset::row(TupleId tid) const {
@@ -73,15 +72,23 @@ void Dataset::AppendRowFrom(const Dataset& src, TupleId tid) {
   ++num_rows_;
 }
 
-Dataset Dataset::Slice(size_t begin, size_t end) const {
-  Dataset out = EmptyLike(*this);
-  end = std::min(end, num_rows_);
-  if (begin >= end) return out;
-  out.Reserve(end - begin);
-  for (size_t t = begin; t < end; ++t) {
-    out.AppendRowFrom(*this, static_cast<TupleId>(t));
+Dataset Dataset::Gather(const std::vector<TupleId>& rows) const {
+  Dataset out(schema_, dicts_);
+  for (size_t a = 0; a < cols_.size(); ++a) {
+    const std::vector<ValueId>& src = cols_[a];
+    std::vector<ValueId>& dst = out.cols_[a];
+    dst.resize(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) dst[i] = src[static_cast<size_t>(rows[i])];
   }
+  out.num_rows_ = rows.size();
   return out;
+}
+
+Dataset Dataset::Slice(size_t begin, size_t end) const {
+  end = std::min(end, num_rows_);
+  std::vector<TupleId> rows(begin < end ? end - begin : 0);
+  std::iota(rows.begin(), rows.end(), static_cast<TupleId>(begin));
+  return Gather(rows);
 }
 
 std::vector<Dataset> SplitIntoBatches(const Dataset& data, size_t k) {

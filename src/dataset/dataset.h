@@ -9,9 +9,9 @@
 // distance scans, FSCR fusion, dedup, partitioning — work on the id API:
 // within one dictionary, id equality is value equality, and an id pair is
 // a perfect memo key for symmetric distances. Two datasets share an id
-// universe when one was created from the other via Clone()/EmptyLike()
-// (the clone's dictionaries extend the original's, so original ids stay
-// valid in the clone).
+// universe when one was created from the other via Clone(), EmptyLike()
+// or Gather() (the copy's dictionaries extend the original's, so original
+// ids stay valid in the copy).
 //
 // Thread-safety: concurrent reads are safe. set_id() on distinct cells is
 // safe from multiple threads (it only writes a column slot); set() and
@@ -57,9 +57,10 @@ class Dataset {
   static Result<Dataset> FromCsvFile(const std::string& path,
                                      QuarantineReport* quarantine);
 
-  /// An empty dataset sharing `other`'s schema and dictionaries: ids of
-  /// `other` remain valid here, so rows can be copied by id. This is how
-  /// the distributed partitioner ships dictionaries with shards.
+  /// An empty dataset with `other`'s schema and a copy of its
+  /// dictionaries: ids of `other` remain valid here, so rows can be copied
+  /// by id. This is how the distributed partitioner ships dictionaries
+  /// with shards.
   static Dataset EmptyLike(const Dataset& other);
 
   const Schema& schema() const { return schema_; }
@@ -145,12 +146,20 @@ class Dataset {
   /// has not interned past this dataset's dictionaries).
   void AppendRowFrom(const Dataset& src, TupleId tid);
 
-  /// Rows [begin, end) as a new dataset sharing this table's dictionaries
-  /// (EmptyLike + AppendRowFrom): the micro-batch/shard slicing primitive
-  /// of the serving and distributed paths.
+  /// The listed rows, in list order (repeats allowed), as a new dataset
+  /// with a copy of this table's dictionaries, so ids stay valid in it.
+  /// Each column is copied in one pass: the row-subset primitive of
+  /// dedup, Slice and shard materialization.
+  Dataset Gather(const std::vector<TupleId>& rows) const;
+
+  /// Rows [begin, end) as a Gather: the micro-batch/shard slicing
+  /// primitive of the serving and distributed paths.
   Dataset Slice(size_t begin, size_t end) const;
 
  private:
+  Dataset(const Schema& schema, const std::vector<ValueDict>& dicts)
+      : schema_(schema), dicts_(dicts), cols_(schema_.num_attrs()) {}
+
   Schema schema_;
   size_t num_rows_ = 0;
   std::vector<ValueDict> dicts_;            // one per attribute

@@ -20,11 +20,7 @@ std::vector<Dataset> MaterializeShards(
   std::vector<Dataset> shards;
   shards.reserve(groups.size());
   for (const std::vector<TupleId>& group : groups) {
-    shards.push_back(Dataset::EmptyLike(source));
-    shards.back().Reserve(group.size());
-    for (TupleId gtid : group) {
-      shards.back().AppendRowFrom(source, gtid);
-    }
+    shards.push_back(source.Gather(group));
   }
   return shards;
 }

@@ -11,8 +11,8 @@
 //   per leg:     RunUntil(kFscr)                   (ResumeJob)
 //   reassembly:  id-remap merge in leg order, then global dedup
 //
-// The id contract: a shard is built with Dataset::EmptyLike(source) +
-// AppendRowFrom, so it ships with a copy of the source's dictionaries —
+// The id contract: a shard is built with Dataset::Gather on the source,
+// so it ships with a copy of the source's dictionaries —
 // every id below the shipped dictionary size means the same value in the
 // shard, in its siblings, and in the global table. Cleaning may intern
 // repaired values *on top* of the shipped dictionaries; those ids are
@@ -36,8 +36,8 @@ namespace mlnclean {
 /// the merge remaps against. Capture once, before any shard merges back.
 std::vector<size_t> ShippedDictSizes(const Dataset& source);
 
-/// Builds one sub-dataset per group: EmptyLike(source) + AppendRowFrom for
-/// every tuple id in the group, in group order. Each shard carries a copy
+/// Builds one sub-dataset per group: source.Gather(group), the group's
+/// tuples in group order. Each shard carries a copy
 /// of the global dictionaries, so shard ids stay aligned with the source.
 std::vector<Dataset> MaterializeShards(
     const Dataset& source, const std::vector<std::vector<TupleId>>& groups);

@@ -101,6 +101,48 @@ TEST(RscTest, ReportRecordsReplacements) {
   EXPECT_EQ(report.rsc[0].affected_tuples, (std::vector<TupleId>{3}));
 }
 
+TEST(RscTest, ReportPinsEveryRecordField) {
+  // Three γs; the middle one wins (support 3, weight 0.9) and is a
+  // merged-in γ whose reason differs from the group key.
+  auto make_group = [] {
+    Group group;
+    group.key = {"K0"};
+    group.pieces.push_back(Piece{{"K0"}, {"ab", "z"}, {0}, 0.2, {}, {}});
+    group.pieces.push_back(Piece{{"K1"}, {"aa", "z"}, {1, 2, 3}, 0.9, {}, {}});
+    group.pieces.push_back(Piece{{"K0"}, {"ac", "z"}, {4, 5}, 0.1, {}, {}});
+    return group;
+  };
+  Group group = make_group();
+  CleaningReport report;
+  RunRscGroup(&group, 5, Lev(), &report);
+  ASSERT_EQ(group.pieces.size(), 1u);
+  EXPECT_EQ(group.key, (std::vector<Value>{"K1"}));
+  // Winner's tuples first, then each loser's in piece order.
+  EXPECT_EQ(group.pieces[0].tuples, (std::vector<TupleId>{1, 2, 3, 0, 4, 5}));
+  EXPECT_EQ(group.pieces[0].reason, (std::vector<Value>{"K1"}));
+  EXPECT_EQ(group.pieces[0].result, (std::vector<Value>{"aa", "z"}));
+
+  ASSERT_EQ(report.rsc.size(), 2u);
+  const std::vector<Value> winner_values{"K1", "aa", "z"};
+  const std::vector<std::vector<Value>> loser_values{{"K0", "ab", "z"},
+                                                     {"K0", "ac", "z"}};
+  const std::vector<std::vector<TupleId>> affected{{0}, {4, 5}};
+  for (size_t i = 0; i < 2; ++i) {
+    const RscRepairRecord& rec = report.rsc[i];
+    EXPECT_EQ(rec.block, 5u);
+    EXPECT_EQ(rec.group_key, (std::vector<Value>{"K0"}));  // the pre-RSC key
+    EXPECT_EQ(rec.winner_values, winner_values);
+    EXPECT_EQ(rec.loser_values, loser_values[i]);  // reason, then result
+    EXPECT_EQ(rec.affected_tuples, affected[i]);
+  }
+
+  // Collecting records does not change the group.
+  Group plain = make_group();
+  RunRscGroup(&plain, 5, Lev(), nullptr);
+  EXPECT_EQ(plain.key, group.key);
+  EXPECT_EQ(plain.pieces[0].tuples, group.pieces[0].tuples);
+}
+
 TEST(RscTest, GroupKeyFollowsWinner) {
   // If a merged-in γ wins, the group key becomes the winner's reason.
   Group group;

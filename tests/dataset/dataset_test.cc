@@ -155,6 +155,32 @@ TEST(DatasetTest, EmptyLikeAndAppendRowFrom) {
   EXPECT_EQ(out.id_at(0, 0), d.id_at(2, 0));
 }
 
+TEST(DatasetTest, GatherCopiesListedRowsById) {
+  Dataset d = MakeSmall();
+  // List order, with a repeated row.
+  Dataset out = d.Gather({2, 0, 2});
+  ASSERT_EQ(out.num_rows(), 3u);
+  EXPECT_TRUE(out.schema() == d.schema());
+  EXPECT_EQ(out.row(0), d.row(2));
+  EXPECT_EQ(out.row(1), d.row(0));
+  EXPECT_EQ(out.row(2), d.row(2));
+  // Ids stay valid against the source's dictionaries, which are copied.
+  for (AttrId a = 0; a < 2; ++a) {
+    EXPECT_EQ(out.dict(a).size(), d.dict(a).size());
+    EXPECT_EQ(out.id_at(0, a), d.id_at(2, a));
+    EXPECT_EQ(out.id_at(1, a), d.id_at(0, a));
+  }
+  out.set_id(1, 0, d.id_at(1, 0));
+  EXPECT_EQ(out.at(1, 0), d.at(1, 0));
+  // A new value in the copy leaves the source's dictionary alone.
+  out.set(0, 0, "fresh");
+  EXPECT_EQ(d.dict(0).size() + 1, out.dict(0).size());
+
+  Dataset empty = d.Gather({});
+  EXPECT_EQ(empty.num_rows(), 0u);
+  EXPECT_EQ(empty.dict(1).size(), d.dict(1).size());
+}
+
 TEST(DatasetTest, SliceSharesIdsAndClampsBounds) {
   Dataset d = MakeSmall();
   Dataset mid = d.Slice(1, 3);
