@@ -135,7 +135,7 @@ void BM_AgpAll(benchmark::State& state) {
     state.PauseTiming();
     MlnIndex index = base;  // AGP mutates the index; rebuild from the copy
     state.ResumeTiming();
-    RunAgpAll(&index, options, nullptr);
+    RunAgpAll(&index, dd.dirty, wl.rules, options, nullptr);
     benchmark::DoNotOptimize(index);
   }
 }
@@ -153,7 +153,7 @@ void BM_AgpCar(benchmark::State& state) {
     state.PauseTiming();
     MlnIndex index = base;
     state.ResumeTiming();
-    RunAgpAll(&index, options, nullptr);
+    RunAgpAll(&index, dd.dirty, wl.rules, options, nullptr);
     benchmark::DoNotOptimize(index);
   }
 }
@@ -165,13 +165,13 @@ void BM_RscAll(benchmark::State& state) {
   CleaningOptions options = StageOneOptions();
   DistanceFn dist = MakeNormalizedDistanceFn(options.distance);
   MlnIndex base = *MlnIndex::Build(dd.dirty, wl.rules);
-  RunAgpAll(&base, options, nullptr);
+  RunAgpAll(&base, dd.dirty, wl.rules, options, nullptr);
   base.LearnWeights();
   for (auto _ : state) {
     state.PauseTiming();
     MlnIndex index = base;
     state.ResumeTiming();
-    RunRscAll(&index, dist, nullptr);
+    RunRscAll(&index, dd.dirty, wl.rules, dist, nullptr);
     benchmark::DoNotOptimize(index);
   }
 }
@@ -185,8 +185,9 @@ void BM_RscCar(benchmark::State& state) {
   const Workload& wl = SharedCar();
   CleaningOptions options = CarOptions();
   DistanceFn dist = MakeNormalizedDistanceFn(options.distance);
-  MlnIndex base = *MlnIndex::Build(SharedCarDirty().dirty, wl.rules);
-  RunAgpAll(&base, options, nullptr);
+  const Dataset& dirty = SharedCarDirty().dirty;
+  MlnIndex base = *MlnIndex::Build(dirty, wl.rules);
+  RunAgpAll(&base, dirty, wl.rules, options, nullptr);
   base.LearnWeights();
   const bool collect = state.range(0) != 0;
   MlnIndex index = base;
@@ -196,7 +197,7 @@ void BM_RscCar(benchmark::State& state) {
     index = base;
     report = CleaningReport();
     state.ResumeTiming();
-    RunRscAll(&index, dist, collect ? &report : nullptr);
+    RunRscAll(&index, dirty, wl.rules, dist, collect ? &report : nullptr);
     benchmark::DoNotOptimize(index);
   }
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <iterator>
 #include <limits>
 #include <string_view>
@@ -17,11 +16,12 @@ namespace {
 // holds. Its term is always 0.
 constexpr uint32_t kNoSlot = 0;
 
-// Open addressing from a value (its dictionary id on id-keyed blocks, its
-// string otherwise) to a dense index from 1. Reused across blocks.
+// Open addressing from a value's dictionary id (or, for length rows, a
+// length) to a dense index from 1, keeping the value's bytes alongside.
+// Reused across blocks.
 struct ValueIndex {
   std::vector<std::string_view> values;  // index -> value
-  std::vector<ValueId> ids;              // index -> id (id-keyed)
+  std::vector<ValueId> ids;              // index -> id
   std::vector<uint32_t> table;           // index per cell, kNoSlot if empty
 
   void Reset(size_t capacity) {
@@ -31,12 +31,11 @@ struct ValueIndex {
   }
   size_t size() const { return values.size(); }
 
-  // The index of `value`, inserting it when `add`; kNoSlot when absent.
-  uint32_t Find(std::string_view value, ValueId id, bool use_ids, bool add) {
+  // The index of `id`, inserting it (with `value`) when `add`; kNoSlot
+  // when absent.
+  uint32_t Find(ValueId id, std::string_view value, bool add) {
     const size_t mask = table.size() - 1;
-    const size_t h = use_ids
-                         ? static_cast<size_t>((uint64_t{id} * 0x9E3779B97F4A7C15ull) >> 32)
-                         : std::hash<std::string_view>{}(value);
+    const size_t h = static_cast<size_t>((uint64_t{id} * 0x9E3779B97F4A7C15ull) >> 32);
     for (size_t b = h & mask;; b = (b + 1) & mask) {
       const uint32_t s = table[b];
       if (s == kNoSlot) {
@@ -47,7 +46,7 @@ struct ValueIndex {
         table[b] = index;
         return index;
       }
-      if (use_ids ? ids[s] == id : values[s] == value) return s;
+      if (ids[s] == id) return s;
     }
   }
 };
@@ -66,8 +65,8 @@ struct RowCache {
 
   // The row of `key`, extended to `k` slots with `term(s)`.
   template <typename Term>
-  double* Row(std::string_view value, ValueId id, bool use_ids, size_t k, Term term) {
-    const uint32_t r = keys.Find(value, id, use_ids, true);
+  double* Row(ValueId key, size_t k, Term term) {
+    const uint32_t r = keys.Find(key, {}, true);
     if (rows.size() <= r) rows.resize(r + 1);
     std::vector<double>& row = rows[r];
     if (row.empty()) row.push_back(0.0);  // kNoSlot
@@ -95,6 +94,7 @@ struct PositionSlots {
 // Per-thread scratch, reused across blocks and cleans: only ever grows.
 struct AgpScratch {
   std::vector<PositionSlots> positions;
+  std::vector<const ValueDict*> dicts;  // per position: its attribute's dictionary
   std::vector<size_t> active;          // positions the abnormal γ* has
   std::vector<size_t> active_tabled;   // those of them that are tabled
   std::vector<uint32_t> slots;         // candidate-major: [c * P + p]
@@ -113,21 +113,22 @@ struct AgpScratch {
   std::vector<char> remove;
 };
 
-// A γ's value (and id) at layout position p: reason values occupy
-// [0, reason_width), result values follow.
-bool ValueAt(const Piece& piece, size_t p, size_t reason_width, bool use_ids,
+// A γ's id and value at layout position p: reason positions occupy
+// [0, reason_width), result positions follow; false when the γ is
+// narrower than the rule there.
+bool ValueAt(const AgpScratch& scratch, const Piece& piece, size_t p, size_t reason_width,
              std::string_view* value, ValueId* id) {
   const bool reason = p < reason_width;
   const size_t i = reason ? p : p - reason_width;
-  const std::vector<Value>& values = reason ? piece.reason : piece.result;
-  if (i >= values.size()) return false;
-  *value = values[i];
-  *id = use_ids ? (reason ? piece.reason_ids : piece.result_ids)[i] : 0;
+  const std::vector<ValueId>& ids = reason ? piece.reason_ids : piece.result_ids;
+  if (i >= ids.size()) return false;
+  *id = ids[i];
+  *value = scratch.dicts[p]->value(*id);
   return true;
 }
 
 // One γ* distance with the kernel on the bounded positions: the fold of
-// Accumulate (index/piece.cc) over the same nonzero terms, in its order.
+// PieceDistance (index/piece.cc) over the same nonzero terms, in its order.
 double ExactDistance(const AgpScratch& scratch, const uint32_t* row,
                      DistanceMetric metric, size_t* kernel_calls) {
   double total = 0.0;
@@ -177,7 +178,8 @@ void BuildBuckets(AgpScratch* scratch, size_t n, size_t num_pos) {
 
 }  // namespace
 
-size_t RunAgp(Block* block, const CleaningOptions& options, CleaningReport* report) {
+size_t RunAgp(Block* block, const Dataset& data, const Constraint& rule,
+              const CleaningOptions& options, CleaningReport* report) {
   thread_local AgpScratch scratch;
   const size_t tau = options.agp_threshold;
   const DistanceMetric metric = options.distance;
@@ -195,7 +197,7 @@ size_t RunAgp(Block* block, const CleaningOptions& options, CleaningReport* repo
   // The record's account of the abnormal group as it was detected.
   auto describe = [&](const Group& abnormal, AgpMergeRecord* rec) {
     rec->block = block->rule_index;
-    rec->abnormal_key = abnormal.key;
+    rec->abnormal_key = abnormal.pieces.front().ReasonValues(data, rule);
     rec->num_pieces = abnormal.pieces.size();
     for (const auto& piece : abnormal.pieces) {
       rec->abnormal_tuples.insert(rec->abnormal_tuples.end(), piece.tuples.begin(),
@@ -214,22 +216,17 @@ size_t RunAgp(Block* block, const CleaningOptions& options, CleaningReport* repo
     return 0;
   }
 
-  // Layout and keying: positions cover the widest γ of the block; slots
-  // are keyed by dictionary id when every γ carries its id mirrors.
-  size_t reason_width = 0, result_width = 0;
-  bool use_ids = true;
-  for (const Group& group : groups) {
-    for (const Piece& piece : group.pieces) {
-      reason_width = std::max(reason_width, piece.reason.size());
-      result_width = std::max(result_width, piece.result.size());
-      use_ids = use_ids && piece.has_ids();
-    }
-  }
-  const size_t num_pos = reason_width + result_width;
+  // Layout: one position per rule attribute, reason attributes first;
+  // slots are keyed by dictionary id and view the dictionary's bytes.
+  const size_t reason_width = rule.reason_attrs().size();
+  const size_t num_pos = reason_width + rule.result_attrs().size();
   if (scratch.positions.size() < num_pos) scratch.positions.resize(num_pos);
+  scratch.dicts.clear();
+  for (AttrId a : rule.reason_attrs()) scratch.dicts.push_back(&data.dict(a));
+  for (AttrId a : rule.result_attrs()) scratch.dicts.push_back(&data.dict(a));
   // A position gains at most one slot per merge and one row key per
-  // abnormal γ*, so the tables never fill past half. Row caches are
-  // cleared per block: their keys view γ values that move after the scan.
+  // abnormal γ*, so the tables never fill past half. Slots and row caches
+  // are cleared per block: they index this block's positions.
   size_t capacity = 16;
   while (capacity < 2 * (n + abnormal_idx.size() + 1)) capacity *= 2;
   for (size_t p = 0; p < num_pos; ++p) {
@@ -247,8 +244,8 @@ size_t RunAgp(Block* block, const CleaningOptions& options, CleaningReport* repo
     std::string_view value;
     ValueId id = 0;
     for (size_t p = 0; p < num_pos; ++p) {
-      row[p] = ValueAt(*scratch.stars[c], p, reason_width, use_ids, &value, &id)
-                   ? scratch.positions[p].slots.Find(value, id, use_ids, true)
+      row[p] = ValueAt(scratch, *scratch.stars[c], p, reason_width, &value, &id)
+                   ? scratch.positions[p].slots.Find(id, value, true)
                    : kNoSlot;
     }
   };
@@ -264,8 +261,8 @@ size_t RunAgp(Block* block, const CleaningOptions& options, CleaningReport* repo
   }
   BuildBuckets(&scratch, n, num_pos);
 
-  // Merged pieces move only after the scan, so every γ* (and every value
-  // a slot or row key points at) stays put while the block is scanned.
+  // Merged pieces move only after the scan, so every γ* stays put while
+  // the block is scanned.
   scratch.merges.clear();
   for (size_t ai : abnormal_idx) {
     const Group& abnormal = groups[ai];
@@ -281,23 +278,22 @@ size_t RunAgp(Block* block, const CleaningOptions& options, CleaningReport* repo
     for (size_t p = 0; p < num_pos; ++p) {
       PositionSlots& ps = scratch.positions[p];
       ValueId id = 0;
-      if (!ValueAt(a_star, p, reason_width, use_ids, &ps.abnormal_value, &id)) continue;
+      if (!ValueAt(scratch, a_star, p, reason_width, &ps.abnormal_value, &id)) continue;
       scratch.active.push_back(p);
-      ps.abnormal_slot = ps.slots.Find(ps.abnormal_value, id, use_ids, false);
+      ps.abnormal_slot = ps.slots.Find(id, ps.abnormal_value, false);
       const size_t k = ps.slots.size();
       const std::string_view value = ps.abnormal_value;
       if (ps.tabled) {
         scratch.active_tabled.push_back(p);
-        ps.terms = ps.kernel_rows.Row(value, id, use_ids, k, [&](size_t s) {
+        ps.terms = ps.kernel_rows.Row(id, k, [&](size_t s) {
           ++rec.kernel_calls;
           return NormalizedDistance(metric, value, ps.slots.values[s]);
         });
       } else {
-        ps.terms = ps.length_rows.Row({}, static_cast<ValueId>(value.size()), true, k,
-                                      [&](size_t s) {
-                                        return NormalizedDistanceLowerBound(
-                                            metric, value.size(), ps.slots.values[s].size());
-                                      });
+        ps.terms = ps.length_rows.Row(static_cast<ValueId>(value.size()), k, [&](size_t s) {
+          return NormalizedDistanceLowerBound(metric, value.size(),
+                                              ps.slots.values[s].size());
+        });
       }
       ps.own_term = ps.terms[ps.abnormal_slot];
       ps.terms[ps.abnormal_slot] = 0.0;
@@ -375,7 +371,7 @@ size_t RunAgp(Block* block, const CleaningOptions& options, CleaningReport* repo
     scratch.merges.emplace_back(ai, target_gi);
     if (report) {
       describe(abnormal, &rec);
-      rec.target_key = groups[target_gi].key;
+      rec.target_key = groups[target_gi].pieces.front().ReasonValues(data, rule);
       rec.merged = true;
       rec.pairs = n;
       report->agp.push_back(std::move(rec));
@@ -423,13 +419,18 @@ size_t RunAgp(Block* block, const CleaningOptions& options, CleaningReport* repo
   return scratch.merges.size();
 }
 
-void RunAgpAll(MlnIndex* index, const CleaningOptions& options, CleaningReport* report,
+void RunAgpAll(MlnIndex* index, const Dataset& data, const RuleSet& rules,
+               const CleaningOptions& options, CleaningReport* report,
                const ExecContext& ctx) {
   const size_t num_blocks = index->num_blocks();
+  auto run = [&](size_t bi, CleaningReport* block_report) {
+    Block& block = index->block(bi);
+    RunAgp(&block, data, rules.rule(block.rule_index), options, block_report);
+  };
   if (ctx.parallelism() <= 1 || num_blocks <= 1) {
     for (size_t bi = 0; bi < num_blocks; ++bi) {
       if (ctx.Stopped()) return;
-      RunAgp(&index->block(bi), options, report);
+      run(bi, report);
       ctx.Tick(1);
     }
     return;
@@ -439,7 +440,7 @@ void RunAgpAll(MlnIndex* index, const CleaningOptions& options, CleaningReport* 
   std::vector<CleaningReport> local(report ? num_blocks : 0);
   ParallelFor(num_blocks, ctx, [&](size_t bi) {
     if (ctx.Stopped()) return;
-    RunAgp(&index->block(bi), options, report ? &local[bi] : nullptr);
+    run(bi, report ? &local[bi] : nullptr);
     ctx.Tick(1);
   });
   if (report) {

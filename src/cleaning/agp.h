@@ -4,7 +4,8 @@
 // reason key) and are merged into the nearest normal group of the same
 // block, where "distance between groups" is the distance between their γ*
 // representatives: PieceDistance under MakeNormalizedDistanceFn(
-// options.distance).
+// options.distance), over the values of the dataset the index was built
+// over.
 //
 // Exactness and ties. The merges are those of the all-pairs scan that
 // compares each abnormal γ* with every normal γ* in group order and keeps
@@ -33,17 +34,21 @@
 
 namespace mlnclean {
 
-/// Runs AGP over one block in place, appending a record per detected
-/// abnormal group to `report` (which may be null). Returns the number of
-/// abnormal groups that were actually merged.
-size_t RunAgp(Block* block, const CleaningOptions& options, CleaningReport* report);
+/// Runs AGP over one block of `rule` in place, appending a record per
+/// detected abnormal group to `report` (which may be null). `data` is the
+/// dataset the index was built over: γ ids are read through its
+/// dictionaries. Returns the number of abnormal groups that were actually
+/// merged.
+size_t RunAgp(Block* block, const Dataset& data, const Constraint& rule,
+              const CleaningOptions& options, CleaningReport* report);
 
-/// Runs AGP over every block of the index.
+/// Runs AGP over every block of the index (built over `data` and `rules`).
 /// Blocks run in parallel on `ctx`'s executor (one progress unit per
 /// block); when `ctx` is stopped (cancelled or past its deadline), blocks
 /// not yet started are skipped (cooperative; the caller reports the
 /// terminal Status).
-void RunAgpAll(MlnIndex* index, const CleaningOptions& options, CleaningReport* report,
+void RunAgpAll(MlnIndex* index, const Dataset& data, const RuleSet& rules,
+               const CleaningOptions& options, CleaningReport* report,
                const ExecContext& ctx = {});
 
 }  // namespace mlnclean

@@ -206,10 +206,10 @@ Result<size_t> CleanModel::AdjustWeightsAcross(
           "AdjustWeightsAcross: session must have completed kLearn and not "
           "yet run kRsc");
     }
-    table.Accumulate(session->index(), state_->rules);
+    table.Accumulate(session->index(), session->data(), state_->rules);
   }
   for (CleanSession* session : sessions) {
-    table.Apply(session->mutable_index(), state_->rules);
+    table.Apply(session->mutable_index(), session->data(), state_->rules);
   }
   return table.size();
 }
@@ -302,7 +302,7 @@ Status CleanSession::RunStage(Stage stage, const ExecContext& ctx) {
       return Status::OK();
     }
     case Stage::kAgp:
-      RunAgpAll(&index_, options, report, ctx);
+      RunAgpAll(&index_, *dirty_, model_->rules, options, report, ctx);
       return Status::OK();
     case Stage::kLearn: {
       bool reused = false;
@@ -317,7 +317,7 @@ Status CleanSession::RunStage(Stage stage, const ExecContext& ctx) {
         index_.AssignPriorWeights();
         std::shared_lock<std::shared_mutex> lock(model_->weights_mu);
         if (model_->weights.size() > 0) {
-          model_->weights.Apply(&index_, model_->rules);
+          model_->weights.Apply(&index_, *dirty_, model_->rules);
           reused = true;
         }
       }
@@ -333,12 +333,12 @@ Status CleanSession::RunStage(Stage stage, const ExecContext& ctx) {
           !ctx.Stopped()) {
         MLN_FAILPOINT("engine/weight-contribute");
         std::unique_lock<std::shared_mutex> lock(model_->weights_mu);
-        model_->weights.Accumulate(index_, model_->rules);
+        model_->weights.Accumulate(index_, *dirty_, model_->rules);
       }
       return Status::OK();
     }
     case Stage::kRsc:
-      RunRscAll(&index_, dist_, report, ctx);
+      RunRscAll(&index_, *dirty_, model_->rules, dist_, report, ctx);
       return Status::OK();
     case Stage::kFscr:
       cleaned_ = dirty_->Clone();

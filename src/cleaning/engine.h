@@ -197,7 +197,7 @@ class CleanModel {
   /// and version policy: cleaning/model_io.h and docs/snapshot_format.md.
   Status Save(std::ostream& out) const;
 
-  /// Save plus a serialized stage-I index: writes a v5 snapshot whose
+  /// Save plus a serialized stage-I index: writes a snapshot whose
   /// index section carries `index` (a pre-AGP index over `indexed_rows`
   /// rows — an incremental session's base_index()), so another process
   /// can LoadWithIndex + ResumeIncrementalSession and keep appending
@@ -343,7 +343,7 @@ class CleanSession {
   Status terminal_;  // sticky failure/cancellation; OK while runnable
 };
 
-/// A snapshot decoded together with its optional index section (v5):
+/// A snapshot decoded together with its optional index section (tag 5):
 /// what CleaningEngine::LoadWithIndex returns.
 struct LoadedSnapshot {
   CleanModel model;

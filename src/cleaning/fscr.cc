@@ -28,11 +28,11 @@ uint64_t Mix(uint64_t x) {
   return x;
 }
 
-// One fused cell: the target attribute, the repair value's id in the
-// cleaned dataset's dictionary (dirty ids are a prefix of it, so dirty
-// cells compare directly), a pointer to the value string owned by the γ it
-// came from, and the cell's word in the dominance memo's incremental hash
-// (a mix of attr and id, computed once per γ).
+// One fused cell: the target attribute, the repair value's id (an id of
+// the dirty dataset the index was built over; the cleaned dataset's
+// dictionaries extend it, so ids carry over), a pointer to the value
+// string in the dirty dictionary, and the cell's word in the dominance
+// memo's incremental hash (a mix of attr and id, computed once per γ).
 struct AssignedCell {
   AttrId attr;
   ValueId id;
@@ -55,35 +55,24 @@ struct Version {
   double weight = 0.0;
 };
 
-// Flattens a γ into assigned cells using its rule's attribute lists,
-// resolving every value to an id in `cleaned`'s dictionaries (interning is
-// only needed for hand-built pieces whose values never occurred in the
-// data; grounded pieces reuse their dataset ids).
+// Flattens a γ into assigned cells using its rule's attribute lists.
 Assignment PieceAssignment(const Constraint& rule, const Piece& piece,
-                           Dataset* cleaned) {
+                           const Dataset& dirty) {
   Assignment out;
   const auto& reason_attrs = rule.reason_attrs();
   const auto& result_attrs = rule.result_attrs();
   out.reserve(reason_attrs.size() + result_attrs.size());
-  auto resolve = [&](AttrId attr, const Value& value, const std::vector<ValueId>& ids,
-                     size_t i) {
-    ValueId id;
-    if (i < ids.size() && ids[i] < cleaned->dict(attr).size() &&
-        cleaned->dict(attr).value(ids[i]) == value) {
-      id = ids[i];
-    } else {
-      id = cleaned->InternValue(attr, value);
-    }
+  auto assign = [&](AttrId attr, ValueId id) {
     const uint64_t hash =
         Mix((static_cast<uint64_t>(static_cast<uint32_t>(attr)) << 32 | id) +
             0x9E3779B97F4A7C15ull);
-    out.push_back(AssignedCell{attr, id, &value, hash});
+    out.push_back(AssignedCell{attr, id, &dirty.dict(attr).value(id), hash});
   };
   for (size_t i = 0; i < reason_attrs.size(); ++i) {
-    resolve(reason_attrs[i], piece.reason[i], piece.reason_ids, i);
+    assign(reason_attrs[i], piece.reason_ids[i]);
   }
   for (size_t i = 0; i < result_attrs.size(); ++i) {
-    resolve(result_attrs[i], piece.result[i], piece.result_ids, i);
+    assign(result_attrs[i], piece.result_ids[i]);
   }
   return out;
 }
@@ -683,10 +672,8 @@ size_t RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index
                CleaningReport* report, const ExecContext& ctx) {
   const size_t num_rows = dirty.num_rows();
   // Per block: every γ's flattened assignment, computed exactly once (a γ
-  // covering k tuples used to be flattened k times). Value-to-id
-  // resolution (and any interning of never-seen values) happens here, in
-  // the sequential setup — the parallel fusion below only reads
-  // dictionaries and writes column slots via set_id.
+  // covering k tuples used to be flattened k times). The parallel fusion
+  // below only reads dictionaries and writes column slots via set_id.
   std::vector<std::vector<const Piece*>> block_pieces(index.num_blocks());
   std::vector<std::vector<Assignment>> block_assignments(index.num_blocks());
   // tid -> versions (one per block whose γ covers the tuple, in block
@@ -711,7 +698,7 @@ size_t RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index
     }
     assignments.reserve(pieces.size());
     for (const Piece* piece : pieces) {
-      assignments.push_back(PieceAssignment(rule, *piece, cleaned));
+      assignments.push_back(PieceAssignment(rule, *piece, dirty));
     }
     for (const Piece* piece : pieces) {
       if (!(piece->weight >= 0.0)) prune = false;

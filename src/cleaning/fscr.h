@@ -51,8 +51,9 @@ namespace mlnclean {
 /// Runs FSCR: starting from the dirty dataset, writes the fused clean
 /// values into `cleaned` (which must start as a copy of the dirty data)
 /// and appends one FscrRecord per tuple to `report` (may be null).
-/// `index` must have been through AGP + weight learning + RSC, i.e. every
-/// group holds exactly one γ. Tuples run sharded on `ctx`'s executor (one
+/// `index` must have been built over `dirty` and `rules` (its γ ids are
+/// read through `dirty`'s dictionaries) and been through AGP + weight
+/// learning + RSC, i.e. every group holds exactly one γ. Tuples run sharded on `ctx`'s executor (one
 /// progress unit per fused tuple); when `ctx` is stopped, tuples not yet
 /// fused are skipped (cooperative; the caller reports the terminal Status
 /// and discards the partially fused copy). Returns the number of tuples

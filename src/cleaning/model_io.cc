@@ -218,7 +218,7 @@ struct DecodedSnapshot {
   CleaningOptions options;
   std::vector<ValueDict> dicts;  // weight-store interners, ids preserved
   std::vector<GlobalWeightTable::EntryView> entries;
-  bool has_index = false;        // v5 index section present flag
+  bool has_index = false;        // index section present flag
   uint64_t indexed_rows = 0;     // rows the saved index covers
   std::vector<Block> index_blocks;
 };
@@ -365,15 +365,14 @@ Status DecodeWeightsSection(Decoder* d, DecodedSnapshot* snap) {
   return Status::OK();
 }
 
-// v5 index section: a serialized pre-AGP MlnIndex. Everything is written
-// in index order (blocks, groups, γs, tuple lists), so encoding the same
-// index twice yields identical bytes. Group keys are reconstructed from
-// each group's first γ — the pre-AGP invariant the encoder enforces.
-Status EncodeIndexSection(const MlnIndex* index, size_t indexed_rows,
-                          Encoder* e) {
+// Index section: a serialized pre-AGP MlnIndex. Everything is written in
+// index order (blocks, groups, γs, tuple lists), so encoding the same
+// index twice yields identical bytes. A γ is its ids; the strings stay in
+// the dataset the index is resumed over.
+void EncodeIndexSection(const MlnIndex* index, size_t indexed_rows, Encoder* e) {
   if (index == nullptr) {
     e->U8(0);
-    return Status::OK();
+    return;
   }
   e->U8(1);
   e->U64(indexed_rows);
@@ -384,21 +383,10 @@ Status EncodeIndexSection(const MlnIndex* index, size_t indexed_rows,
     e->U64(block.rule_index);
     e->U64(block.groups.size());
     for (const Group& group : block.groups) {
-      if (group.pieces.empty() || group.key != group.pieces.front().reason) {
-        return Status::Invalid(
-            "cannot serialize index: a group's key does not match its first "
-            "γ — only pre-AGP (base) indexes are snapshot-able");
-      }
       e->U64(group.pieces.size());
       for (const Piece& piece : group.pieces) {
-        if (!piece.has_ids()) {
-          return Status::Invalid(
-              "cannot serialize index: a γ lacks its dictionary-id mirror");
-        }
-        e->U32(static_cast<uint32_t>(piece.reason.size()));
-        for (const Value& v : piece.reason) e->Str(v);
-        e->U32(static_cast<uint32_t>(piece.result.size()));
-        for (const Value& v : piece.result) e->Str(v);
+        e->U32(static_cast<uint32_t>(piece.reason_ids.size()));
+        e->U32(static_cast<uint32_t>(piece.result_ids.size()));
         for (ValueId id : piece.reason_ids) e->U32(id);
         for (ValueId id : piece.result_ids) e->U32(id);
         e->F64(piece.weight);
@@ -411,7 +399,6 @@ Status EncodeIndexSection(const MlnIndex* index, size_t indexed_rows,
       }
     }
   }
-  return Status::OK();
 }
 
 Status DecodeIndexSection(Decoder* d, DecodedSnapshot* snap) {
@@ -438,22 +425,16 @@ Status DecodeIndexSection(Decoder* d, DecodedSnapshot* snap) {
       for (uint64_t pi = 0; pi < num_pieces; ++pi) {
         Piece piece;
         MLN_ASSIGN_OR_RETURN(uint32_t n_reason, d->U32("γ reason arity"));
-        for (uint32_t p = 0; p < n_reason; ++p) {
-          MLN_ASSIGN_OR_RETURN(std::string v, d->Str("γ reason value"));
-          piece.reason.push_back(std::move(v));
-        }
         MLN_ASSIGN_OR_RETURN(uint32_t n_result, d->U32("γ result arity"));
-        for (uint32_t p = 0; p < n_result; ++p) {
-          MLN_ASSIGN_OR_RETURN(std::string v, d->Str("γ result value"));
-          piece.result.push_back(std::move(v));
-        }
-        piece.reason_ids.resize(n_reason);
+        // Ids are read one at a time, so a forged arity runs out of bytes
+        // before it can force a large allocation.
         for (uint32_t p = 0; p < n_reason; ++p) {
-          MLN_ASSIGN_OR_RETURN(piece.reason_ids[p], d->U32("γ reason id"));
+          MLN_ASSIGN_OR_RETURN(ValueId id, d->U32("γ reason id"));
+          piece.reason_ids.push_back(id);
         }
-        piece.result_ids.resize(n_result);
         for (uint32_t p = 0; p < n_result; ++p) {
-          MLN_ASSIGN_OR_RETURN(piece.result_ids[p], d->U32("γ result id"));
+          MLN_ASSIGN_OR_RETURN(ValueId id, d->U32("γ result id"));
+          piece.result_ids.push_back(id);
         }
         MLN_ASSIGN_OR_RETURN(piece.weight, d->F64("γ weight"));
         MLN_ASSIGN_OR_RETURN(uint64_t num_tuples, d->U64("γ tuple count"));
@@ -475,7 +456,6 @@ Status DecodeIndexSection(Decoder* d, DecodedSnapshot* snap) {
         piece.tuples.assign(tids.begin(), tids.end());
         group.pieces.push_back(std::move(piece));
       }
-      group.key = group.pieces.front().reason;
       block.groups.push_back(std::move(group));
     }
     snap->index_blocks.push_back(std::move(block));
@@ -658,7 +638,7 @@ Result<std::string> CleanModel::EncodeSnapshotBytes(const MlnIndex* index,
   }
 
   Encoder index_section;
-  MLN_RETURN_NOT_OK(EncodeIndexSection(index, indexed_rows, &index_section));
+  EncodeIndexSection(index, indexed_rows, &index_section);
 
   // Assemble: magic, version, section count, checksummed framed sections.
   Encoder sections;

@@ -33,21 +33,20 @@
 //                   weighted_sum, then every f64 support. Entries are
 //                   written in sorted key order: saving the same model
 //                   twice produces identical bytes.
-//   tag 5 index:    (v5) an optional serialized pre-AGP MlnIndex — the
-//                   base index of a row-incremental session, so another
+//   tag 5 index:    an optional serialized pre-AGP MlnIndex — the base
+//                   index of a row-incremental session, so another
 //                   process can ResumeIncrementalSession without
 //                   re-grounding history. u8 present flag; when present:
 //                   u64 indexed row count, u32 #blocks, per block u64
 //                   rule index + u64 #groups, per group u64 #γs, per γ
-//                   the reason then result values (u32 count + strs
-//                   each), their raw u32 value ids, the f64 weight, and
-//                   the supporting tuple ids (u64 count + a group-varint
+//                   u32 reason arity, u32 result arity, the raw u32
+//                   reason then result value ids (ids of the dataset the
+//                   index covers; no strings), the f64 weight, and the
+//                   supporting tuple ids (u64 count + a group-varint
 //                   delta blob — the lists are sorted, so most ids cost
-//                   one byte). Group keys are not stored: pre-AGP they
-//                   equal the first γ's reason values, and the encoder
-//                   refuses indexes where they do not. Blocks, groups,
-//                   γs, and tuples are written in index order, so saving
-//                   the same index twice produces identical bytes.
+//                   one byte). Blocks, groups, γs, and tuples are
+//                   written in index order, so saving the same index
+//                   twice produces identical bytes.
 //
 // Sections appear exactly once, in tag order. Decoding is strict and
 // bounds-checked: truncated input, bad magic, an unsupported version, an
@@ -89,10 +88,11 @@ inline constexpr char kModelSnapshotMagic[4] = {'M', 'L', 'N', 'M'};
 /// compressed; v5 added the optional index section (tag 5) carrying an
 /// incremental session's pre-AGP base index; v6 stores only the five
 /// options CleaningOptions has and drops every reserved field (the
-/// retired options and the weight-decay counter and stamps)
+/// retired options and the weight-decay counter and stamps); v7's index
+/// section stores each γ as its ids only, without the value strings
 /// (docs/snapshot_format.md). Per the version policy, older snapshots
 /// are rejected — regenerate from the builder.
-inline constexpr uint32_t kModelSnapshotVersion = 6;
+inline constexpr uint32_t kModelSnapshotVersion = 7;
 
 /// Summary of a snapshot, decoded without compiling a model — what
 /// `mlnclean_model inspect` prints.
@@ -105,7 +105,7 @@ struct ModelSnapshotInfo {
   CleaningOptions options;
   size_t num_stored_weights = 0;         // γ entries in the weight store
   std::vector<size_t> weight_dict_sizes; // per-attribute interner sizes
-  bool has_index = false;                // v5: snapshot carries a base index
+  bool has_index = false;                // snapshot carries a base index
   size_t indexed_rows = 0;               // rows the saved index covers
   size_t index_pieces = 0;               // γs across the saved index
 };

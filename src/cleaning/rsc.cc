@@ -13,7 +13,8 @@ struct RscScratch {
   std::vector<double> min_dist;
 };
 
-void ComputeReliabilityScores(const Group& group, const DistanceFn& dist,
+void ComputeReliabilityScores(const Group& group, const Dataset& data,
+                              const Constraint& rule, const DistanceFn& dist,
                               RscScratch* scratch, std::vector<double>* scores) {
   const size_t m = group.pieces.size();
   scores->assign(m, 0.0);
@@ -30,7 +31,7 @@ void ComputeReliabilityScores(const Group& group, const DistanceFn& dist,
   double z = 0.0;
   for (size_t i = 0; i < m; ++i) {
     for (size_t j = i + 1; j < m; ++j) {
-      double d = PieceDistance(group.pieces[i], group.pieces[j], dist);
+      double d = PieceDistance(group.pieces[i], group.pieces[j], data, rule, dist);
       z = std::max(z, d);
       min_dist[i] = std::min(min_dist[i], d);
       min_dist[j] = std::min(min_dist[j], d);
@@ -46,33 +47,37 @@ void ComputeReliabilityScores(const Group& group, const DistanceFn& dist,
   }
 }
 
-void RunRscGroupImpl(Group* group, size_t block_rule_index, const DistanceFn& dist,
+void RunRscGroupImpl(Group* group, size_t block_rule_index, const Dataset& data,
+                     const Constraint& rule, const DistanceFn& dist,
                      CleaningReport* report, RscScratch* scratch,
                      std::vector<double>* scores);
 
 }  // namespace
 
-std::vector<double> ReliabilityScores(const Group& group, const DistanceFn& dist) {
+std::vector<double> ReliabilityScores(const Group& group, const Dataset& data,
+                                      const Constraint& rule, const DistanceFn& dist) {
   RscScratch scratch;
   std::vector<double> scores;
-  ComputeReliabilityScores(group, dist, &scratch, &scores);
+  ComputeReliabilityScores(group, data, rule, dist, &scratch, &scores);
   return scores;
 }
 
-void RunRscGroup(Group* group, size_t block_rule_index, const DistanceFn& dist,
+void RunRscGroup(Group* group, size_t block_rule_index, const Dataset& data,
+                 const Constraint& rule, const DistanceFn& dist,
                  CleaningReport* report) {
   RscScratch scratch;
   std::vector<double> scores;
-  RunRscGroupImpl(group, block_rule_index, dist, report, &scratch, &scores);
+  RunRscGroupImpl(group, block_rule_index, data, rule, dist, report, &scratch, &scores);
 }
 
 namespace {
 
-void RunRscGroupImpl(Group* group, size_t block_rule_index, const DistanceFn& dist,
+void RunRscGroupImpl(Group* group, size_t block_rule_index, const Dataset& data,
+                     const Constraint& rule, const DistanceFn& dist,
                      CleaningReport* report, RscScratch* scratch,
                      std::vector<double>* scores_buf) {
   if (group->pieces.size() <= 1) return;  // already in the ideal state
-  ComputeReliabilityScores(*group, dist, scratch, scores_buf);
+  ComputeReliabilityScores(*group, data, rule, dist, scratch, scores_buf);
   std::vector<double>& scores = *scores_buf;
   // Winner: max r-score; ties broken by weight, then support, then order.
   size_t best = 0;
@@ -86,54 +91,57 @@ void RunRscGroupImpl(Group* group, size_t block_rule_index, const DistanceFn& di
       best = i;
     }
   }
+  // The records' strings are read from the dictionaries only when a
+  // report is collected; the group key is the first γ's reason values.
+  std::vector<Value> group_key, winner_values;
+  if (report) {
+    group_key = group->pieces.front().ReasonValues(data, rule);
+    winner_values = group->pieces[best].AllValues(data, rule);
+  }
   Piece winner = std::move(group->pieces[best]);
-  std::vector<Value> winner_values;
-  if (report) winner_values = winner.AllValues();
   for (size_t i = 0; i < group->pieces.size(); ++i) {
     if (i == best) continue;
     Piece& loser = group->pieces[i];
     winner.tuples.insert(winner.tuples.end(), loser.tuples.begin(),
                          loser.tuples.end());
     if (report) {
-      // The loser is discarded below, so its values and tuples move into
-      // its record.
+      // The loser is discarded below, so its tuples move into its record.
       RscRepairRecord rec;
       rec.block = block_rule_index;
-      rec.group_key = group->key;
+      rec.group_key = group_key;
       rec.winner_values = winner_values;
-      rec.loser_values = std::move(loser.reason);
-      rec.loser_values.insert(rec.loser_values.end(),
-                              std::make_move_iterator(loser.result.begin()),
-                              std::make_move_iterator(loser.result.end()));
+      rec.loser_values = loser.AllValues(data, rule);
       rec.affected_tuples = std::move(loser.tuples);
       report->rsc.push_back(std::move(rec));
     }
   }
+  // The winner goes to the front: a merged-in winner's reason values key
+  // the group from now on.
   group->pieces.clear();
   group->pieces.push_back(std::move(winner));
-  // The winner may be a merged-in γ whose reason differs from the build-time
-  // key; the group now represents the winner's reason values.
-  group->key = group->pieces.front().reason;
 }
 
 // RSC over one block: one scratch for all of its groups.
-void RunRscBlock(Block* block, const DistanceFn& dist, CleaningReport* report) {
+void RunRscBlock(Block* block, const Dataset& data, const RuleSet& rules,
+                 const DistanceFn& dist, CleaningReport* report) {
   RscScratch scratch;
   std::vector<double> scores;
+  const Constraint& rule = rules.rule(block->rule_index);
   for (Group& group : block->groups) {
-    RunRscGroupImpl(&group, block->rule_index, dist, report, &scratch, &scores);
+    RunRscGroupImpl(&group, block->rule_index, data, rule, dist, report, &scratch,
+                    &scores);
   }
 }
 
 }  // namespace
 
-void RunRscAll(MlnIndex* index, const DistanceFn& dist, CleaningReport* report,
-               const ExecContext& ctx) {
+void RunRscAll(MlnIndex* index, const Dataset& data, const RuleSet& rules,
+               const DistanceFn& dist, CleaningReport* report, const ExecContext& ctx) {
   const size_t num_blocks = index->num_blocks();
   if (ctx.parallelism() <= 1 || num_blocks <= 1) {
     for (size_t bi = 0; bi < num_blocks; ++bi) {
       if (ctx.Stopped()) return;
-      RunRscBlock(&index->block(bi), dist, report);
+      RunRscBlock(&index->block(bi), data, rules, dist, report);
       ctx.Tick(1);
     }
     return;
@@ -143,7 +151,7 @@ void RunRscAll(MlnIndex* index, const DistanceFn& dist, CleaningReport* report,
   std::vector<CleaningReport> local(report ? num_blocks : 0);
   ParallelFor(num_blocks, ctx, [&](size_t bi) {
     if (ctx.Stopped()) return;
-    RunRscBlock(&index->block(bi), dist, report ? &local[bi] : nullptr);
+    RunRscBlock(&index->block(bi), data, rules, dist, report ? &local[bi] : nullptr);
     ctx.Tick(1);
   });
   if (report) {

@@ -17,21 +17,25 @@
 
 namespace mlnclean {
 
-/// Reliability scores of every γ in `group`, in piece order. Groups with a
-/// single γ get the score n/Z·w with dist treated as 1 (they are skipped by
-/// RSC anyway). Z is the maximum raw pairwise distance within the group.
-std::vector<double> ReliabilityScores(const Group& group, const DistanceFn& dist);
+/// Reliability scores of every γ in `group` (of `rule`'s block, over
+/// `data`), in piece order. Groups with a single γ get the score n/Z·w with
+/// dist treated as 1 (they are skipped by RSC anyway). Z is the maximum raw
+/// pairwise distance within the group.
+std::vector<double> ReliabilityScores(const Group& group, const Dataset& data,
+                                      const Constraint& rule, const DistanceFn& dist);
 
 /// Runs RSC over one group in place; appends one record per replaced γ.
-void RunRscGroup(Group* group, size_t block_rule_index, const DistanceFn& dist,
+void RunRscGroup(Group* group, size_t block_rule_index, const Dataset& data,
+                 const Constraint& rule, const DistanceFn& dist,
                  CleaningReport* report);
 
-/// Runs RSC over every group of every block.
+/// Runs RSC over every group of every block of an index built over `data`
+/// and `rules`.
 /// Blocks run in parallel on `ctx`'s executor (one progress unit per
 /// block); when `ctx` is stopped, blocks not yet started are skipped
 /// (cooperative; the caller reports the terminal Status).
-void RunRscAll(MlnIndex* index, const DistanceFn& dist, CleaningReport* report,
-               const ExecContext& ctx = {});
+void RunRscAll(MlnIndex* index, const Dataset& data, const RuleSet& rules,
+               const DistanceFn& dist, CleaningReport* report, const ExecContext& ctx = {});
 
 }  // namespace mlnclean
 

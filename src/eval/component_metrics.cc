@@ -74,18 +74,19 @@ Result<ComponentEvaluation> EvaluateComponents(const Dataset& dirty,
       for (const auto& piece : group.pieces) {
         members.insert(members.end(), piece.tuples.begin(), piece.tuples.end());
       }
+      const std::vector<Value> key = group.pieces.front().ReasonValues(dirty, rule);
       GroupTruth gt;
       gt.plurality_reason = PluralityTruth(truth, members, rule.reason_attrs());
       bool any_match = false;
       for (TupleId tid : members) {
-        if (TruthValues(truth, tid, rule.reason_attrs()) == group.key) {
+        if (TruthValues(truth, tid, rule.reason_attrs()) == key) {
           any_match = true;
           break;
         }
       }
       gt.really_abnormal = !any_match;
       if (gt.really_abnormal) ++real_abnormal_total;
-      group_truth[bi].emplace(JoinKey(group.key), std::move(gt));
+      group_truth[bi].emplace(JoinKey(key), std::move(gt));
     }
   }
 
@@ -117,7 +118,8 @@ Result<ComponentEvaluation> EvaluateComponents(const Dataset& dirty,
     const std::vector<AttrId> rule_attrs = rule.attrs();
     for (const Group& group : block.groups) {
       for (const auto& piece : group.pieces) {
-        if (piece.AllValues() != PluralityTruth(truth, piece.tuples, rule_attrs)) {
+        if (piece.AllValues(dirty, rule) !=
+            PluralityTruth(truth, piece.tuples, rule_attrs)) {
           ++erroneous_pieces;
         }
       }

@@ -130,8 +130,7 @@ Result<ShardedBatch> ShardRouter::Shard(const Dataset& batch) const {
 }
 
 std::vector<uint8_t> ShardRouter::Encode() const {
-  std::vector<uint8_t> out;
-  out.insert(out.end(), kMagic, kMagic + 4);
+  std::vector<uint8_t> out(kMagic, kMagic + 4);
   PutU32(&out, kVersion);
   PutU32(&out, static_cast<uint32_t>(metric_));
   PutU64(&out, seed_);

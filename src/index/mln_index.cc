@@ -18,22 +18,20 @@ Status CheckSameSchema(const Dataset& data, const RuleSet& rules) {
   return Status::Invalid("dataset schema does not match the rule set's schema");
 }
 
-// A block's groups by the hash of their reason ids (those of each group's
-// first γ, which in a pre-AGP index are its key's ids).
+// A block's groups by the hash of their key (each group's first γ's
+// reason ids).
 using GroupsByReason = std::unordered_map<uint64_t, std::vector<size_t>>;
 
 // The group of `g`'s reason binding in `block`; a miss appends a new group
 // at the end of the block, where a cold build first sees that binding.
-// The caller adds `g`'s γ to the group before the next lookup.
-size_t GroupOf(const GroundRule& g, Block* block, GroupsByReason* by_reason) {
+// The caller adds `g` to the group before the next lookup.
+size_t GroupOf(const Piece& g, Block* block, GroupsByReason* by_reason) {
   std::vector<size_t>& bucket = (*by_reason)[HashValueIds(g.reason_ids)];
   for (size_t gi : bucket) {
     if (block->groups[gi].pieces.front().reason_ids == g.reason_ids) return gi;
   }
   bucket.push_back(block->groups.size());
-  Group group;
-  group.key = g.reason;
-  block->groups.push_back(std::move(group));
+  block->groups.emplace_back();
   return block->groups.size() - 1;
 }
 
@@ -81,24 +79,18 @@ Result<MlnIndex> MlnIndex::Build(const Dataset& data, const RuleSet& rules,
     if (ctx.Stopped()) return;
     const Constraint& rule = rules.rule(ri);
     // Grounding yields the distinct γs with their supporting tuples.
-    Result<std::vector<GroundRule>> grounds = GroundConstraint(data, rule);
+    Result<std::vector<Piece>> grounds = GroundConstraint(data, rule);
     if (!grounds.ok()) {
       statuses[ri] = grounds.status();
       return;
     }
     Block& block = index.blocks_[ri];
     block.rule_index = ri;
-    // Groups dedup on reason ids (γs carry them from grounding).
+    // Groups dedup on reason ids.
     GroupsByReason by_reason;
-    for (auto& g : grounds.ValueUnsafe()) {
+    for (Piece& g : grounds.ValueUnsafe()) {
       const size_t group_idx = GroupOf(g, &block, &by_reason);
-      Piece piece;
-      piece.reason = std::move(g.reason);
-      piece.result = std::move(g.result);
-      piece.tuples = std::move(g.tuples);
-      piece.reason_ids = std::move(g.reason_ids);
-      piece.result_ids = std::move(g.result_ids);
-      block.groups[group_idx].pieces.push_back(std::move(piece));
+      block.groups[group_idx].pieces.push_back(std::move(g));
     }
     ctx.Tick(1);
   });
@@ -128,7 +120,7 @@ Status MlnIndex::AppendRows(const Dataset& data, const RuleSet& rules,
   ParallelFor(rules.size(), ctx, [&](size_t ri) {
     if (ctx.Stopped()) return;
     const Constraint& rule = rules.rule(ri);
-    Result<std::vector<GroundRule>> grounds = GroundConstraintRange(
+    Result<std::vector<Piece>> grounds = GroundConstraintRange(
         data, rule, static_cast<TupleId>(first_row),
         static_cast<TupleId>(data.num_rows()));
     if (!grounds.ok()) {
@@ -143,7 +135,7 @@ Status MlnIndex::AppendRows(const Dataset& data, const RuleSet& rules,
     for (size_t gi = 0; gi < block.groups.size(); ++gi) {
       by_reason[HashValueIds(block.groups[gi].pieces.front().reason_ids)].push_back(gi);
     }
-    for (auto& g : grounds.ValueUnsafe()) {
+    for (Piece& g : grounds.ValueUnsafe()) {
       // Touch rule: locate the γ's group by reason binding; a miss is a
       // brand-new one, appended where a cold build would have first seen
       // it (the end of the block).
@@ -162,13 +154,7 @@ Status MlnIndex::AppendRows(const Dataset& data, const RuleSet& rules,
         match->tuples.insert(match->tuples.end(), g.tuples.begin(),
                              g.tuples.end());
       } else {
-        Piece piece;
-        piece.reason = std::move(g.reason);
-        piece.result = std::move(g.result);
-        piece.tuples = std::move(g.tuples);
-        piece.reason_ids = std::move(g.reason_ids);
-        piece.result_ids = std::move(g.result_ids);
-        group.pieces.push_back(std::move(piece));
+        group.pieces.push_back(std::move(g));
       }
     }
     ctx.Tick(1);
@@ -201,41 +187,53 @@ Status MlnIndex::Validate(const Dataset& data, const RuleSet& rules) const {
       if (group.pieces.empty()) {
         return Status::Invalid(where + " has an empty group");
       }
-      if (group.key != group.pieces.front().reason) {
-        return Status::Invalid(where +
-                               " group key does not match its first γ "
-                               "(not a pre-AGP index)");
-      }
       for (const Piece& piece : group.pieces) {
-        if (piece.reason.size() != reason_attrs.size() ||
-            piece.result.size() != result_attrs.size() || !piece.has_ids()) {
-          return Status::Invalid(where + " has a γ whose arity or id mirror "
-                                         "does not match its rule");
+        if (piece.reason_ids.size() != reason_attrs.size() ||
+            piece.result_ids.size() != result_attrs.size()) {
+          return Status::Invalid(where + " has a γ whose arity does not match "
+                                         "its rule");
         }
-        auto check_values = [&](const std::vector<AttrId>& attrs,
-                                const std::vector<Value>& values,
-                                const std::vector<ValueId>& ids) -> Status {
+        if (piece.reason_ids != group.pieces.front().reason_ids) {
+          return Status::Invalid(where +
+                                 " has a group whose γs differ in their reason "
+                                 "values (not a pre-AGP index)");
+        }
+        auto check_ids = [&](const std::vector<AttrId>& attrs,
+                             const std::vector<ValueId>& ids) -> Status {
           for (size_t p = 0; p < attrs.size(); ++p) {
-            const ValueDict& dict = data.dict(attrs[p]);
-            if (ids[p] >= dict.size() || dict.value(ids[p]) != values[p]) {
+            if (ids[p] >= data.dict(attrs[p]).size()) {
               return Status::Invalid(
-                  where + " has a γ whose ids disagree with the dataset's "
-                          "dictionaries (wrong dataset for this index?)");
+                  where + " has a γ id outside the dataset's dictionaries "
+                          "(wrong dataset for this index?)");
             }
           }
           return Status::OK();
         };
-        MLN_RETURN_NOT_OK(check_values(reason_attrs, piece.reason, piece.reason_ids));
-        MLN_RETURN_NOT_OK(check_values(result_attrs, piece.result, piece.result_ids));
+        MLN_RETURN_NOT_OK(check_ids(reason_attrs, piece.reason_ids));
+        MLN_RETURN_NOT_OK(check_ids(result_attrs, piece.result_ids));
         if (piece.tuples.empty()) {
           return Status::Invalid(where + " has a γ with no supporting tuples");
         }
+        // Each supporting tuple's cells hold the γ's ids.
+        auto check_cells = [&](const std::vector<AttrId>& attrs,
+                               const std::vector<ValueId>& ids, TupleId tid) {
+          for (size_t p = 0; p < attrs.size(); ++p) {
+            if (data.column(attrs[p])[static_cast<size_t>(tid)] != ids[p]) return false;
+          }
+          return true;
+        };
         TupleId prev = -1;
         for (TupleId tid : piece.tuples) {
           if (tid <= prev || tid >= num_rows) {
             return Status::Invalid(
                 where + " has a γ with out-of-bounds or unsorted tuple ids "
                         "(index covers more rows than the dataset?)");
+          }
+          if (!check_cells(reason_attrs, piece.reason_ids, tid) ||
+              !check_cells(result_attrs, piece.result_ids, tid)) {
+            return Status::Invalid(where + " has a γ whose ids disagree with tuple " +
+                                   std::to_string(tid) +
+                                   "'s cells (wrong dataset for this index?)");
           }
           prev = tid;
         }
@@ -252,10 +250,10 @@ MlnIndex MlnIndex::FromBlocks(std::vector<Block> blocks) {
 }
 
 Result<size_t> MlnIndex::FindGroup(size_t block_index,
-                                   const std::vector<Value>& key) const {
+                                   const std::vector<ValueId>& reason_ids) const {
   const std::vector<Group>& groups = blocks_[block_index].groups;
   for (size_t gi = 0; gi < groups.size(); ++gi) {
-    if (groups[gi].key == key) return gi;
+    if (groups[gi].pieces.front().reason_ids == reason_ids) return gi;
   }
   return Status::NotFound("no group for the given reason key");
 }

@@ -16,12 +16,11 @@
 
 namespace mlnclean {
 
-/// Second-layer entry: γs sharing one reason key. After AGP a group may
-/// additionally hold γs merged in from abnormal groups (whose own reason
-/// values may differ from the key); after RSC it holds exactly one γ.
+/// Second-layer entry: γs sharing one reason key. The key is the first
+/// γ's reason ids: Build creates a group from its first γ, AGP appends
+/// merged-in γs (whose own reason values may differ) at the back, and RSC
+/// puts its winner at the front and leaves exactly one γ.
 struct Group {
-  /// The shared reason-part values that keyed this group at build time.
-  std::vector<Value> key;
   std::vector<Piece> pieces;
 
   /// Total number of tuples across all γs (the AGP size criterion).
@@ -76,10 +75,12 @@ class MlnIndex {
                     size_t first_row, const ExecContext& ctx = {});
 
   /// Checks that this index is a plausible pre-AGP index over `data` and
-  /// `rules`: block/rule alignment, per-γ value arity, id/value agreement
-  /// with the dataset's dictionaries, and in-bounds strictly increasing
-  /// tuple lists. The cross-process resume path runs this on a
-  /// snapshot-loaded index before serving from it.
+  /// `rules`: block/rule alignment, per-γ arity, ids inside the dataset's
+  /// dictionaries, one reason binding per group, in-bounds strictly
+  /// increasing tuple lists, and every supporting tuple's cells holding
+  /// its γ's ids (an index over another dataset fails this). The
+  /// cross-process resume path runs this on a snapshot-loaded index
+  /// before serving from it.
   Status Validate(const Dataset& data, const RuleSet& rules) const;
 
   /// Reassembles an index from externally decoded blocks (the snapshot
@@ -92,11 +93,13 @@ class MlnIndex {
   const std::vector<Block>& blocks() const { return blocks_; }
   std::vector<Block>& blocks() { return blocks_; }
 
-  /// Looks up the first group of the block with the given reason key;
-  /// NotFound if absent or merged away. A scan of the block's groups: it
-  /// reads the groups as they are, whatever mutated them, and never writes,
-  /// so concurrent calls on a shared const index are safe.
-  Result<size_t> FindGroup(size_t block_index, const std::vector<Value>& key) const;
+  /// Looks up the first group of the block whose key (its first γ's
+  /// reason ids) is `reason_ids`; NotFound if absent or merged away. A scan
+  /// of the block's groups: it reads the groups as they are, whatever
+  /// mutated them, and never writes, so concurrent calls on a shared const
+  /// index are safe.
+  Result<size_t> FindGroup(size_t block_index,
+                           const std::vector<ValueId>& reason_ids) const;
 
   /// Learns MLN weights for every γ of every block: Eq. 4 priors refined
   /// by an exact Newton solve per reason-key group (mln/weight_learner.h)

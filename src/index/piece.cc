@@ -4,59 +4,67 @@
 
 namespace mlnclean {
 
-std::vector<Value> Piece::AllValues() const {
-  std::vector<Value> out = reason;
-  out.insert(out.end(), result.begin(), result.end());
-  return out;
-}
-
-std::string Piece::ToString(const Schema& schema,
-                            const std::vector<AttrId>& reason_attrs,
-                            const std::vector<AttrId>& result_attrs) const {
-  std::string out = "{";
-  bool first = true;
-  auto append = [&](const std::vector<AttrId>& attrs, const std::vector<Value>& vals) {
-    for (size_t i = 0; i < attrs.size() && i < vals.size(); ++i) {
-      if (!first) out += ", ";
-      first = false;
-      out += schema.name(attrs[i]) + ": " + vals[i];
-    }
-  };
-  append(reason_attrs, reason);
-  append(result_attrs, result);
-  out += "}";
-  return out;
-}
-
 namespace {
 
-// Attribute-wise accumulation. `kUseIds` callers guarantee both γs carry
-// complete id mirrors.
-template <bool kUseIds>
-double Accumulate(const Piece& a, const Piece& b, const DistanceFn& dist) {
-  double total = 0.0;
-  const size_t nr = std::min(a.reason.size(), b.reason.size());
-  for (size_t i = 0; i < nr; ++i) {
-    if (kUseIds) {
-      if (a.reason_ids[i] == b.reason_ids[i]) continue;
-    }
-    total += dist(a.reason[i], b.reason[i]);
+// Appends the values of `ids` read through `attrs`' dictionaries.
+void AppendValues(const Dataset& data, const std::vector<AttrId>& attrs,
+                  const std::vector<ValueId>& ids, std::vector<Value>* out) {
+  const size_t n = std::min(attrs.size(), ids.size());
+  for (size_t i = 0; i < n; ++i) out->push_back(data.dict(attrs[i]).value(ids[i]));
+}
+
+// Adds one side's (reason or result) attribute-wise distances to *total,
+// one term at a time: the fold AGP's bounded scan reproduces.
+void AddSideDistance(const Dataset& data, const std::vector<AttrId>& attrs,
+                     const std::vector<ValueId>& a, const std::vector<ValueId>& b,
+                     const DistanceFn& dist, double* total) {
+  const size_t n = std::min({attrs.size(), a.size(), b.size()});
+  for (size_t i = 0; i < n; ++i) {
+    if (a[i] == b[i]) continue;
+    const ValueDict& dict = data.dict(attrs[i]);
+    *total += dist(dict.value(a[i]), dict.value(b[i]));
   }
-  const size_t ns = std::min(a.result.size(), b.result.size());
-  for (size_t i = 0; i < ns; ++i) {
-    if (kUseIds) {
-      if (a.result_ids[i] == b.result_ids[i]) continue;
-    }
-    total += dist(a.result[i], b.result[i]);
-  }
-  return total;
 }
 
 }  // namespace
 
-double PieceDistance(const Piece& a, const Piece& b, const DistanceFn& dist) {
-  if (a.has_ids() && b.has_ids()) return Accumulate<true>(a, b, dist);
-  return Accumulate<false>(a, b, dist);
+std::vector<Value> Piece::ReasonValues(const Dataset& data, const Constraint& rule) const {
+  std::vector<Value> out;
+  out.reserve(reason_ids.size());
+  AppendValues(data, rule.reason_attrs(), reason_ids, &out);
+  return out;
+}
+
+std::vector<Value> Piece::AllValues(const Dataset& data, const Constraint& rule) const {
+  std::vector<Value> out;
+  out.reserve(reason_ids.size() + result_ids.size());
+  AppendValues(data, rule.reason_attrs(), reason_ids, &out);
+  AppendValues(data, rule.result_attrs(), result_ids, &out);
+  return out;
+}
+
+std::string Piece::ToString(const Dataset& data, const Constraint& rule) const {
+  std::string out = "{";
+  bool first = true;
+  auto append = [&](const std::vector<AttrId>& attrs, const std::vector<ValueId>& ids) {
+    for (size_t i = 0; i < attrs.size() && i < ids.size(); ++i) {
+      if (!first) out += ", ";
+      first = false;
+      out += data.schema().name(attrs[i]) + ": " + data.dict(attrs[i]).value(ids[i]);
+    }
+  };
+  append(rule.reason_attrs(), reason_ids);
+  append(rule.result_attrs(), result_ids);
+  out += "}";
+  return out;
+}
+
+double PieceDistance(const Piece& a, const Piece& b, const Dataset& data,
+                     const Constraint& rule, const DistanceFn& dist) {
+  double total = 0.0;
+  AddSideDistance(data, rule.reason_attrs(), a.reason_ids, b.reason_ids, dist, &total);
+  AddSideDistance(data, rule.result_attrs(), a.result_ids, b.result_ids, dist, &total);
+  return total;
 }
 
 }  // namespace mlnclean

@@ -35,57 +35,55 @@ std::string GlobalWeightTable::PackKey(size_t rule_index,
 
 namespace {
 
-// Resolves one side's values to table ids via `lookup(attr, value)`; false
-// when an arity mismatches or a value cannot be resolved.
-template <typename LookupFn>
-bool ResolveSide(const std::vector<AttrId>& attrs, const std::vector<Value>& values,
+// Resolves `n` values of one side of a γ — value_of(i) of attribute
+// attrs[i] — to table ids via `lookup(attr, value)`; false when the arity
+// mismatches or a value cannot be resolved.
+template <typename ValueOf, typename LookupFn>
+bool ResolveSide(const std::vector<AttrId>& attrs, size_t n, ValueOf value_of,
                  LookupFn lookup, std::vector<ValueId>* out) {
-  if (attrs.size() != values.size()) return false;
+  if (attrs.size() != n) return false;
   out->clear();
-  out->reserve(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    ValueId id = lookup(static_cast<size_t>(attrs[i]), values[i]);
+  out->reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    ValueId id = lookup(static_cast<size_t>(attrs[i]), value_of(i));
     if (id == kInvalidValueId) return false;
     out->push_back(id);
   }
   return true;
 }
 
+// Resolves a γ of `rule`'s block, its values read through `data`'s
+// dictionaries, to table ids.
+template <typename LookupFn>
+bool ResolvePiece(const Constraint& rule, const Piece& piece, const Dataset& data,
+                  LookupFn lookup, std::vector<ValueId>* reason_ids,
+                  std::vector<ValueId>* result_ids) {
+  auto side = [&](const std::vector<AttrId>& attrs, const std::vector<ValueId>& ids,
+                  std::vector<ValueId>* out) {
+    return ResolveSide(
+        attrs, ids.size(),
+        [&](size_t i) -> const Value& { return data.dict(attrs[i]).value(ids[i]); },
+        lookup, out);
+  };
+  return side(rule.reason_attrs(), piece.reason_ids, reason_ids) &&
+         side(rule.result_attrs(), piece.result_ids, result_ids);
+}
+
 }  // namespace
 
-bool GlobalWeightTable::InternIds(const Constraint& rule,
-                                  const std::vector<Value>& reason,
-                                  const std::vector<Value>& result,
-                                  std::vector<ValueId>* reason_ids,
-                                  std::vector<ValueId>* result_ids) {
+void GlobalWeightTable::Accumulate(const MlnIndex& part_index, const Dataset& data,
+                                   const RuleSet& rules) {
+  if (dicts_.empty()) dicts_.resize(rules.schema().num_attrs());
   auto intern = [this](size_t a, const Value& v) {
     return a < dicts_.size() ? dicts_[a].Intern(v) : kInvalidValueId;
   };
-  return ResolveSide(rule.reason_attrs(), reason, intern, reason_ids) &&
-         ResolveSide(rule.result_attrs(), result, intern, result_ids);
-}
-
-bool GlobalWeightTable::FindIds(const Constraint& rule,
-                                const std::vector<Value>& reason,
-                                const std::vector<Value>& result,
-                                std::vector<ValueId>* reason_ids,
-                                std::vector<ValueId>* result_ids) const {
-  auto find = [this](size_t a, const Value& v) {
-    return a < dicts_.size() ? dicts_[a].Find(v) : kInvalidValueId;
-  };
-  return ResolveSide(rule.reason_attrs(), reason, find, reason_ids) &&
-         ResolveSide(rule.result_attrs(), result, find, result_ids);
-}
-
-void GlobalWeightTable::Accumulate(const MlnIndex& part_index, const RuleSet& rules) {
-  if (dicts_.empty()) dicts_.resize(rules.schema().num_attrs());
   std::vector<ValueId> reason_ids, result_ids;
   for (const Block& block : part_index.blocks()) {
     if (block.rule_index >= rules.size()) continue;  // foreign index; skip
     const Constraint& rule = rules.rule(block.rule_index);
     for (const Group& group : block.groups) {
       for (const Piece& piece : group.pieces) {
-        if (!InternIds(rule, piece.reason, piece.result, &reason_ids, &result_ids)) {
+        if (!ResolvePiece(rule, piece, data, intern, &reason_ids, &result_ids)) {
           continue;  // arity mismatch: γ not built from this rule set
         }
         Entry& entry = table_[PackKey(block.rule_index, reason_ids, result_ids)];
@@ -97,14 +95,16 @@ void GlobalWeightTable::Accumulate(const MlnIndex& part_index, const RuleSet& ru
   }
 }
 
-void GlobalWeightTable::Apply(MlnIndex* part_index, const RuleSet& rules) const {
+void GlobalWeightTable::Apply(MlnIndex* part_index, const Dataset& data,
+                              const RuleSet& rules) const {
+  auto find = [this](size_t a, const Value& v) { return FindValue(a, v); };
   std::vector<ValueId> reason_ids, result_ids;
   for (Block& block : part_index->blocks()) {
     if (block.rule_index >= rules.size()) continue;
     const Constraint& rule = rules.rule(block.rule_index);
     for (Group& group : block.groups) {
       for (Piece& piece : group.pieces) {
-        if (!FindIds(rule, piece.reason, piece.result, &reason_ids, &result_ids)) {
+        if (!ResolvePiece(rule, piece, data, find, &reason_ids, &result_ids)) {
           continue;  // a value the table never saw: no merged weight
         }
         auto it = table_.find(PackKey(block.rule_index, reason_ids, result_ids));
@@ -123,8 +123,15 @@ Result<double> GlobalWeightTable::Lookup(const RuleSet& rules, size_t rule_index
     return Status::Invalid("Lookup: rule index " + std::to_string(rule_index) +
                            " outside the rule set");
   }
+  const Constraint& rule = rules.rule(rule_index);
+  auto find = [this](size_t a, const Value& v) { return FindValue(a, v); };
   std::vector<ValueId> reason_ids, result_ids;
-  if (!FindIds(rules.rule(rule_index), reason, result, &reason_ids, &result_ids)) {
+  if (!ResolveSide(rule.reason_attrs(), reason.size(),
+                   [&](size_t i) -> const Value& { return reason[i]; }, find,
+                   &reason_ids) ||
+      !ResolveSide(rule.result_attrs(), result.size(),
+                   [&](size_t i) -> const Value& { return result[i]; }, find,
+                   &result_ids)) {
     return Status::NotFound("no merged weight for the given γ");
   }
   auto it = table_.find(PackKey(rule_index, reason_ids, result_ids));
@@ -132,6 +139,10 @@ Result<double> GlobalWeightTable::Lookup(const RuleSet& rules, size_t rule_index
     return Status::NotFound("no merged weight for the given γ");
   }
   return it->second.weighted_sum / it->second.support;
+}
+
+ValueId GlobalWeightTable::FindValue(size_t attr, const Value& value) const {
+  return attr < dicts_.size() ? dicts_[attr].Find(value) : kInvalidValueId;
 }
 
 void GlobalWeightTable::ForEachEntrySorted(

@@ -30,19 +30,21 @@ namespace mlnclean {
 /// Accumulates per-part learned weights keyed by γ identity
 /// (rule, reason values, result values) and hands back the Eq. 6 average.
 /// `rules` must be the rule set the indexes were built over; it maps every
-/// value position of a γ to its schema attribute.
+/// value position of a γ to its schema attribute. `data` is the dataset a
+/// part's index was built over: its dictionaries turn the γ ids into the
+/// values the table keys on.
 class GlobalWeightTable {
  public:
   /// Folds in one part's post-learning index (call after weight learning,
   /// before RSC). The only member that interns new values: callers that
   /// share a table across threads may run Apply/Lookup concurrently with
   /// each other, but never with Accumulate.
-  void Accumulate(const MlnIndex& part_index, const RuleSet& rules);
+  void Accumulate(const MlnIndex& part_index, const Dataset& data, const RuleSet& rules);
 
   /// Overwrites every γ weight in `part_index` with its merged global
   /// weight. γs never seen by Accumulate keep their local weight.
   /// Read-only on the table (values are looked up, never interned).
-  void Apply(MlnIndex* part_index, const RuleSet& rules) const;
+  void Apply(MlnIndex* part_index, const Dataset& data, const RuleSet& rules) const;
 
   /// Merged weight of a γ, or NotFound. Read-only.
   Result<double> Lookup(const RuleSet& rules, size_t rule_index,
@@ -93,15 +95,9 @@ class GlobalWeightTable {
   static std::string PackKey(size_t rule_index, const std::vector<ValueId>& reason_ids,
                              const std::vector<ValueId>& result_ids);
 
-  /// Resolves a γ's values to table ids, interning unseen values
-  /// (Accumulate's write path).
-  bool InternIds(const Constraint& rule, const std::vector<Value>& reason,
-                 const std::vector<Value>& result, std::vector<ValueId>* reason_ids,
-                 std::vector<ValueId>* result_ids);
-  /// Read-only resolution; false when any value was never interned.
-  bool FindIds(const Constraint& rule, const std::vector<Value>& reason,
-               const std::vector<Value>& result, std::vector<ValueId>* reason_ids,
-               std::vector<ValueId>* result_ids) const;
+  /// The table id of `value` in attribute `attr`'s interner, or
+  /// kInvalidValueId when it was never interned (read-only).
+  ValueId FindValue(size_t attr, const Value& value) const;
 
   std::vector<ValueDict> dicts_;  // one per schema attribute
   std::unordered_map<std::string, Entry> table_;

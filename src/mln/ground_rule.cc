@@ -14,16 +14,15 @@ size_t NextPowerOfTwo(size_t n) {
 
 }  // namespace
 
-Result<std::vector<GroundRule>> GroundConstraint(const Dataset& data,
-                                                 const Constraint& rule) {
+Result<std::vector<Piece>> GroundConstraint(const Dataset& data,
+                                            const Constraint& rule) {
   return GroundConstraintRange(data, rule, 0,
                                static_cast<TupleId>(data.num_rows()));
 }
 
-Result<std::vector<GroundRule>> GroundConstraintRange(const Dataset& data,
-                                                      const Constraint& rule,
-                                                      TupleId first,
-                                                      TupleId end) {
+Result<std::vector<Piece>> GroundConstraintRange(const Dataset& data,
+                                                 const Constraint& rule,
+                                                 TupleId first, TupleId end) {
   if (!rule.IndexCompatible()) {
     return Status::Invalid(
         "rule '" + rule.name() +
@@ -47,7 +46,7 @@ Result<std::vector<GroundRule>> GroundConstraintRange(const Dataset& data,
 
   const ScopeFilter scope = rule.MakeScopeFilter(data);
 
-  std::vector<GroundRule> out;
+  std::vector<Piece> out;
   // Flat open-addressing binding table: slots hold (hash, γ index + 1);
   // matches are confirmed against the stored γ's id vectors. Sized for the
   // worst case (every tuple a distinct binding) so it never rehashes.
@@ -65,27 +64,18 @@ Result<std::vector<GroundRule>> GroundConstraintRange(const Dataset& data,
     size_t i = h & mask;
     while (true) {
       if (slot_idx[i] == 0) {
-        // First sight of this binding: materialize the γ's value vectors
-        // from the dictionaries (once per distinct γ, not per tuple).
+        // First sight of this binding: a new γ.
         slot_hash[i] = h;
         slot_idx[i] = static_cast<uint32_t>(out.size()) + 1;
-        GroundRule g;
+        Piece g;
         g.reason_ids.assign(ids.begin(), ids.begin() + n_reason);
         g.result_ids.assign(ids.begin() + n_reason, ids.end());
-        g.reason.reserve(n_reason);
-        for (size_t p = 0; p < n_reason; ++p) {
-          g.reason.push_back(data.dict(reason_attrs[p]).value(ids[p]));
-        }
-        g.result.reserve(arity - n_reason);
-        for (size_t p = n_reason; p < arity; ++p) {
-          g.result.push_back(data.dict(result_attrs[p - n_reason]).value(ids[p]));
-        }
         g.tuples.push_back(tid);
         out.push_back(std::move(g));
         break;
       }
       if (slot_hash[i] == h) {
-        GroundRule& g = out[slot_idx[i] - 1];
+        Piece& g = out[slot_idx[i] - 1];
         if (std::equal(ids.begin(), ids.begin() + n_reason, g.reason_ids.begin()) &&
             std::equal(ids.begin() + n_reason, ids.end(), g.result_ids.begin())) {
           g.tuples.push_back(tid);
@@ -98,8 +88,8 @@ Result<std::vector<GroundRule>> GroundConstraintRange(const Dataset& data,
   return out;
 }
 
-std::string GroundRuleToString(const Schema& schema, const Constraint& rule,
-                               const GroundRule& ground) {
+std::string GroundClauseToString(const Dataset& data, const Constraint& rule,
+                                 const Piece& ground) {
   std::string out;
   auto append = [&out](bool negated, const std::string& pred, const Value& constant) {
     if (!out.empty()) out += " | ";
@@ -108,11 +98,13 @@ std::string GroundRuleToString(const Schema& schema, const Constraint& rule,
   };
   const auto& reason_attrs = rule.reason_attrs();
   for (size_t i = 0; i < reason_attrs.size(); ++i) {
-    append(true, schema.name(reason_attrs[i]), ground.reason[i]);
+    append(true, data.schema().name(reason_attrs[i]),
+           data.dict(reason_attrs[i]).value(ground.reason_ids[i]));
   }
   const auto& result_attrs = rule.result_attrs();
   for (size_t i = 0; i < result_attrs.size(); ++i) {
-    append(false, schema.name(result_attrs[i]), ground.result[i]);
+    append(false, data.schema().name(result_attrs[i]),
+           data.dict(result_attrs[i]).value(ground.result_ids[i]));
   }
   return out;
 }

@@ -6,9 +6,8 @@
 //
 // Grounding runs entirely on the dataset's dictionary ids: per tuple it
 // gathers the rule's attribute ids straight from the columns, hashes the
-// id tuple, and dedups bindings in a flat open-addressing table — no
-// per-tuple key strings are built. Value strings are materialized once per
-// distinct γ, from the dictionaries.
+// id tuple, and dedups bindings in a flat open-addressing table. A ground
+// rule is the γ (index/piece.h) of its binding: ids only, no strings.
 
 #ifndef MLNCLEAN_MLN_GROUND_RULE_H_
 #define MLNCLEAN_MLN_GROUND_RULE_H_
@@ -17,45 +16,31 @@
 #include <vector>
 
 #include "common/result.h"
+#include "index/piece.h"
 #include "rules/constraint.h"
 
 namespace mlnclean {
 
-/// One ground MLN rule: a concrete binding of a rule's reason/result
-/// attributes, with the tuples exhibiting it. The `*_ids` vectors mirror
-/// the values as dictionary ids of the grounded-over dataset.
-struct GroundRule {
-  std::vector<Value> reason;
-  std::vector<Value> result;
-  std::vector<TupleId> tuples;
-  double weight = 0.0;
-  std::vector<ValueId> reason_ids;
-  std::vector<ValueId> result_ids;
-
-  /// Number of supporting tuples (the c(γ) of Eq. 4).
-  size_t support() const { return tuples.size(); }
-};
-
-/// Grounds `rule` over `data`: one GroundRule per distinct
-/// (reason, result) binding among in-scope tuples, in first-appearance
-/// order. Fails with Invalid for rules the MLN index cannot handle
+/// Grounds `rule` over `data`: one γ per distinct (reason, result)
+/// binding among in-scope tuples, with the tuples exhibiting it, in
+/// first-appearance order. Fails with Invalid for rules the MLN index cannot handle
 /// (general DCs; see Constraint::IndexCompatible).
-Result<std::vector<GroundRule>> GroundConstraint(const Dataset& data,
-                                                 const Constraint& rule);
+Result<std::vector<Piece>> GroundConstraint(const Dataset& data,
+                                            const Constraint& rule);
 
 /// Grounds `rule` over the tuple range [first, end) only — the
 /// incremental-append primitive. Bindings and tuples come out in the same
 /// first-appearance order a full grounding would visit them in, so merging
 /// a range grounding into an index built over [0, first) reproduces the
 /// full build exactly (MlnIndex::AppendRows relies on this).
-Result<std::vector<GroundRule>> GroundConstraintRange(const Dataset& data,
-                                                      const Constraint& rule,
-                                                      TupleId first, TupleId end);
+Result<std::vector<Piece>> GroundConstraintRange(const Dataset& data,
+                                                 const Constraint& rule,
+                                                 TupleId first, TupleId end);
 
-/// Renders a ground rule in the clausal form of Table 3, e.g.
-/// `!CT("DOTHAN") | ST("AL")`.
-std::string GroundRuleToString(const Schema& schema, const Constraint& rule,
-                               const GroundRule& ground);
+/// Renders a ground rule (a γ of `rule` grounded over `data`) in the
+/// clausal form of Table 3, e.g. `!CT("DOTHAN") | ST("AL")`.
+std::string GroundClauseToString(const Dataset& data, const Constraint& rule,
+                                 const Piece& ground);
 
 }  // namespace mlnclean
 

@@ -8,8 +8,8 @@
 //
 // RunAgpAll must agree with it bit for bit — every AgpMergeRecord and
 // every group left behind, piece by piece — at 1 and 4 threads, on seeded
-// random grounded indexes (ids), on hand-built id-less and mixed blocks,
-// for all three metrics and τ from 1 to 3.
+// random grounded indexes and on hand-built blocks (some with ragged
+// arities), for all three metrics and τ from 1 to 3.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "cleaning/agp.h"
+#include "testing/hand_built.h"
 
 namespace mlnclean {
 namespace {
@@ -37,12 +38,13 @@ size_t StarIndex(const Group& group) {
 }
 
 // The all-pairs scan, one block at a time, in block order.
-CleaningReport ReferenceAgp(MlnIndex* index, size_t tau, DistanceMetric metric,
-                            RefStats* stats) {
+CleaningReport ReferenceAgp(MlnIndex* index, const Dataset& data, const RuleSet& rules,
+                            size_t tau, DistanceMetric metric, RefStats* stats) {
   const DistanceFn dist = MakeNormalizedDistanceFn(metric);
   CleaningReport report;
   for (size_t bi = 0; bi < index->num_blocks(); ++bi) {
     Block& block = index->block(bi);
+    const Constraint& rule = rules.rule(block.rule_index);
     std::vector<size_t> normal, abnormal;
     for (size_t gi = 0; gi < block.groups.size(); ++gi) {
       (block.groups[gi].TupleCount() <= tau ? abnormal : normal).push_back(gi);
@@ -52,7 +54,7 @@ CleaningReport ReferenceAgp(MlnIndex* index, size_t tau, DistanceMetric metric,
       Group& group = block.groups[ai];
       AgpMergeRecord rec;
       rec.block = block.rule_index;
-      rec.abnormal_key = group.key;
+      rec.abnormal_key = group.pieces.front().ReasonValues(data, rule);
       rec.num_pieces = group.pieces.size();
       for (const Piece& piece : group.pieces) {
         rec.abnormal_tuples.insert(rec.abnormal_tuples.end(), piece.tuples.begin(),
@@ -62,7 +64,8 @@ CleaningReport ReferenceAgp(MlnIndex* index, size_t tau, DistanceMetric metric,
         double best = std::numeric_limits<double>::infinity();
         size_t best_gi = normal.front();
         for (size_t ni : normal) {
-          const double d = PieceDistance(group.Star(), block.groups[ni].Star(), dist);
+          const double d =
+              PieceDistance(group.Star(), block.groups[ni].Star(), data, rule, dist);
           if (d < best) {
             best = d;
             best_gi = ni;
@@ -75,7 +78,7 @@ CleaningReport ReferenceAgp(MlnIndex* index, size_t tau, DistanceMetric metric,
         for (Piece& piece : group.pieces) target.pieces.push_back(std::move(piece));
         group.pieces.clear();
         if (StarIndex(target) != star_before) ++stats->star_changes;
-        rec.target_key = target.key;
+        rec.target_key = target.pieces.front().ReasonValues(data, rule);
         rec.merged = true;
         remove[ai] = true;
         ++stats->merges;
@@ -114,17 +117,14 @@ void ExpectSameGroups(const MlnIndex& got, const MlnIndex& want) {
     ASSERT_EQ(g.size(), w.size()) << "block " << bi;
     for (size_t gi = 0; gi < w.size(); ++gi) {
       SCOPED_TRACE("block " + std::to_string(bi) + " group " + std::to_string(gi));
-      EXPECT_EQ(g[gi].key, w[gi].key);
       // FindGroup reads the surviving groups, with no reindex step.
-      const Result<size_t> found = got.FindGroup(bi, w[gi].key);
+      const Result<size_t> found = got.FindGroup(bi, w[gi].pieces.front().reason_ids);
       ASSERT_TRUE(found.ok());
       EXPECT_EQ(*found, gi);
       ASSERT_EQ(g[gi].pieces.size(), w[gi].pieces.size());
       for (size_t pi = 0; pi < w[gi].pieces.size(); ++pi) {
         const Piece& gp = g[gi].pieces[pi];
         const Piece& wp = w[gi].pieces[pi];
-        EXPECT_EQ(gp.reason, wp.reason);
-        EXPECT_EQ(gp.result, wp.result);
         EXPECT_EQ(gp.tuples, wp.tuples);
         EXPECT_EQ(gp.reason_ids, wp.reason_ids);
         EXPECT_EQ(gp.result_ids, wp.result_ids);
@@ -133,13 +133,15 @@ void ExpectSameGroups(const MlnIndex& got, const MlnIndex& want) {
   }
 }
 
-// Runs RunAgpAll on copies of `index` at 1 and 4 threads and diffs both
-// against the reference. Returns the reference's counts.
-RefStats ExpectMatchesReference(const MlnIndex& index, size_t tau, DistanceMetric metric,
+// Runs RunAgpAll on copies of `index` (over `data` and `rules`) at 1 and 4
+// threads and diffs both against the reference. Returns the reference's
+// counts.
+RefStats ExpectMatchesReference(const MlnIndex& index, const Dataset& data,
+                                const RuleSet& rules, size_t tau, DistanceMetric metric,
                                 const std::string& label) {
   RefStats stats;
   MlnIndex want = index;
-  const CleaningReport want_report = ReferenceAgp(&want, tau, metric, &stats);
+  const CleaningReport want_report = ReferenceAgp(&want, data, rules, tau, metric, &stats);
   CleaningOptions options;
   options.agp_threshold = tau;
   options.distance = metric;
@@ -151,7 +153,7 @@ RefStats ExpectMatchesReference(const MlnIndex& index, size_t tau, DistanceMetri
     if (threads > 1) ctx.executor = &pool;
     MlnIndex got = index;
     CleaningReport report;
-    RunAgpAll(&got, options, &report, ctx);
+    RunAgpAll(&got, data, rules, options, &report, ctx);
     ExpectSameRecords(report, want_report);
     ExpectSameGroups(got, want);
   }
@@ -220,8 +222,8 @@ TEST(AgpOracleTest, RandomGroundedIndexesMatchReference) {
     const MlnIndex index = *MlnIndex::Build(dirty, rules);
     for (DistanceMetric metric : kMetrics) {
       for (size_t tau = 1; tau <= 3; ++tau) {
-        RefStats stats =
-            ExpectMatchesReference(index, tau, metric, "seed " + std::to_string(seed));
+        RefStats stats = ExpectMatchesReference(index, dirty, rules, tau, metric,
+                                                "seed " + std::to_string(seed));
         total.merges += stats.merges;
         total.ties += stats.ties;
         total.star_changes += stats.star_changes;
@@ -236,9 +238,85 @@ TEST(AgpOracleTest, RandomGroundedIndexesMatchReference) {
   EXPECT_GT(total.star_changes, 100u);
 }
 
-// Hand-built blocks with no id mirrors (string keying), some with one γ
-// that has ids when the rest do not, and some with ragged arities.
-TEST(AgpOracleTest, HandBuiltIdLessBlocksMatchReference) {
+// Hand-built blocks of one rule shape, `reason_width` reason attributes
+// determining `result_width` result attributes: groups and γs are made
+// directly (not grounded), their values interned into `data`.
+struct HandBuilt {
+  Dataset data;
+  RuleSet rules;
+
+  HandBuilt(size_t reason_width, size_t result_width, size_t num_blocks = 1)
+      : data(MakeSchema(reason_width + result_width)), rules(data.schema()) {
+    std::vector<AttrId> lhs, rhs;
+    for (size_t p = 0; p < reason_width + result_width; ++p) {
+      (p < reason_width ? lhs : rhs).push_back(static_cast<AttrId>(p));
+    }
+    for (size_t b = 0; b < num_blocks; ++b) {
+      rules.Add(*Constraint::MakeFd(data.schema(), lhs, rhs));
+    }
+  }
+
+  static Schema MakeSchema(size_t n) {
+    std::vector<std::string> names;
+    for (size_t a = 0; a < n; ++a) names.push_back("A" + std::to_string(a));
+    return *Schema::Make(names);
+  }
+
+  // A γ of block 0's rule; `result` may be narrower than the rule.
+  Piece MakePiece(const std::vector<Value>& key, const std::vector<Value>& result,
+                  std::vector<TupleId> tuples) {
+    return testing::MakePiece(&data, rules.rule(0), key, result, std::move(tuples));
+  }
+
+  // A group keyed by `key` holding one γ per (result values, support) pair.
+  Group MakeGroupOf(const std::vector<Value>& key,
+                    const std::vector<std::pair<std::vector<Value>, size_t>>& pieces,
+                    TupleId* next_tuple) {
+    Group group;
+    for (const auto& [result, support] : pieces) {
+      std::vector<TupleId> tuples;
+      for (size_t t = 0; t < support; ++t) tuples.push_back((*next_tuple)++);
+      group.pieces.push_back(MakePiece(key, result, std::move(tuples)));
+    }
+    return group;
+  }
+
+  Group MakeGroup(const std::string& key,
+                  const std::vector<std::pair<std::string, size_t>>& pieces,
+                  TupleId* next_tuple) {
+    std::vector<std::pair<std::vector<Value>, size_t>> wide;
+    for (const auto& [result, support] : pieces) wide.push_back({{result}, support});
+    return MakeGroupOf({key}, wide, next_tuple);
+  }
+
+  RefStats ExpectMatchesReference(const MlnIndex& index, size_t tau, DistanceMetric metric,
+                                  const std::string& label) const {
+    return mlnclean::ExpectMatchesReference(index, data, rules, tau, metric, label);
+  }
+
+  // The targets RunAgpAll picks under `metric`, in record order.
+  std::vector<std::vector<Value>> Targets(const MlnIndex& index, size_t tau,
+                                          DistanceMetric metric) const {
+    MlnIndex got = index;
+    CleaningOptions options;
+    options.agp_threshold = tau;
+    options.distance = metric;
+    CleaningReport report;
+    RunAgpAll(&got, data, rules, options, &report);
+    std::vector<std::vector<Value>> targets;
+    for (const AgpMergeRecord& rec : report.agp) targets.push_back(rec.target_key);
+    return targets;
+  }
+};
+
+MlnIndex OneBlock(std::vector<Group> groups) {
+  std::vector<Block> blocks(1);
+  blocks[0].groups = std::move(groups);
+  return MlnIndex::FromBlocks(std::move(blocks));
+}
+
+// Hand-built blocks, some with ragged arities (γs narrower than the rule).
+TEST(AgpOracleTest, HandBuiltBlocksMatchReference) {
   RefStats total;
   for (uint32_t seed = 1; seed <= 60; ++seed) {
     std::mt19937 rng(1000 + seed);
@@ -246,16 +324,13 @@ TEST(AgpOracleTest, HandBuiltIdLessBlocksMatchReference) {
     const size_t reason_width = 1 + pick(2);
     const size_t result_width = 1 + pick(2);
     const bool ragged = seed % 4 == 0;
-    const bool mixed = seed % 4 == 1;
     std::vector<std::vector<std::string>> pools;
     for (size_t p = 0; p < reason_width + result_width; ++p) {
       pools.push_back(ValuePool(&rng, 3 + pick(25)));
     }
-    std::vector<std::map<std::string, ValueId>> dicts(pools.size());
-    auto id_of = [&dicts](size_t p, const std::string& v) {
-      return dicts[p].emplace(v, static_cast<ValueId>(dicts[p].size())).first->second;
-    };
-    std::vector<Block> blocks(1 + pick(3));
+    const size_t num_blocks = 1 + pick(3);
+    HandBuilt h(reason_width, result_width, num_blocks);
+    std::vector<Block> blocks(num_blocks);
     TupleId next_tuple = 0;
     for (size_t bi = 0; bi < blocks.size(); ++bi) {
       Block& block = blocks[bi];
@@ -267,27 +342,18 @@ TEST(AgpOracleTest, HandBuiltIdLessBlocksMatchReference) {
         for (size_t p = 0; p < reason_width; ++p) key.push_back(pools[p][pick(pools[p].size())]);
         if (!seen.emplace(key, true).second) continue;
         Group group;
-        group.key = key;
         const size_t num_pieces = 1 + pick(3);
         for (size_t k = 0; k < num_pieces; ++k) {
-          Piece piece;
-          piece.reason = key;
+          std::vector<Value> result;
           for (size_t p = 0; p < result_width; ++p) {
             const auto& pool = pools[reason_width + p];
-            piece.result.push_back(pool[pick(pool.size())]);
+            result.push_back(pool[pick(pool.size())]);
           }
-          if (ragged && pick(5) == 0) piece.result.pop_back();
+          if (ragged && pick(5) == 0) result.pop_back();
+          std::vector<TupleId> tuples;
           const size_t support = 1 + pick(3);
-          for (size_t t = 0; t < support; ++t) piece.tuples.push_back(next_tuple++);
-          if (mixed && pick(8) != 0) {
-            for (size_t p = 0; p < piece.reason.size(); ++p) {
-              piece.reason_ids.push_back(id_of(p, piece.reason[p]));
-            }
-            for (size_t p = 0; p < piece.result.size(); ++p) {
-              piece.result_ids.push_back(id_of(reason_width + p, piece.result[p]));
-            }
-          }
-          group.pieces.push_back(std::move(piece));
+          for (size_t t = 0; t < support; ++t) tuples.push_back(next_tuple++);
+          group.pieces.push_back(h.MakePiece(key, result, std::move(tuples)));
         }
         block.groups.push_back(std::move(group));
       }
@@ -296,7 +362,7 @@ TEST(AgpOracleTest, HandBuiltIdLessBlocksMatchReference) {
     for (DistanceMetric metric : kMetrics) {
       for (size_t tau = 1; tau <= 3; ++tau) {
         RefStats stats =
-            ExpectMatchesReference(index, tau, metric, "seed " + std::to_string(seed));
+            h.ExpectMatchesReference(index, tau, metric, "seed " + std::to_string(seed));
         total.merges += stats.merges;
         total.ties += stats.ties;
         total.star_changes += stats.star_changes;
@@ -308,68 +374,25 @@ TEST(AgpOracleTest, HandBuiltIdLessBlocksMatchReference) {
   EXPECT_GT(total.star_changes, 50u);
 }
 
-// A group keyed by `key` holding one id-less γ per (result values,
-// support) pair.
-Group MakeGroupOf(const std::vector<Value>& key,
-                  const std::vector<std::pair<std::vector<Value>, size_t>>& pieces,
-                  TupleId* next_tuple) {
-  Group group;
-  group.key = key;
-  for (const auto& [result, support] : pieces) {
-    Piece piece;
-    piece.reason = key;
-    piece.result = result;
-    for (size_t t = 0; t < support; ++t) piece.tuples.push_back((*next_tuple)++);
-    group.pieces.push_back(std::move(piece));
-  }
-  return group;
-}
-
-Group MakeGroup(const std::string& key, const std::vector<std::pair<std::string, size_t>>& pieces,
-                TupleId* next_tuple) {
-  std::vector<std::pair<std::vector<Value>, size_t>> wide;
-  for (const auto& [result, support] : pieces) wide.push_back({{result}, support});
-  return MakeGroupOf({key}, wide, next_tuple);
-}
-
-MlnIndex OneBlock(std::vector<Group> groups) {
-  std::vector<Block> blocks(1);
-  blocks[0].groups = std::move(groups);
-  return MlnIndex::FromBlocks(std::move(blocks));
-}
-
-// The targets RunAgpAll picks under `metric`, in record order.
-std::vector<std::vector<Value>> Targets(const MlnIndex& index, size_t tau,
-                                        DistanceMetric metric) {
-  MlnIndex got = index;
-  CleaningOptions options;
-  options.agp_threshold = tau;
-  options.distance = metric;
-  CleaningReport report;
-  RunAgpAll(&got, options, &report);
-  std::vector<std::vector<Value>> targets;
-  for (const AgpMergeRecord& rec : report.agp) targets.push_back(rec.target_key);
-  return targets;
-}
-
 TEST(AgpOracleTest, MergeThatChangesTheTargetsStarSteersTheNextMerge) {
   // τ = 2. G0 holds three single-tuple γs (γ* = its first), G1 one γ of
   // three tuples. Keys differ by substitutions only, 8 characters long:
   // A1 is 2 from G0 and 5 from G1, so it merges into G0 and, with two
   // tuples, becomes G0's γ*. A2 is 4 from G0's old γ*, 3 from G1 and 2
   // from A1: only a scan that reloads G0's γ* sends it to G0.
+  HandBuilt h(1, 1);
   TupleId next = 0;
   Block block;
-  block.groups.push_back(MakeGroup("aaaaaaaa", {{"r", 1}, {"s", 1}, {"t", 1}}, &next));
-  block.groups.push_back(MakeGroup("abbbbbbb", {{"r", 3}}, &next));
-  block.groups.push_back(MakeGroup("aaaaaabb", {{"r", 2}}, &next));
-  block.groups.push_back(MakeGroup("aaaabbbb", {{"r", 1}}, &next));
+  block.groups.push_back(h.MakeGroup("aaaaaaaa", {{"r", 1}, {"s", 1}, {"t", 1}}, &next));
+  block.groups.push_back(h.MakeGroup("abbbbbbb", {{"r", 3}}, &next));
+  block.groups.push_back(h.MakeGroup("aaaaaabb", {{"r", 2}}, &next));
+  block.groups.push_back(h.MakeGroup("aaaabbbb", {{"r", 1}}, &next));
   std::vector<Block> blocks;
   blocks.push_back(std::move(block));
   const MlnIndex index = MlnIndex::FromBlocks(std::move(blocks));
 
   for (DistanceMetric metric : kMetrics) {
-    RefStats stats = ExpectMatchesReference(index, 2, metric, "star change");
+    RefStats stats = h.ExpectMatchesReference(index, 2, metric, "star change");
     if (metric == DistanceMetric::kCosine) continue;
     EXPECT_EQ(stats.star_changes, 1u);
     MlnIndex got = index;
@@ -377,7 +400,7 @@ TEST(AgpOracleTest, MergeThatChangesTheTargetsStarSteersTheNextMerge) {
     options.agp_threshold = 2;
     options.distance = metric;
     CleaningReport report;
-    RunAgpAll(&got, options, &report);
+    RunAgpAll(&got, h.data, h.rules, options, &report);
     ASSERT_EQ(report.agp.size(), 2u);
     EXPECT_EQ(report.agp[0].target_key, (std::vector<Value>{"aaaaaaaa"}));
     EXPECT_EQ(report.agp[1].target_key, (std::vector<Value>{"aaaaaaaa"}));
@@ -390,23 +413,24 @@ TEST(AgpOracleTest, TiesGoToTheEarliestNormalGroup) {
   // The abnormal key is two substitutions from each of three normal keys
   // of its length: every bound and every distance ties, and the first
   // normal group wins.
+  HandBuilt h(1, 1);
   TupleId next = 0;
   Block block;
-  block.groups.push_back(MakeGroup("bbbx", {{"r", 1}}, &next));
-  block.groups.push_back(MakeGroup("abbb", {{"r", 2}}, &next));
-  block.groups.push_back(MakeGroup("babb", {{"r", 2}}, &next));
-  block.groups.push_back(MakeGroup("bbab", {{"r", 2}}, &next));
+  block.groups.push_back(h.MakeGroup("bbbx", {{"r", 1}}, &next));
+  block.groups.push_back(h.MakeGroup("abbb", {{"r", 2}}, &next));
+  block.groups.push_back(h.MakeGroup("babb", {{"r", 2}}, &next));
+  block.groups.push_back(h.MakeGroup("bbab", {{"r", 2}}, &next));
   std::vector<Block> blocks;
   blocks.push_back(std::move(block));
   const MlnIndex index = MlnIndex::FromBlocks(std::move(blocks));
   for (DistanceMetric metric : {DistanceMetric::kLevenshtein, DistanceMetric::kDamerau}) {
-    RefStats stats = ExpectMatchesReference(index, 1, metric, "ties");
+    RefStats stats = h.ExpectMatchesReference(index, 1, metric, "ties");
     EXPECT_EQ(stats.ties, 2u);
     MlnIndex got = index;
     CleaningOptions options;
     options.distance = metric;
     CleaningReport report;
-    RunAgpAll(&got, options, &report);
+    RunAgpAll(&got, h.data, h.rules, options, &report);
     ASSERT_EQ(report.agp.size(), 1u);
     EXPECT_EQ(report.agp[0].target_key, (std::vector<Value>{"abbb"}));
   }
@@ -426,23 +450,24 @@ TEST(AgpOracleTest, StarReloadExtendsCachedRowsAndRebucketsTheTarget) {
   // own bucket. A2 is 0.25 from G1 and 0.75 from G3. Were G0 still G1's
   // bucket representative, that bucket's bound would read 1 (x vs z), and
   // G3's 0.75 would skip G1.
+  HandBuilt h(1, 1);
   TupleId next = 0;
   std::vector<Group> groups;
-  groups.push_back(MakeGroupOf({"aaaa"}, {{{"x"}, 1}, {{"w"}, 1}, {{"v"}, 1}}, &next));
-  groups.push_back(MakeGroupOf({"bbbb"}, {{{"x"}, 3}}, &next));
-  groups.push_back(MakeGroupOf({"cccc"}, {{{"y"}, 3}}, &next));
-  groups.push_back(MakeGroupOf({"bbcc"}, {{{"xy"}, 3}}, &next));
-  groups.push_back(MakeGroupOf({"eeee"}, {{{"y"}, 3}}, &next));
-  groups.push_back(MakeGroupOf({"gggg"}, {{{"x"}, 1}}, &next));  // A0
-  groups.push_back(MakeGroupOf({"aaab"}, {{{"z"}, 2}}, &next));  // A1
-  groups.push_back(MakeGroupOf({"bbbc"}, {{{"x"}, 1}}, &next));  // A2
+  groups.push_back(h.MakeGroupOf({"aaaa"}, {{{"x"}, 1}, {{"w"}, 1}, {{"v"}, 1}}, &next));
+  groups.push_back(h.MakeGroupOf({"bbbb"}, {{{"x"}, 3}}, &next));
+  groups.push_back(h.MakeGroupOf({"cccc"}, {{{"y"}, 3}}, &next));
+  groups.push_back(h.MakeGroupOf({"bbcc"}, {{{"xy"}, 3}}, &next));
+  groups.push_back(h.MakeGroupOf({"eeee"}, {{{"y"}, 3}}, &next));
+  groups.push_back(h.MakeGroupOf({"gggg"}, {{{"x"}, 1}}, &next));  // A0
+  groups.push_back(h.MakeGroupOf({"aaab"}, {{{"z"}, 2}}, &next));  // A1
+  groups.push_back(h.MakeGroupOf({"bbbc"}, {{{"x"}, 1}}, &next));  // A2
   const MlnIndex index = OneBlock(std::move(groups));
   for (DistanceMetric metric : kMetrics) {
-    const RefStats stats = ExpectMatchesReference(index, 2, metric, "reload");
+    const RefStats stats = h.ExpectMatchesReference(index, 2, metric, "reload");
     EXPECT_EQ(stats.star_changes, 1u);
   }
   const std::vector<std::vector<Value>> want = {{"aaaa"}, {"aaaa"}, {"bbbb"}};
-  EXPECT_EQ(Targets(index, 2, DistanceMetric::kLevenshtein), want);
+  EXPECT_EQ(h.Targets(index, 2, DistanceMetric::kLevenshtein), want);
 }
 
 TEST(AgpOracleTest, ValueThatBecameASlotMidBlockReadsZeroOnItsOwnSlot) {
@@ -452,63 +477,66 @@ TEST(AgpOracleTest, ValueThatBecameASlotMidBlockReadsZeroOnItsOwnSlot) {
   // then on. A2 holds "zzzz" too: its own slot in the shared length-4 row
   // holds the bound 0.25 for unequal values and must read 0. A2 is 0.2
   // from G1 and 0.35 from G2; with 0.25 added, G2 would win.
+  HandBuilt h(1, 1);
   TupleId next = 0;
   std::vector<Group> groups;
-  groups.push_back(MakeGroupOf({"aaaaaaaaaa"}, {{{"pppp"}, 3}}, &next));
+  groups.push_back(h.MakeGroupOf({"aaaaaaaaaa"}, {{{"pppp"}, 3}}, &next));
   groups.push_back(
-      MakeGroupOf({"ccccccccdx"}, {{{"zzzw"}, 1}, {{"zzzv"}, 1}, {{"zzzu"}, 1}}, &next));
-  groups.push_back(MakeGroupOf({"ccccccccce"}, {{{"zzzq"}, 3}}, &next));
-  groups.push_back(MakeGroupOf({"bbbbbbbbbb"}, {{{"tttt"}, 1}}, &next));  // A0
-  groups.push_back(MakeGroupOf({"ccccccccdd"}, {{{"zzzz"}, 2}}, &next));  // A1
-  groups.push_back(MakeGroupOf({"cccccccccc"}, {{{"zzzz"}, 1}}, &next));  // A2
+      h.MakeGroupOf({"ccccccccdx"}, {{{"zzzw"}, 1}, {{"zzzv"}, 1}, {{"zzzu"}, 1}}, &next));
+  groups.push_back(h.MakeGroupOf({"ccccccccce"}, {{{"zzzq"}, 3}}, &next));
+  groups.push_back(h.MakeGroupOf({"bbbbbbbbbb"}, {{{"tttt"}, 1}}, &next));  // A0
+  groups.push_back(h.MakeGroupOf({"ccccccccdd"}, {{{"zzzz"}, 2}}, &next));  // A1
+  groups.push_back(h.MakeGroupOf({"cccccccccc"}, {{{"zzzz"}, 1}}, &next));  // A2
   const MlnIndex index = OneBlock(std::move(groups));
   for (DistanceMetric metric : kMetrics) {
-    const RefStats stats = ExpectMatchesReference(index, 2, metric, "own slot");
+    const RefStats stats = h.ExpectMatchesReference(index, 2, metric, "own slot");
     EXPECT_EQ(stats.star_changes, 1u);
   }
   const std::vector<std::vector<Value>> want = {
       {"aaaaaaaaaa"}, {"ccccccccdx"}, {"ccccccccdx"}};
-  EXPECT_EQ(Targets(index, 2, DistanceMetric::kLevenshtein), want);
+  EXPECT_EQ(h.Targets(index, 2, DistanceMetric::kLevenshtein), want);
 }
 
 TEST(AgpOracleTest, TabledPositionFlipsToBoundedAsItsSlotsGrow) {
   // τ = 2. The result position starts tabled (2 values, 3 candidates). A1
   // becomes G0's γ* and adds "z": 3 values for 3 candidates, so from A2
   // on it is bounded and A0's cached kernel row gives way to length rows.
+  HandBuilt h(1, 1);
   TupleId next = 0;
   std::vector<Group> groups;
-  groups.push_back(MakeGroupOf({"aaaa"}, {{{"x"}, 1}, {{"w"}, 1}, {{"v"}, 1}}, &next));
-  groups.push_back(MakeGroupOf({"bbbb"}, {{{"x"}, 3}}, &next));
-  groups.push_back(MakeGroupOf({"cccc"}, {{{"y"}, 3}}, &next));
-  groups.push_back(MakeGroupOf({"gggg"}, {{{"zz"}, 1}}, &next));  // A0
-  groups.push_back(MakeGroupOf({"aaab"}, {{{"z"}, 2}}, &next));   // A1
-  groups.push_back(MakeGroupOf({"aabb"}, {{{"zz"}, 1}}, &next));  // A2
-  groups.push_back(MakeGroupOf({"cccd"}, {{{"y"}, 1}}, &next));   // A3
+  groups.push_back(h.MakeGroupOf({"aaaa"}, {{{"x"}, 1}, {{"w"}, 1}, {{"v"}, 1}}, &next));
+  groups.push_back(h.MakeGroupOf({"bbbb"}, {{{"x"}, 3}}, &next));
+  groups.push_back(h.MakeGroupOf({"cccc"}, {{{"y"}, 3}}, &next));
+  groups.push_back(h.MakeGroupOf({"gggg"}, {{{"zz"}, 1}}, &next));  // A0
+  groups.push_back(h.MakeGroupOf({"aaab"}, {{{"z"}, 2}}, &next));   // A1
+  groups.push_back(h.MakeGroupOf({"aabb"}, {{{"zz"}, 1}}, &next));  // A2
+  groups.push_back(h.MakeGroupOf({"cccd"}, {{{"y"}, 1}}, &next));   // A3
   const MlnIndex index = OneBlock(std::move(groups));
   for (DistanceMetric metric : kMetrics) {
-    const RefStats stats = ExpectMatchesReference(index, 2, metric, "flip");
+    const RefStats stats = h.ExpectMatchesReference(index, 2, metric, "flip");
     EXPECT_EQ(stats.star_changes, 1u);
   }
   const std::vector<std::vector<Value>> want = {{"aaaa"}, {"aaaa"}, {"aaaa"}, {"cccc"}};
-  EXPECT_EQ(Targets(index, 2, DistanceMetric::kLevenshtein), want);
+  EXPECT_EQ(h.Targets(index, 2, DistanceMetric::kLevenshtein), want);
 }
 
 TEST(AgpOracleTest, RaggedBlockSignaturesHoldNoSlot) {
   // Two tabled result positions; G0's γ* has only the first, so its
   // bucket signature is (x, no slot) and that position costs it 0. A1
   // lacks the second position itself.
+  HandBuilt h(1, 2);
   TupleId next = 0;
   std::vector<Group> groups;
-  groups.push_back(MakeGroupOf({"aaaa"}, {{{"x"}, 3}}, &next));
-  groups.push_back(MakeGroupOf({"bbbb"}, {{{"x", "m"}, 3}}, &next));
-  groups.push_back(MakeGroupOf({"cccc"}, {{{"y", "m"}, 3}}, &next));
-  groups.push_back(MakeGroupOf({"dddd"}, {{{"x", "n"}, 3}}, &next));
-  groups.push_back(MakeGroupOf({"aaab"}, {{{"x", "n"}, 1}}, &next));  // A0
-  groups.push_back(MakeGroupOf({"bbbc"}, {{{"y"}, 1}}, &next));       // A1
+  groups.push_back(h.MakeGroupOf({"aaaa"}, {{{"x"}, 3}}, &next));
+  groups.push_back(h.MakeGroupOf({"bbbb"}, {{{"x", "m"}, 3}}, &next));
+  groups.push_back(h.MakeGroupOf({"cccc"}, {{{"y", "m"}, 3}}, &next));
+  groups.push_back(h.MakeGroupOf({"dddd"}, {{{"x", "n"}, 3}}, &next));
+  groups.push_back(h.MakeGroupOf({"aaab"}, {{{"x", "n"}, 1}}, &next));  // A0
+  groups.push_back(h.MakeGroupOf({"bbbc"}, {{{"y"}, 1}}, &next));       // A1
   const MlnIndex index = OneBlock(std::move(groups));
-  for (DistanceMetric metric : kMetrics) ExpectMatchesReference(index, 2, metric, "ragged");
+  for (DistanceMetric metric : kMetrics) h.ExpectMatchesReference(index, 2, metric, "ragged");
   const std::vector<std::vector<Value>> want = {{"aaaa"}, {"cccc"}};
-  EXPECT_EQ(Targets(index, 2, DistanceMetric::kLevenshtein), want);
+  EXPECT_EQ(h.Targets(index, 2, DistanceMetric::kLevenshtein), want);
 }
 
 TEST(AgpOracleTest, BucketBoundEqualToTheBestIsStillScanned) {
@@ -519,19 +547,20 @@ TEST(AgpOracleTest, BucketBoundEqualToTheBestIsStillScanned) {
   // aabb) and G0 is exactly 0.5 too (its "kkkk" is the abnormal's own
   // slot), so it ties the best and wins on position. A bucket skipped on
   // `>=` would hand the merge to G1.
+  HandBuilt h(2, 1);
   TupleId next = 0;
   std::vector<Group> groups;
-  groups.push_back(MakeGroupOf({"aabb", "kkkk"}, {{{"r"}, 2}}, &next));
-  groups.push_back(MakeGroupOf({"aaab", "kkkj"}, {{{"r"}, 2}}, &next));
-  groups.push_back(MakeGroupOf({"aaab", "zzzz"}, {{{"r"}, 2}}, &next));
-  groups.push_back(MakeGroupOf({"aaaa", "kkkk"}, {{{"r"}, 1}}, &next));
+  groups.push_back(h.MakeGroupOf({"aabb", "kkkk"}, {{{"r"}, 2}}, &next));
+  groups.push_back(h.MakeGroupOf({"aaab", "kkkj"}, {{{"r"}, 2}}, &next));
+  groups.push_back(h.MakeGroupOf({"aaab", "zzzz"}, {{{"r"}, 2}}, &next));
+  groups.push_back(h.MakeGroupOf({"aaaa", "kkkk"}, {{{"r"}, 1}}, &next));
   const MlnIndex index = OneBlock(std::move(groups));
   for (DistanceMetric metric : kMetrics) {
-    const RefStats stats = ExpectMatchesReference(index, 1, metric, "bucket tie");
+    const RefStats stats = h.ExpectMatchesReference(index, 1, metric, "bucket tie");
     if (metric == DistanceMetric::kCosine) continue;
     EXPECT_EQ(stats.ties, 1u);
     const std::vector<std::vector<Value>> want = {{"aabb", "kkkk"}};
-    EXPECT_EQ(Targets(index, 1, metric), want);
+    EXPECT_EQ(h.Targets(index, 1, metric), want);
   }
 }
 

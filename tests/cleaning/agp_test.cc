@@ -24,7 +24,7 @@ TEST(AgpTest, PaperExampleMergesWithTauOne) {
   SampleFixture f;
   f.options.agp_threshold = 1;
   CleaningReport report;
-  RunAgpAll(&f.index, f.options, &report);
+  RunAgpAll(&f.index, f.dirty, f.rules, f.options, &report);
 
   ASSERT_EQ(report.agp.size(), 3u);
   EXPECT_EQ(report.agp[0].abnormal_key, (std::vector<Value>{"DOTH"}));
@@ -40,16 +40,18 @@ TEST(AgpTest, PaperExampleMergesWithTauOne) {
   EXPECT_EQ(f.index.block(1).groups.size(), 2u);
   EXPECT_EQ(f.index.block(2).groups.size(), 1u);
   // The merged-in γ keeps its own values inside the target group.
-  const Group& g11 = f.index.block(0).groups[*f.index.FindGroup(0, {"DOTHAN"})];
+  const Constraint& r1 = f.rules.rule(0);
+  const ValueId dothan = f.dirty.dict(r1.reason_attrs()[0]).Find("DOTHAN");
+  const Group& g11 = f.index.block(0).groups[*f.index.FindGroup(0, {dothan})];
   ASSERT_EQ(g11.pieces.size(), 2u);
-  EXPECT_EQ(g11.pieces[1].reason, (std::vector<Value>{"DOTH"}));
+  EXPECT_EQ(g11.pieces[1].ReasonValues(f.dirty, r1), (std::vector<Value>{"DOTH"}));
 }
 
 TEST(AgpTest, TauZeroDetectsNothing) {
   SampleFixture f;
   f.options.agp_threshold = 0;
   CleaningReport report;
-  RunAgpAll(&f.index, f.options, &report);
+  RunAgpAll(&f.index, f.dirty, f.rules, f.options, &report);
   EXPECT_TRUE(report.agp.empty());
   EXPECT_EQ(f.index.block(0).groups.size(), 3u);
 }
@@ -60,7 +62,7 @@ TEST(AgpTest, LargeTauSwallowsEverythingIntoNothing) {
   SampleFixture f;
   f.options.agp_threshold = 100;
   CleaningReport report;
-  RunAgpAll(&f.index, f.options, &report);
+  RunAgpAll(&f.index, f.dirty, f.rules, f.options, &report);
   EXPECT_EQ(report.agp.size(), 8u);  // all groups of all blocks
   for (const auto& rec : report.agp) {
     EXPECT_FALSE(rec.merged);
@@ -72,7 +74,7 @@ TEST(AgpTest, DagCountsPieces) {
   SampleFixture f;
   f.options.agp_threshold = 1;
   CleaningReport report;
-  RunAgpAll(&f.index, f.options, &report);
+  RunAgpAll(&f.index, f.dirty, f.rules, f.options, &report);
   // Each abnormal group in the sample holds exactly one γ.
   EXPECT_EQ(report.NumDetectedAbnormalPieces(), 3u);
   EXPECT_EQ(report.NumDetectedAbnormalGroups(), 3u);
@@ -82,7 +84,7 @@ TEST(AgpTest, ThresholdTwoMergesMidSizeGroups) {
   SampleFixture f;
   f.options.agp_threshold = 2;
   CleaningReport report;
-  RunAgpAll(&f.index, f.options, &report);
+  RunAgpAll(&f.index, f.dirty, f.rules, f.options, &report);
   // B1: G11 (2 tuples) and G12 (1) are now abnormal; only G13 (3) is
   // normal, so both merge into it.
   EXPECT_EQ(f.index.block(0).groups.size(), 1u);
@@ -93,7 +95,7 @@ TEST(AgpTest, RecordsAffectedTuples) {
   SampleFixture f;
   f.options.agp_threshold = 1;
   CleaningReport report;
-  RunAgpAll(&f.index, f.options, &report);
+  RunAgpAll(&f.index, f.dirty, f.rules, f.options, &report);
   EXPECT_EQ(report.agp[0].abnormal_tuples, (std::vector<TupleId>{1}));  // t2
   EXPECT_EQ(report.agp[2].abnormal_tuples, (std::vector<TupleId>{2}));  // t3
 }
@@ -101,7 +103,7 @@ TEST(AgpTest, RecordsAffectedTuples) {
 TEST(AgpTest, NullReportIsAllowed) {
   SampleFixture f;
   f.options.agp_threshold = 1;
-  RunAgpAll(&f.index, f.options, nullptr);
+  RunAgpAll(&f.index, f.dirty, f.rules, f.options, nullptr);
   EXPECT_EQ(f.index.block(0).groups.size(), 2u);
 }
 
@@ -128,7 +130,7 @@ TEST(AgpTest, ScanWorkTotalsArePinned) {
     if (threads > 1) ctx.executor = &pool;
     MlnIndex index = base;
     CleaningReport report;
-    RunAgpAll(&index, options, &report, ctx);
+    RunAgpAll(&index, dirty, wl.rules, options, &report, ctx);
     size_t pairs = 0;
     size_t bucket_bounds = 0;
     size_t candidate_bounds = 0;

@@ -56,13 +56,17 @@ struct RefVersion {
   double weight;
 };
 
-RefFusion PieceCells(const Constraint& rule, const Piece& piece) {
+// A γ's cells as (attribute, value string), its ids read through the
+// dictionaries of `dirty`, the dataset its index was built over.
+RefFusion PieceCells(const Dataset& dirty, const Constraint& rule, const Piece& piece) {
   RefFusion cells;
   for (size_t i = 0; i < rule.reason_attrs().size(); ++i) {
-    cells.push_back({rule.reason_attrs()[i], piece.reason[i]});
+    const AttrId attr = rule.reason_attrs()[i];
+    cells.push_back({attr, dirty.dict(attr).value(piece.reason_ids[i])});
   }
   for (size_t i = 0; i < rule.result_attrs().size(); ++i) {
-    cells.push_back({rule.result_attrs()[i], piece.result[i]});
+    const AttrId attr = rule.result_attrs()[i];
+    cells.push_back({attr, dirty.dict(attr).value(piece.result_ids[i])});
   }
   return cells;
 }
@@ -131,7 +135,7 @@ class ReferenceFscr {
       for (const Piece* piece : pieces) {
         for (TupleId tid : piece->tuples) {
           versions_of_[static_cast<size_t>(tid)].push_back(
-              {bi, piece, PieceCells(rule, *piece), piece->weight});
+              {bi, piece, PieceCells(dirty, rule, *piece), piece->weight});
         }
       }
       // γ' candidates by descending weight. Equal weights keep the order
@@ -141,7 +145,8 @@ class ReferenceFscr {
       std::sort(by_weight.begin(), by_weight.end(),
                 [](const Piece* a, const Piece* b) { return a->weight > b->weight; });
       for (const Piece* piece : by_weight) {
-        candidates_[bi].push_back({bi, piece, PieceCells(rule, *piece), piece->weight});
+        candidates_[bi].push_back(
+            {bi, piece, PieceCells(dirty, rule, *piece), piece->weight});
       }
     }
   }
@@ -357,9 +362,9 @@ MlnIndex StageOne(const Dataset& dirty, const RuleSet& rules,
                   const CleaningOptions& options) {
   MlnIndex index = *MlnIndex::Build(dirty, rules);
   DistanceFn dist = MakeDistanceFn(options.distance);
-  RunAgpAll(&index, options, nullptr);
+  RunAgpAll(&index, dirty, rules, options, nullptr);
   index.LearnWeights();
-  RunRscAll(&index, dist, nullptr);
+  RunRscAll(&index, dirty, rules, dist, nullptr);
   return index;
 }
 
@@ -382,6 +387,14 @@ Piece& PieceOfTuple(MlnIndex* index, size_t block, TupleId tid) {
   }
   ADD_FAILURE() << "no piece for tuple " << tid << " in block " << block;
   return index->block(block).groups.front().pieces.front();
+}
+
+// Rewrites the result value of the γ of `block` whose first tuple is
+// `tid`, interning `value` into `dirty` when no row holds it.
+void SetResult(Dataset* dirty, const RuleSet& rules, MlnIndex* index, size_t block,
+               TupleId tid, const Value& value) {
+  const AttrId attr = rules.rule(index->block(block).rule_index).result_attrs()[0];
+  PieceOfTuple(index, block, tid).result_ids[0] = dirty->InternValue(attr, value);
 }
 
 // A seeded instance whose every tuple has `num_rules` versions: distinct
@@ -564,10 +577,15 @@ TEST(FscrOracleTest, NegativeWeightTurnsPruningOff) {
       {{3, "k", "p1"}, -0.3},  {{3, "k", "p2"}, 0.3},   {{3, "k2", "p1"}, -0.7},
       {{4, "q", "p2"}, 0.7},   {{4, "q2", "p2"}, 0.3},  {{4, "q3", "p1"}, -0.7}};
   for (size_t b = 0; b < index.num_blocks(); ++b) {
+    const Constraint& rule = rules.rule(b);
     for (Group& group : index.block(b).groups) {
       for (Piece& piece : group.pieces) {
-        if (b == 4 && piece.reason[0] == "q") piece.result[0] = "p2";
-        piece.weight = weights.at({b, piece.reason[0], piece.result[0]});
+        std::vector<Value> values = piece.AllValues(dirty, rule);
+        if (b == 4 && values[0] == "q") {
+          piece.result_ids[0] = dirty.InternValue(rule.result_attrs()[0], "p2");
+          values[1] = "p2";
+        }
+        piece.weight = weights.at({b, values[0], values[1]});
       }
     }
   }
@@ -602,9 +620,9 @@ TEST(FscrOracleTest, DistanceSumFoldsInMergeOrder) {
           {"k2", "xxxxxxxxxq", "yyyyyyyyyy", "zzzzzzzzzz", "w"}});
   MlnIndex index = *MlnIndex::Build(dirty, rules);
   for (Piece* piece : AllPieces(&index)) piece->weight = 0.5;
-  PieceOfTuple(&index, 0, 0).result[0] = "xxxxxxxxxq";  // distance 1/10
-  PieceOfTuple(&index, 1, 0).result[0] = "yyyyyyyyqq";  // distance 2/10
-  PieceOfTuple(&index, 2, 0).result[0] = "zzzzzzzqqq";  // distance 3/10
+  SetResult(&dirty, rules, &index, 0, 0, "xxxxxxxxxq");  // distance 1/10
+  SetResult(&dirty, rules, &index, 1, 0, "yyyyyyyyqq");  // distance 2/10
+  SetResult(&dirty, rules, &index, 2, 0, "zzzzzzzqqq");  // distance 3/10
   CleaningOptions options;
   options.fscr_minimality_discount = discount;
   ExpectMatchesReference(dirty, rules, index, options, "distances");
@@ -672,9 +690,9 @@ TEST(FscrOracleTest, GreedyPathPastTheMaskWidth) {
 
 TEST(FscrOracleTest, GammaPrimeWithAValueOutsideTheData) {
   // Tuple 0's K -> X γ and tuple 1's W -> X γ both say X = xnew, a value
-  // no row holds, so its id is interned past the dirty dictionary. With
-  // (k, xnew) merged first, tuple 0's (w, xa) conflicts and the γ' is
-  // tuple 1's (w1, xnew), found under xnew's id.
+  // no row holds, so its id is past every id a cell holds. With (k, xnew)
+  // merged first, tuple 0's (w, xa) conflicts and the γ' is tuple 1's
+  // (w1, xnew), found under xnew's id.
   Schema s = *Schema::Make({"K", "X", "W"});
   RuleSet rules(s);
   rules.Add(*Constraint::MakeFd(s, {0}, {1}));  // K -> X
@@ -683,9 +701,9 @@ TEST(FscrOracleTest, GammaPrimeWithAValueOutsideTheData) {
       s, {{"k", "xa", "w"}, {"k1", "xb", "w1"}, {"k2", "xc", "w2"}});
   MlnIndex index = *MlnIndex::Build(dirty, rules);
   for (Piece* piece : AllPieces(&index)) piece->weight = 0.5;
-  PieceOfTuple(&index, 0, 0).result[0] = "xnew";
-  PieceOfTuple(&index, 1, 1).result[0] = "xnew";
   ASSERT_EQ(dirty.dict(1).Find("xnew"), kInvalidValueId);
+  SetResult(&dirty, rules, &index, 0, 0, "xnew");
+  SetResult(&dirty, rules, &index, 1, 1, "xnew");
   CleaningOptions options;
   OracleStats stats = ExpectMatchesReference(dirty, rules, index, options, "interned");
   EXPECT_GT(stats.substitutions, 0u);
@@ -711,8 +729,8 @@ TEST(FscrOracleTest, AssignedIdWithNoPosting) {
                                      {"k4", "xd", "w4"}});
   MlnIndex index = *MlnIndex::Build(dirty, rules);
   for (Piece* piece : AllPieces(&index)) piece->weight = 0.5;
-  PieceOfTuple(&index, 1, 0).result[0] = "xb";
-  PieceOfTuple(&index, 1, 4).result[0] = "xc";
+  SetResult(&dirty, rules, &index, 1, 0, "xb");
+  SetResult(&dirty, rules, &index, 1, 4, "xc");
   CleaningOptions options;
   OracleStats stats = ExpectMatchesReference(dirty, rules, index, options, "no posting");
   EXPECT_GE(stats.failed_substitutions, 2u);
@@ -736,7 +754,7 @@ TEST(FscrOracleTest, PostingListHoldingOnlyTheOwnGamma) {
                                      {"k3", "x2", "y3", "w3"}});
   MlnIndex index = *MlnIndex::Build(dirty, rules);
   for (Piece* piece : AllPieces(&index)) piece->weight = 0.5;
-  PieceOfTuple(&index, 0, 0).result[0] = "x2";
+  SetResult(&dirty, rules, &index, 0, 0, "x2");
   CleaningOptions options;
   OracleStats stats = ExpectMatchesReference(dirty, rules, index, options, "own only");
   EXPECT_GT(stats.failed_substitutions, 0u);
@@ -758,7 +776,7 @@ TEST(FscrOracleTest, StackCellAssignedByAGammaPrime) {
                                      {"k2", "x2", "w2", "z2"}});
   MlnIndex index = *MlnIndex::Build(dirty, rules);
   for (Piece* piece : AllPieces(&index)) piece->weight = 0.5;
-  PieceOfTuple(&index, 1, 0).result[0] = "x2";
+  SetResult(&dirty, rules, &index, 1, 0, "x2");
   // Weight the substitutes so that the order K -> X, W -> X, W -> Z wins.
   PieceOfTuple(&index, 1, 1).weight = 0.9;
   PieceOfTuple(&index, 2, 1).weight = 0.9;

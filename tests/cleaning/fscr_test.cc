@@ -24,9 +24,9 @@ struct StageOneFixture {
   StageOneFixture() {
     options.agp_threshold = 1;
     DistanceFn dist = MakeDistanceFn(options.distance);
-    RunAgpAll(&index, options, nullptr);
+    RunAgpAll(&index, dirty, rules, options, nullptr);
     index.LearnWeights();
-    RunRscAll(&index, dist, nullptr);
+    RunRscAll(&index, dirty, rules, dist, nullptr);
   }
 };
 
@@ -100,7 +100,7 @@ TEST(FscrTest, FusionFailureLeavesTupleUntouched) {
   CleaningOptions options;
   DistanceFn dist = MakeDistanceFn(options.distance);
   index.LearnWeights();
-  RunRscAll(&index, dist, nullptr);
+  RunRscAll(&index, d, rules, dist, nullptr);
   // After RSC the c1 group picked one of b1/b2. The a1/a2 groups are
   // unambiguous. Fusion of every tuple must succeed here (substitutes
   // exist), so all tuples get consistent values.
@@ -142,9 +142,9 @@ CleaningReport FuseKeyedRows(size_t num_rules, Dataset* cleaned, Dataset* clean)
   const RuleSet rules = KeyedRows(num_rules, &dirty, clean);
   CleaningOptions options;
   MlnIndex index = *MlnIndex::Build(dirty, rules);
-  RunAgpAll(&index, options, nullptr);
+  RunAgpAll(&index, dirty, rules, options, nullptr);
   index.LearnWeights();
-  RunRscAll(&index, MakeDistanceFn(options.distance), nullptr);
+  RunRscAll(&index, dirty, rules, MakeDistanceFn(options.distance), nullptr);
   *cleaned = dirty.Clone();
   CleaningReport report;
   report.fscr_greedy_tuples = RunFscr(dirty, rules, index, options, cleaned, &report);
@@ -209,12 +209,13 @@ TEST(FscrTest, FScoreIsProductOfWeights) {
   // t1's versions: B1 {DOTHAN, AL} and B2 {3347938701, AL}.
   double w1 = 0, w2 = 0;
   for (const Group& g : f.index.block(0).groups) {
-    if (g.pieces[0].reason == std::vector<Value>{"DOTHAN"}) {
+    if (g.pieces[0].ReasonValues(f.dirty, f.rules.rule(0)) == std::vector<Value>{"DOTHAN"}) {
       w1 = g.pieces[0].weight;
     }
   }
   for (const Group& g : f.index.block(1).groups) {
-    if (g.pieces[0].reason == std::vector<Value>{"3347938701"}) {
+    if (g.pieces[0].ReasonValues(f.dirty, f.rules.rule(1)) ==
+        std::vector<Value>{"3347938701"}) {
       w2 = g.pieces[0].weight;
     }
   }
@@ -235,9 +236,9 @@ TEST(FscrTest, SearchWorkTotalsArePinned) {
   CleaningOptions options;
   options.agp_threshold = 3;
   MlnIndex index = *MlnIndex::Build(dirty, wl.rules);
-  RunAgpAll(&index, options, nullptr);
+  RunAgpAll(&index, dirty, wl.rules, options, nullptr);
   index.LearnWeights();
-  RunRscAll(&index, MakeDistanceFn(options.distance), nullptr);
+  RunRscAll(&index, dirty, wl.rules, MakeDistanceFn(options.distance), nullptr);
   for (size_t threads : {size_t{1}, size_t{4}}) {
     PoolExecutor pool(threads);
     ExecContext ctx;

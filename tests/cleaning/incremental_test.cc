@@ -1,7 +1,7 @@
 // Row-incremental sessions (docs/streaming.md): the concatenation
 // bit-identity contract — an incremental session over batches B1..Bk
 // equals a cold session over concat(B1..Bk) exactly, at any thread count,
-// with weight reuse on or off — plus the v5 index snapshot round-trip and
+// with weight reuse on or off — plus the index snapshot round-trip and
 // the cross-process ResumeIncrementalSession path.
 
 #include <gtest/gtest.h>
@@ -74,14 +74,11 @@ void ExpectSameIndex(const MlnIndex& a, const MlnIndex& b) {
     for (size_t gi = 0; gi < ba.groups.size(); ++gi) {
       const Group& ga = ba.groups[gi];
       const Group& gb = bb.groups[gi];
-      EXPECT_EQ(ga.key, gb.key);
       ASSERT_EQ(ga.pieces.size(), gb.pieces.size())
           << "block " << bi << " group " << gi;
       for (size_t pi = 0; pi < ga.pieces.size(); ++pi) {
         const Piece& pa = ga.pieces[pi];
         const Piece& pb = gb.pieces[pi];
-        EXPECT_EQ(pa.reason, pb.reason);
-        EXPECT_EQ(pa.result, pb.result);
         EXPECT_EQ(pa.tuples, pb.tuples);
         EXPECT_EQ(pa.reason_ids, pb.reason_ids);
         EXPECT_EQ(pa.result_ids, pb.result_ids);

@@ -258,7 +258,7 @@ uint32_t TestCrc32c(const char* data, size_t size) {
   return ~crc;
 }
 
-// The options payload (v6): u64 agp_threshold, u32 distance,
+// The options payload (since v6): u64 agp_threshold, u32 distance,
 // u8 learn_weights, u64 num_threads, f64 fscr_minimality_discount.
 constexpr size_t kLearnWeightsOffset = 8 + 4;
 constexpr size_t kDiscountOffset = kLearnWeightsOffset + 1 + 8;
@@ -310,6 +310,12 @@ TEST(ModelIoTest, CorruptSnapshotsAreRejectedWithTheRightCode) {
          return s;
        },
        StatusCode::kInvalid, "unsupported format version 5"},
+      {"v6 snapshot",
+       [](std::string s) {
+         PatchU32(&s, 4, 6);
+         return s;
+       },
+       StatusCode::kInvalid, "unsupported format version 6"},
       {"wrong section count",
        [](std::string s) {
          PatchU32(&s, 8, 7);

@@ -14,18 +14,24 @@ RuleSet CtStRules() {
   return rules;
 }
 
+// One part: a dataset and the one-block index built over it.
+struct Part {
+  Dataset data;
+  MlnIndex index;
+};
+
 // Builds a one-block index over the given rows with learned-looking
 // weights assigned manually.
-MlnIndex IndexOver(const std::vector<std::vector<Value>>& rows, double weight) {
+Part IndexOver(const std::vector<std::vector<Value>>& rows, double weight) {
   RuleSet rules = CtStRules();
-  Dataset d = *Dataset::Make(rules.schema(), rows);
-  MlnIndex index = *MlnIndex::Build(d, rules);
-  for (auto& block : index.blocks()) {
+  Part part{*Dataset::Make(rules.schema(), rows), MlnIndex()};
+  part.index = *MlnIndex::Build(part.data, rules);
+  for (auto& block : part.index.blocks()) {
     for (auto& group : block.groups) {
       for (auto& piece : group.pieces) piece.weight = weight;
     }
   }
-  return index;
+  return part;
 }
 
 TEST(WeightMergeTest, Eq6SupportWeightedAverage) {
@@ -33,12 +39,12 @@ TEST(WeightMergeTest, Eq6SupportWeightedAverage) {
   // Part 2: the same γ with 1 tuple, weight 0.1.
   // Eq. 6: w = (3*0.9 + 1*0.1) / 4 = 0.7.
   RuleSet rules = CtStRules();
-  MlnIndex part1 = IndexOver({{"DOTHAN", "AL"}, {"DOTHAN", "AL"}, {"DOTHAN", "AL"}},
+  Part part1 = IndexOver({{"DOTHAN", "AL"}, {"DOTHAN", "AL"}, {"DOTHAN", "AL"}},
                              0.9);
-  MlnIndex part2 = IndexOver({{"DOTHAN", "AL"}}, 0.1);
+  Part part2 = IndexOver({{"DOTHAN", "AL"}}, 0.1);
   GlobalWeightTable table;
-  table.Accumulate(part1, rules);
-  table.Accumulate(part2, rules);
+  table.Accumulate(part1.index, part1.data, rules);
+  table.Accumulate(part2.index, part2.data, rules);
   auto w = table.Lookup(rules, 0, {"DOTHAN"}, {"AL"});
   ASSERT_TRUE(w.ok());
   EXPECT_NEAR(*w, 0.7, 1e-12);
@@ -46,25 +52,25 @@ TEST(WeightMergeTest, Eq6SupportWeightedAverage) {
 
 TEST(WeightMergeTest, ApplyOverwritesLocalWeights) {
   RuleSet rules = CtStRules();
-  MlnIndex part1 = IndexOver({{"DOTHAN", "AL"}, {"DOTHAN", "AL"}}, 0.8);
-  MlnIndex part2 = IndexOver({{"DOTHAN", "AL"}, {"BOAZ", "AL"}}, 0.2);
+  Part part1 = IndexOver({{"DOTHAN", "AL"}, {"DOTHAN", "AL"}}, 0.8);
+  Part part2 = IndexOver({{"DOTHAN", "AL"}, {"BOAZ", "AL"}}, 0.2);
   GlobalWeightTable table;
-  table.Accumulate(part1, rules);
-  table.Accumulate(part2, rules);
-  table.Apply(&part2, rules);
+  table.Accumulate(part1.index, part1.data, rules);
+  table.Accumulate(part2.index, part2.data, rules);
+  table.Apply(&part2.index, part2.data, rules);
   // {DOTHAN, AL}: (2*0.8 + 1*0.2)/3 = 0.6.
-  EXPECT_NEAR(part2.block(0).groups[0].pieces[0].weight, 0.6, 1e-12);
+  EXPECT_NEAR(part2.index.block(0).groups[0].pieces[0].weight, 0.6, 1e-12);
   // {BOAZ, AL} was seen only in part2: stays at its own average (0.2).
-  EXPECT_NEAR(part2.block(0).groups[1].pieces[0].weight, 0.2, 1e-12);
+  EXPECT_NEAR(part2.index.block(0).groups[1].pieces[0].weight, 0.2, 1e-12);
 }
 
 TEST(WeightMergeTest, DistinctGammasDoNotMix) {
   RuleSet rules = CtStRules();
-  MlnIndex part1 = IndexOver({{"DOTHAN", "AL"}}, 0.9);
-  MlnIndex part2 = IndexOver({{"DOTHAN", "AK"}}, 0.1);  // different result
+  Part part1 = IndexOver({{"DOTHAN", "AL"}}, 0.9);
+  Part part2 = IndexOver({{"DOTHAN", "AK"}}, 0.1);  // different result
   GlobalWeightTable table;
-  table.Accumulate(part1, rules);
-  table.Accumulate(part2, rules);
+  table.Accumulate(part1.index, part1.data, rules);
+  table.Accumulate(part2.index, part2.data, rules);
   EXPECT_EQ(table.size(), 2u);
   EXPECT_NEAR(*table.Lookup(rules, 0, {"DOTHAN"}, {"AL"}), 0.9, 1e-12);
   EXPECT_NEAR(*table.Lookup(rules, 0, {"DOTHAN"}, {"AK"}), 0.1, 1e-12);
@@ -83,7 +89,7 @@ TEST(WeightMergeTest, RuleIndexSeparatesBlocks) {
   MlnIndex index = *MlnIndex::Build(d, rules);
   index.AssignPriorWeights();
   GlobalWeightTable table;
-  table.Accumulate(index, rules);
+  table.Accumulate(index, d, rules);
   // B1 has 4 γs, B2 has 4, B3 has 2: all distinct keys.
   EXPECT_EQ(table.size(), 10u);
 }
@@ -93,11 +99,11 @@ TEST(WeightMergeTest, AccumulateFromPermutedInternOrderAgrees) {
   // indexes over datasets whose dictionaries assign different ids to the
   // same values still merge into the same γs.
   RuleSet rules = CtStRules();
-  MlnIndex part1 = IndexOver({{"BOAZ", "AL"}, {"DOTHAN", "AL"}}, 0.9);
-  MlnIndex part2 = IndexOver({{"DOTHAN", "AL"}, {"BOAZ", "AL"}}, 0.1);  // swapped
+  Part part1 = IndexOver({{"BOAZ", "AL"}, {"DOTHAN", "AL"}}, 0.9);
+  Part part2 = IndexOver({{"DOTHAN", "AL"}, {"BOAZ", "AL"}}, 0.1);  // swapped
   GlobalWeightTable table;
-  table.Accumulate(part1, rules);
-  table.Accumulate(part2, rules);
+  table.Accumulate(part1.index, part1.data, rules);
+  table.Accumulate(part2.index, part2.data, rules);
   EXPECT_EQ(table.size(), 2u);
   EXPECT_NEAR(*table.Lookup(rules, 0, {"DOTHAN"}, {"AL"}), 0.5, 1e-12);
   EXPECT_NEAR(*table.Lookup(rules, 0, {"BOAZ"}, {"AL"}), 0.5, 1e-12);
@@ -105,9 +111,9 @@ TEST(WeightMergeTest, AccumulateFromPermutedInternOrderAgrees) {
 
 TEST(WeightMergeTest, SortedEntryVisitRoundTripsIds) {
   RuleSet rules = CtStRules();
-  MlnIndex part = IndexOver({{"DOTHAN", "AL"}, {"BOAZ", "AL"}}, 0.4);
+  Part part = IndexOver({{"DOTHAN", "AL"}, {"BOAZ", "AL"}}, 0.4);
   GlobalWeightTable table;
-  table.Accumulate(part, rules);
+  table.Accumulate(part.index, part.data, rules);
   GlobalWeightTable restored;
   std::vector<ValueDict> dicts(rules.schema().num_attrs());
   for (size_t a = 0; a < table.num_attr_dicts(); ++a) {

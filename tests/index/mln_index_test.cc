@@ -19,6 +19,28 @@ MlnIndex BuildSampleIndex() {
   return *MlnIndex::Build(dirty, rules);
 }
 
+// The sample table, its rules, and the ids of reason keys in its
+// dictionaries.
+struct Sample {
+  Dataset dirty = *SampleHospitalDirty();
+  RuleSet rules = *SampleHospitalRules();
+
+  // Block `block`'s reason key `values` as ids; a value the table lacks
+  // gets kInvalidValueId, which no group holds.
+  std::vector<ValueId> Key(size_t block, const std::vector<Value>& values) const {
+    const std::vector<AttrId>& attrs = rules.rule(block).reason_attrs();
+    std::vector<ValueId> ids;
+    for (size_t i = 0; i < values.size(); ++i) ids.push_back(dirty.dict(attrs[i]).Find(values[i]));
+    return ids;
+  }
+
+  // A group's key as values: its first γ's reason values.
+  std::vector<Value> KeyValues(const MlnIndex& index, size_t block, size_t group) const {
+    return index.block(block).groups[group].pieces.front().ReasonValues(dirty,
+                                                                        rules.rule(block));
+  }
+};
+
 TEST(MlnIndexTest, Figure2BlockAndGroupCounts) {
   // Figure 2: blocks B1, B2, B3 with 3, 3, 2 groups respectively.
   MlnIndex index = BuildSampleIndex();
@@ -29,31 +51,41 @@ TEST(MlnIndexTest, Figure2BlockAndGroupCounts) {
 }
 
 TEST(MlnIndexTest, Figure2GroupKeys) {
-  MlnIndex index = BuildSampleIndex();
+  Sample s;
+  MlnIndex index = *MlnIndex::Build(s.dirty, s.rules);
   // B1 keyed by CT.
-  EXPECT_EQ(index.block(0).groups[0].key, (std::vector<Value>{"DOTHAN"}));
-  EXPECT_EQ(index.block(0).groups[1].key, (std::vector<Value>{"DOTH"}));
-  EXPECT_EQ(index.block(0).groups[2].key, (std::vector<Value>{"BOAZ"}));
+  EXPECT_EQ(s.KeyValues(index, 0, 0), (std::vector<Value>{"DOTHAN"}));
+  EXPECT_EQ(s.KeyValues(index, 0, 1), (std::vector<Value>{"DOTH"}));
+  EXPECT_EQ(s.KeyValues(index, 0, 2), (std::vector<Value>{"BOAZ"}));
   // B2 keyed by PN.
-  EXPECT_EQ(index.block(1).groups[0].key, (std::vector<Value>{"3347938701"}));
+  EXPECT_EQ(s.KeyValues(index, 1, 0), (std::vector<Value>{"3347938701"}));
   // B3 keyed by (HN, CT).
-  EXPECT_EQ(index.block(2).groups[0].key,
-            (std::vector<Value>{"ELIZA", "DOTHAN"}));
-  EXPECT_EQ(index.block(2).groups[1].key, (std::vector<Value>{"ELIZA", "BOAZ"}));
+  EXPECT_EQ(s.KeyValues(index, 2, 0), (std::vector<Value>{"ELIZA", "DOTHAN"}));
+  EXPECT_EQ(s.KeyValues(index, 2, 1), (std::vector<Value>{"ELIZA", "BOAZ"}));
+  // Every γ of a freshly built group shares the key.
+  for (const Block& block : index.blocks()) {
+    for (const Group& group : block.groups) {
+      for (const Piece& piece : group.pieces) {
+        EXPECT_EQ(piece.reason_ids, group.pieces.front().reason_ids);
+      }
+    }
+  }
 }
 
 TEST(MlnIndexTest, Figure2GroupContents) {
-  MlnIndex index = BuildSampleIndex();
+  Sample s;
+  MlnIndex index = *MlnIndex::Build(s.dirty, s.rules);
+  const Constraint& r1 = s.rules.rule(0);
   // G13 (BOAZ) holds two γs: {BOAZ, AK} (t4) and {BOAZ, AL} (t5, t6).
   const Group& g13 = index.block(0).groups[2];
   ASSERT_EQ(g13.pieces.size(), 2u);
-  EXPECT_EQ(g13.pieces[0].result, (std::vector<Value>{"AK"}));
+  EXPECT_EQ(g13.pieces[0].AllValues(s.dirty, r1), (std::vector<Value>{"BOAZ", "AK"}));
   EXPECT_EQ(g13.pieces[0].tuples, (std::vector<TupleId>{3}));
-  EXPECT_EQ(g13.pieces[1].result, (std::vector<Value>{"AL"}));
+  EXPECT_EQ(g13.pieces[1].AllValues(s.dirty, r1), (std::vector<Value>{"BOAZ", "AL"}));
   EXPECT_EQ(g13.pieces[1].tuples, (std::vector<TupleId>{4, 5}));
   EXPECT_EQ(g13.TupleCount(), 3u);
   // γ* of G13 is the better-supported {BOAZ, AL}.
-  EXPECT_EQ(g13.Star().result, (std::vector<Value>{"AL"}));
+  EXPECT_EQ(g13.Star().AllValues(s.dirty, r1), (std::vector<Value>{"BOAZ", "AL"}));
 }
 
 TEST(MlnIndexTest, BlockCounters) {
@@ -66,11 +98,12 @@ TEST(MlnIndexTest, BlockCounters) {
 }
 
 TEST(MlnIndexTest, FindGroup) {
-  MlnIndex index = BuildSampleIndex();
-  auto idx = index.FindGroup(0, {"BOAZ"});
+  Sample s;
+  MlnIndex index = *MlnIndex::Build(s.dirty, s.rules);
+  auto idx = index.FindGroup(0, s.Key(0, {"BOAZ"}));
   ASSERT_TRUE(idx.ok());
   EXPECT_EQ(*idx, 2u);
-  EXPECT_TRUE(index.FindGroup(0, {"NOWHERE"}).status().IsNotFound());
+  EXPECT_TRUE(index.FindGroup(0, s.Key(0, {"NOWHERE"})).status().IsNotFound());
 }
 
 TEST(MlnIndexTest, PriorWeightsMatchEq4) {
@@ -90,7 +123,8 @@ TEST(MlnIndexTest, LearnedWeightsOrderBySupportWithinGroup) {
 }
 
 TEST(MlnIndexTest, FindGroupSeesMutationWithoutReindex) {
-  MlnIndex index = BuildSampleIndex();
+  Sample s;
+  MlnIndex index = *MlnIndex::Build(s.dirty, s.rules);
   Block& b1 = index.block(0);
   // Merge group 1 (DOTH) into group 0 (DOTHAN) manually: lookups read the
   // groups as they are, so no reindex step follows.
@@ -98,12 +132,12 @@ TEST(MlnIndexTest, FindGroupSeesMutationWithoutReindex) {
     b1.groups[0].pieces.push_back(std::move(piece));
   }
   b1.groups.erase(b1.groups.begin() + 1);
-  EXPECT_TRUE(index.FindGroup(0, {"DOTH"}).status().IsNotFound());
-  EXPECT_EQ(*index.FindGroup(0, {"BOAZ"}), 1u);
+  EXPECT_TRUE(index.FindGroup(0, s.Key(0, {"DOTH"})).status().IsNotFound());
+  EXPECT_EQ(*index.FindGroup(0, s.Key(0, {"BOAZ"})), 1u);
   // A duplicated key answers with its first group, as a first-wins map
   // would.
   b1.groups.push_back(b1.groups[0]);
-  EXPECT_EQ(*index.FindGroup(0, {"DOTHAN"}), 0u);
+  EXPECT_EQ(*index.FindGroup(0, s.Key(0, {"DOTHAN"})), 0u);
 }
 
 // Every group of every block is found at its own position (keys are
@@ -112,7 +146,8 @@ void ExpectEveryGroupFound(const MlnIndex& index) {
   for (size_t bi = 0; bi < index.num_blocks(); ++bi) {
     const std::vector<Group>& groups = index.block(bi).groups;
     for (size_t gi = 0; gi < groups.size(); ++gi) {
-      const Result<size_t> found = index.FindGroup(bi, groups[gi].key);
+      const Result<size_t> found =
+          index.FindGroup(bi, groups[gi].pieces.front().reason_ids);
       ASSERT_TRUE(found.ok()) << "block " << bi << " group " << gi;
       EXPECT_EQ(*found, gi) << "block " << bi;
     }
@@ -120,28 +155,27 @@ void ExpectEveryGroupFound(const MlnIndex& index) {
 }
 
 TEST(MlnIndexTest, FindGroupAfterAgpRscAndFromBlocks) {
-  MlnIndex index = BuildSampleIndex();
+  Sample s;
+  MlnIndex index = *MlnIndex::Build(s.dirty, s.rules);
   CleaningOptions options;
   options.agp_threshold = 1;
-  RunAgpAll(&index, options, nullptr);
+  RunAgpAll(&index, s.dirty, s.rules, options, nullptr);
   ExpectEveryGroupFound(index);
   // G12 (DOTH) merged into G11; G13 moved up to position 1.
-  EXPECT_TRUE(index.FindGroup(0, {"DOTH"}).status().IsNotFound());
-  EXPECT_EQ(*index.FindGroup(0, {"BOAZ"}), 1u);
+  EXPECT_TRUE(index.FindGroup(0, s.Key(0, {"DOTH"})).status().IsNotFound());
+  EXPECT_EQ(*index.FindGroup(0, s.Key(0, {"BOAZ"})), 1u);
 
   index.LearnWeights();
-  RunRscAll(&index, MakeDistanceFn(options.distance), nullptr);
+  RunRscAll(&index, s.dirty, s.rules, MakeDistanceFn(options.distance), nullptr);
+  // RSC leaves one γ per group, its winner, which keys the group.
   ExpectEveryGroupFound(index);
-  // RSC rekeys each group by its winner's reason values.
   for (size_t bi = 0; bi < index.num_blocks(); ++bi) {
-    for (const Group& group : index.block(bi).groups) {
-      EXPECT_EQ(group.key, group.pieces.front().reason);
-    }
+    for (const Group& group : index.block(bi).groups) EXPECT_EQ(group.pieces.size(), 1u);
   }
 
   const MlnIndex rebuilt = MlnIndex::FromBlocks(index.blocks());
   ExpectEveryGroupFound(rebuilt);
-  EXPECT_TRUE(rebuilt.FindGroup(2, {"NOWHERE", "AT ALL"}).status().IsNotFound());
+  EXPECT_TRUE(rebuilt.FindGroup(2, s.Key(2, {"NOWHERE", "AT ALL"})).status().IsNotFound());
 }
 
 TEST(MlnIndexTest, AppendRowsOnFromBlocksBaseEqualsColdBuild) {
@@ -162,13 +196,10 @@ TEST(MlnIndexTest, AppendRowsOnFromBlocksBaseEqualsColdBuild) {
       const std::vector<Group>& want = cold.block(bi).groups;
       ASSERT_EQ(got.size(), want.size()) << "block " << bi;
       for (size_t gi = 0; gi < want.size(); ++gi) {
-        EXPECT_EQ(got[gi].key, want[gi].key);
         ASSERT_EQ(got[gi].pieces.size(), want[gi].pieces.size());
         for (size_t pi = 0; pi < want[gi].pieces.size(); ++pi) {
           const Piece& g = got[gi].pieces[pi];
           const Piece& w = want[gi].pieces[pi];
-          EXPECT_EQ(g.reason, w.reason);
-          EXPECT_EQ(g.result, w.result);
           EXPECT_EQ(g.tuples, w.tuples);
           EXPECT_EQ(g.reason_ids, w.reason_ids);
           EXPECT_EQ(g.result_ids, w.result_ids);
@@ -182,10 +213,11 @@ TEST(MlnIndexTest, AppendRowsOnFromBlocksBaseEqualsColdBuild) {
 TEST(MlnIndexTest, ConcurrentFindGroupOnConstIndex) {
   // A served model's snapshot index is shared read-only by every session:
   // FindGroup must not write anything (TSan checks this suite).
-  MlnIndex built = BuildSampleIndex();
+  Sample s;
+  MlnIndex built = *MlnIndex::Build(s.dirty, s.rules);
   CleaningOptions options;
   options.agp_threshold = 1;
-  RunAgpAll(&built, options, nullptr);
+  RunAgpAll(&built, s.dirty, s.rules, options, nullptr);
   const MlnIndex& index = built;
   std::vector<std::thread> threads;
   std::vector<size_t> found(4, 0);
@@ -194,15 +226,30 @@ TEST(MlnIndexTest, ConcurrentFindGroupOnConstIndex) {
       for (int round = 0; round < 200; ++round) {
         for (size_t bi = 0; bi < index.num_blocks(); ++bi) {
           for (const Group& group : index.block(bi).groups) {
-            if (index.FindGroup(bi, group.key).ok()) ++found[t];
+            if (index.FindGroup(bi, group.pieces.front().reason_ids).ok()) ++found[t];
           }
-          if (index.FindGroup(bi, {"NOWHERE"}).ok()) --found[t];
+          if (index.FindGroup(bi, {kInvalidValueId}).ok()) --found[t];
         }
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
   for (size_t count : found) EXPECT_EQ(count, 200u * 5u);  // 2 + 2 + 1 groups
+}
+
+TEST(MlnIndexTest, ValidateRejectsSwappedTupleLists) {
+  // G13 (BOAZ) holds {BOAZ, AK} (t4) and {BOAZ, AL} (t5, t6). With their
+  // tuple lists swapped, every id still names a value of the table's
+  // dictionaries and every list is sorted and in bounds, but t5's ST cell
+  // is AL, not AK: the index does not describe this table.
+  Sample s;
+  MlnIndex index = *MlnIndex::Build(s.dirty, s.rules);
+  ASSERT_TRUE(index.Validate(s.dirty, s.rules).ok());
+  Group& g13 = index.block(0).groups[2];
+  ASSERT_EQ(g13.pieces.size(), 2u);
+  std::swap(g13.pieces[0].tuples, g13.pieces[1].tuples);
+  const Status status = index.Validate(s.dirty, s.rules);
+  EXPECT_TRUE(status.IsInvalid()) << status.ToString();
 }
 
 TEST(MlnIndexTest, GeneralDcRejectedAtBuild) {

@@ -19,7 +19,7 @@ TEST(GroundRuleTest, Table3Reproduction) {
   ASSERT_EQ(grounds->size(), 4u);
   std::vector<std::string> rendered;
   for (const auto& g : *grounds) {
-    rendered.push_back(GroundRuleToString(rules.schema(), rules.rule(0), g));
+    rendered.push_back(GroundClauseToString(dirty, rules.rule(0), g));
   }
   std::vector<std::string> expected = {
       "!CT(\"DOTHAN\") | ST(\"AL\")",
@@ -35,15 +35,15 @@ TEST(GroundRuleTest, Table3Reproduction) {
 TEST(GroundRuleTest, SupportCountsTable1) {
   Dataset dirty = *SampleHospitalDirty();
   RuleSet rules = *SampleHospitalRules();
-  auto grounds = *GroundConstraint(dirty, rules.rule(0));
+  const Constraint& r1 = rules.rule(0);
+  auto grounds = *GroundConstraint(dirty, r1);
   size_t total = 0;
   for (const auto& g : grounds) {
     total += g.support();
-    if (g.reason == std::vector<Value>{"DOTHAN"}) {
+    if (g.ReasonValues(dirty, r1) == std::vector<Value>{"DOTHAN"}) {
       EXPECT_EQ(g.tuples, (std::vector<TupleId>{0, 2}));  // t1, t3
     }
-    if (g.reason == std::vector<Value>{"BOAZ"} &&
-        g.result == std::vector<Value>{"AL"}) {
+    if (g.AllValues(dirty, r1) == std::vector<Value>{"BOAZ", "AL"}) {
       EXPECT_EQ(g.tuples, (std::vector<TupleId>{4, 5}));  // t5, t6
     }
   }
@@ -51,8 +51,8 @@ TEST(GroundRuleTest, SupportCountsTable1) {
 }
 
 TEST(GroundRuleTest, GroundRulesCarryDictionaryIds) {
-  // Every γ's id vectors mirror its value vectors through the dataset's
-  // per-attribute dictionaries.
+  // Every γ holds one id per rule attribute, and each of its tuples' cells
+  // holds exactly those ids.
   Dataset dirty = *SampleHospitalDirty();
   RuleSet rules = *SampleHospitalRules();
   for (size_t ri = 0; ri < rules.size(); ++ri) {
@@ -60,15 +60,15 @@ TEST(GroundRuleTest, GroundRulesCarryDictionaryIds) {
     auto grounds = GroundConstraint(dirty, rule);
     ASSERT_TRUE(grounds.ok()) << grounds.status().ToString();
     for (const auto& g : *grounds) {
-      ASSERT_EQ(g.reason_ids.size(), g.reason.size());
-      ASSERT_EQ(g.result_ids.size(), g.result.size());
-      for (size_t i = 0; i < g.reason.size(); ++i) {
-        EXPECT_EQ(dirty.dict(rule.reason_attrs()[i]).value(g.reason_ids[i]),
-                  g.reason[i]);
-      }
-      for (size_t i = 0; i < g.result.size(); ++i) {
-        EXPECT_EQ(dirty.dict(rule.result_attrs()[i]).value(g.result_ids[i]),
-                  g.result[i]);
+      ASSERT_EQ(g.reason_ids.size(), rule.reason_attrs().size());
+      ASSERT_EQ(g.result_ids.size(), rule.result_attrs().size());
+      for (TupleId tid : g.tuples) {
+        for (size_t i = 0; i < g.reason_ids.size(); ++i) {
+          EXPECT_EQ(dirty.id_at(tid, rule.reason_attrs()[i]), g.reason_ids[i]);
+        }
+        for (size_t i = 0; i < g.result_ids.size(); ++i) {
+          EXPECT_EQ(dirty.id_at(tid, rule.result_attrs()[i]), g.result_ids[i]);
+        }
       }
     }
   }
@@ -79,11 +79,12 @@ TEST(GroundRuleTest, CfdScopeRestrictsGrounding) {
   // distinct γs.
   Dataset dirty = *SampleHospitalDirty();
   RuleSet rules = *SampleHospitalRules();
-  auto grounds = *GroundConstraint(dirty, rules.rule(2));
+  const Constraint& r3 = rules.rule(2);
+  auto grounds = *GroundConstraint(dirty, r3);
   ASSERT_EQ(grounds.size(), 2u);
-  EXPECT_EQ(grounds[0].reason, (std::vector<Value>{"ELIZA", "DOTHAN"}));
+  EXPECT_EQ(grounds[0].ReasonValues(dirty, r3), (std::vector<Value>{"ELIZA", "DOTHAN"}));
   EXPECT_EQ(grounds[0].tuples, (std::vector<TupleId>{2}));
-  EXPECT_EQ(grounds[1].reason, (std::vector<Value>{"ELIZA", "BOAZ"}));
+  EXPECT_EQ(grounds[1].ReasonValues(dirty, r3), (std::vector<Value>{"ELIZA", "BOAZ"}));
   EXPECT_EQ(grounds[1].tuples, (std::vector<TupleId>{3, 4, 5}));
 }
 
