@@ -11,9 +11,8 @@ namespace mlnclean {
 
 namespace {
 
-// Index 0 of every ValueIndex stands for "no value": as a slot, a γ*
-// narrower than the block's widest, or an abnormal value no normal γ*
-// holds. Its term is always 0.
+// Index 0 of every ValueIndex stands for "no value": an abnormal value no
+// normal γ* holds. Its term is always 0.
 constexpr uint32_t kNoSlot = 0;
 
 // Open addressing from a value's dictionary id (or, for length rows, a
@@ -95,8 +94,6 @@ struct PositionSlots {
 struct AgpScratch {
   std::vector<PositionSlots> positions;
   std::vector<const ValueDict*> dicts;  // per position: its attribute's dictionary
-  std::vector<size_t> active;          // positions the abnormal γ* has
-  std::vector<size_t> active_tabled;   // those of them that are tabled
   std::vector<uint32_t> slots;         // candidate-major: [c * P + p]
   std::vector<uint32_t> old_slots;     // a reloaded candidate's previous row
   std::vector<const Piece*> stars;     // current γ* of each normal group
@@ -113,29 +110,15 @@ struct AgpScratch {
   std::vector<char> remove;
 };
 
-// A γ's id and value at layout position p: reason positions occupy
-// [0, reason_width), result positions follow; false when the γ is
-// narrower than the rule there.
-bool ValueAt(const AgpScratch& scratch, const Piece& piece, size_t p, size_t reason_width,
-             std::string_view* value, ValueId* id) {
-  const bool reason = p < reason_width;
-  const size_t i = reason ? p : p - reason_width;
-  const std::vector<ValueId>& ids = reason ? piece.reason_ids : piece.result_ids;
-  if (i >= ids.size()) return false;
-  *id = ids[i];
-  *value = scratch.dicts[p]->value(*id);
-  return true;
-}
-
 // One γ* distance with the kernel on the bounded positions: the fold of
 // PieceDistance (index/piece.cc) over the same nonzero terms, in its order.
-double ExactDistance(const AgpScratch& scratch, const uint32_t* row,
+double ExactDistance(const AgpScratch& scratch, const uint32_t* row, size_t num_pos,
                      DistanceMetric metric, size_t* kernel_calls) {
   double total = 0.0;
-  for (size_t p : scratch.active) {
+  for (size_t p = 0; p < num_pos; ++p) {
     const PositionSlots& ps = scratch.positions[p];
     const uint32_t s = row[p];
-    if (ps.tabled || s == kNoSlot || s == ps.abnormal_slot) {
+    if (ps.tabled || s == ps.abnormal_slot) {
       total += ps.terms[s];
     } else {
       total += NormalizedDistance(metric, ps.abnormal_value, ps.slots.values[s]);
@@ -216,14 +199,12 @@ size_t RunAgp(Block* block, const Dataset& data, const Constraint& rule,
     return 0;
   }
 
-  // Layout: one position per rule attribute, reason attributes first;
-  // slots are keyed by dictionary id and view the dictionary's bytes.
-  const size_t reason_width = rule.reason_attrs().size();
-  const size_t num_pos = reason_width + rule.result_attrs().size();
+  // Layout: one position per rule attribute, a γ's id order; slots are
+  // keyed by dictionary id and view the dictionary's bytes.
+  const size_t num_pos = rule.attrs().size();
   if (scratch.positions.size() < num_pos) scratch.positions.resize(num_pos);
   scratch.dicts.clear();
-  for (AttrId a : rule.reason_attrs()) scratch.dicts.push_back(&data.dict(a));
-  for (AttrId a : rule.result_attrs()) scratch.dicts.push_back(&data.dict(a));
+  for (AttrId a : rule.attrs()) scratch.dicts.push_back(&data.dict(a));
   // A position gains at most one slot per merge and one row key per
   // abnormal γ*, so the tables never fill past half. Slots and row caches
   // are cleared per block: they index this block's positions.
@@ -241,12 +222,9 @@ size_t RunAgp(Block* block, const Dataset& data, const Constraint& rule,
   scratch.bounds.resize(n);
   auto load_slots = [&](size_t c) {
     uint32_t* row = scratch.slots.data() + c * num_pos;
-    std::string_view value;
-    ValueId id = 0;
+    const std::vector<ValueId>& ids = scratch.stars[c]->ids;
     for (size_t p = 0; p < num_pos; ++p) {
-      row[p] = ValueAt(scratch, *scratch.stars[c], p, reason_width, &value, &id)
-                   ? scratch.positions[p].slots.Find(id, value, true)
-                   : kNoSlot;
+      row[p] = scratch.positions[p].slots.Find(ids[p], scratch.dicts[p]->value(ids[p]), true);
     }
   };
   for (size_t c = 0; c < n; ++c) {
@@ -271,20 +249,16 @@ size_t RunAgp(Block* block, const Dataset& data, const Constraint& rule,
     // Term rows of this γ*: the kernel row of its value on tabled
     // positions, the length-bound row of its length elsewhere, each
     // computed once per block and extended to the current slots; equal
-    // values and missing positions cost 0.
-    const Piece& a_star = abnormal.Star();
-    scratch.active.clear();
-    scratch.active_tabled.clear();
+    // values cost 0.
+    const std::vector<ValueId>& a_ids = abnormal.Star().ids;
     for (size_t p = 0; p < num_pos; ++p) {
       PositionSlots& ps = scratch.positions[p];
-      ValueId id = 0;
-      if (!ValueAt(scratch, a_star, p, reason_width, &ps.abnormal_value, &id)) continue;
-      scratch.active.push_back(p);
+      const ValueId id = a_ids[p];
+      ps.abnormal_value = scratch.dicts[p]->value(id);
       ps.abnormal_slot = ps.slots.Find(id, ps.abnormal_value, false);
       const size_t k = ps.slots.size();
       const std::string_view value = ps.abnormal_value;
       if (ps.tabled) {
-        scratch.active_tabled.push_back(p);
         ps.terms = ps.kernel_rows.Row(id, k, [&](size_t s) {
           ++rec.kernel_calls;
           return NormalizedDistance(metric, value, ps.slots.values[s]);
@@ -310,7 +284,7 @@ size_t RunAgp(Block* block, const Dataset& data, const Constraint& rule,
       const uint32_t* row =
           scratch.slots.data() + size_t{scratch.members[scratch.bucket_start[b]]} * num_pos;
       double total = 0.0;
-      for (size_t p : scratch.active_tabled) total += scratch.positions[p].terms[row[p]];
+      for (size_t p : scratch.bucket_positions) total += scratch.positions[p].terms[row[p]];
       scratch.bucket_bounds[b] = total;
       if (total < scratch.bucket_bounds[first_bucket]) first_bucket = b;
     }
@@ -329,7 +303,7 @@ size_t RunAgp(Block* block, const Dataset& data, const Constraint& rule,
       for (const uint32_t* it = begin; it != end; ++it) {
         const uint32_t* row = scratch.slots.data() + size_t{*it} * num_pos;
         double total = 0.0;
-        for (size_t p : scratch.active) total += scratch.positions[p].terms[row[p]];
+        for (size_t p = 0; p < num_pos; ++p) total += scratch.positions[p].terms[row[p]];
         scratch.bounds[*it] = total;
       }
       size_t first = n;
@@ -338,8 +312,8 @@ size_t RunAgp(Block* block, const Dataset& data, const Constraint& rule,
         for (const uint32_t* it = begin; it != end; ++it) {
           if (scratch.bounds[*it] < scratch.bounds[first]) first = *it;
         }
-        best = ExactDistance(scratch, scratch.slots.data() + first * num_pos, metric,
-                             &rec.kernel_calls);
+        best = ExactDistance(scratch, scratch.slots.data() + first * num_pos, num_pos,
+                             metric, &rec.kernel_calls);
         best_pos = first;
         ++rec.exact_evaluations;
       }
@@ -347,8 +321,8 @@ size_t RunAgp(Block* block, const Dataset& data, const Constraint& rule,
         const size_t c = *it;
         const double bound = scratch.bounds[c];
         if (c == first || (c < best_pos ? bound > best : bound >= best)) continue;
-        const double d = ExactDistance(scratch, scratch.slots.data() + c * num_pos, metric,
-                                       &rec.kernel_calls);
+        const double d = ExactDistance(scratch, scratch.slots.data() + c * num_pos, num_pos,
+                                       metric, &rec.kernel_calls);
         ++rec.exact_evaluations;
         if (d < best || (d == best && c < best_pos)) {
           best = d;
@@ -362,7 +336,7 @@ size_t RunAgp(Block* block, const Dataset& data, const Constraint& rule,
     for (size_t b = 0; b < num_buckets; ++b) {
       if (b != first_bucket && scratch.bucket_bounds[b] <= best) scan_bucket(b);
     }
-    for (size_t p : scratch.active) {
+    for (size_t p = 0; p < num_pos; ++p) {
       PositionSlots& ps = scratch.positions[p];
       ps.terms[ps.abnormal_slot] = ps.own_term;
     }

@@ -55,24 +55,19 @@ struct Version {
   double weight = 0.0;
 };
 
-// Flattens a γ into assigned cells using its rule's attribute lists.
+// Flattens a γ into assigned cells using its rule's attribute order.
 Assignment PieceAssignment(const Constraint& rule, const Piece& piece,
                            const Dataset& dirty) {
+  const std::vector<AttrId>& attrs = rule.attrs();
   Assignment out;
-  const auto& reason_attrs = rule.reason_attrs();
-  const auto& result_attrs = rule.result_attrs();
-  out.reserve(reason_attrs.size() + result_attrs.size());
-  auto assign = [&](AttrId attr, ValueId id) {
+  out.reserve(attrs.size());
+  for (size_t p = 0; p < attrs.size(); ++p) {
+    const AttrId attr = attrs[p];
+    const ValueId id = piece.ids[p];
     const uint64_t hash =
         Mix((static_cast<uint64_t>(static_cast<uint32_t>(attr)) << 32 | id) +
             0x9E3779B97F4A7C15ull);
     out.push_back(AssignedCell{attr, id, &dirty.dict(attr).value(id), hash});
-  };
-  for (size_t i = 0; i < reason_attrs.size(); ++i) {
-    assign(reason_attrs[i], piece.reason_ids[i]);
-  }
-  for (size_t i = 0; i < result_attrs.size(); ++i) {
-    assign(result_attrs[i], piece.result_ids[i]);
   }
   return out;
 }

@@ -299,8 +299,8 @@ Status DecodeWeightsSection(Decoder* d, DecodedSnapshot* snap) {
   }
   MLN_ASSIGN_OR_RETURN(uint64_t num_entries, d->U64("weight entry count"));
 
-  // Columnar entries: four group-varint blocks (rule indexes, the two
-  // arities, the flat id stream) followed by the two raw float columns.
+  // Columnar entries: three group-varint blocks (rule indexes, arities,
+  // the flat id stream) followed by the two raw float columns.
   // Every block's value count is bounds-checked against its byte length
   // before anything is allocated — a forged entry count cannot force a
   // huge allocation, it just fails the plausibility check.
@@ -327,32 +327,20 @@ Status DecodeWeightsSection(Decoder* d, DecodedSnapshot* snap) {
   };
   MLN_ASSIGN_OR_RETURN(std::vector<uint32_t> rule_indexes,
                        read_block(num_entries, true, "weight entry rule index"));
-  MLN_ASSIGN_OR_RETURN(
-      std::vector<uint32_t> reason_arities,
-      read_block(num_entries, false, "weight entry reason arity"));
-  MLN_ASSIGN_OR_RETURN(
-      std::vector<uint32_t> result_arities,
-      read_block(num_entries, false, "weight entry result arity"));
+  MLN_ASSIGN_OR_RETURN(std::vector<uint32_t> arities,
+                       read_block(num_entries, false, "weight entry arity"));
   uint64_t total_ids = 0;
-  for (uint64_t i = 0; i < num_entries; ++i) {
-    total_ids += static_cast<uint64_t>(reason_arities[i]) + result_arities[i];
-  }
+  for (uint32_t arity : arities) total_ids += arity;
   MLN_ASSIGN_OR_RETURN(std::vector<uint32_t> flat_ids,
                        read_block(total_ids, true, "weight entry value id"));
 
   snap->entries.resize(static_cast<size_t>(num_entries));
   size_t id_cursor = 0;
-  for (uint64_t i = 0; i < num_entries; ++i) {
-    GlobalWeightTable::EntryView& entry = snap->entries[static_cast<size_t>(i)];
-    entry.rule_index = rule_indexes[static_cast<size_t>(i)];
-    const uint32_t n_reason = reason_arities[static_cast<size_t>(i)];
-    const uint32_t n_result = result_arities[static_cast<size_t>(i)];
-    entry.reason_ids.assign(flat_ids.begin() + id_cursor,
-                            flat_ids.begin() + id_cursor + n_reason);
-    id_cursor += n_reason;
-    entry.result_ids.assign(flat_ids.begin() + id_cursor,
-                            flat_ids.begin() + id_cursor + n_result);
-    id_cursor += n_result;
+  for (size_t i = 0; i < snap->entries.size(); ++i) {
+    GlobalWeightTable::EntryView& entry = snap->entries[i];
+    entry.rule_index = rule_indexes[i];
+    entry.ids.assign(flat_ids.begin() + id_cursor, flat_ids.begin() + id_cursor + arities[i]);
+    id_cursor += arities[i];
   }
   for (uint64_t i = 0; i < num_entries; ++i) {
     MLN_ASSIGN_OR_RETURN(snap->entries[static_cast<size_t>(i)].weighted_sum,
@@ -385,10 +373,8 @@ void EncodeIndexSection(const MlnIndex* index, size_t indexed_rows, Encoder* e) 
     for (const Group& group : block.groups) {
       e->U64(group.pieces.size());
       for (const Piece& piece : group.pieces) {
-        e->U32(static_cast<uint32_t>(piece.reason_ids.size()));
-        e->U32(static_cast<uint32_t>(piece.result_ids.size()));
-        for (ValueId id : piece.reason_ids) e->U32(id);
-        for (ValueId id : piece.result_ids) e->U32(id);
+        e->U32(static_cast<uint32_t>(piece.ids.size()));
+        for (ValueId id : piece.ids) e->U32(id);
         e->F64(piece.weight);
         e->U64(piece.tuples.size());
         tids.assign(piece.tuples.begin(), piece.tuples.end());
@@ -424,17 +410,12 @@ Status DecodeIndexSection(Decoder* d, DecodedSnapshot* snap) {
       }
       for (uint64_t pi = 0; pi < num_pieces; ++pi) {
         Piece piece;
-        MLN_ASSIGN_OR_RETURN(uint32_t n_reason, d->U32("γ reason arity"));
-        MLN_ASSIGN_OR_RETURN(uint32_t n_result, d->U32("γ result arity"));
+        MLN_ASSIGN_OR_RETURN(uint32_t arity, d->U32("γ arity"));
         // Ids are read one at a time, so a forged arity runs out of bytes
         // before it can force a large allocation.
-        for (uint32_t p = 0; p < n_reason; ++p) {
-          MLN_ASSIGN_OR_RETURN(ValueId id, d->U32("γ reason id"));
-          piece.reason_ids.push_back(id);
-        }
-        for (uint32_t p = 0; p < n_result; ++p) {
-          MLN_ASSIGN_OR_RETURN(ValueId id, d->U32("γ result id"));
-          piece.result_ids.push_back(id);
+        for (uint32_t p = 0; p < arity; ++p) {
+          MLN_ASSIGN_OR_RETURN(ValueId id, d->U32("γ id"));
+          piece.ids.push_back(id);
         }
         MLN_ASSIGN_OR_RETURN(piece.weight, d->F64("γ weight"));
         MLN_ASSIGN_OR_RETURN(uint64_t num_tuples, d->U64("γ tuple count"));
@@ -601,22 +582,17 @@ Result<std::string> CleanModel::EncodeSnapshotBytes(const MlnIndex* index,
       weights_section.U64(dict.null_used() ? dict.null_rank() : kNoNullRankWire);
     }
     weights_section.U64(table.size());
-    // Columnar entries. The integer columns (rule index, arities, the flat
-    // reason+result id stream) are group-varint coded — entries come out
-    // of ForEachEntrySorted ordered by rule and ids, so the zigzag+delta
+    // Columnar entries. The integer columns (rule index, arity, the flat id
+    // stream) are group-varint coded — entries come out of
+    // ForEachEntrySorted ordered by rule and ids, so the zigzag+delta
     // streams are mostly one byte per value. The float columns stay raw
     // fixed-width.
-    std::vector<uint32_t> rule_indexes, reason_arities, result_arities;
-    std::vector<uint32_t> flat_ids;
+    std::vector<uint32_t> rule_indexes, arities, flat_ids;
     std::vector<double> sums, supports;
     table.ForEachEntrySorted([&](const GlobalWeightTable::EntryView& entry) {
       rule_indexes.push_back(static_cast<uint32_t>(entry.rule_index));
-      reason_arities.push_back(static_cast<uint32_t>(entry.reason_ids.size()));
-      result_arities.push_back(static_cast<uint32_t>(entry.result_ids.size()));
-      flat_ids.insert(flat_ids.end(), entry.reason_ids.begin(),
-                      entry.reason_ids.end());
-      flat_ids.insert(flat_ids.end(), entry.result_ids.begin(),
-                      entry.result_ids.end());
+      arities.push_back(static_cast<uint32_t>(entry.ids.size()));
+      flat_ids.insert(flat_ids.end(), entry.ids.begin(), entry.ids.end());
       sums.push_back(entry.weighted_sum);
       supports.push_back(entry.support);
     });
@@ -630,8 +606,7 @@ Result<std::string> CleanModel::EncodeSnapshotBytes(const MlnIndex* index,
       weights_section.Blob(packed.data(), written);
     };
     put_block(rule_indexes, /*delta=*/true);   // non-decreasing in sort order
-    put_block(reason_arities, /*delta=*/false);
-    put_block(result_arities, /*delta=*/false);
+    put_block(arities, /*delta=*/false);
     put_block(flat_ids, /*delta=*/true);
     for (double v : sums) weights_section.F64(v);
     for (double v : supports) weights_section.F64(v);
@@ -836,9 +811,9 @@ Result<LoadedSnapshot> CleaningEngine::LoadWithIndex(std::istream& in) const {
 
   LoadedSnapshot loaded{std::move(model), std::nullopt, 0};
   if (snap.has_index) {
-    // Block/rule alignment is the only semantic check possible without
-    // the accumulated dataset; ResumeIncrementalSession runs the full
-    // MlnIndex::Validate once the caller rebuilds it.
+    // Block/rule alignment and γ arity are the only semantic checks
+    // possible without the accumulated dataset; ResumeIncrementalSession
+    // runs the full MlnIndex::Validate once the caller rebuilds it.
     if (snap.index_blocks.size() != rules.size()) {
       return Status::Invalid("invalid model snapshot: index has " +
                              std::to_string(snap.index_blocks.size()) +
@@ -846,11 +821,22 @@ Result<LoadedSnapshot> CleaningEngine::LoadWithIndex(std::istream& in) const {
                              "-rule model");
     }
     for (size_t bi = 0; bi < snap.index_blocks.size(); ++bi) {
-      if (snap.index_blocks[bi].rule_index != bi) {
-        return Status::Invalid(
-            "invalid model snapshot: index block " + std::to_string(bi) +
-            " claims rule index " +
-            std::to_string(snap.index_blocks[bi].rule_index));
+      const Block& block = snap.index_blocks[bi];
+      if (block.rule_index != bi) {
+        return Status::Invalid("invalid model snapshot: index block " +
+                               std::to_string(bi) + " claims rule index " +
+                               std::to_string(block.rule_index));
+      }
+      const size_t arity = rules.rule(bi).attrs().size();
+      for (const Group& group : block.groups) {
+        for (const Piece& piece : group.pieces) {
+          if (piece.ids.size() != arity) {
+            return Status::Invalid("invalid model snapshot: index block " +
+                                   std::to_string(bi) + " has a γ of arity " +
+                                   std::to_string(piece.ids.size()) + " for a rule of arity " +
+                                   std::to_string(arity));
+          }
+        }
       }
     }
     loaded.index = MlnIndex::FromBlocks(std::move(snap.index_blocks));

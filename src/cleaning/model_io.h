@@ -28,8 +28,8 @@
 //                   #attrs), per dict the interned values in id order plus
 //                   the NULL rank (so restored ids equal saved ids), then
 //                   u64 #entries and the entries as columns: the γ keys
-//                   (rule indexes, reason arities, result arities, the
-//                   ids; four group-varint blocks), then every f64
+//                   (rule indexes, arities, the ids in each rule's
+//                   attribute order; three group-varint blocks), then every f64
 //                   weighted_sum, then every f64 support. Entries are
 //                   written in sorted key order: saving the same model
 //                   twice produces identical bytes.
@@ -39,8 +39,9 @@
 //                   re-grounding history. u8 present flag; when present:
 //                   u64 indexed row count, u32 #blocks, per block u64
 //                   rule index + u64 #groups, per group u64 #γs, per γ
-//                   u32 reason arity, u32 result arity, the raw u32
-//                   reason then result value ids (ids of the dataset the
+//                   u32 arity (its block's rule arity; Load rejects any
+//                   other), the raw u32 value ids in the rule's attribute
+//                   order, reason then result (ids of the dataset the
 //                   index covers; no strings), the f64 weight, and the
 //                   supporting tuple ids (u64 count + a group-varint
 //                   delta blob — the lists are sorted, so most ids cost
@@ -89,10 +90,12 @@ inline constexpr char kModelSnapshotMagic[4] = {'M', 'L', 'N', 'M'};
 /// incremental session's pre-AGP base index; v6 stores only the five
 /// options CleaningOptions has and drops every reserved field (the
 /// retired options and the weight-decay counter and stamps); v7's index
-/// section stores each γ as its ids only, without the value strings
-/// (docs/snapshot_format.md). Per the version policy, older snapshots
-/// are rejected — regenerate from the builder.
-inline constexpr uint32_t kModelSnapshotVersion = 7;
+/// section stores each γ as its ids only, without the value strings; v8
+/// stores each γ (index section) and each weight entry as one arity and
+/// one id tuple in its rule's attribute order instead of a reason and a
+/// result part (docs/snapshot_format.md). Per the version policy, older
+/// snapshots are rejected — regenerate from the builder.
+inline constexpr uint32_t kModelSnapshotVersion = 8;
 
 /// Summary of a snapshot, decoded without compiling a model — what
 /// `mlnclean_model inspect` prints.

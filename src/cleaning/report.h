@@ -90,6 +90,18 @@ struct StageTimings {
   double fscr = 0.0;
   double dedup = 0.0;
   double total = 0.0;
+
+  /// Adds `t` field by field: the totals of several runs or shards.
+  StageTimings& operator+=(const StageTimings& t) {
+    index += t.index;
+    agp += t.agp;
+    learn += t.learn;
+    rsc += t.rsc;
+    fscr += t.fscr;
+    dedup += t.dedup;
+    total += t.total;
+    return *this;
+  }
 };
 
 /// Full decision trace of a cleaning run.

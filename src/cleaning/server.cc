@@ -89,16 +89,6 @@ struct ServerState {
 
 namespace {
 
-void AddTimings(StageTimings* into, const StageTimings& t) {
-  into->index += t.index;
-  into->agp += t.agp;
-  into->learn += t.learn;
-  into->rsc += t.rsc;
-  into->fscr += t.fscr;
-  into->dedup += t.dedup;
-  into->total += t.total;
-}
-
 // Heap comparator: true when `a` should pop *after* `b`. Higher priority
 // first; within a priority the earliest deadline (EDF — no deadline sorts
 // after every deadline), then admission order.
@@ -124,7 +114,7 @@ void FinishJob(const std::shared_ptr<ServerState>& state,
   {
     std::lock_guard<std::mutex> lock(state->mu);
     --state->running;
-    AddTimings(&state->totals.stage_seconds, timings);
+    state->totals.stage_seconds += timings;
     state->latencies.Add(std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - job->submitted_at)
                              .count());

@@ -47,11 +47,16 @@ inline uint64_t MixValueIdHash(uint64_t h, ValueId id) {
   return x;
 }
 
+/// MixValueIdHash folded over ids[0, n).
+inline uint64_t HashValueIds(const ValueId* ids, size_t n) {
+  uint64_t h = kValueIdHashSeed;
+  for (size_t i = 0; i < n; ++i) h = MixValueIdHash(h, ids[i]);
+  return h;
+}
+
 /// MixValueIdHash folded over a whole id vector.
 inline uint64_t HashValueIds(const std::vector<ValueId>& ids) {
-  uint64_t h = kValueIdHashSeed;
-  for (ValueId id : ids) h = MixValueIdHash(h, id);
-  return h;
+  return HashValueIds(ids.data(), ids.size());
 }
 
 /// String <-> dense id dictionary for one attribute.

@@ -61,13 +61,7 @@ void SpliceShardReport(const CleaningReport& shard,
     rec.tuple = mapping[static_cast<size_t>(rec.tuple)];
     into->fscr.push_back(std::move(rec));
   }
-  into->timings.index += shard.timings.index;
-  into->timings.agp += shard.timings.agp;
-  into->timings.learn += shard.timings.learn;
-  into->timings.rsc += shard.timings.rsc;
-  into->timings.fscr += shard.timings.fscr;
-  into->timings.dedup += shard.timings.dedup;
-  into->timings.total += shard.timings.total;
+  into->timings += shard.timings;
   into->learn_capped_groups += shard.learn_capped_groups;
   into->fscr_greedy_tuples += shard.fscr_greedy_tuples;
 }

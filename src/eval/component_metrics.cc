@@ -115,7 +115,7 @@ Result<ComponentEvaluation> EvaluateComponents(const Dataset& dirty,
   for (size_t bi = 0; bi < index.num_blocks(); ++bi) {
     const Block& block = index.block(bi);
     const Constraint& rule = rules.rule(block.rule_index);
-    const std::vector<AttrId> rule_attrs = rule.attrs();
+    const std::vector<AttrId>& rule_attrs = rule.attrs();
     for (const Group& group : block.groups) {
       for (const auto& piece : group.pieces) {
         if (piece.AllValues(dirty, rule) !=

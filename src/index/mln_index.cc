@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_map>
 
 #include "mln/ground_rule.h"
 #include "mln/weight_learner.h"
@@ -18,22 +17,44 @@ Status CheckSameSchema(const Dataset& data, const RuleSet& rules) {
   return Status::Invalid("dataset schema does not match the rule set's schema");
 }
 
-// A block's groups by the hash of their key (each group's first γ's
-// reason ids).
-using GroupsByReason = std::unordered_map<uint64_t, std::vector<size_t>>;
-
-// The group of `g`'s reason binding in `block`; a miss appends a new group
-// at the end of the block, where a cold build first sees that binding.
-// The caller adds `g` to the group before the next lookup.
-size_t GroupOf(const Piece& g, Block* block, GroupsByReason* by_reason) {
-  std::vector<size_t>& bucket = (*by_reason)[HashValueIds(g.reason_ids)];
-  for (size_t gi : bucket) {
-    if (block->groups[gi].pieces.front().reason_ids == g.reason_ids) return gi;
+// Open addressing from a group's key (its first γ's reason ids, the first
+// `n_reason` ids) to its index in `block`, sized for `capacity` groups so
+// it never rehashes. Slots hold (hash, group index + 1).
+class GroupTable {
+ public:
+  GroupTable(const Block& block, size_t n_reason, size_t capacity)
+      : block_(block), n_reason_(n_reason) {
+    size_t cap = 16;
+    while (cap < 2 * capacity) cap <<= 1;
+    hashes_.resize(cap);
+    slots_.assign(cap, 0);
   }
-  bucket.push_back(block->groups.size());
-  block->groups.emplace_back();
-  return block->groups.size() - 1;
-}
+
+  // The group whose key is `g`'s reason part; on a miss `g`'s binding is
+  // entered as group `new_index`, which is returned. A key held by two
+  // groups stays with the first one entered.
+  size_t FindOrAdd(const Piece& g, size_t new_index) {
+    const uint64_t h = HashValueIds(g.ids.data(), n_reason_);
+    const size_t mask = slots_.size() - 1;
+    size_t i = h & mask;
+    for (; slots_[i] != 0; i = (i + 1) & mask) {
+      if (hashes_[i] != h) continue;
+      const std::vector<ValueId>& key = block_.groups[slots_[i] - 1].pieces.front().ids;
+      if (std::equal(key.begin(), key.begin() + n_reason_, g.ids.begin())) {
+        return slots_[i] - 1;
+      }
+    }
+    hashes_[i] = h;
+    slots_[i] = static_cast<uint32_t>(new_index) + 1;
+    return new_index;
+  }
+
+ private:
+  const Block& block_;
+  const size_t n_reason_;
+  std::vector<uint64_t> hashes_;
+  std::vector<uint32_t> slots_;
+};
 
 }  // namespace
 
@@ -69,35 +90,12 @@ size_t Block::PieceCount() const {
 
 Result<MlnIndex> MlnIndex::Build(const Dataset& data, const RuleSet& rules,
                                  const ExecContext& ctx) {
-  MLN_RETURN_NOT_OK(CheckSameSchema(data, rules));
   MlnIndex index;
   index.blocks_.resize(rules.size());
-  // Each rule grounds and groups independently into its own slot; errors
-  // are surfaced in rule order so the result is thread-count-agnostic.
-  std::vector<Status> statuses(rules.size());
-  ParallelFor(rules.size(), ctx, [&](size_t ri) {
-    if (ctx.Stopped()) return;
-    const Constraint& rule = rules.rule(ri);
-    // Grounding yields the distinct γs with their supporting tuples.
-    Result<std::vector<Piece>> grounds = GroundConstraint(data, rule);
-    if (!grounds.ok()) {
-      statuses[ri] = grounds.status();
-      return;
-    }
-    Block& block = index.blocks_[ri];
-    block.rule_index = ri;
-    // Groups dedup on reason ids.
-    GroupsByReason by_reason;
-    for (Piece& g : grounds.ValueUnsafe()) {
-      const size_t group_idx = GroupOf(g, &block, &by_reason);
-      block.groups[group_idx].pieces.push_back(std::move(g));
-    }
-    ctx.Tick(1);
-  });
+  for (size_t ri = 0; ri < rules.size(); ++ri) index.blocks_[ri].rule_index = ri;
+  const Status status = index.AppendRows(data, rules, 0, ctx);
   if (ctx.Stopped()) return ctx.StopStatus("index build");
-  for (const Status& status : statuses) {
-    if (!status.ok()) return status;
-  }
+  MLN_RETURN_NOT_OK(status);
   return index;
 }
 
@@ -114,8 +112,9 @@ Status MlnIndex::AppendRows(const Dataset& data, const RuleSet& rules,
                            " is past the dataset's " +
                            std::to_string(data.num_rows()) + " rows");
   }
-  // Rules merge independently into their own blocks, like Build; only the
-  // new rows are ground.
+  // Each rule grounds only the new rows and merges them into its own
+  // block; errors are surfaced in rule order so the result is
+  // thread-count-agnostic.
   std::vector<Status> statuses(rules.size());
   ParallelFor(rules.size(), ctx, [&](size_t ri) {
     if (ctx.Stopped()) return;
@@ -128,24 +127,30 @@ Status MlnIndex::AppendRows(const Dataset& data, const RuleSet& rules,
       return;
     }
     Block& block = blocks_[ri];
-    // The lookup is built per call over the block as it is now, the way
-    // Build groups: ids keep their meaning across appends (dictionaries
-    // only grow).
-    GroupsByReason by_reason;
-    for (size_t gi = 0; gi < block.groups.size(); ++gi) {
-      by_reason[HashValueIds(block.groups[gi].pieces.front().reason_ids)].push_back(gi);
+    // The lookup is built per call over the block as it is now: ids keep
+    // their meaning across appends (dictionaries only grow).
+    const size_t old_groups = block.groups.size();
+    GroupTable table(block, rule.reason_attrs().size(),
+                     old_groups + grounds.ValueUnsafe().size());
+    for (size_t gi = 0; gi < old_groups; ++gi) {
+      table.FindOrAdd(block.groups[gi].pieces.front(), gi);
     }
     for (Piece& g : grounds.ValueUnsafe()) {
       // Touch rule: locate the γ's group by reason binding; a miss is a
       // brand-new one, appended where a cold build would have first seen
-      // it (the end of the block).
-      Group& group = block.groups[GroupOf(g, &block, &by_reason)];
+      // it (the end of the block). g joins it before the next lookup.
+      const size_t gi = table.FindOrAdd(g, block.groups.size());
+      if (gi == block.groups.size()) block.groups.emplace_back();
+      Group& group = block.groups[gi];
+      // The γs of one grounding are distinct, so only a group that
+      // predates this call can hold g's binding already.
       Piece* match = nullptr;
-      for (Piece& piece : group.pieces) {
-        if (piece.reason_ids == g.reason_ids &&
-            piece.result_ids == g.result_ids) {
-          match = &piece;
-          break;
+      if (gi < old_groups) {
+        for (Piece& piece : group.pieces) {
+          if (piece.ids == g.ids) {
+            match = &piece;
+            break;
+          }
         }
       }
       if (match != nullptr) {
@@ -181,47 +186,33 @@ Status MlnIndex::Validate(const Dataset& data, const RuleSet& rules) const {
                              std::to_string(block.rule_index));
     }
     const Constraint& rule = rules.rule(ri);
-    const auto& reason_attrs = rule.reason_attrs();
-    const auto& result_attrs = rule.result_attrs();
+    const std::vector<AttrId>& attrs = rule.attrs();
+    const size_t n_reason = rule.reason_attrs().size();
     for (const Group& group : block.groups) {
       if (group.pieces.empty()) {
         return Status::Invalid(where + " has an empty group");
       }
+      const std::vector<ValueId>& key = group.pieces.front().ids;
       for (const Piece& piece : group.pieces) {
-        if (piece.reason_ids.size() != reason_attrs.size() ||
-            piece.result_ids.size() != result_attrs.size()) {
+        if (piece.ids.size() != attrs.size()) {
           return Status::Invalid(where + " has a γ whose arity does not match "
                                          "its rule");
         }
-        if (piece.reason_ids != group.pieces.front().reason_ids) {
+        if (!std::equal(key.begin(), key.begin() + n_reason, piece.ids.begin())) {
           return Status::Invalid(where +
                                  " has a group whose γs differ in their reason "
                                  "values (not a pre-AGP index)");
         }
-        auto check_ids = [&](const std::vector<AttrId>& attrs,
-                             const std::vector<ValueId>& ids) -> Status {
-          for (size_t p = 0; p < attrs.size(); ++p) {
-            if (ids[p] >= data.dict(attrs[p]).size()) {
-              return Status::Invalid(
-                  where + " has a γ id outside the dataset's dictionaries "
-                          "(wrong dataset for this index?)");
-            }
+        for (size_t p = 0; p < attrs.size(); ++p) {
+          if (piece.ids[p] >= data.dict(attrs[p]).size()) {
+            return Status::Invalid(
+                where + " has a γ id outside the dataset's dictionaries "
+                        "(wrong dataset for this index?)");
           }
-          return Status::OK();
-        };
-        MLN_RETURN_NOT_OK(check_ids(reason_attrs, piece.reason_ids));
-        MLN_RETURN_NOT_OK(check_ids(result_attrs, piece.result_ids));
+        }
         if (piece.tuples.empty()) {
           return Status::Invalid(where + " has a γ with no supporting tuples");
         }
-        // Each supporting tuple's cells hold the γ's ids.
-        auto check_cells = [&](const std::vector<AttrId>& attrs,
-                               const std::vector<ValueId>& ids, TupleId tid) {
-          for (size_t p = 0; p < attrs.size(); ++p) {
-            if (data.column(attrs[p])[static_cast<size_t>(tid)] != ids[p]) return false;
-          }
-          return true;
-        };
         TupleId prev = -1;
         for (TupleId tid : piece.tuples) {
           if (tid <= prev || tid >= num_rows) {
@@ -229,11 +220,13 @@ Status MlnIndex::Validate(const Dataset& data, const RuleSet& rules) const {
                 where + " has a γ with out-of-bounds or unsorted tuple ids "
                         "(index covers more rows than the dataset?)");
           }
-          if (!check_cells(reason_attrs, piece.reason_ids, tid) ||
-              !check_cells(result_attrs, piece.result_ids, tid)) {
-            return Status::Invalid(where + " has a γ whose ids disagree with tuple " +
-                                   std::to_string(tid) +
-                                   "'s cells (wrong dataset for this index?)");
+          // Each supporting tuple's cells hold the γ's ids.
+          for (size_t p = 0; p < attrs.size(); ++p) {
+            if (data.column(attrs[p])[static_cast<size_t>(tid)] != piece.ids[p]) {
+              return Status::Invalid(where + " has a γ whose ids disagree with tuple " +
+                                     std::to_string(tid) +
+                                     "'s cells (wrong dataset for this index?)");
+            }
           }
           prev = tid;
         }
@@ -250,10 +243,13 @@ MlnIndex MlnIndex::FromBlocks(std::vector<Block> blocks) {
 }
 
 Result<size_t> MlnIndex::FindGroup(size_t block_index,
-                                   const std::vector<ValueId>& reason_ids) const {
+                                   const std::vector<ValueId>& key) const {
   const std::vector<Group>& groups = blocks_[block_index].groups;
   for (size_t gi = 0; gi < groups.size(); ++gi) {
-    if (groups[gi].pieces.front().reason_ids == reason_ids) return gi;
+    const std::vector<ValueId>& ids = groups[gi].pieces.front().ids;
+    if (ids.size() >= key.size() && std::equal(key.begin(), key.end(), ids.begin())) {
+      return gi;
+    }
   }
   return Status::NotFound("no group for the given reason key");
 }

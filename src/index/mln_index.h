@@ -46,31 +46,34 @@ struct Block {
 class MlnIndex {
  public:
   /// Builds the index: one block per rule, groups keyed by reason values
-  /// (lines 1-13 of Algorithm 1). Fails on rules the index cannot host
-  /// (general DCs) and, with Invalid, on a dataset whose schema is not
-  /// the rule set's. Rules ground in parallel on `ctx`'s executor; the
-  /// result is identical for any executor or worker cap. One progress
-  /// unit is ticked per grounded rule. When `ctx` is stopped (cancelled
-  /// or past its deadline), rules not yet grounded are skipped and Build
-  /// returns Status::Cancelled instead of a half-built index.
+  /// (lines 1-13 of Algorithm 1). A build is AppendRows from row 0 into
+  /// one empty block per rule, so grounding and grouping have one
+  /// implementation. Fails on rules the index cannot host (general DCs)
+  /// and, with Invalid, on a dataset whose schema is not the rule set's.
+  /// When `ctx` is stopped (cancelled or past its deadline), Build returns
+  /// Status::Cancelled (or DeadlineExceeded) instead of a half-built index.
   static Result<MlnIndex> Build(const Dataset& data, const RuleSet& rules,
                                 const ExecContext& ctx = {});
 
-  /// Extends a freshly built (pre-AGP) index in place with the grounding
-  /// of rows [first_row, data.num_rows()) — the incremental-append path.
-  /// Only the new rows are re-ground, and only groups whose reason
-  /// bindings gained members are touched: an existing γ gains tuple ids,
-  /// a new (reason, result) binding becomes a new γ at the end of its
-  /// group, and a new reason key becomes a new group at the end of the
-  /// block — exactly the first-appearance positions a cold Build over the
-  /// whole dataset would produce, so the appended index is bit-identical
-  /// to that cold build. `data` must be the same dataset the index was
-  /// built over plus the appended rows (same dictionaries; Append only
-  /// grows them, so existing ids are stable): groups are found by their
-  /// first γ's reason ids, as Build groups them. Weights of touched γs are
-  /// stale after an append; callers re-run the learn stage downstream.
-  /// When `ctx` is stopped mid-append the index is left partially
-  /// appended — callers must treat it as unusable (sessions go terminal).
+  /// Extends a pre-AGP index in place with the grounding of rows
+  /// [first_row, data.num_rows()) — the incremental-append path and the
+  /// body of Build. Only the new rows are ground, and only groups whose
+  /// reason bindings gained members are touched: an existing γ gains tuple
+  /// ids, a new binding becomes a new γ at the end of its group, and a new
+  /// reason key becomes a new group at the end of the block — exactly the
+  /// first-appearance positions a cold Build over the whole dataset would
+  /// produce, so the appended index is bit-identical to that cold build.
+  /// A group is found by its first γ's reason ids (the first
+  /// reason_attrs().size() ids); the γs of one range grounding are
+  /// distinct, so an equal γ is looked for only in groups that predate the
+  /// call. `data` must be the same dataset the index was built over plus
+  /// the appended rows (same dictionaries; Append only grows them, so
+  /// existing ids are stable). Rules ground in parallel on `ctx`'s
+  /// executor; the result is identical for any executor or worker cap, and
+  /// one progress unit is ticked per rule. Weights of touched γs are stale
+  /// after an append; callers re-run the learn stage downstream. When
+  /// `ctx` is stopped mid-append the index is left partially appended —
+  /// callers must treat it as unusable (sessions go terminal).
   Status AppendRows(const Dataset& data, const RuleSet& rules,
                     size_t first_row, const ExecContext& ctx = {});
 
@@ -94,12 +97,12 @@ class MlnIndex {
   std::vector<Block>& blocks() { return blocks_; }
 
   /// Looks up the first group of the block whose key (its first γ's
-  /// reason ids) is `reason_ids`; NotFound if absent or merged away. A scan
-  /// of the block's groups: it reads the groups as they are, whatever
-  /// mutated them, and never writes, so concurrent calls on a shared const
-  /// index are safe.
+  /// reason ids) is `key`, the whole reason part of the block's rule;
+  /// NotFound if absent or merged away. A scan of the block's groups: it
+  /// reads the groups as they are, whatever mutated them, and never
+  /// writes, so concurrent calls on a shared const index are safe.
   Result<size_t> FindGroup(size_t block_index,
-                           const std::vector<ValueId>& reason_ids) const;
+                           const std::vector<ValueId>& key) const;
 
   /// Learns MLN weights for every γ of every block: Eq. 4 priors refined
   /// by an exact Newton solve per reason-key group (mln/weight_learner.h)

@@ -1,69 +1,51 @@
 #include "index/piece.h"
 
-#include <algorithm>
-
 namespace mlnclean {
 
 namespace {
 
-// Appends the values of `ids` read through `attrs`' dictionaries.
-void AppendValues(const Dataset& data, const std::vector<AttrId>& attrs,
-                  const std::vector<ValueId>& ids, std::vector<Value>* out) {
-  const size_t n = std::min(attrs.size(), ids.size());
-  for (size_t i = 0; i < n; ++i) out->push_back(data.dict(attrs[i]).value(ids[i]));
-}
-
-// Adds one side's (reason or result) attribute-wise distances to *total,
-// one term at a time: the fold AGP's bounded scan reproduces.
-void AddSideDistance(const Dataset& data, const std::vector<AttrId>& attrs,
-                     const std::vector<ValueId>& a, const std::vector<ValueId>& b,
-                     const DistanceFn& dist, double* total) {
-  const size_t n = std::min({attrs.size(), a.size(), b.size()});
-  for (size_t i = 0; i < n; ++i) {
-    if (a[i] == b[i]) continue;
-    const ValueDict& dict = data.dict(attrs[i]);
-    *total += dist(dict.value(a[i]), dict.value(b[i]));
-  }
+// The values of the first `n` ids, read through their attributes'
+// dictionaries.
+std::vector<Value> ValuesOf(const Piece& piece, const Dataset& data, const Constraint& rule,
+                            size_t n) {
+  const std::vector<AttrId>& attrs = rule.attrs();
+  std::vector<Value> out;
+  out.reserve(n);
+  for (size_t p = 0; p < n; ++p) out.push_back(data.dict(attrs[p]).value(piece.ids[p]));
+  return out;
 }
 
 }  // namespace
 
 std::vector<Value> Piece::ReasonValues(const Dataset& data, const Constraint& rule) const {
-  std::vector<Value> out;
-  out.reserve(reason_ids.size());
-  AppendValues(data, rule.reason_attrs(), reason_ids, &out);
-  return out;
+  return ValuesOf(*this, data, rule, rule.reason_attrs().size());
 }
 
 std::vector<Value> Piece::AllValues(const Dataset& data, const Constraint& rule) const {
-  std::vector<Value> out;
-  out.reserve(reason_ids.size() + result_ids.size());
-  AppendValues(data, rule.reason_attrs(), reason_ids, &out);
-  AppendValues(data, rule.result_attrs(), result_ids, &out);
-  return out;
+  return ValuesOf(*this, data, rule, ids.size());
 }
 
 std::string Piece::ToString(const Dataset& data, const Constraint& rule) const {
+  const std::vector<AttrId>& attrs = rule.attrs();
   std::string out = "{";
-  bool first = true;
-  auto append = [&](const std::vector<AttrId>& attrs, const std::vector<ValueId>& ids) {
-    for (size_t i = 0; i < attrs.size() && i < ids.size(); ++i) {
-      if (!first) out += ", ";
-      first = false;
-      out += data.schema().name(attrs[i]) + ": " + data.dict(attrs[i]).value(ids[i]);
-    }
-  };
-  append(rule.reason_attrs(), reason_ids);
-  append(rule.result_attrs(), result_ids);
+  for (size_t p = 0; p < ids.size(); ++p) {
+    if (p > 0) out += ", ";
+    out += data.schema().name(attrs[p]) + ": " + data.dict(attrs[p]).value(ids[p]);
+  }
   out += "}";
   return out;
 }
 
 double PieceDistance(const Piece& a, const Piece& b, const Dataset& data,
                      const Constraint& rule, const DistanceFn& dist) {
+  // One term at a time: the fold AGP's bounded scan reproduces.
+  const std::vector<AttrId>& attrs = rule.attrs();
   double total = 0.0;
-  AddSideDistance(data, rule.reason_attrs(), a.reason_ids, b.reason_ids, dist, &total);
-  AddSideDistance(data, rule.result_attrs(), a.result_ids, b.result_ids, dist, &total);
+  for (size_t p = 0; p < attrs.size(); ++p) {
+    if (a.ids[p] == b.ids[p]) continue;
+    const ValueDict& dict = data.dict(attrs[p]);
+    total += dist(dict.value(a.ids[p]), dict.value(b.ids[p]));
+  }
   return total;
 }
 

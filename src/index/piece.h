@@ -3,9 +3,11 @@
 // together with the set of tuples exhibiting exactly those values.
 //
 // A γ holds its values only as dictionary ids of the dataset its index
-// was built over: reason ids in the rule's reason-attribute order, then
-// result ids in its result-attribute order. The strings live once, in
-// that dataset's dictionaries (whose storage keeps `value(id)` references
+// was built over, one id per attribute of its rule in the rule's order
+// (Constraint::attrs(): the reason attributes, then the result
+// attributes); its reason part is the first reason_attrs().size() ids.
+// Every γ has its rule's full arity. The strings live once, in that
+// dataset's dictionaries (whose storage keeps `value(id)` references
 // stable as they grow); code that needs bytes reads them through the
 // dataset and the rule. Within one attribute's dictionary, id equality is
 // value equality, so the distance scans compare ids first.
@@ -22,11 +24,10 @@
 
 namespace mlnclean {
 
-/// A γ: one distinct (reason, result) binding inside a block, its
+/// A γ: one distinct binding of its rule's attributes inside a block, its
 /// supporting tuples, and its learned MLN weight.
 struct Piece {
-  std::vector<ValueId> reason_ids;
-  std::vector<ValueId> result_ids;
+  std::vector<ValueId> ids;  // in rule.attrs() order
   std::vector<TupleId> tuples;
   double weight = 0.0;
 
@@ -44,9 +45,9 @@ struct Piece {
 };
 
 /// Distance between two γs of `rule`'s block: the sum of attribute-wise
-/// distances over reason and result values, read from `data`'s
-/// dictionaries. Positions with equal ids cost an integer compare, not a
-/// kernel call.
+/// distances over their values, read from `data`'s dictionaries and
+/// folded left in position order. Positions with equal ids cost an
+/// integer compare, not a kernel call.
 double PieceDistance(const Piece& a, const Piece& b, const Dataset& data,
                      const Constraint& rule, const DistanceFn& dist);
 

@@ -6,7 +6,8 @@
 // merge and the CleanModel weight store (it depends only on the index
 // layer, which is why it lives here rather than under distributed/).
 //
-// γ identity is (rule, reason values, result values). Values are interned
+// γ identity is (rule, the γ's values in the rule's attribute order: reason
+// values, then result values). Values are interned
 // into table-owned per-attribute ValueDicts — independent of any dataset's
 // dictionaries, so accumulating indexes built over different datasets (or
 // the same data interned in a different order) always agrees on γ ids.
@@ -27,8 +28,8 @@
 
 namespace mlnclean {
 
-/// Accumulates per-part learned weights keyed by γ identity
-/// (rule, reason values, result values) and hands back the Eq. 6 average.
+/// Accumulates per-part learned weights keyed by γ identity (rule, values)
+/// and hands back the Eq. 6 average.
 /// `rules` must be the rule set the indexes were built over; it maps every
 /// value position of a γ to its schema attribute. `data` is the dataset a
 /// part's index was built over: its dictionaries turn the γ ids into the
@@ -55,12 +56,12 @@ class GlobalWeightTable {
 
   // ---- snapshot surface (cleaning/model_io) ------------------------------
 
-  /// One entry, unpacked. reason_ids/result_ids index the per-attribute
-  /// dictionaries below through the rule's reason/result attribute lists.
+  /// One entry, unpacked. `ids` index the per-attribute dictionaries
+  /// below through the rule's attributes (Constraint::attrs(), a γ's id
+  /// order).
   struct EntryView {
     size_t rule_index;
-    std::vector<ValueId> reason_ids;
-    std::vector<ValueId> result_ids;
+    std::vector<ValueId> ids;
     double weighted_sum;  // Σ n_i w_i
     double support;       // Σ n_i
   };
@@ -89,11 +90,9 @@ class GlobalWeightTable {
     double support = 0.0;       // Σ n_i
   };
 
-  // Packed key: u32 rule_index, u32 reason arity, then the reason ids
-  // followed by the result ids, 4 raw bytes each. The arity prefix keeps
-  // keys self-describing (ForEachEntrySorted unpacks without the rules).
-  static std::string PackKey(size_t rule_index, const std::vector<ValueId>& reason_ids,
-                             const std::vector<ValueId>& result_ids);
+  // Packed key, written into *key: u32 rule_index, then the ids in the
+  // rule's attribute order, 4 raw bytes each.
+  static void PackKey(size_t rule_index, const std::vector<ValueId>& ids, std::string* key);
 
   /// The table id of `value` in attribute `attr`'s interner, or
   /// kInvalidValueId when it was never interned (read-only).

@@ -1,7 +1,5 @@
 #include "mln/ground_rule.h"
 
-#include <algorithm>
-
 namespace mlnclean {
 
 namespace {
@@ -34,21 +32,18 @@ Result<std::vector<Piece>> GroundConstraintRange(const Dataset& data,
                            std::to_string(end) + ") is out of bounds for " +
                            std::to_string(data.num_rows()) + " rows");
   }
-  const auto& reason_attrs = rule.reason_attrs();
-  const auto& result_attrs = rule.result_attrs();
-  const size_t n_reason = reason_attrs.size();
-  const size_t arity = n_reason + result_attrs.size();
+  const std::vector<AttrId>& attrs = rule.attrs();
+  const size_t arity = attrs.size();
   // Column pointers in binding order (reason attrs then result attrs).
   std::vector<const ValueId*> cols;
   cols.reserve(arity);
-  for (AttrId a : reason_attrs) cols.push_back(data.column(a).data());
-  for (AttrId a : result_attrs) cols.push_back(data.column(a).data());
+  for (AttrId a : attrs) cols.push_back(data.column(a).data());
 
   const ScopeFilter scope = rule.MakeScopeFilter(data);
 
   std::vector<Piece> out;
   // Flat open-addressing binding table: slots hold (hash, γ index + 1);
-  // matches are confirmed against the stored γ's id vectors. Sized for the
+  // matches are confirmed against the stored γ's id tuple. Sized for the
   // worst case (every tuple a distinct binding) so it never rehashes.
   const size_t cap =
       NextPowerOfTwo(static_cast<size_t>(end - first) * 2 + 1);
@@ -56,34 +51,34 @@ Result<std::vector<Piece>> GroundConstraintRange(const Dataset& data,
   std::vector<uint64_t> slot_hash(cap);
   std::vector<uint32_t> slot_idx(cap, 0);
 
+  // Pass 1 finds each in-scope tuple's γ (index + 1; 0 = out of scope)
+  // and counts its support; pass 2 fills each γ's tuple list, sized once.
+  std::vector<uint32_t> gamma_of(static_cast<size_t>(end - first), 0);
+  std::vector<uint32_t> support;
   std::vector<ValueId> ids(arity);
   for (TupleId tid = first; tid < end; ++tid) {
     if (!scope.InScope(tid)) continue;
     for (size_t p = 0; p < arity; ++p) ids[p] = cols[p][tid];
     const uint64_t h = HashValueIds(ids);
     size_t i = h & mask;
-    while (true) {
-      if (slot_idx[i] == 0) {
-        // First sight of this binding: a new γ.
-        slot_hash[i] = h;
-        slot_idx[i] = static_cast<uint32_t>(out.size()) + 1;
-        Piece g;
-        g.reason_ids.assign(ids.begin(), ids.begin() + n_reason);
-        g.result_ids.assign(ids.begin() + n_reason, ids.end());
-        g.tuples.push_back(tid);
-        out.push_back(std::move(g));
-        break;
-      }
-      if (slot_hash[i] == h) {
-        Piece& g = out[slot_idx[i] - 1];
-        if (std::equal(ids.begin(), ids.begin() + n_reason, g.reason_ids.begin()) &&
-            std::equal(ids.begin() + n_reason, ids.end(), g.result_ids.begin())) {
-          g.tuples.push_back(tid);
-          break;
-        }
-      }
+    while (slot_idx[i] != 0 &&
+           (slot_hash[i] != h || out[slot_idx[i] - 1].ids != ids)) {
       i = (i + 1) & mask;
     }
+    if (slot_idx[i] == 0) {
+      // First sight of this binding: a new γ.
+      slot_hash[i] = h;
+      slot_idx[i] = static_cast<uint32_t>(out.size()) + 1;
+      out.push_back(Piece{ids, {}});
+      support.push_back(0);
+    }
+    ++support[slot_idx[i] - 1];
+    gamma_of[static_cast<size_t>(tid - first)] = slot_idx[i];
+  }
+  for (size_t g = 0; g < out.size(); ++g) out[g].tuples.reserve(support[g]);
+  for (TupleId tid = first; tid < end; ++tid) {
+    const uint32_t g = gamma_of[static_cast<size_t>(tid - first)];
+    if (g != 0) out[g - 1].tuples.push_back(tid);
   }
   return out;
 }
@@ -96,15 +91,11 @@ std::string GroundClauseToString(const Dataset& data, const Constraint& rule,
     if (negated) out += "!";
     out += pred + "(\"" + constant + "\")";
   };
-  const auto& reason_attrs = rule.reason_attrs();
-  for (size_t i = 0; i < reason_attrs.size(); ++i) {
-    append(true, data.schema().name(reason_attrs[i]),
-           data.dict(reason_attrs[i]).value(ground.reason_ids[i]));
-  }
-  const auto& result_attrs = rule.result_attrs();
-  for (size_t i = 0; i < result_attrs.size(); ++i) {
-    append(false, data.schema().name(result_attrs[i]),
-           data.dict(result_attrs[i]).value(ground.result_ids[i]));
+  const std::vector<AttrId>& attrs = rule.attrs();
+  const size_t n_reason = rule.reason_attrs().size();
+  for (size_t p = 0; p < attrs.size(); ++p) {
+    append(p < n_reason, data.schema().name(attrs[p]),
+           data.dict(attrs[p]).value(ground.ids[p]));
   }
   return out;
 }

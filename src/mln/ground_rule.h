@@ -1,13 +1,16 @@
 // Grounding (Section 3, Table 3): instantiating an MLN rule's variables
 // with the constants found in a dataset. A ground rule of an
-// index-compatible constraint is a distinct (reason values, result values)
-// combination together with its supporting tuples; its learned weight
-// reflects the probability of those attribute values being clean.
+// index-compatible constraint is a distinct binding of the rule's
+// attributes (reason values, then result values) together with its
+// supporting tuples; its learned weight reflects the probability of those
+// attribute values being clean.
 //
 // Grounding runs entirely on the dataset's dictionary ids: per tuple it
-// gathers the rule's attribute ids straight from the columns, hashes the
-// id tuple, and dedups bindings in a flat open-addressing table. A ground
-// rule is the γ (index/piece.h) of its binding: ids only, no strings.
+// gathers the rule's attribute ids straight from the columns into one id
+// tuple in the rule's attribute order, hashes it, and dedups bindings in a
+// flat open-addressing table; a second pass fills each γ's tuple list,
+// sized once. A ground rule is the γ (index/piece.h) of its binding: that
+// id tuple, no strings.
 
 #ifndef MLNCLEAN_MLN_GROUND_RULE_H_
 #define MLNCLEAN_MLN_GROUND_RULE_H_
@@ -21,8 +24,8 @@
 
 namespace mlnclean {
 
-/// Grounds `rule` over `data`: one γ per distinct (reason, result)
-/// binding among in-scope tuples, with the tuples exhibiting it, in
+/// Grounds `rule` over `data`: one γ per distinct binding of the rule's
+/// attributes among in-scope tuples, with the tuples exhibiting it, in
 /// first-appearance order. Fails with Invalid for rules the MLN index cannot handle
 /// (general DCs; see Constraint::IndexCompatible).
 Result<std::vector<Piece>> GroundConstraint(const Dataset& data,

@@ -109,6 +109,7 @@ Result<Constraint> Constraint::MakeFd(const Schema& schema, std::vector<AttrId> 
   c.kind_ = RuleKind::kFd;
   c.reason_attrs_ = std::move(lhs);
   c.result_attrs_ = std::move(rhs);
+  c.CacheAttrs();
   return c;
 }
 
@@ -141,6 +142,7 @@ Result<Constraint> Constraint::MakeCfd(const Schema& schema,
   }
   c.lhs_patterns_ = std::move(lhs);
   c.rhs_patterns_ = std::move(rhs);
+  c.CacheAttrs();
   return c;
 }
 
@@ -162,13 +164,13 @@ Result<Constraint> Constraint::MakeDc(const Schema& schema,
   }
   c.result_attrs_.push_back(predicates.back().left_attr);
   c.predicates_ = std::move(predicates);
+  c.CacheAttrs();
   return c;
 }
 
-std::vector<AttrId> Constraint::attrs() const {
-  std::vector<AttrId> out = reason_attrs_;
-  out.insert(out.end(), result_attrs_.begin(), result_attrs_.end());
-  return out;
+void Constraint::CacheAttrs() {
+  attrs_ = reason_attrs_;
+  attrs_.insert(attrs_.end(), result_attrs_.begin(), result_attrs_.end());
 }
 
 namespace {

@@ -101,8 +101,9 @@ class Constraint {
   /// Attributes of the result part, in declaration order.
   const std::vector<AttrId>& result_attrs() const { return result_attrs_; }
 
-  /// All attributes this rule touches (reason then result).
-  std::vector<AttrId> attrs() const;
+  /// All attributes this rule touches (reason then result): the position
+  /// order of its γs' ids.
+  const std::vector<AttrId>& attrs() const { return attrs_; }
 
   const std::vector<CfdPattern>& lhs_patterns() const { return lhs_patterns_; }
   const std::vector<CfdPattern>& rhs_patterns() const { return rhs_patterns_; }
@@ -157,12 +158,14 @@ class Constraint {
 
  private:
   Constraint() = default;
+  void CacheAttrs();
 
   RuleKind kind_ = RuleKind::kFd;
   std::string name_;
   double rule_weight_ = 1.0;
   std::vector<AttrId> reason_attrs_;
   std::vector<AttrId> result_attrs_;
+  std::vector<AttrId> attrs_;             // reason_attrs_ then result_attrs_
   std::vector<CfdPattern> lhs_patterns_;  // CFD only
   std::vector<CfdPattern> rhs_patterns_;  // CFD only
   std::vector<DcPredicate> predicates_;   // DC only

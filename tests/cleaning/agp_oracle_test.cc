@@ -8,8 +8,8 @@
 //
 // RunAgpAll must agree with it bit for bit — every AgpMergeRecord and
 // every group left behind, piece by piece — at 1 and 4 threads, on seeded
-// random grounded indexes and on hand-built blocks (some with ragged
-// arities), for all three metrics and τ from 1 to 3.
+// random grounded indexes and on hand-built blocks, for all three metrics
+// and τ from 1 to 3.
 
 #include <gtest/gtest.h>
 
@@ -109,7 +109,7 @@ void ExpectSameRecords(const CleaningReport& got, const CleaningReport& want) {
   }
 }
 
-void ExpectSameGroups(const MlnIndex& got, const MlnIndex& want) {
+void ExpectSameGroups(const MlnIndex& got, const MlnIndex& want, const RuleSet& rules) {
   ASSERT_EQ(got.num_blocks(), want.num_blocks());
   for (size_t bi = 0; bi < want.num_blocks(); ++bi) {
     const std::vector<Group>& g = got.block(bi).groups;
@@ -118,7 +118,9 @@ void ExpectSameGroups(const MlnIndex& got, const MlnIndex& want) {
     for (size_t gi = 0; gi < w.size(); ++gi) {
       SCOPED_TRACE("block " + std::to_string(bi) + " group " + std::to_string(gi));
       // FindGroup reads the surviving groups, with no reindex step.
-      const Result<size_t> found = got.FindGroup(bi, w[gi].pieces.front().reason_ids);
+      const Constraint& rule = rules.rule(want.block(bi).rule_index);
+      const Result<size_t> found =
+          got.FindGroup(bi, testing::ReasonIds(w[gi].pieces.front(), rule));
       ASSERT_TRUE(found.ok());
       EXPECT_EQ(*found, gi);
       ASSERT_EQ(g[gi].pieces.size(), w[gi].pieces.size());
@@ -126,8 +128,7 @@ void ExpectSameGroups(const MlnIndex& got, const MlnIndex& want) {
         const Piece& gp = g[gi].pieces[pi];
         const Piece& wp = w[gi].pieces[pi];
         EXPECT_EQ(gp.tuples, wp.tuples);
-        EXPECT_EQ(gp.reason_ids, wp.reason_ids);
-        EXPECT_EQ(gp.result_ids, wp.result_ids);
+        EXPECT_EQ(gp.ids, wp.ids);
       }
     }
   }
@@ -155,7 +156,7 @@ RefStats ExpectMatchesReference(const MlnIndex& index, const Dataset& data,
     CleaningReport report;
     RunAgpAll(&got, data, rules, options, &report, ctx);
     ExpectSameRecords(report, want_report);
-    ExpectSameGroups(got, want);
+    ExpectSameGroups(got, want, rules);
   }
   return stats;
 }
@@ -262,7 +263,7 @@ struct HandBuilt {
     return *Schema::Make(names);
   }
 
-  // A γ of block 0's rule; `result` may be narrower than the rule.
+  // A γ of block 0's rule.
   Piece MakePiece(const std::vector<Value>& key, const std::vector<Value>& result,
                   std::vector<TupleId> tuples) {
     return testing::MakePiece(&data, rules.rule(0), key, result, std::move(tuples));
@@ -315,7 +316,7 @@ MlnIndex OneBlock(std::vector<Group> groups) {
   return MlnIndex::FromBlocks(std::move(blocks));
 }
 
-// Hand-built blocks, some with ragged arities (γs narrower than the rule).
+// Hand-built blocks of random shapes.
 TEST(AgpOracleTest, HandBuiltBlocksMatchReference) {
   RefStats total;
   for (uint32_t seed = 1; seed <= 60; ++seed) {
@@ -323,7 +324,6 @@ TEST(AgpOracleTest, HandBuiltBlocksMatchReference) {
     auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
     const size_t reason_width = 1 + pick(2);
     const size_t result_width = 1 + pick(2);
-    const bool ragged = seed % 4 == 0;
     std::vector<std::vector<std::string>> pools;
     for (size_t p = 0; p < reason_width + result_width; ++p) {
       pools.push_back(ValuePool(&rng, 3 + pick(25)));
@@ -349,7 +349,6 @@ TEST(AgpOracleTest, HandBuiltBlocksMatchReference) {
             const auto& pool = pools[reason_width + p];
             result.push_back(pool[pick(pool.size())]);
           }
-          if (ragged && pick(5) == 0) result.pop_back();
           std::vector<TupleId> tuples;
           const size_t support = 1 + pick(3);
           for (size_t t = 0; t < support; ++t) tuples.push_back(next_tuple++);
@@ -517,25 +516,6 @@ TEST(AgpOracleTest, TabledPositionFlipsToBoundedAsItsSlotsGrow) {
     EXPECT_EQ(stats.star_changes, 1u);
   }
   const std::vector<std::vector<Value>> want = {{"aaaa"}, {"aaaa"}, {"aaaa"}, {"cccc"}};
-  EXPECT_EQ(h.Targets(index, 2, DistanceMetric::kLevenshtein), want);
-}
-
-TEST(AgpOracleTest, RaggedBlockSignaturesHoldNoSlot) {
-  // Two tabled result positions; G0's γ* has only the first, so its
-  // bucket signature is (x, no slot) and that position costs it 0. A1
-  // lacks the second position itself.
-  HandBuilt h(1, 2);
-  TupleId next = 0;
-  std::vector<Group> groups;
-  groups.push_back(h.MakeGroupOf({"aaaa"}, {{{"x"}, 3}}, &next));
-  groups.push_back(h.MakeGroupOf({"bbbb"}, {{{"x", "m"}, 3}}, &next));
-  groups.push_back(h.MakeGroupOf({"cccc"}, {{{"y", "m"}, 3}}, &next));
-  groups.push_back(h.MakeGroupOf({"dddd"}, {{{"x", "n"}, 3}}, &next));
-  groups.push_back(h.MakeGroupOf({"aaab"}, {{{"x", "n"}, 1}}, &next));  // A0
-  groups.push_back(h.MakeGroupOf({"bbbc"}, {{{"y"}, 1}}, &next));       // A1
-  const MlnIndex index = OneBlock(std::move(groups));
-  for (DistanceMetric metric : kMetrics) h.ExpectMatchesReference(index, 2, metric, "ragged");
-  const std::vector<std::vector<Value>> want = {{"aaaa"}, {"cccc"}};
   EXPECT_EQ(h.Targets(index, 2, DistanceMetric::kLevenshtein), want);
 }
 

@@ -10,9 +10,12 @@
 #include "datagen/sample.h"
 #include "distributed/distributed_pipeline.h"
 #include "errorgen/injector.h"
+#include "testing/same_report.h"
 
 namespace mlnclean {
 namespace {
+
+using testing::ExpectSameReport;
 
 // A corrupted 30-hospital workload shared by the heavier tests.
 struct GeneratedCase {
@@ -30,36 +33,6 @@ GeneratedCase MakeGenerated(uint64_t seed) {
   spec.seed = seed;
   DirtyDataset dd = *InjectErrors(wl.clean, wl.rules, spec);
   return GeneratedCase{std::move(wl), std::move(dd)};
-}
-
-// Field-wise equality of the full decision trace, timings excluded
-// (mirrors the pipeline_test invariant; f-scores must be bit-identical).
-void ExpectSameReport(const CleaningReport& a, const CleaningReport& b) {
-  ASSERT_EQ(a.agp.size(), b.agp.size());
-  for (size_t i = 0; i < a.agp.size(); ++i) {
-    EXPECT_EQ(a.agp[i].block, b.agp[i].block);
-    EXPECT_EQ(a.agp[i].abnormal_key, b.agp[i].abnormal_key);
-    EXPECT_EQ(a.agp[i].abnormal_tuples, b.agp[i].abnormal_tuples);
-    EXPECT_EQ(a.agp[i].num_pieces, b.agp[i].num_pieces);
-    EXPECT_EQ(a.agp[i].target_key, b.agp[i].target_key);
-    EXPECT_EQ(a.agp[i].merged, b.agp[i].merged);
-  }
-  ASSERT_EQ(a.rsc.size(), b.rsc.size());
-  for (size_t i = 0; i < a.rsc.size(); ++i) {
-    EXPECT_EQ(a.rsc[i].block, b.rsc[i].block);
-    EXPECT_EQ(a.rsc[i].group_key, b.rsc[i].group_key);
-    EXPECT_EQ(a.rsc[i].winner_values, b.rsc[i].winner_values);
-    EXPECT_EQ(a.rsc[i].loser_values, b.rsc[i].loser_values);
-    EXPECT_EQ(a.rsc[i].affected_tuples, b.rsc[i].affected_tuples);
-  }
-  ASSERT_EQ(a.fscr.size(), b.fscr.size());
-  for (size_t i = 0; i < a.fscr.size(); ++i) {
-    EXPECT_EQ(a.fscr[i].tuple, b.fscr[i].tuple);
-    EXPECT_EQ(a.fscr[i].conflict_attrs, b.fscr[i].conflict_attrs);
-    EXPECT_EQ(a.fscr[i].fused, b.fscr[i].fused);
-    EXPECT_EQ(a.fscr[i].f_score, b.fscr[i].f_score);
-  }
-  EXPECT_EQ(a.duplicates, b.duplicates);
 }
 
 TEST(CleaningEngineTest, CompileRejectsInvalidOptions) {

@@ -60,13 +60,9 @@ struct RefVersion {
 // dictionaries of `dirty`, the dataset its index was built over.
 RefFusion PieceCells(const Dataset& dirty, const Constraint& rule, const Piece& piece) {
   RefFusion cells;
-  for (size_t i = 0; i < rule.reason_attrs().size(); ++i) {
-    const AttrId attr = rule.reason_attrs()[i];
-    cells.push_back({attr, dirty.dict(attr).value(piece.reason_ids[i])});
-  }
-  for (size_t i = 0; i < rule.result_attrs().size(); ++i) {
-    const AttrId attr = rule.result_attrs()[i];
-    cells.push_back({attr, dirty.dict(attr).value(piece.result_ids[i])});
+  for (size_t p = 0; p < rule.attrs().size(); ++p) {
+    const AttrId attr = rule.attrs()[p];
+    cells.push_back({attr, dirty.dict(attr).value(piece.ids[p])});
   }
   return cells;
 }
@@ -394,7 +390,7 @@ Piece& PieceOfTuple(MlnIndex* index, size_t block, TupleId tid) {
 void SetResult(Dataset* dirty, const RuleSet& rules, MlnIndex* index, size_t block,
                TupleId tid, const Value& value) {
   const AttrId attr = rules.rule(index->block(block).rule_index).result_attrs()[0];
-  PieceOfTuple(index, block, tid).result_ids[0] = dirty->InternValue(attr, value);
+  PieceOfTuple(index, block, tid).ids.back() = dirty->InternValue(attr, value);
 }
 
 // A seeded instance whose every tuple has `num_rules` versions: distinct
@@ -582,7 +578,7 @@ TEST(FscrOracleTest, NegativeWeightTurnsPruningOff) {
       for (Piece& piece : group.pieces) {
         std::vector<Value> values = piece.AllValues(dirty, rule);
         if (b == 4 && values[0] == "q") {
-          piece.result_ids[0] = dirty.InternValue(rule.result_attrs()[0], "p2");
+          piece.ids.back() = dirty.InternValue(rule.result_attrs()[0], "p2");
           values[1] = "p2";
         }
         piece.weight = weights.at({b, values[0], values[1]});

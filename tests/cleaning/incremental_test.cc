@@ -17,9 +17,12 @@
 #include "datagen/hospital.h"
 #include "errorgen/injector.h"
 #include "index/mln_index.h"
+#include "testing/same_report.h"
 
 namespace mlnclean {
 namespace {
+
+using testing::ExpectSameReport;
 
 // A corrupted hospital workload small enough to reclean repeatedly.
 struct GeneratedCase {
@@ -39,30 +42,6 @@ GeneratedCase MakeGenerated(uint64_t seed, size_t hospitals = 15) {
   return GeneratedCase{std::move(wl), std::move(dd)};
 }
 
-// Timings-excluded trace equality (the engine_test invariant).
-void ExpectSameReport(const CleaningReport& a, const CleaningReport& b) {
-  ASSERT_EQ(a.agp.size(), b.agp.size());
-  for (size_t i = 0; i < a.agp.size(); ++i) {
-    EXPECT_EQ(a.agp[i].abnormal_key, b.agp[i].abnormal_key);
-    EXPECT_EQ(a.agp[i].abnormal_tuples, b.agp[i].abnormal_tuples);
-    EXPECT_EQ(a.agp[i].target_key, b.agp[i].target_key);
-    EXPECT_EQ(a.agp[i].merged, b.agp[i].merged);
-  }
-  ASSERT_EQ(a.rsc.size(), b.rsc.size());
-  for (size_t i = 0; i < a.rsc.size(); ++i) {
-    EXPECT_EQ(a.rsc[i].group_key, b.rsc[i].group_key);
-    EXPECT_EQ(a.rsc[i].winner_values, b.rsc[i].winner_values);
-    EXPECT_EQ(a.rsc[i].affected_tuples, b.rsc[i].affected_tuples);
-  }
-  ASSERT_EQ(a.fscr.size(), b.fscr.size());
-  for (size_t i = 0; i < a.fscr.size(); ++i) {
-    EXPECT_EQ(a.fscr[i].tuple, b.fscr[i].tuple);
-    EXPECT_EQ(a.fscr[i].fused, b.fscr[i].fused);
-    EXPECT_EQ(a.fscr[i].f_score, b.fscr[i].f_score);
-  }
-  EXPECT_EQ(a.duplicates, b.duplicates);
-}
-
 // Full structural equality of two indexes, ids and weights included.
 void ExpectSameIndex(const MlnIndex& a, const MlnIndex& b) {
   ASSERT_EQ(a.num_blocks(), b.num_blocks());
@@ -80,8 +59,7 @@ void ExpectSameIndex(const MlnIndex& a, const MlnIndex& b) {
         const Piece& pa = ga.pieces[pi];
         const Piece& pb = gb.pieces[pi];
         EXPECT_EQ(pa.tuples, pb.tuples);
-        EXPECT_EQ(pa.reason_ids, pb.reason_ids);
-        EXPECT_EQ(pa.result_ids, pb.result_ids);
+        EXPECT_EQ(pa.ids, pb.ids);
         EXPECT_EQ(pa.weight, pb.weight);
       }
     }
@@ -317,6 +295,33 @@ TEST(IncrementalSnapshotTest, CorruptIndexSectionIsDetected) {
     auto loaded = CleaningEngine().LoadWithIndex(in);
     ASSERT_FALSE(loaded.ok()) << "prefix " << len;
     EXPECT_TRUE(loaded.status().IsCorruption() || loaded.status().IsInvalid());
+  }
+}
+
+TEST(IncrementalSnapshotTest, IndexGammaOfTheWrongArityIsRejectedOnLoad) {
+  // A γ narrower or wider than its block's rule decodes, but LoadWithIndex
+  // refuses it before any session can serve from the index.
+  GeneratedCase c = MakeGenerated(36);
+  CleanModel model =
+      *CleaningEngine().Compile(c.dd.dirty.schema(), c.wl.rules);
+  const MlnIndex built = *MlnIndex::Build(c.dd.dirty, c.wl.rules);
+  for (bool narrower : {true, false}) {
+    SCOPED_TRACE(narrower ? "narrower" : "wider");
+    MlnIndex index = built;
+    std::vector<ValueId>& ids = index.block(0).groups[0].pieces[0].ids;
+    if (narrower) {
+      ids.pop_back();
+    } else {
+      ids.push_back(ids.back());
+    }
+    std::ostringstream out;
+    ASSERT_TRUE(model.Save(out, index, c.dd.dirty.num_rows()).ok());
+    std::istringstream in(out.str());
+    auto loaded = CleaningEngine().LoadWithIndex(in);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.status().IsInvalid()) << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find("arity"), std::string::npos)
+        << loaded.status().ToString();
   }
 }
 

@@ -219,11 +219,17 @@ std::string ValidSnapshotBytes() {
   return SaveToString(model);
 }
 
+// Overwrites `width` bytes at `pos` with `v`, little-endian.
+void PatchLittleEndian(std::string* bytes, size_t pos, uint64_t v, size_t width) {
+  char le[8];
+  for (size_t i = 0; i < width; ++i) le[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  bytes->replace(pos, width, le, width);
+}
 void PatchU32(std::string* bytes, size_t pos, uint32_t v) {
-  for (int i = 0; i < 4; ++i) (*bytes)[pos + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  PatchLittleEndian(bytes, pos, v, 4);
 }
 void PatchU64(std::string* bytes, size_t pos, uint64_t v) {
-  for (int i = 0; i < 8; ++i) (*bytes)[pos + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  PatchLittleEndian(bytes, pos, v, 8);
 }
 
 // Walks the section frames of a valid snapshot and returns each section's
@@ -316,6 +322,12 @@ TEST(ModelIoTest, CorruptSnapshotsAreRejectedWithTheRightCode) {
          return s;
        },
        StatusCode::kInvalid, "unsupported format version 6"},
+      {"v7 snapshot",
+       [](std::string s) {
+         PatchU32(&s, 4, 7);
+         return s;
+       },
+       StatusCode::kInvalid, "unsupported format version 7"},
       {"wrong section count",
        [](std::string s) {
          PatchU32(&s, 8, 7);

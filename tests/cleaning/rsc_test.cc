@@ -158,8 +158,7 @@ TEST(RscTest, ReportPinsEveryRecordField) {
   // Collecting records does not change the group.
   Group plain = make_group();
   RunRscGroup(&plain, 5, h.data, h.rule, Lev(), nullptr);
-  EXPECT_EQ(plain.pieces[0].reason_ids, group.pieces[0].reason_ids);
-  EXPECT_EQ(plain.pieces[0].result_ids, group.pieces[0].result_ids);
+  EXPECT_EQ(plain.pieces[0].ids, group.pieces[0].ids);
   EXPECT_EQ(plain.pieces[0].tuples, group.pieces[0].tuples);
 }
 

@@ -14,9 +14,12 @@
 #include "datagen/hospital.h"
 #include "datagen/sample.h"
 #include "errorgen/injector.h"
+#include "testing/same_report.h"
 
 namespace mlnclean {
 namespace {
+
+using testing::ExpectSameReport;
 
 struct ServingCase {
   Workload wl;
@@ -41,31 +44,6 @@ CleaningOptions ServingOptions() {
   CleaningOptions options;
   options.agp_threshold = 3;
   return options;
-}
-
-// Field-wise equality of the decision trace, timings excluded.
-void ExpectSameReport(const CleaningReport& a, const CleaningReport& b) {
-  ASSERT_EQ(a.agp.size(), b.agp.size());
-  for (size_t i = 0; i < a.agp.size(); ++i) {
-    EXPECT_EQ(a.agp[i].abnormal_key, b.agp[i].abnormal_key);
-    EXPECT_EQ(a.agp[i].abnormal_tuples, b.agp[i].abnormal_tuples);
-    EXPECT_EQ(a.agp[i].target_key, b.agp[i].target_key);
-    EXPECT_EQ(a.agp[i].merged, b.agp[i].merged);
-  }
-  ASSERT_EQ(a.rsc.size(), b.rsc.size());
-  for (size_t i = 0; i < a.rsc.size(); ++i) {
-    EXPECT_EQ(a.rsc[i].winner_values, b.rsc[i].winner_values);
-    EXPECT_EQ(a.rsc[i].loser_values, b.rsc[i].loser_values);
-    EXPECT_EQ(a.rsc[i].affected_tuples, b.rsc[i].affected_tuples);
-  }
-  ASSERT_EQ(a.fscr.size(), b.fscr.size());
-  for (size_t i = 0; i < a.fscr.size(); ++i) {
-    EXPECT_EQ(a.fscr[i].tuple, b.fscr[i].tuple);
-    EXPECT_EQ(a.fscr[i].conflict_attrs, b.fscr[i].conflict_attrs);
-    EXPECT_EQ(a.fscr[i].fused, b.fscr[i].fused);
-    EXPECT_EQ(a.fscr[i].f_score, b.fscr[i].f_score);
-  }
-  EXPECT_EQ(a.duplicates, b.duplicates);
 }
 
 // The serving invariant (reuse off): K sessions running concurrently on

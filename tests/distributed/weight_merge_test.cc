@@ -138,8 +138,9 @@ TEST(WeightMergeTest, RestoreEntryRejectsOutOfRange) {
   entry.rule_index = 7;  // no such rule
   EXPECT_TRUE(table.RestoreEntry(rules, entry).IsInvalid());
   entry.rule_index = 0;
-  entry.reason_ids = {5};  // id outside the (empty) dictionary
-  entry.result_ids = {0};
+  entry.ids = {5, 0};  // 5 is outside the (empty) dictionary
+  EXPECT_TRUE(table.RestoreEntry(rules, entry).IsInvalid());
+  entry.ids = {0};  // narrower than the rule
   EXPECT_TRUE(table.RestoreEntry(rules, entry).IsInvalid());
 }
 

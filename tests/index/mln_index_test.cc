@@ -9,6 +9,7 @@
 #include "cleaning/agp.h"
 #include "cleaning/rsc.h"
 #include "datagen/sample.h"
+#include "testing/hand_built.h"
 
 namespace mlnclean {
 namespace {
@@ -64,9 +65,11 @@ TEST(MlnIndexTest, Figure2GroupKeys) {
   EXPECT_EQ(s.KeyValues(index, 2, 1), (std::vector<Value>{"ELIZA", "BOAZ"}));
   // Every γ of a freshly built group shares the key.
   for (const Block& block : index.blocks()) {
+    const Constraint& rule = s.rules.rule(block.rule_index);
     for (const Group& group : block.groups) {
       for (const Piece& piece : group.pieces) {
-        EXPECT_EQ(piece.reason_ids, group.pieces.front().reason_ids);
+        EXPECT_EQ(testing::ReasonIds(piece, rule),
+                  testing::ReasonIds(group.pieces.front(), rule));
       }
     }
   }
@@ -142,12 +145,13 @@ TEST(MlnIndexTest, FindGroupSeesMutationWithoutReindex) {
 
 // Every group of every block is found at its own position (keys are
 // unique in these indexes).
-void ExpectEveryGroupFound(const MlnIndex& index) {
+void ExpectEveryGroupFound(const MlnIndex& index, const RuleSet& rules) {
   for (size_t bi = 0; bi < index.num_blocks(); ++bi) {
+    const Constraint& rule = rules.rule(index.block(bi).rule_index);
     const std::vector<Group>& groups = index.block(bi).groups;
     for (size_t gi = 0; gi < groups.size(); ++gi) {
       const Result<size_t> found =
-          index.FindGroup(bi, groups[gi].pieces.front().reason_ids);
+          index.FindGroup(bi, testing::ReasonIds(groups[gi].pieces.front(), rule));
       ASSERT_TRUE(found.ok()) << "block " << bi << " group " << gi;
       EXPECT_EQ(*found, gi) << "block " << bi;
     }
@@ -160,7 +164,7 @@ TEST(MlnIndexTest, FindGroupAfterAgpRscAndFromBlocks) {
   CleaningOptions options;
   options.agp_threshold = 1;
   RunAgpAll(&index, s.dirty, s.rules, options, nullptr);
-  ExpectEveryGroupFound(index);
+  ExpectEveryGroupFound(index, s.rules);
   // G12 (DOTH) merged into G11; G13 moved up to position 1.
   EXPECT_TRUE(index.FindGroup(0, s.Key(0, {"DOTH"})).status().IsNotFound());
   EXPECT_EQ(*index.FindGroup(0, s.Key(0, {"BOAZ"})), 1u);
@@ -168,13 +172,13 @@ TEST(MlnIndexTest, FindGroupAfterAgpRscAndFromBlocks) {
   index.LearnWeights();
   RunRscAll(&index, s.dirty, s.rules, MakeDistanceFn(options.distance), nullptr);
   // RSC leaves one γ per group, its winner, which keys the group.
-  ExpectEveryGroupFound(index);
+  ExpectEveryGroupFound(index, s.rules);
   for (size_t bi = 0; bi < index.num_blocks(); ++bi) {
     for (const Group& group : index.block(bi).groups) EXPECT_EQ(group.pieces.size(), 1u);
   }
 
   const MlnIndex rebuilt = MlnIndex::FromBlocks(index.blocks());
-  ExpectEveryGroupFound(rebuilt);
+  ExpectEveryGroupFound(rebuilt, s.rules);
   EXPECT_TRUE(rebuilt.FindGroup(2, s.Key(2, {"NOWHERE", "AT ALL"})).status().IsNotFound());
 }
 
@@ -201,12 +205,11 @@ TEST(MlnIndexTest, AppendRowsOnFromBlocksBaseEqualsColdBuild) {
           const Piece& g = got[gi].pieces[pi];
           const Piece& w = want[gi].pieces[pi];
           EXPECT_EQ(g.tuples, w.tuples);
-          EXPECT_EQ(g.reason_ids, w.reason_ids);
-          EXPECT_EQ(g.result_ids, w.result_ids);
+          EXPECT_EQ(g.ids, w.ids);
         }
       }
     }
-    ExpectEveryGroupFound(base);
+    ExpectEveryGroupFound(base, rules);
   }
 }
 
@@ -222,11 +225,14 @@ TEST(MlnIndexTest, ConcurrentFindGroupOnConstIndex) {
   std::vector<std::thread> threads;
   std::vector<size_t> found(4, 0);
   for (size_t t = 0; t < found.size(); ++t) {
-    threads.emplace_back([&index, &found, t] {
+    threads.emplace_back([&index, &s, &found, t] {
       for (int round = 0; round < 200; ++round) {
         for (size_t bi = 0; bi < index.num_blocks(); ++bi) {
           for (const Group& group : index.block(bi).groups) {
-            if (index.FindGroup(bi, group.pieces.front().reason_ids).ok()) ++found[t];
+            const Constraint& rule = s.rules.rule(index.block(bi).rule_index);
+            if (index.FindGroup(bi, testing::ReasonIds(group.pieces.front(), rule)).ok()) {
+              ++found[t];
+            }
           }
           if (index.FindGroup(bi, {kInvalidValueId}).ok()) --found[t];
         }

@@ -60,14 +60,10 @@ TEST(GroundRuleTest, GroundRulesCarryDictionaryIds) {
     auto grounds = GroundConstraint(dirty, rule);
     ASSERT_TRUE(grounds.ok()) << grounds.status().ToString();
     for (const auto& g : *grounds) {
-      ASSERT_EQ(g.reason_ids.size(), rule.reason_attrs().size());
-      ASSERT_EQ(g.result_ids.size(), rule.result_attrs().size());
+      ASSERT_EQ(g.ids.size(), rule.attrs().size());
       for (TupleId tid : g.tuples) {
-        for (size_t i = 0; i < g.reason_ids.size(); ++i) {
-          EXPECT_EQ(dirty.id_at(tid, rule.reason_attrs()[i]), g.reason_ids[i]);
-        }
-        for (size_t i = 0; i < g.result_ids.size(); ++i) {
-          EXPECT_EQ(dirty.id_at(tid, rule.result_attrs()[i]), g.result_ids[i]);
+        for (size_t p = 0; p < g.ids.size(); ++p) {
+          EXPECT_EQ(dirty.id_at(tid, rule.attrs()[p]), g.ids[p]);
         }
       }
     }

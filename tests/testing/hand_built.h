@@ -5,6 +5,8 @@
 #ifndef MLNCLEAN_TESTS_TESTING_HAND_BUILT_H_
 #define MLNCLEAN_TESTS_TESTING_HAND_BUILT_H_
 
+#include <gtest/gtest.h>
+
 #include <utility>
 #include <vector>
 
@@ -17,21 +19,30 @@ namespace testing {
 
 /// A γ of `rule` with the given values, interned into `data`'s
 /// dictionaries (values it does not hold yet are added). `reason` and
-/// `result` may be narrower than the rule.
+/// `result` must have the rule's reason and result arities: every γ has
+/// its rule's full arity.
 inline Piece MakePiece(Dataset* data, const Constraint& rule, const std::vector<Value>& reason,
                        const std::vector<Value>& result, std::vector<TupleId> tuples,
                        double weight = 0.0) {
-  auto intern = [data](const std::vector<AttrId>& attrs, const std::vector<Value>& values) {
-    std::vector<ValueId> ids;
-    for (size_t i = 0; i < values.size(); ++i) ids.push_back(data->InternValue(attrs[i], values[i]));
-    return ids;
-  };
   Piece piece;
-  piece.reason_ids = intern(rule.reason_attrs(), reason);
-  piece.result_ids = intern(rule.result_attrs(), result);
+  if (reason.size() != rule.reason_attrs().size() ||
+      result.size() != rule.result_attrs().size()) {
+    ADD_FAILURE() << "MakePiece: the values do not have the rule's arity";
+    return piece;
+  }
+  std::vector<Value> values = reason;
+  values.insert(values.end(), result.begin(), result.end());
+  for (size_t p = 0; p < values.size(); ++p) {
+    piece.ids.push_back(data->InternValue(rule.attrs()[p], values[p]));
+  }
   piece.tuples = std::move(tuples);
   piece.weight = weight;
   return piece;
+}
+
+/// The reason part of `piece`: its first rule.reason_attrs().size() ids.
+inline std::vector<ValueId> ReasonIds(const Piece& piece, const Constraint& rule) {
+  return {piece.ids.begin(), piece.ids.begin() + rule.reason_attrs().size()};
 }
 
 }  // namespace testing
