@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <limits>
 #include <string_view>
 #include <utility>
@@ -396,33 +395,18 @@ size_t RunAgp(Block* block, const Dataset& data, const Constraint& rule,
 void RunAgpAll(MlnIndex* index, const Dataset& data, const RuleSet& rules,
                const CleaningOptions& options, CleaningReport* report,
                const ExecContext& ctx) {
-  const size_t num_blocks = index->num_blocks();
-  auto run = [&](size_t bi, CleaningReport* block_report) {
-    Block& block = index->block(bi);
-    RunAgp(&block, data, rules.rule(block.rule_index), options, block_report);
-  };
-  if (ctx.parallelism() <= 1 || num_blocks <= 1) {
-    for (size_t bi = 0; bi < num_blocks; ++bi) {
-      if (ctx.Stopped()) return;
-      run(bi, report);
-      ctx.Tick(1);
-    }
-    return;
-  }
   // Blocks are independent; collect per-block records and splice them back
-  // in block order so the report is identical to the sequential run.
+  // in block order, so the report does not depend on which worker ran
+  // which block.
+  const size_t num_blocks = index->num_blocks();
   std::vector<CleaningReport> local(report ? num_blocks : 0);
   ParallelFor(num_blocks, ctx, [&](size_t bi) {
     if (ctx.Stopped()) return;
-    run(bi, report ? &local[bi] : nullptr);
-    ctx.Tick(1);
+    Block& block = index->block(bi);
+    RunAgp(&block, data, rules.rule(block.rule_index), options,
+           report ? &local[bi] : nullptr);
   });
-  if (report) {
-    for (auto& block_report : local) {
-      std::move(block_report.agp.begin(), block_report.agp.end(),
-                std::back_inserter(report->agp));
-    }
-  }
+  if (report) SpliceRecords(&local, &CleaningReport::agp, &report->agp);
 }
 
 }  // namespace mlnclean

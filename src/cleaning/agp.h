@@ -43,9 +43,9 @@ size_t RunAgp(Block* block, const Dataset& data, const Constraint& rule,
               const CleaningOptions& options, CleaningReport* report);
 
 /// Runs AGP over every block of the index (built over `data` and `rules`).
-/// Blocks run in parallel on `ctx`'s executor (one progress unit per
-/// block); when `ctx` is stopped (cancelled or past its deadline), blocks
-/// not yet started are skipped (cooperative; the caller reports the
+/// Blocks run in parallel on `ctx`'s executor, and their records reach
+/// `report` in block order; when `ctx` is stopped (cancelled or past its
+/// deadline), blocks not yet started are skipped (cooperative; the caller reports the
 /// terminal Status).
 void RunAgpAll(MlnIndex* index, const Dataset& data, const RuleSet& rules,
                const CleaningOptions& options, CleaningReport* report,

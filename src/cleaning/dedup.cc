@@ -28,7 +28,6 @@ Dataset RemoveDuplicates(const Dataset& data,
     // Stop checks are batched: a clock read per row would dominate the
     // hash probe the row actually pays for.
     if ((tid & 0x3ff) == 0 && ctx.Stopped()) return data.Gather(kept);
-    ctx.Tick(1);
     const uint64_t hash = HashRowIds(data, tid);
     size_t i = hash & mask;
     while (table[i].first >= 0 &&

@@ -22,8 +22,8 @@ namespace mlnclean {
 /// Returns `data` with exact duplicate rows removed (first occurrence
 /// kept). Appends one (removed, kept) pair per dropped tuple to `removed`
 /// when non-null. The hash pass is inherently sequential (survivorship
-/// depends on every earlier row), so `ctx` contributes progress ticks
-/// (one per row) and stop checks only: when `ctx` is stopped the partial
+/// depends on every earlier row), so `ctx` contributes stop checks
+/// only: when `ctx` is stopped the partial
 /// result is returned and the caller reports the terminal Status.
 Dataset RemoveDuplicates(const Dataset& data,
                          std::vector<std::pair<TupleId, TupleId>>* removed,

@@ -1,7 +1,5 @@
 #include "cleaning/engine.h"
 
-#include <algorithm>
-#include <atomic>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
@@ -16,59 +14,6 @@
 #include "common/timer.h"
 
 namespace mlnclean {
-
-/// Bridges worker-side progress ticks to the session's ProgressFn. The
-/// multi-producer half is one relaxed atomic counter (workers Tick units
-/// as blocks/shards complete — no mutex, no queue); the single-consumer
-/// half runs only on the session's driving thread, which Polls the
-/// counter between its own work items and turns increases into
-/// StageProgress events. The callback therefore always fires on the
-/// driving thread, and units_done is monotone per stage by construction.
-class StageProgressRelay : public ProgressSink {
- public:
-  /// Driving thread, before the stage's drivers start.
-  void BeginStage(Stage stage, size_t total, const ProgressFn* fn,
-                  const Timer* timer) {
-    stage_ = stage;
-    total_ = total;
-    fn_ = fn;
-    timer_ = timer;
-    done_.store(0, std::memory_order_relaxed);
-    last_emitted_ = 0;
-  }
-
-  /// Driving thread, after the stage's drivers returned (the session
-  /// emits the final end event itself).
-  void EndStage() {
-    fn_ = nullptr;
-    timer_ = nullptr;
-  }
-
-  void Tick(size_t units) override {
-    done_.fetch_add(units, std::memory_order_relaxed);
-  }
-
-  void Poll() override {
-    if (fn_ == nullptr) return;
-    const size_t done = std::min(done_.load(std::memory_order_relaxed), total_);
-    if (done == last_emitted_ || done == 0) return;
-    last_emitted_ = done;
-    StageProgress event;
-    event.stage = stage_;
-    event.units_done = done;
-    event.units_total = total_;
-    event.seconds = timer_ != nullptr ? timer_->ElapsedSeconds() : 0.0;
-    (*fn_)(event);
-  }
-
- private:
-  Stage stage_ = Stage::kIndex;
-  size_t total_ = 0;
-  size_t last_emitted_ = 0;           // driving thread only
-  const ProgressFn* fn_ = nullptr;    // null outside a stage
-  const Timer* timer_ = nullptr;
-  std::atomic<size_t> done_{0};
-};
 
 const char* StageName(Stage stage) {
   switch (stage) {
@@ -216,17 +161,12 @@ Result<size_t> CleanModel::AdjustWeightsAcross(
 
 // ------------------------------------------------------------ CleanSession
 
-CleanSession::CleanSession(CleanSession&&) noexcept = default;
-CleanSession& CleanSession::operator=(CleanSession&&) noexcept = default;
-CleanSession::~CleanSession() = default;
-
 CleanSession::CleanSession(std::shared_ptr<CleanModel::State> model,
                            const Dataset* dirty, SessionOptions opts)
     : model_(std::move(model)),
       dirty_(dirty),
       opts_(std::move(opts)),
       dist_(MakeNormalizedDistanceFn(model_->options.distance)) {
-  if (opts_.progress) relay_ = std::make_unique<StageProgressRelay>();
   if (!(dirty_->schema() == model_->rules.schema())) {
     terminal_ = Status::Invalid("dataset schema does not match the compiled model");
   }
@@ -241,7 +181,6 @@ ExecContext CleanSession::MakeContext() const {
     ctx.has_deadline = true;
     ctx.deadline = *opts_.deadline;
   }
-  ctx.progress = relay_.get();
   return ctx;
 }
 
@@ -374,16 +313,12 @@ Status CleanSession::RunUntil(Stage last) {
     // clone.
     try {
       EmitProgress(stage, 0, units, 0.0);
-      if (relay_ != nullptr) {
-        relay_->BeginStage(stage, units, &opts_.progress, &timer);
-      }
       MLN_FAILPOINT(std::string("engine/stage-") + StageName(stage));
       status = RunStage(stage, ctx);
     } catch (...) {
       status = StatusFromCurrentException(std::string("stage ") +
                                           StageName(stage) + " failed");
     }
-    if (relay_ != nullptr) relay_->EndStage();
     const double seconds = timer.ElapsedSeconds();
     if (status.ok() && ctx.Stopped()) {
       // The stage driver stopped at a block/shard boundary; its partial

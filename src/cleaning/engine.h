@@ -14,8 +14,8 @@
 //   MLN_RETURN_NOT_OK(session.Resume());                 // finish the plan
 //   MLN_ASSIGN_OR_RETURN(CleanResult result, session.TakeResult());
 //
-// Sessions support per-stage (and, on parallel executors, intra-stage)
-// progress callbacks, a cooperative CancelToken that aborts between
+// Sessions support per-stage progress callbacks (one begin and one end
+// event per stage), a cooperative CancelToken that aborts between
 // blocks/shards with Status::Cancelled, and an optional deadline enforced
 // at the same boundaries (Status kDeadlineExceeded). Learned γ-weights
 // persist on the model (`Warm`, `contribute_weights`), so serving K
@@ -73,15 +73,11 @@ inline constexpr int kNumStages = 6;
 /// Short lowercase stage name ("index", "agp", ...).
 const char* StageName(Stage stage);
 
-/// One progress event. Sessions emit a pair per stage — units_done == 0
-/// when the stage starts and units_done == units_total when it completes —
-/// plus, when the stage runs on a parallel executor, intra-stage events
-/// as blocks/shards complete. All events fire on the thread driving the
-/// session (workers only tick an atomic counter; the driving thread
-/// drains it between its own work items — a mutex-free MPSC path), so
-/// the callback needs no synchronization of its own, and per stage the
-/// units_done it sees are monotonically non-decreasing. Sequential
-/// sections keep the plain begin/end pairs.
+/// One progress event. Sessions emit exactly two per stage, on every
+/// executor: units_done == 0 when the stage starts and units_done ==
+/// units_total when it completes. Both fire on the thread driving the
+/// session, never on a worker, so the callback needs no synchronization
+/// of its own.
 struct StageProgress {
   Stage stage = Stage::kIndex;
   /// Work units of the stage: rules for kIndex, blocks for kAgp/kLearn/
@@ -96,7 +92,8 @@ using ProgressFn = std::function<void(const StageProgress&)>;
 
 /// Per-session knobs (the cleaning knobs themselves live on the model).
 struct SessionOptions {
-  /// Called at every stage boundary; may call CancelToken::RequestCancel.
+  /// Called at the begin and at the end of every stage, on the driving
+  /// thread; may call CancelToken::RequestCancel.
   ProgressFn progress;
   /// Cancels the run between blocks/shards; the session then reports
   /// Status::Cancelled and stays terminally cancelled.
@@ -144,7 +141,6 @@ struct SessionOptions {
 };
 
 class CleanSession;
-class StageProgressRelay;  // internal: the intra-stage progress sink
 
 /// A compiled, reusable cleaning model: validated rules, resolved
 /// options, and a store of learned γ weights shared by every session.
@@ -243,10 +239,9 @@ class CleanModel {
 /// leaves the input untouched.
 class CleanSession {
  public:
-  // Out-of-line: the progress relay member is an incomplete type here.
-  CleanSession(CleanSession&&) noexcept;
-  CleanSession& operator=(CleanSession&&) noexcept;
-  ~CleanSession();
+  CleanSession(CleanSession&&) noexcept = default;
+  CleanSession& operator=(CleanSession&&) noexcept = default;
+  ~CleanSession() = default;
   CleanSession(const CleanSession&) = delete;
   CleanSession& operator=(const CleanSession&) = delete;
 
@@ -338,7 +333,6 @@ class CleanSession {
   CleaningReport report_;
   Dataset cleaned_;
   Dataset deduped_;
-  std::unique_ptr<StageProgressRelay> relay_;  // set iff opts_.progress
   int next_ = 0;
   Status terminal_;  // sticky failure/cancellation; OK while runnable
 };

@@ -777,36 +777,24 @@ size_t RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index
     // (Algorithm 2 initializes tfmax to t itself).
   };
 
+  // Contiguous shards, at most one per worker and one per tuple, each with
+  // its own search workspace: each tuple's fusion is computed identically
+  // regardless of which shard runs it, so the shard count (and hence the
+  // executor's worker count) never changes the result.
   const size_t num_attrs = dirty.num_attrs();
-  const size_t parallelism = ctx.parallelism();
-  if (parallelism <= 1 || num_rows <= 1) {
+  const size_t shards = std::max<size_t>(1, std::min(ctx.parallelism(), num_rows));
+  const size_t chunk = (num_rows + shards - 1) / shards;
+  ParallelFor(shards, ctx, [&](size_t s) {
+    const size_t begin = s * chunk;
+    const size_t end = std::min(num_rows, begin + chunk);
     FusionWorkspace ws(num_attrs);
-    for (size_t tid = 0; tid < num_rows; ++tid) {
-      if (ctx.Stopped()) {
-        if (report) report->fscr.resize(first_record);  // a stopped run appends none
-        return greedy;
-      }
+    for (size_t tid = begin; tid < end; ++tid) {
+      if (ctx.Stopped()) return;
       fuse_tuple(tid, &ws);
-      ctx.Tick(1);
     }
-  } else {
-    // Contiguous shards, one per worker, each with its own search
-    // workspace: each tuple's fusion is computed identically regardless of
-    // which shard runs it, so the shard count (and hence the executor's
-    // worker count) never changes the result.
-    const size_t shards = parallelism;
-    const size_t chunk = (num_rows + shards - 1) / shards;
-    ParallelFor(shards, ctx, [&](size_t s) {
-      const size_t begin = s * chunk;
-      const size_t end = std::min(num_rows, begin + chunk);
-      FusionWorkspace ws(num_attrs);
-      for (size_t tid = begin; tid < end; ++tid) {
-        if (ctx.Stopped()) return;
-        fuse_tuple(tid, &ws);
-        ctx.Tick(1);
-      }
-    });
-  }
+  });
+  // A stopped run appends no records, whichever tuples it fused.
+  if (report && ctx.Stopped()) report->fscr.resize(first_record);
   return greedy;
 }
 

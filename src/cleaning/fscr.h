@@ -53,10 +53,11 @@ namespace mlnclean {
 /// and appends one FscrRecord per tuple to `report` (may be null).
 /// `index` must have been built over `dirty` and `rules` (its γ ids are
 /// read through `dirty`'s dictionaries) and been through AGP + weight
-/// learning + RSC, i.e. every group holds exactly one γ. Tuples run sharded on `ctx`'s executor (one
-/// progress unit per fused tuple); when `ctx` is stopped, tuples not yet
-/// fused are skipped (cooperative; the caller reports the terminal Status
-/// and discards the partially fused copy). Returns the number of tuples
+/// learning + RSC, i.e. every group holds exactly one γ. Tuples run
+/// sharded on `ctx`'s executor; when `ctx` is stopped, tuples not yet
+/// fused are skipped and the run appends no records to `report`, on every
+/// executor (cooperative; the caller reports the terminal Status and
+/// discards the partially fused copy). Returns the number of tuples
 /// with more than 7 versions, which are fused greedily
 /// (FusionOutcome::kGreedy) whether or not `report` is null.
 size_t RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index,

@@ -129,6 +129,21 @@ struct CleaningReport {
   std::string Summary() const;
 };
 
+/// Moves the `field` records of every report in `parts` onto the end of
+/// `out`, in part order, with one reservation: how AGP and RSC turn their
+/// per-block reports into the report of one pass over the blocks.
+template <typename Record>
+void SpliceRecords(std::vector<CleaningReport>* parts,
+                   std::vector<Record> CleaningReport::*field,
+                   std::vector<Record>* out) {
+  size_t total = out->size();
+  for (const CleaningReport& part : *parts) total += (part.*field).size();
+  out->reserve(total);
+  for (CleaningReport& part : *parts) {
+    for (Record& record : part.*field) out->push_back(std::move(record));
+  }
+}
+
 }  // namespace mlnclean
 
 #endif  // MLNCLEAN_CLEANING_REPORT_H_

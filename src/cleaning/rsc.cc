@@ -1,7 +1,6 @@
 #include "cleaning/rsc.h"
 
 #include <algorithm>
-#include <iterator>
 #include <limits>
 
 namespace mlnclean {
@@ -137,29 +136,15 @@ void RunRscBlock(Block* block, const Dataset& data, const RuleSet& rules,
 
 void RunRscAll(MlnIndex* index, const Dataset& data, const RuleSet& rules,
                const DistanceFn& dist, CleaningReport* report, const ExecContext& ctx) {
-  const size_t num_blocks = index->num_blocks();
-  if (ctx.parallelism() <= 1 || num_blocks <= 1) {
-    for (size_t bi = 0; bi < num_blocks; ++bi) {
-      if (ctx.Stopped()) return;
-      RunRscBlock(&index->block(bi), data, rules, dist, report);
-      ctx.Tick(1);
-    }
-    return;
-  }
   // Per-block record buffers spliced back in block order keep the report
-  // identical to the sequential run.
+  // independent of which worker ran which block.
+  const size_t num_blocks = index->num_blocks();
   std::vector<CleaningReport> local(report ? num_blocks : 0);
   ParallelFor(num_blocks, ctx, [&](size_t bi) {
     if (ctx.Stopped()) return;
     RunRscBlock(&index->block(bi), data, rules, dist, report ? &local[bi] : nullptr);
-    ctx.Tick(1);
   });
-  if (report) {
-    for (auto& block_report : local) {
-      std::move(block_report.rsc.begin(), block_report.rsc.end(),
-                std::back_inserter(report->rsc));
-    }
-  }
+  if (report) SpliceRecords(&local, &CleaningReport::rsc, &report->rsc);
 }
 
 }  // namespace mlnclean

@@ -31,8 +31,9 @@ void RunRscGroup(Group* group, size_t block_rule_index, const Dataset& data,
 
 /// Runs RSC over every group of every block of an index built over `data`
 /// and `rules`.
-/// Blocks run in parallel on `ctx`'s executor (one progress unit per
-/// block); when `ctx` is stopped, blocks not yet started are skipped
+/// Blocks run in parallel on `ctx`'s executor, and their records reach
+/// `report` in block order; when `ctx` is stopped, blocks not yet started
+/// are skipped
 /// (cooperative; the caller reports the terminal Status).
 void RunRscAll(MlnIndex* index, const Dataset& data, const RuleSet& rules,
                const DistanceFn& dist, CleaningReport* report, const ExecContext& ctx = {});

@@ -87,7 +87,7 @@ struct LoopState {
 
   // Claims and runs indices until the space is exhausted. Returns the
   // first exception thrown by `fn` on this thread, if any.
-  std::exception_ptr Drain(const ExecContext* poll_ctx) {
+  std::exception_ptr Drain() {
     while (true) {
       const size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return nullptr;
@@ -98,7 +98,6 @@ struct LoopState {
         next.store(n, std::memory_order_relaxed);  // stop handing out work
         return std::current_exception();
       }
-      if (poll_ctx != nullptr) poll_ctx->Poll();
     }
   }
 
@@ -140,7 +139,7 @@ void ParallelFor(size_t n, const ExecContext& ctx,
       std::exception_ptr error;
       try {
         MLN_FAILPOINT("executor/worker-task");
-        error = state->Drain(nullptr);
+        error = state->Drain();
       } catch (...) {
         error = std::current_exception();
       }
@@ -153,35 +152,16 @@ void ParallelFor(size_t n, const ExecContext& ctx,
     });
   }
 
-  state->RecordError(state->Drain(&ctx));
+  state->RecordError(state->Drain());
 
   // Wait until no started worker is still inside its claim loop. Tasks
   // that never started cannot touch an index any more (the space is
   // exhausted) and only bump started/finished when the pool eventually
   // runs them — the shared state outlives this frame for exactly that.
-  // With a progress sink the wait wakes periodically to keep ticks
-  // flowing to the user; without one it blocks outright.
-  if (ctx.progress != nullptr) {
-    while (true) {
-      {
-        std::unique_lock<std::mutex> lock(state->mu);
-        if (state->cv.wait_for(lock, std::chrono::milliseconds(1), [&] {
-              return state->finished == state->started;
-            })) {
-          break;
-        }
-      }
-      ctx.Poll();
-    }
-    ctx.Poll();
-  } else {
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->cv.wait(lock, [&] { return state->finished == state->started; });
-  }
-
   std::exception_ptr error;
   {
-    std::lock_guard<std::mutex> lock(state->mu);
+    std::unique_lock<std::mutex> lock(state->mu);
+    state->cv.wait(lock, [&] { return state->finished == state->started; });
     error = state->error;
   }
   if (error) std::rethrow_exception(error);

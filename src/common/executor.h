@@ -11,13 +11,10 @@
 // subtasks up, the caller drains the index space itself.
 //
 // ExecContext bundles what a stage driver needs from its caller: the
-// executor, a worker cap, the cooperative cancellation flag, an optional
-// deadline (both polled at block/shard boundaries via `Stopped()`), and
-// an optional ProgressSink for intra-stage progress. The sink's contract
-// is a mutex-free MPSC path: any worker may `Tick()` units (a relaxed
-// atomic add), and only the single driving thread `Poll()`s them out to
-// the user's callback — ParallelFor polls between the caller's own
-// indices and while it waits for in-flight workers.
+// executor, a worker cap, the cooperative cancellation flag and an
+// optional deadline (both polled at block/shard boundaries via
+// `Stopped()`). Progress is not the executor's business: a session
+// reports each stage's begin and end itself, on its driving thread.
 
 #ifndef MLNCLEAN_COMMON_EXECUTOR_H_
 #define MLNCLEAN_COMMON_EXECUTOR_H_
@@ -97,19 +94,8 @@ Executor* ProcessExecutor();
 /// The shared inline (sequential) executor.
 Executor* SequentialExecutor();
 
-/// Intra-stage progress sink. `Tick` is the multi-producer half (any
-/// worker thread, lock-free); `Poll` is the single-consumer half and must
-/// only be called from the thread driving the loop — it is where
-/// aggregated ticks become user-visible progress events.
-class ProgressSink {
- public:
-  virtual ~ProgressSink() = default;
-  virtual void Tick(size_t units) = 0;
-  virtual void Poll() = 0;
-};
-
 /// Everything a stage driver needs from its caller. Default-constructed:
-/// sequential, no cancellation, no deadline, no progress.
+/// sequential, no cancellation, no deadline.
 struct ExecContext {
   /// Null means inline (sequential) execution.
   Executor* executor = nullptr;
@@ -122,8 +108,6 @@ struct ExecContext {
   /// Optional deadline, also polled at block/shard boundaries.
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline{};
-  /// Optional intra-stage progress sink (see ProgressSink).
-  ProgressSink* progress = nullptr;
 
   /// Worker parallelism this context may use (>= 1).
   size_t parallelism() const {
@@ -151,29 +135,19 @@ struct ExecContext {
     if (cancelled()) return Status::Cancelled(what + " cancelled");
     return Status::DeadlineExceeded(what + " aborted: deadline expired");
   }
-
-  void Tick(size_t units) const {
-    if (progress != nullptr) progress->Tick(units);
-  }
-  void Poll() const {
-    if (progress != nullptr) progress->Poll();
-  }
 };
 
 /// Runs `fn(i)` for i in [0, n) and waits for completion. Worker tasks
 /// come from `ctx.executor` (capped by `ctx.max_workers`), indices are
 /// handed out dynamically for load balance, and the calling thread always
-/// participates — see the deadlock note at the top of this header. The
-/// caller's thread additionally `Poll()`s the context's progress sink
-/// between its own indices and while waiting on in-flight workers, so
-/// intra-stage progress reaches the user mid-loop without the workers
-/// ever touching the callback. `fn` must be safe to call concurrently;
-/// exceptions stop the loop early and the first one is rethrown on the
-/// caller. With a null/inline executor (or n == 1) the loop runs inline
-/// in index order with zero overhead.
+/// participates — see the deadlock note at the top of this header. `fn`
+/// must be safe to call concurrently; exceptions stop the loop early and
+/// the first one is rethrown on the caller. With a null/inline executor,
+/// a parallelism of 1 or n == 1 the loop runs inline in index order with
+/// zero overhead: this is the one sequential loop of every stage driver.
 void ParallelFor(size_t n, const ExecContext& ctx, const std::function<void(size_t)>& fn);
 
-/// ParallelFor with a bare executor and no cancellation/progress.
+/// ParallelFor with a bare executor and no cancellation.
 void ParallelFor(size_t n, Executor* executor, const std::function<void(size_t)>& fn);
 
 }  // namespace mlnclean

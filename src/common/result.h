@@ -45,6 +45,8 @@ class Result {
 
   const T& operator*() const& { return ValueUnsafe(); }
   T& operator*() & { return ValueUnsafe(); }
+  /// Moves the value out of a temporary, so `T x = *F(...)` never copies.
+  T operator*() && { return std::move(*value_); }
   const T* operator->() const { return &ValueUnsafe(); }
   T* operator->() { return &ValueUnsafe(); }
 

@@ -138,7 +138,6 @@ Result<FdMinerOutput> MineFds(const Dataset& data, const DiscoveryOptions& optio
       if (support < options.min_support) return;  // anti-monotone: prune subtree
       slot.kept = true;
       MineNode(data, options, cand.attrs, out.fds, support, &slot);
-      ctx.Tick(1);
     });
     if (ctx.Stopped()) return ctx.StopStatus("rule discovery");
 

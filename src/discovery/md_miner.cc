@@ -86,7 +86,6 @@ Result<std::vector<MatchingDependency>> MineMatchingDependencies(
         }
       }
     }
-    ctx.Tick(end - begin);
   });
   if (ctx.Stopped()) return ctx.StopStatus("matching-dependency mining");
 

@@ -162,7 +162,6 @@ Status MlnIndex::AppendRows(const Dataset& data, const RuleSet& rules,
         group.pieces.push_back(std::move(g));
       }
     }
-    ctx.Tick(1);
   });
   if (ctx.Stopped()) return ctx.StopStatus("index append");
   for (const Status& status : statuses) {
@@ -284,7 +283,6 @@ size_t MlnIndex::LearnWeights(const ExecContext& ctx) {
   ParallelFor(blocks_.size(), ctx, [&](size_t bi) {
     if (ctx.Stopped()) return;
     capped += LearnBlockWeights(&blocks_[bi]);
-    ctx.Tick(1);
   });
   return capped;
 }

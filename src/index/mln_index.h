@@ -69,8 +69,8 @@ class MlnIndex {
   /// call. `data` must be the same dataset the index was built over plus
   /// the appended rows (same dictionaries; Append only grows them, so
   /// existing ids are stable). Rules ground in parallel on `ctx`'s
-  /// executor; the result is identical for any executor or worker cap, and
-  /// one progress unit is ticked per rule. Weights of touched γs are stale
+  /// executor; the result is identical for any executor or worker cap.
+  /// Weights of touched γs are stale
   /// after an append; callers re-run the learn stage downstream. When
   /// `ctx` is stopped mid-append the index is left partially appended —
   /// callers must treat it as unusable (sessions go terminal).
@@ -108,7 +108,7 @@ class MlnIndex {
   /// by an exact Newton solve per reason-key group (mln/weight_learner.h)
   /// over the current (post-AGP) grouping. Blocks are learned in parallel
   /// on `ctx`'s executor (deterministic: each block's problem is
-  /// independent and computed identically); one progress unit per block.
+  /// independent and computed identically).
   /// When `ctx` is stopped, blocks not yet learned are skipped
   /// (cooperative cancellation; the caller reports the terminal Status).
   /// Returns the number of groups whose solve stopped at the step cap

@@ -42,7 +42,8 @@
 // Sessions remain the streaming/staged core under both paths: Warm /
 // reuse_model_weights amortize weight learning across micro-batches
 // (the store keeps the all-history Eq. 6 average), staged sessions add
-// per-stage and intra-stage progress callbacks plus cancellation:
+// per-stage progress callbacks (a begin and an end event per stage) plus
+// cancellation:
 //
 //   CleanSession session = model.NewSession(batch, options);
 //   session.RunUntil(Stage::kLearn);   // inspect, then

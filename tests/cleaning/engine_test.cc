@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "baseline/holoclean.h"
@@ -128,28 +129,42 @@ TEST(CleaningEngineTest, TakeResultBeforeFinishIsInvalid) {
 }
 
 TEST(CleaningEngineTest, ProgressEventsFireInStageOrder) {
+  // Exactly one begin and one end event per stage, on the driving thread,
+  // whether the stages run inline or on a pool.
   Dataset dirty = *SampleHospitalDirty();
-  CleanModel model = *CleaningEngine().Compile(dirty.schema(), *SampleHospitalRules());
-  std::vector<StageProgress> events;
-  SessionOptions opts;
-  opts.progress = [&](const StageProgress& p) { events.push_back(p); };
-  CleanSession session = model.NewSession(dirty, opts);
-  ASSERT_TRUE(session.Resume().ok());
-  ASSERT_EQ(events.size(), 2u * kNumStages);
-  for (int s = 0; s < kNumStages; ++s) {
-    const StageProgress& begin = events[2 * s];
-    const StageProgress& end = events[2 * s + 1];
-    EXPECT_EQ(begin.stage, static_cast<Stage>(s));
-    EXPECT_EQ(end.stage, static_cast<Stage>(s));
-    EXPECT_EQ(begin.units_done, 0u);
-    EXPECT_EQ(end.units_done, end.units_total);
-    EXPECT_EQ(begin.units_total, end.units_total);
-    EXPECT_GE(end.seconds, 0.0);
+  PoolExecutor pool(4);
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    CleaningOptions options;
+    options.num_threads = threads;
+    if (threads > 1) options.executor = &pool;
+    CleanModel model =
+        *CleaningEngine(options).Compile(dirty.schema(), *SampleHospitalRules());
+    std::vector<StageProgress> events;
+    const std::thread::id driver = std::this_thread::get_id();
+    SessionOptions opts;
+    opts.progress = [&](const StageProgress& p) {
+      EXPECT_EQ(std::this_thread::get_id(), driver);
+      events.push_back(p);
+    };
+    CleanSession session = model.NewSession(dirty, opts);
+    ASSERT_TRUE(session.Resume().ok());
+    ASSERT_EQ(events.size(), 2u * kNumStages);
+    for (int s = 0; s < kNumStages; ++s) {
+      const StageProgress& begin = events[2 * s];
+      const StageProgress& end = events[2 * s + 1];
+      EXPECT_EQ(begin.stage, static_cast<Stage>(s));
+      EXPECT_EQ(end.stage, static_cast<Stage>(s));
+      EXPECT_EQ(begin.units_done, 0u);
+      EXPECT_EQ(end.units_done, end.units_total);
+      EXPECT_EQ(begin.units_total, end.units_total);
+      EXPECT_GE(end.seconds, 0.0);
+    }
+    // Unit counts: rules for kIndex, tuples for kFscr.
+    EXPECT_EQ(events[0].units_total, SampleHospitalRules()->size());
+    EXPECT_EQ(events[2 * static_cast<int>(Stage::kFscr)].units_total,
+              dirty.num_rows());
   }
-  // Unit counts: rules for kIndex, tuples for kFscr.
-  EXPECT_EQ(events[0].units_total, SampleHospitalRules()->size());
-  EXPECT_EQ(events[2 * static_cast<int>(Stage::kFscr)].units_total,
-            dirty.num_rows());
 }
 
 TEST(CleaningEngineTest, PreCancelledTokenAbortsBeforeAnyWork) {

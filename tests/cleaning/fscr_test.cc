@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 
 #include "cleaning/agp.h"
@@ -222,6 +223,32 @@ TEST(FscrTest, FScoreIsProductOfWeights) {
   ASSERT_GT(w1, 0.0);
   ASSERT_GT(w2, 0.0);
   EXPECT_NEAR(report.fscr[0].f_score, w1 * w2, 1e-9);
+}
+
+TEST(FscrTest, StoppedRunAppendsNoRecords) {
+  // A run whose context is stopped appends no records, on every executor;
+  // records already in the report stay as they were.
+  StageOneFixture f;
+  std::atomic<bool> cancel{true};
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(threads);
+    PoolExecutor pool(threads);
+    ExecContext ctx;
+    ctx.executor = &pool;
+    ctx.cancel = &cancel;
+    CleaningReport report;
+    FscrRecord earlier;
+    earlier.tuple = 7;
+    earlier.fused = true;
+    earlier.f_score = 0.5;
+    report.fscr.push_back(earlier);
+    Dataset cleaned = f.dirty.Clone();
+    RunFscr(f.dirty, f.rules, f.index, f.options, &cleaned, &report, ctx);
+    ASSERT_EQ(report.fscr.size(), 1u);
+    EXPECT_EQ(report.fscr[0].tuple, 7);
+    EXPECT_TRUE(report.fscr[0].fused);
+    EXPECT_EQ(report.fscr[0].f_score, 0.5);
+  }
 }
 
 TEST(FscrTest, SearchWorkTotalsArePinned) {

@@ -17,11 +17,13 @@
 #include "datagen/hospital.h"
 #include "errorgen/injector.h"
 #include "index/mln_index.h"
+#include "testing/same_index.h"
 #include "testing/same_report.h"
 
 namespace mlnclean {
 namespace {
 
+using testing::ExpectSameIndex;
 using testing::ExpectSameReport;
 
 // A corrupted hospital workload small enough to reclean repeatedly.
@@ -40,30 +42,6 @@ GeneratedCase MakeGenerated(uint64_t seed, size_t hospitals = 15) {
   spec.seed = seed;
   DirtyDataset dd = *InjectErrors(wl.clean, wl.rules, spec);
   return GeneratedCase{std::move(wl), std::move(dd)};
-}
-
-// Full structural equality of two indexes, ids and weights included.
-void ExpectSameIndex(const MlnIndex& a, const MlnIndex& b) {
-  ASSERT_EQ(a.num_blocks(), b.num_blocks());
-  for (size_t bi = 0; bi < a.num_blocks(); ++bi) {
-    const Block& ba = a.block(bi);
-    const Block& bb = b.block(bi);
-    EXPECT_EQ(ba.rule_index, bb.rule_index);
-    ASSERT_EQ(ba.groups.size(), bb.groups.size()) << "block " << bi;
-    for (size_t gi = 0; gi < ba.groups.size(); ++gi) {
-      const Group& ga = ba.groups[gi];
-      const Group& gb = bb.groups[gi];
-      ASSERT_EQ(ga.pieces.size(), gb.pieces.size())
-          << "block " << bi << " group " << gi;
-      for (size_t pi = 0; pi < ga.pieces.size(); ++pi) {
-        const Piece& pa = ga.pieces[pi];
-        const Piece& pb = gb.pieces[pi];
-        EXPECT_EQ(pa.tuples, pb.tuples);
-        EXPECT_EQ(pa.ids, pb.ids);
-        EXPECT_EQ(pa.weight, pb.weight);
-      }
-    }
-  }
 }
 
 // Rows [0, end) of `src` re-appended into a fresh dataset — exactly how

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "cleaning/agp.h"
+#include "datagen/hospital.h"
 #include "datagen/sample.h"
+#include "errorgen/injector.h"
 #include "testing/hand_built.h"
+#include "testing/same_index.h"
+#include "testing/same_report.h"
 
 namespace mlnclean {
 namespace {
@@ -193,6 +199,38 @@ TEST(RscTest, ReliabilityScoreUsesSupportScaling) {
   group.pieces.push_back(h.Make("K", {"xb"}, {3}, 0.5));
   std::vector<double> scores = ReliabilityScores(group, h.data, h.narrow, Lev());
   EXPECT_GT(scores[0], scores[1]);
+}
+
+TEST(RscTest, ParallelRunMatchesSequential) {
+  // A HAI table with several blocks that each hold replacements: RSC on a
+  // 4-thread pool must leave the same index and the same records, in
+  // block order, as the inline run.
+  Workload wl = *MakeHospitalWorkload({.num_hospitals = 40, .num_measures = 10});
+  ErrorSpec spec;
+  spec.seed = 42;
+  Dataset dirty = InjectErrors(wl.clean, wl.rules, spec)->dirty;
+  CleaningOptions options;
+  options.agp_threshold = 3;
+  MlnIndex base = *MlnIndex::Build(dirty, wl.rules);
+  RunAgpAll(&base, dirty, wl.rules, options, nullptr);
+  base.LearnWeights();
+  ASSERT_GT(base.num_blocks(), 1u);
+
+  MlnIndex inline_index = base;
+  CleaningReport inline_report;
+  RunRscAll(&inline_index, dirty, wl.rules, Lev(), &inline_report);
+  std::set<size_t> blocks;
+  for (const RscRepairRecord& rec : inline_report.rsc) blocks.insert(rec.block);
+  ASSERT_GT(blocks.size(), 1u);
+
+  PoolExecutor pool(4);
+  ExecContext ctx;
+  ctx.executor = &pool;
+  MlnIndex pool_index = base;
+  CleaningReport pool_report;
+  RunRscAll(&pool_index, dirty, wl.rules, Lev(), &pool_report, ctx);
+  testing::ExpectSameIndex(pool_index, inline_index);
+  testing::ExpectSameReport(pool_report, inline_report);
 }
 
 }  // namespace

@@ -156,30 +156,5 @@ TEST(ExecContextTest, StoppedReflectsCancelAndDeadline) {
   EXPECT_FALSE(ctx.cancelled());
 }
 
-// A sink that records the consumer-side observations.
-struct RecordingSink : ProgressSink {
-  std::atomic<size_t> ticks{0};
-  std::vector<size_t> polled;
-  void Tick(size_t units) override { ticks.fetch_add(units); }
-  void Poll() override { polled.push_back(ticks.load()); }
-};
-
-TEST(ParallelForTest, ProgressSinkTicksAndPollsOnCaller) {
-  PoolExecutor ex(4);
-  RecordingSink sink;
-  ExecContext ctx;
-  ctx.executor = &ex;
-  ctx.progress = &sink;
-  ParallelFor(64, ctx, [&](size_t) { ctx.Tick(1); });
-  EXPECT_EQ(sink.ticks.load(), 64u);
-  // Poll happened at least once (final flush), always on this thread, and
-  // observed a monotone counter.
-  ASSERT_FALSE(sink.polled.empty());
-  for (size_t i = 1; i < sink.polled.size(); ++i) {
-    EXPECT_GE(sink.polled[i], sink.polled[i - 1]);
-  }
-  EXPECT_EQ(sink.polled.back(), 64u);
-}
-
 }  // namespace
 }  // namespace mlnclean

@@ -110,6 +110,34 @@ TEST(ResultTest, MoveOutValue) {
   EXPECT_EQ(v, "payload");
 }
 
+// Counts its copies; moves are free.
+struct CopyCounted {
+  static int copies;
+  CopyCounted() = default;
+  CopyCounted(const CopyCounted&) { ++copies; }
+  CopyCounted(CopyCounted&&) noexcept = default;
+  CopyCounted& operator=(const CopyCounted&) {
+    ++copies;
+    return *this;
+  }
+  CopyCounted& operator=(CopyCounted&&) noexcept = default;
+};
+int CopyCounted::copies = 0;
+
+Result<CopyCounted> MakeCopyCounted() { return CopyCounted(); }
+
+TEST(ResultTest, DereferencingATemporaryMovesTheValueOut) {
+  CopyCounted::copies = 0;
+  auto v = *MakeCopyCounted();
+  (void)v;
+  EXPECT_EQ(CopyCounted::copies, 0);
+  // An lvalue Result still hands out a reference.
+  Result<CopyCounted> r = MakeCopyCounted();
+  const CopyCounted& ref = *r;
+  EXPECT_EQ(&ref, &r.ValueUnsafe());
+  EXPECT_EQ(CopyCounted::copies, 0);
+}
+
 Result<int> Half(int x) {
   if (x % 2 != 0) return Status::Invalid("odd");
   return x / 2;
