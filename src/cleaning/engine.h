@@ -104,12 +104,6 @@ struct SessionOptions {
   /// untouched (exactly the cancellation contract). A deadline already in
   /// the past fails the run before any stage work.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  /// CleanServer scheduling class: among queued submissions, a higher
-  /// priority always pops first; within one priority the earliest
-  /// deadline wins (EDF — a job without a deadline sorts after every job
-  /// with one), and admission order breaks the remaining ties. 0 is the
-  /// default class; the session itself ignores this field.
-  int priority = 0;
   /// kLearn draws γ weights from the model's Eq. 6 store (Eq. 4 priors
   /// overridden by any stored weight) instead of running the Newton
   /// learner — the amortization lever for serving micro-batches. Falls

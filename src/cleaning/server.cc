@@ -23,12 +23,7 @@ struct ServerJob {
   std::optional<Dataset> owned;
   SessionOptions opts;
 
-  // Scheduling keys, assigned once under the server lock at admission.
-  // The queue pops by (opts.priority desc, opts.deadline asc, seq asc);
-  // a resumed staged job keeps its original seq, so it re-queues at its
-  // original rank within its class.
-  uint64_t seq = 0;
-  std::chrono::steady_clock::time_point submitted_at;
+  std::chrono::steady_clock::time_point submitted_at;  // set at admission
 
   // Every cold-lane job runs in legs over one session, created on the
   // first leg. A plain job is one leg to `final_stage` = kDedup; a staged
@@ -46,7 +41,6 @@ struct ServerJob {
   bool paused = false;   // staged: parked at pause_after, session readable
   bool resumed = false;  // staged: ResumeJob already re-enqueued it
   bool done = false;
-  bool taken = false;
   Status status;
   std::optional<CleanResult> result;
 };
@@ -62,12 +56,10 @@ struct ServerState {
   const ServerOptions options;
 
   std::mutex mu;  // guards everything below
-  /// The pending cold-lane queue, kept as a binary heap under JobAfter
-  /// (std::push_heap/pop_heap): top = highest priority, then earliest
-  /// deadline, then lowest admission seq — plain FIFO when nobody sets
-  /// priorities or deadlines.
+  /// The pending cold-lane queue, popped from the front: fresh jobs join
+  /// at the back, resumed staged legs ahead of every fresh job (see
+  /// EnqueueResumed).
   std::deque<std::shared_ptr<ServerJob>> queue;
-  uint64_t next_seq = 0;  // admission order stamp
   size_t workers = 0;  // worker loops scheduled or running
   size_t running = 0;  // jobs currently executing
   ServerStats totals;  // queued/running/latency are derived on snapshot
@@ -88,21 +80,6 @@ struct ServerState {
 };
 
 namespace {
-
-// Heap comparator: true when `a` should pop *after* `b`. Higher priority
-// first; within a priority the earliest deadline (EDF — no deadline sorts
-// after every deadline), then admission order.
-bool JobAfter(const std::shared_ptr<ServerJob>& a,
-              const std::shared_ptr<ServerJob>& b) {
-  if (a->opts.priority != b->opts.priority) {
-    return a->opts.priority < b->opts.priority;
-  }
-  constexpr auto kNever = std::chrono::steady_clock::time_point::max();
-  const auto da = a->opts.deadline.value_or(kNever);
-  const auto db = b->opts.deadline.value_or(kNever);
-  if (da != db) return da > db;
-  return a->seq > b->seq;
-}
 
 // The one completion of every job on either lane. `running` drops in the
 // same critical section as the terminal counters, *before* the done flag
@@ -272,9 +249,7 @@ void RunIncrementalDrainer(const std::shared_ptr<ServerState>& state) {
 // retires. Submit schedules a new worker whenever fewer than
 // max_concurrent_sessions are alive, so the worker count breathes with
 // the load instead of parking executor threads on an idle server. Jobs
-// pop one per lock acquisition in heap order (priority, EDF, admission
-// order — see JobAfter), so a later, more urgent submission overtakes
-// every job still queued.
+// pop one per lock acquisition from the front of the queue.
 void RunWorker(const std::shared_ptr<ServerState>& state) {
   for (;;) {
     std::shared_ptr<ServerJob> job;
@@ -284,9 +259,8 @@ void RunWorker(const std::shared_ptr<ServerState>& state) {
         --state->workers;
         return;
       }
-      std::pop_heap(state->queue.begin(), state->queue.end(), JobAfter);
-      job = std::move(state->queue.back());
-      state->queue.pop_back();
+      job = std::move(state->queue.front());
+      state->queue.pop_front();
       ++state->running;
     }
     RunJob(state, job);  // decrements `running` when it parks or finishes
@@ -294,15 +268,23 @@ void RunWorker(const std::shared_ptr<ServerState>& state) {
 }
 
 // Re-admission for a resumed staged job: no capacity check (the job was
-// admitted once and merely parked), original scheduling keys. Shared by
-// CleanTicket::ResumeJob, which has a job handle but no server handle.
+// admitted once and merely parked). The leg queues ahead of every fresh
+// job, which was admitted after it, and behind the legs resumed before
+// it. A queued job has a session exactly when it is a resumed leg: the
+// first leg created it, and a fresh job gets one only once popped.
+// Shared by CleanTicket::ResumeJob, which has a job handle but no server
+// handle.
 Status EnqueueResumed(const std::shared_ptr<ServerState>& state,
                       std::shared_ptr<ServerJob> job) {
   bool spawn = false;
   try {
     std::lock_guard<std::mutex> lock(state->mu);
-    state->queue.push_back(std::move(job));
-    std::push_heap(state->queue.begin(), state->queue.end(), JobAfter);
+    const auto first_fresh =
+        std::find_if(state->queue.begin(), state->queue.end(),
+                     [](const std::shared_ptr<ServerJob>& queued) {
+                       return queued->session == nullptr;
+                     });
+    state->queue.insert(first_fresh, std::move(job));
     if (state->workers < state->options.max_concurrent_sessions) {
       ++state->workers;
       spawn = true;
@@ -331,23 +313,16 @@ Status CleanTicket::Wait() const {
   return job_->status;
 }
 
-std::optional<Result<CleanResult>> CleanTicket::TryGet() {
-  std::lock_guard<std::mutex> lock(job_->mu);
-  if (!job_->done) return std::nullopt;
-  if (!job_->status.ok()) return Result<CleanResult>(job_->status);
-  if (job_->taken || !job_->result.has_value()) {
-    return Result<CleanResult>(
-        Status::Invalid("result already taken from this ticket"));
+Result<CleanResult> CleanTicket::Take() {
+  std::unique_lock<std::mutex> lock(job_->mu);
+  job_->cv.wait(lock, [this] { return job_->done; });
+  if (!job_->status.ok()) return job_->status;
+  if (!job_->result.has_value()) {
+    return Status::Invalid("result already taken from this ticket");
   }
-  job_->taken = true;
   Result<CleanResult> out(std::move(*job_->result));
   job_->result.reset();
   return out;
-}
-
-Result<CleanResult> CleanTicket::Take() {
-  Wait();
-  return *TryGet();  // non-empty: the job is done
 }
 
 void CleanTicket::Cancel() { job_->opts.cancel.RequestCancel(); }
@@ -404,13 +379,6 @@ Result<CleanTicket> CleanServer::Submit(const Dataset& dirty, SessionOptions opt
 Result<CleanTicket> CleanServer::Submit(Dataset&& dirty, SessionOptions opts) {
   return Enqueue(nullptr, std::move(dirty), std::move(opts), std::nullopt,
                  Stage::kDedup);
-}
-
-Result<CleanTicket> CleanServer::SubmitCsv(std::string_view csv_text,
-                                           SessionOptions opts,
-                                           QuarantineReport* quarantine) {
-  MLN_ASSIGN_OR_RETURN(Dataset batch, Dataset::FromCsv(csv_text, quarantine));
-  return Submit(std::move(batch), std::move(opts));
 }
 
 Result<CleanTicket> CleanServer::SubmitStaged(const Dataset& dirty,
@@ -481,17 +449,8 @@ Result<CleanTicket> CleanServer::Enqueue(const Dataset* dirty,
           std::to_string(state_->options.queue_capacity) +
           " pending submissions); retry later");
     }
-    job->seq = state_->next_seq++;
     job->submitted_at = std::chrono::steady_clock::now();
-    auto& queue = incremental ? state_->inc_queue : state_->queue;
-    queue.push_back(job);
-    // The cold lane is a heap (priority/EDF/seq); push_heap only swaps
-    // shared_ptrs under a non-throwing comparator, so push_back stays the
-    // only throwing statement past the capacity check. The incremental
-    // lane remains strict FIFO — its ordering IS its contract.
-    if (!incremental) {
-      std::push_heap(state_->queue.begin(), state_->queue.end(), JobAfter);
-    }
+    (incremental ? state_->inc_queue : state_->queue).push_back(job);
     ++state_->totals.submitted;
     if (incremental) {
       // One drainer, ever: submission order is append order.
@@ -540,7 +499,5 @@ ServerStats CleanServer::Stats() const {
   stats.latency = SummarizeLatencies(std::move(window), samples);
   return stats;
 }
-
-const CleanModel& CleanServer::model() const { return state_->model; }
 
 }  // namespace mlnclean

@@ -11,13 +11,9 @@
 //
 // Submission is asynchronous; at most `max_concurrent_sessions` jobs run
 // at a time, each as one task on the shared executor. The pending queue
-// pops by (priority desc, deadline asc, admission order): submissions of
-// one priority class with the same deadline state run in submit order
-// (plain FIFO when nobody sets either knob), a higher
-// SessionOptions::priority always goes first, and within a class the
-// earliest deadline wins (EDF; deadline-less jobs sort last). A worker
-// pops one job per lock acquisition, so the order is strict: a later,
-// more urgent submission overtakes every job still queued.
+// is FIFO: submissions run in submit order, and a resumed staged leg
+// (ResumeJob) runs ahead of every queued submission, behind legs resumed
+// before it. Deadlines stop a run; they do not reorder the queue.
 // When the pending queue is full, Submit returns
 // StatusCode::kUnavailable immediately (backpressure — the caller sheds
 // or retries; nothing blocks). Every ticket carries its session's
@@ -124,13 +120,9 @@ class CleanTicket {
   /// kDeadlineExceeded, or the failure).
   Status Wait() const;
 
-  /// Non-blocking harvest: empty while the job is pending or running;
-  /// otherwise the moved-out CleanResult (or the terminal error). Like
+  /// Wait() + move the result out (or return the terminal error). Like
   /// CleanSession::TakeResult, the result can be taken exactly once —
   /// later calls return kInvalid.
-  std::optional<Result<CleanResult>> TryGet();
-
-  /// Wait() + move the result out.
   Result<CleanResult> Take();
 
   /// Requests cooperative cancellation of this job (same semantics as
@@ -155,8 +147,8 @@ class CleanTicket {
   CleanSession* session() const;
 
   /// Re-enqueues a parked staged job to run to its final stage. Bypasses
-  /// the admission capacity check (the job was admitted once); scheduling
-  /// keys (priority, deadline, admission order) are unchanged. Invalid on
+  /// the admission capacity check (the job was admitted once) and queues
+  /// ahead of every fresh submission, behind legs resumed earlier. Invalid on
   /// plain tickets, before the pause point, or twice; returns the
   /// terminal status if the first leg already failed.
   Status ResumeJob();
@@ -172,8 +164,8 @@ class CleanTicket {
 /// jobs finish (they pin the shared state), only new submissions become
 /// impossible. The datasets behind outstanding tickets are borrowed and
 /// must stay alive until their tickets are terminal — unless submitted
-/// through the owning overloads (Submit(Dataset&&), SubmitCsv), where the
-/// job keeps the batch alive itself.
+/// through the owning overloads (Submit(Dataset&&), SubmitStaged(Dataset&&)),
+/// where the job keeps the batch alive itself.
 class CleanServer {
  public:
   /// Validates `options` and returns a server over `model`.
@@ -189,15 +181,8 @@ class CleanServer {
   Result<CleanTicket> Submit(const Dataset& dirty, SessionOptions opts = {});
 
   /// Owning Submit: the batch moves into the job, so the caller needs no
-  /// dataset outliving the ticket. SubmitCsv builds on this.
+  /// dataset outliving the ticket.
   Result<CleanTicket> Submit(Dataset&& dirty, SessionOptions opts = {});
-
-  /// Parses `csv_text` and submits the resulting batch (owned by the
-  /// job). With a non-null `quarantine`, malformed data rows are set
-  /// aside per Dataset::FromCsv — one bad row degrades the batch instead
-  /// of failing the submission; a broken header still fails.
-  Result<CleanTicket> SubmitCsv(std::string_view csv_text, SessionOptions opts = {},
-                                QuarantineReport* quarantine = nullptr);
 
   /// Submit with capped-exponential-backoff retries on retryable
   /// rejections (kUnavailable backpressure, kResourceExhausted). Sleeps
@@ -229,9 +214,6 @@ class CleanServer {
 
   /// Counter snapshot (queue depth, terminal counts, stage seconds).
   ServerStats Stats() const;
-
-  /// The served model.
-  const CleanModel& model() const;
 
  private:
   explicit CleanServer(std::shared_ptr<ServerState> state)

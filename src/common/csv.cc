@@ -9,10 +9,8 @@ namespace {
 
 // Parses one record starting at *pos; advances *pos past the record and its
 // trailing newline. Returns false at end of input. A malformed record
-// (stray or unterminated quote) sets *reason, advances *pos past the rest
-// of the physical line — the recovery point a quarantining caller resumes
-// from; any quoted newlines the broken row meant to contain are discarded
-// with it — and still returns true.
+// (stray or unterminated quote) sets *reason and still returns true; the
+// caller fails the parse there, so *pos is left where it was.
 bool ParseRecord(std::string_view text, size_t* pos, std::vector<std::string>* fields,
                  std::string* reason) {
   fields->clear();
@@ -42,9 +40,6 @@ bool ParseRecord(std::string_view text, size_t* pos, std::vector<std::string>* f
         case '"':
           if (!field.empty()) {
             *reason = "stray quote inside unquoted CSV field";
-            while (i < text.size() && text[i] != '\n') ++i;
-            if (i < text.size()) ++i;  // consume the newline
-            *pos = i;
             return true;
           }
           in_quotes = true;
@@ -72,7 +67,6 @@ bool ParseRecord(std::string_view text, size_t* pos, std::vector<std::string>* f
   }
   if (in_quotes) {
     *reason = "unterminated quoted CSV field";
-    *pos = i;  // end of input: nothing left to resume from
     return true;
   }
   fields->push_back(std::move(field));
@@ -99,69 +93,42 @@ void AppendField(std::string* out, std::string_view field) {
 
 }  // namespace
 
-std::string QuarantineReport::Summary() const {
-  std::ostringstream out;
-  out << "quarantined " << rows.size() << " of " << rows.size() + rows_kept
-      << " rows";
-  if (!rows.empty()) {
-    out << " (first: row " << rows.front().row_number << ": "
-        << rows.front().reason << ")";
-  }
-  return out.str();
-}
-
-Result<CsvTable> ParseCsv(std::string_view text) { return ParseCsv(text, nullptr); }
-
-Result<CsvTable> ParseCsv(std::string_view text, QuarantineReport* quarantine) {
+Result<CsvTable> ParseCsv(std::string_view text) {
   CsvTable table;
   size_t pos = 0;
   std::string reason;
   std::vector<std::string> fields;
   if (!ParseRecord(text, &pos, &fields, &reason)) {
-    return Status::IOError("empty CSV input");
+    return Status::IOError("CSV header: empty input");
   }
-  // A broken header fails even a quarantining parse: without a schema
-  // there is nothing to keep the surviving rows under.
-  if (!reason.empty()) return Status::IOError(reason);
+  if (!reason.empty()) return Status::IOError("CSV header: " + reason);
   table.header = std::move(fields);
-  size_t arity = table.header.size();
+  const size_t arity = table.header.size();
   size_t row_number = 0;  // 1-based data rows; the header is row 0
   while (ParseRecord(text, &pos, &fields, &reason)) {
     ++row_number;
-    if (!reason.empty()) {
-      if (quarantine == nullptr) return Status::IOError(reason);
-      quarantine->rows.push_back({row_number, reason});
-      continue;
-    }
-    // Tolerate a trailing blank line.
-    if (fields.size() == 1 && fields[0].empty() && pos >= text.size()) break;
-    if (fields.size() != arity) {
-      std::ostringstream msg;
-      msg << fields.size() << " fields, expected " << arity;
-      if (quarantine == nullptr) {
-        std::ostringstream full;
-        full << "CSV row " << row_number << " has " << msg.str();
-        return Status::IOError(full.str());
+    if (reason.empty()) {
+      // Tolerate a trailing blank line.
+      if (fields.size() == 1 && fields[0].empty() && pos >= text.size()) break;
+      if (fields.size() != arity) {
+        reason = std::to_string(fields.size()) + " fields, expected " +
+                 std::to_string(arity);
       }
-      quarantine->rows.push_back({row_number, msg.str()});
-      continue;
+    }
+    if (!reason.empty()) {
+      return Status::IOError("CSV row " + std::to_string(row_number) + ": " + reason);
     }
     table.rows.push_back(std::move(fields));
   }
-  if (quarantine != nullptr) quarantine->rows_kept = table.rows.size();
   return table;
 }
 
 Result<CsvTable> ReadCsvFile(const std::string& path) {
-  return ReadCsvFile(path, nullptr);
-}
-
-Result<CsvTable> ReadCsvFile(const std::string& path, QuarantineReport* quarantine) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open file: " + path);
   std::ostringstream buf;
   buf << in.rdbuf();
-  return ParseCsv(buf.str(), quarantine);
+  return ParseCsv(buf.str());
 }
 
 std::string WriteCsv(const CsvTable& table) {

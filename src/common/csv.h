@@ -18,44 +18,15 @@ struct CsvTable {
   std::vector<std::vector<std::string>> rows;
 };
 
-/// One malformed row set aside during a quarantining parse.
-struct QuarantinedRow {
-  /// 1-based data row number (the header is row 0), counted over the
-  /// input — quarantined rows keep their numbers, so the caller can point
-  /// a user at the exact line of the source file.
-  size_t row_number = 0;
-  /// Why the row was set aside ("7 fields, expected 9", "stray quote
-  /// inside unquoted CSV field", ...).
-  std::string reason;
-};
-
-/// Outcome of a quarantining parse: which rows were set aside and why.
-/// One bad row degrades a batch instead of failing it — the contract
-/// Dataset::FromCsv and CleanServer::SubmitCsv expose.
-struct QuarantineReport {
-  std::vector<QuarantinedRow> rows;
-  /// Well-formed data rows that made it into the table.
-  size_t rows_kept = 0;
-
-  bool empty() const { return rows.empty(); }
-  /// "quarantined 2 of 42 rows (first: row 7: ...)" — for logs/CLIs.
-  std::string Summary() const;
-};
-
-/// Parses CSV text. Every row must have the same arity as the header.
+/// Parses CSV text strictly. Every row must have the same arity as the
+/// header; the first malformed record fails the parse with an IOError
+/// that names it: "CSV header: <reason>" (empty input, stray or
+/// unterminated quote) or "CSV row N: <reason>" (N = 1-based data record,
+/// the header being row 0; wrong arity, stray or unterminated quote).
 Result<CsvTable> ParseCsv(std::string_view text);
 
-/// Quarantining parse: malformed data rows (wrong arity, stray quote,
-/// unterminated quote) are recorded in `quarantine` with their row number
-/// and skipped instead of failing the parse. Only a malformed *header*
-/// (or empty input) still fails — without a header there is no schema to
-/// keep anything under. With `quarantine == nullptr` this is exactly the
-/// strict overload.
-Result<CsvTable> ParseCsv(std::string_view text, QuarantineReport* quarantine);
-
-/// Reads and parses a CSV file.
+/// Reads and parses a CSV file (strict, as ParseCsv).
 Result<CsvTable> ReadCsvFile(const std::string& path);
-Result<CsvTable> ReadCsvFile(const std::string& path, QuarantineReport* quarantine);
 
 /// Serializes a table to CSV text, quoting only where necessary.
 std::string WriteCsv(const CsvTable& table);

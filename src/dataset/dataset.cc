@@ -15,22 +15,13 @@ Result<Dataset> Dataset::Make(Schema schema, std::vector<std::vector<Value>> row
 }
 
 Result<Dataset> Dataset::FromCsv(std::string_view text) {
-  return FromCsv(text, nullptr);
-}
-
-Result<Dataset> Dataset::FromCsvFile(const std::string& path) {
-  return FromCsvFile(path, nullptr);
-}
-
-Result<Dataset> Dataset::FromCsv(std::string_view text, QuarantineReport* quarantine) {
-  MLN_ASSIGN_OR_RETURN(CsvTable table, ParseCsv(text, quarantine));
+  MLN_ASSIGN_OR_RETURN(CsvTable table, ParseCsv(text));
   MLN_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(table.header)));
   return Make(std::move(schema), std::move(table.rows));
 }
 
-Result<Dataset> Dataset::FromCsvFile(const std::string& path,
-                                     QuarantineReport* quarantine) {
-  MLN_ASSIGN_OR_RETURN(CsvTable table, ReadCsvFile(path, quarantine));
+Result<Dataset> Dataset::FromCsvFile(const std::string& path) {
+  MLN_ASSIGN_OR_RETURN(CsvTable table, ReadCsvFile(path));
   MLN_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(table.header)));
   return Make(std::move(schema), std::move(table.rows));
 }

@@ -47,15 +47,9 @@ class Dataset {
   static Result<Dataset> Make(Schema schema, std::vector<std::vector<Value>> rows);
 
   /// Loads a dataset from CSV (header row = schema).
+  /// Strict: any malformed row fails the load (see ParseCsv).
   static Result<Dataset> FromCsv(std::string_view text);
   static Result<Dataset> FromCsvFile(const std::string& path);
-
-  /// Quarantining loads: malformed data rows are recorded in `quarantine`
-  /// (1-based row numbers + reasons) and skipped instead of failing the
-  /// whole batch; a broken header still fails. nullptr = strict.
-  static Result<Dataset> FromCsv(std::string_view text, QuarantineReport* quarantine);
-  static Result<Dataset> FromCsvFile(const std::string& path,
-                                     QuarantineReport* quarantine);
 
   /// An empty dataset with `other`'s schema and a copy of its
   /// dictionaries: ids of `other` remain valid here, so rows can be copied

@@ -178,7 +178,7 @@ Result<FleetTicket> CleanFleet::Submit(const Dataset& dirty, SessionOptions opts
 
   for (size_t s = 0; s < state_->servers.size(); ++s) {
     if (sharded.mapping[s].empty()) continue;
-    SessionOptions sopts = opts;  // shares cancel; copies deadline/priority
+    SessionOptions sopts = opts;  // shares cancel; copies the deadline
     sopts.progress = nullptr;
     Result<CleanTicket> leg = state_->servers[s].SubmitStaged(
         std::move(sharded.shards[s]), Stage::kLearn, Stage::kFscr,
@@ -223,13 +223,5 @@ FleetStats CleanFleet::Stats() const {
 }
 
 size_t CleanFleet::num_shards() const { return state_->servers.size(); }
-
-const ShardRouter& CleanFleet::router() const { return state_->router; }
-
-const CleanModel& CleanFleet::model() const { return state_->model; }
-
-const CleanServer& CleanFleet::shard_server(size_t shard) const {
-  return state_->servers[shard];
-}
 
 }  // namespace mlnclean

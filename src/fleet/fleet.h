@@ -126,18 +126,14 @@ class CleanFleet {
   /// *read* during this call (routed shard copies ship to the servers;
   /// the result is assembled into a clone), so the caller's dataset need
   /// not outlive the ticket. `opts.progress` and `opts.incremental` are
-  /// not supported at fleet level; priority/deadline/cancel/weight flags
-  /// apply to every shard leg.
+  /// not supported at fleet level; the caller's deadline, cancel token
+  /// and weight flags apply to every shard leg.
   Result<FleetTicket> Submit(const Dataset& dirty, SessionOptions opts = {});
 
   /// Fleet counters plus every shard server's Stats(), in shard order.
   FleetStats Stats() const;
 
   size_t num_shards() const;
-  const ShardRouter& router() const;
-  const CleanModel& model() const;
-  /// Shard s's server — for direct (non-fleet) submissions or probing.
-  const CleanServer& shard_server(size_t shard) const;
 
  private:
   explicit CleanFleet(std::shared_ptr<FleetState> state)

@@ -30,7 +30,7 @@
 //     CleanResult result = *t.Take();           // result.deduped is clean
 //   }
 //
-// Tickets support TryGet() polling, cooperative Cancel(), and per-job
+// Tickets support a blocking Take(), cooperative Cancel(), and per-job
 // deadlines (SessionOptions::deadline, enforced between blocks/shards —
 // an expired job reports kDeadlineExceeded and its input is untouched);
 // server.Stats() exposes queue depth and cumulative per-stage seconds.
@@ -99,7 +99,7 @@
 // them crash-safely (temp file + fsync + atomic rename). The serving
 // architecture — executor model, admission, deadlines — is documented in
 // docs/serving.md, the robustness contract (error taxonomy, retries,
-// quarantine, failpoints) in docs/robustness.md.
+// strict CSV errors, failpoints) in docs/robustness.md.
 //
 // No hand-written rules? Mine them. DiscoverRules proposes approximate
 // FDs and constant CFDs straight from the dirty table (TANE-style

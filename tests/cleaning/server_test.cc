@@ -9,8 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/csv.h"
-
 #include "datagen/hospital.h"
 #include "datagen/sample.h"
 #include "errorgen/injector.h"
@@ -362,44 +360,6 @@ TEST(CleanServerTest, OwningSubmitOutlivesTheCallersDataset) {
   EXPECT_EQ(served->deduped, reference->deduped);
 }
 
-TEST(CleanServerTest, SubmitCsvParsesQuarantinesAndServes) {
-  Dataset dirty = *SampleHospitalDirty();
-  CleaningOptions options;
-  options.agp_threshold = 1;
-  CleanModel model = *CleaningEngine(options).Compile(dirty.schema(),
-                                                      *SampleHospitalRules());
-  PoolExecutor pool(1);
-  ServerOptions sopts;
-  sopts.executor = &pool;
-  CleanServer server = *CleanServer::Create(model, sopts);
-
-  std::string csv = WriteCsv(dirty.ToCsv());
-  // Wedge one malformed row into the middle of the payload.
-  size_t second_newline = csv.find('\n', csv.find('\n') + 1);
-  ASSERT_NE(second_newline, std::string::npos);
-  std::string broken =
-      csv.substr(0, second_newline + 1) + "just,two\n" + csv.substr(second_newline + 1);
-
-  // Strict: the submission fails before anything is enqueued.
-  auto strict = server.SubmitCsv(broken);
-  ASSERT_FALSE(strict.ok());
-  EXPECT_TRUE(strict.status().IsIOError()) << strict.status().ToString();
-  EXPECT_EQ(server.Stats().submitted, 0u);
-
-  // Quarantining: the bad row is set aside and the batch still serves.
-  QuarantineReport q;
-  auto ticket = server.SubmitCsv(broken, SessionOptions{}, &q);
-  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
-  ASSERT_EQ(q.rows.size(), 1u);
-  EXPECT_EQ(q.rows[0].row_number, 2u);
-  EXPECT_EQ(q.rows_kept, dirty.num_rows());
-  auto served = ticket->Take();
-  ASSERT_TRUE(served.ok()) << served.status().ToString();
-  auto reference = CleaningEngine(options).Clean(dirty, *SampleHospitalRules());
-  ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(served->deduped, reference->deduped);
-}
-
 TEST(CleanServerTest, CancelledQueuedTicketReportsCancelled) {
   Dataset dirty = *SampleHospitalDirty();
   CleaningOptions options;
@@ -430,9 +390,7 @@ TEST(CleanServerTest, CancelledQueuedTicketReportsCancelled) {
 
   Status status = doomed->Wait();
   EXPECT_TRUE(status.IsCancelled()) << status.ToString();
-  auto harvested = doomed->TryGet();
-  ASSERT_TRUE(harvested.has_value());
-  EXPECT_TRUE(harvested->status().IsCancelled());
+  EXPECT_TRUE(doomed->Take().status().IsCancelled());
   EXPECT_TRUE(running->Wait().ok());
 }
 
@@ -455,9 +413,7 @@ TEST(CleanServerTest, ExpiredDeadlineLeavesInputUntouchedAndTicketTerminal) {
   EXPECT_EQ(c.dd.dirty, snapshot);
   // Terminal: the ticket keeps reporting the deadline status.
   EXPECT_TRUE(ticket->done());
-  auto harvested = ticket->TryGet();
-  ASSERT_TRUE(harvested.has_value());
-  EXPECT_TRUE(harvested->status().IsDeadlineExceeded());
+  EXPECT_TRUE(ticket->Take().status().IsDeadlineExceeded());
   EXPECT_EQ(server.Stats().deadline_expired, 1u);
 }
 
@@ -516,9 +472,7 @@ TEST(CleanServerTest, ResultCanOnlyBeTakenOnce) {
   auto ticket = server.Submit(dirty);
   ASSERT_TRUE(ticket.ok());
   ASSERT_TRUE(ticket->Take().ok());
-  auto again = ticket->TryGet();
-  ASSERT_TRUE(again.has_value());
-  EXPECT_TRUE(again->status().IsInvalid());
+  EXPECT_TRUE(ticket->Take().status().IsInvalid());
 }
 
 TEST(CleanServerTest, CreateRejectsZeroQueueCapacity) {
@@ -567,13 +521,29 @@ TEST(CleanServerTest, ParallelSessionEmitsOneBeginAndOneEndPerStage) {
             c.dd.dirty.num_rows());
 }
 
-// The queue discipline, observed end to end: while the one worker is
-// parked, four jobs of mixed priority/deadline queue up; they must run
-// in (priority desc, deadline asc, admission order) — in particular the
-// late-submitted high-priority job overtakes everything (the priority
-// inversion this heap exists to prevent), and among equal priorities the
-// earliest deadline wins with deadline-less jobs last.
-TEST(CleanServerTest, QueuePopsByPriorityThenDeadlineThenAdmission) {
+// Records the label of each job's first progress event at or after
+// `from`, in run order; `order` is shared by every job of one test.
+struct RunOrder {
+  std::mutex mu;
+  std::vector<char> order;
+
+  SessionOptions Tracked(char label, Stage from = Stage::kIndex) {
+    SessionOptions opts;
+    opts.progress = [this, label, from, seen = std::make_shared<bool>(false)](
+                        const StageProgress& p) {
+      if (*seen || p.stage < from) return;
+      *seen = true;
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(label);
+    };
+    return opts;
+  }
+};
+
+// The cold lane is FIFO: while the one worker is pinned, queued jobs run
+// in submit order. Deadlines stop a run but never reorder the queue, so
+// a later job with an earlier deadline still waits its turn.
+TEST(CleanServerTest, QueueIsFifo) {
   Dataset dirty = *SampleHospitalDirty();
   CleaningOptions options;
   options.agp_threshold = 1;
@@ -595,45 +565,27 @@ TEST(CleanServerTest, QueuePopsByPriorityThenDeadlineThenAdmission) {
   ASSERT_TRUE(parked.ok());
   gate.AwaitEntered();  // the worker is pinned; everything below queues
 
-  std::mutex order_mu;
-  std::vector<char> order;  // first progress event per job, in run order
-  auto tracked = [&](char label) {
-    SessionOptions opts;
-    opts.progress = [&, label, seen = std::make_shared<bool>(false)](
-                        const StageProgress&) {
-      if (*seen) return;
-      *seen = true;
-      std::lock_guard<std::mutex> lock(order_mu);
-      order.push_back(label);
-    };
-    return opts;
-  };
+  RunOrder run;
   const auto far = std::chrono::steady_clock::now() + std::chrono::hours(1);
-
-  SessionOptions a = tracked('A');  // pri 0, no deadline -> last
-  SessionOptions b = tracked('B');  // pri 0, later deadline
-  SessionOptions d = tracked('D');  // pri 0, earliest deadline
-  b.deadline = far + std::chrono::minutes(30);
-  d.deadline = far;
-  SessionOptions c = tracked('C');  // pri 1, submitted LAST, runs first
-  c.priority = 1;
-
   std::vector<CleanTicket> tickets;
-  tickets.push_back(*server.Submit(dirty, a));
-  tickets.push_back(*server.Submit(dirty, b));
-  tickets.push_back(*server.Submit(dirty, d));
-  tickets.push_back(*server.Submit(dirty, c));
-
+  for (char label : {'A', 'B', 'C', 'D', 'E'}) {
+    SessionOptions opts = run.Tracked(label);
+    // A and E carry no deadline; B, C and D carry ever earlier ones.
+    if (label != 'A' && label != 'E') {
+      opts.deadline = far - std::chrono::minutes(label - 'A');
+    }
+    tickets.push_back(*server.Submit(dirty, opts));
+  }
   gate.Release();
   ASSERT_TRUE(parked->Wait().ok());
   for (CleanTicket& t : tickets) ASSERT_TRUE(t.Wait().ok());
-  EXPECT_EQ(order, (std::vector<char>{'C', 'D', 'B', 'A'}));
+  EXPECT_EQ(run.order, (std::vector<char>{'A', 'B', 'C', 'D', 'E'}));
 }
 
-// Without priorities or deadlines the heap degrades to plain FIFO:
-// admission order is the only key, so existing serving behaviour (and
-// every recorded transcript) is unchanged.
-TEST(CleanServerTest, QueueStaysFifoWhenNobodySetsSchedulingKnobs) {
+// A resumed staged leg was admitted before anything still queued, so it
+// runs ahead of every queued submission; legs resumed one after another
+// run in resume order.
+TEST(CleanServerTest, ResumedLegRunsBeforeQueuedSubmissions) {
   Dataset dirty = *SampleHospitalDirty();
   CleaningOptions options;
   options.agp_threshold = 1;
@@ -646,32 +598,37 @@ TEST(CleanServerTest, QueueStaysFifoWhenNobodySetsSchedulingKnobs) {
   sopts.queue_capacity = 8;
   CleanServer server = *CleanServer::Create(model, sopts);
 
+  // Two staged jobs park at kLearn; their second legs start at kRsc.
+  RunOrder run;
+  auto first = server.SubmitStaged(dirty, Stage::kLearn, Stage::kDedup,
+                                   run.Tracked('S', Stage::kRsc));
+  auto second = server.SubmitStaged(dirty, Stage::kLearn, Stage::kDedup,
+                                    run.Tracked('T', Stage::kRsc));
+  ASSERT_TRUE(first.ok() && second.ok());
+  ASSERT_TRUE(first->WaitPaused().ok());
+  ASSERT_TRUE(second->WaitPaused().ok());
+
   Gate gate;
   SessionOptions blocking;
   blocking.progress = [&gate](const StageProgress& p) {
     if (p.stage == Stage::kIndex && p.units_done == 0) gate.Enter();
   };
-  auto parked = server.Submit(dirty, blocking);
-  ASSERT_TRUE(parked.ok());
-  gate.AwaitEntered();
+  auto pinned = server.Submit(dirty, blocking);
+  ASSERT_TRUE(pinned.ok());
+  gate.AwaitEntered();  // the worker is pinned; everything below queues
 
-  std::mutex order_mu;
-  std::vector<int> order;
-  std::vector<CleanTicket> tickets;
-  for (int i = 0; i < 4; ++i) {
-    SessionOptions opts;
-    opts.progress = [&, i, seen = std::make_shared<bool>(false)](
-                        const StageProgress&) {
-      if (*seen) return;
-      *seen = true;
-      std::lock_guard<std::mutex> lock(order_mu);
-      order.push_back(i);
-    };
-    tickets.push_back(*server.Submit(dirty, opts));
-  }
+  std::vector<CleanTicket> fresh;
+  fresh.push_back(*server.Submit(dirty, run.Tracked('1')));
+  fresh.push_back(*server.Submit(dirty, run.Tracked('2')));
+  ASSERT_TRUE(first->ResumeJob().ok());
+  ASSERT_TRUE(second->ResumeJob().ok());
   gate.Release();
-  for (CleanTicket& t : tickets) ASSERT_TRUE(t.Wait().ok());
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+
+  ASSERT_TRUE(pinned->Wait().ok());
+  ASSERT_TRUE(first->Wait().ok());
+  ASSERT_TRUE(second->Wait().ok());
+  for (CleanTicket& t : fresh) ASSERT_TRUE(t.Wait().ok());
+  EXPECT_EQ(run.order, (std::vector<char>{'S', 'T', '1', '2'}));
 }
 
 // The fleet's coordination primitive on its own: a staged submission

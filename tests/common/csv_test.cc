@@ -39,22 +39,40 @@ TEST(CsvTest, MissingNewlineAtEof) {
   EXPECT_EQ(r->rows.size(), 1u);
 }
 
-TEST(CsvTest, ArityMismatchIsError) {
-  auto r = ParseCsv("a,b\n1,2,3\n");
+// Every strict-parse error is an IOError naming the record it stopped at:
+// "CSV header: ..." or "CSV row N: ..." (N = 1-based data record).
+void ExpectCsvError(std::string_view text, const std::string& message) {
+  auto r = ParseCsv(text);
   ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsIOError());
+  EXPECT_TRUE(r.status().IsIOError()) << r.status().ToString();
+  EXPECT_EQ(r.status().message(), message);
+}
+
+TEST(CsvTest, ArityMismatchIsError) {
+  ExpectCsvError("a,b\n1,2,3\n", "CSV row 1: 3 fields, expected 2");
 }
 
 TEST(CsvTest, EmptyInputIsError) {
-  EXPECT_FALSE(ParseCsv("").ok());
+  ExpectCsvError("", "CSV header: empty input");
 }
 
 TEST(CsvTest, UnterminatedQuoteIsError) {
-  EXPECT_FALSE(ParseCsv("a\n\"oops\n").ok());
+  ExpectCsvError("a\n1\n\"oops\n", "CSV row 2: unterminated quoted CSV field");
 }
 
 TEST(CsvTest, StrayQuoteIsError) {
-  EXPECT_FALSE(ParseCsv("a\nx\"y\n").ok());
+  ExpectCsvError("a\n1\n2\nx\"y\n", "CSV row 3: stray quote inside unquoted CSV field");
+}
+
+TEST(CsvTest, BrokenHeaderErrorSaysHeader) {
+  ExpectCsvError("\"oops\n", "CSV header: unterminated quoted CSV field");
+  ExpectCsvError("a\"b,c\n1,2\n", "CSV header: stray quote inside unquoted CSV field");
+}
+
+// Row numbers count data records, not physical lines: a quoted newline
+// does not shift the number of a later bad row.
+TEST(CsvTest, ErrorRowCountsRecordsNotLines) {
+  ExpectCsvError("a,b\n\"two\nlines\",1\n2,2\n3\n", "CSV row 3: 1 fields, expected 2");
 }
 
 TEST(CsvTest, WriteQuotesOnlyWhenNeeded) {
@@ -89,85 +107,6 @@ TEST(CsvTest, FileRoundTrip) {
 
 TEST(CsvTest, MissingFileIsError) {
   EXPECT_TRUE(ReadCsvFile("/nonexistent/path.csv").status().IsIOError());
-}
-
-// ------------------------------------------------------ quarantine mode
-
-TEST(CsvQuarantineTest, ArityMismatchIsQuarantinedNotFatal) {
-  QuarantineReport q;
-  auto r = ParseCsv("a,b\n1,2\n1,2,3\n4,5\n", &q);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->rows, (std::vector<std::vector<std::string>>{{"1", "2"},
-                                                            {"4", "5"}}));
-  ASSERT_EQ(q.rows.size(), 1u);
-  EXPECT_EQ(q.rows[0].row_number, 2u);  // 1-based data row numbers
-  EXPECT_EQ(q.rows[0].reason, "3 fields, expected 2");
-  EXPECT_EQ(q.rows_kept, 2u);
-}
-
-TEST(CsvQuarantineTest, StrayQuoteSkipsToTheNextRow) {
-  QuarantineReport q;
-  auto r = ParseCsv("a,b\nx\"y,2\n3,4\n", &q);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->rows, (std::vector<std::vector<std::string>>{{"3", "4"}}));
-  ASSERT_EQ(q.rows.size(), 1u);
-  EXPECT_EQ(q.rows[0].row_number, 1u);
-  EXPECT_NE(q.rows[0].reason.find("stray quote"), std::string::npos);
-}
-
-TEST(CsvQuarantineTest, UnterminatedQuoteQuarantinesTheTail) {
-  QuarantineReport q;
-  auto r = ParseCsv("a,b\n1,2\n\"oops,3\n", &q);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->rows, (std::vector<std::vector<std::string>>{{"1", "2"}}));
-  ASSERT_EQ(q.rows.size(), 1u);
-  EXPECT_EQ(q.rows[0].row_number, 2u);
-  EXPECT_NE(q.rows[0].reason.find("unterminated"), std::string::npos);
-}
-
-TEST(CsvQuarantineTest, RowNumbersCountQuarantinedRowsToo) {
-  QuarantineReport q;
-  auto r = ParseCsv("a,b\n1\n2,2\n3\n4,4\n", &q);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->rows.size(), 2u);
-  ASSERT_EQ(q.rows.size(), 2u);
-  EXPECT_EQ(q.rows[0].row_number, 1u);
-  EXPECT_EQ(q.rows[1].row_number, 3u);
-  EXPECT_EQ(q.rows_kept, 2u);
-}
-
-TEST(CsvQuarantineTest, BrokenHeaderStillFails) {
-  QuarantineReport q;
-  EXPECT_FALSE(ParseCsv("\"oops\n", &q).ok());
-  EXPECT_FALSE(ParseCsv("", &q).ok());
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(CsvQuarantineTest, NullQuarantineIsExactlyStrictMode) {
-  // Same inputs the strict tests reject must still be rejected, with the
-  // same code, when the pointer is null.
-  auto strict = ParseCsv("a,b\n1,2,3\n");
-  auto via_null = ParseCsv("a,b\n1,2,3\n", nullptr);
-  ASSERT_FALSE(strict.ok());
-  ASSERT_FALSE(via_null.ok());
-  EXPECT_EQ(strict.status().code(), via_null.status().code());
-  EXPECT_EQ(strict.status().message(), via_null.status().message());
-}
-
-TEST(CsvQuarantineTest, CleanInputLeavesTheReportEmpty) {
-  QuarantineReport q;
-  auto r = ParseCsv("a,b\n1,2\n3,4\n", &q);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.rows_kept, 2u);
-}
-
-TEST(CsvQuarantineTest, SummaryNamesCountsAndFirstReason) {
-  QuarantineReport q;
-  ASSERT_TRUE(ParseCsv("a,b\n1\n2,2\n3\n", &q).ok());
-  std::string summary = q.Summary();
-  EXPECT_NE(summary.find("2 of 3"), std::string::npos) << summary;
-  EXPECT_NE(summary.find("row 1"), std::string::npos) << summary;
 }
 
 }  // namespace

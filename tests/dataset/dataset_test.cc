@@ -74,17 +74,10 @@ TEST(DatasetTest, FromCsvRejectsDuplicateHeader) {
   EXPECT_FALSE(Dataset::FromCsv("A,A\n1,2\n").ok());
 }
 
-TEST(DatasetTest, FromCsvQuarantinesMalformedRows) {
-  QuarantineReport q;
-  auto d = Dataset::FromCsv("A,B\nx,1\nonly-one\ny,2\n", &q);
-  ASSERT_TRUE(d.ok()) << d.status().ToString();
-  EXPECT_EQ(d->num_rows(), 2u);
-  EXPECT_EQ(d->at(1, 0), "y");
-  ASSERT_EQ(q.rows.size(), 1u);
-  EXPECT_EQ(q.rows[0].row_number, 2u);
-  EXPECT_EQ(q.rows_kept, 2u);
-  // Strict mode still fails the same input outright.
-  EXPECT_FALSE(Dataset::FromCsv("A,B\nx,1\nonly-one\ny,2\n").ok());
+TEST(DatasetTest, FromCsvFailsOnAMalformedRow) {
+  auto d = Dataset::FromCsv("A,B\nx,1\nonly-one\ny,2\n");
+  ASSERT_FALSE(d.ok());
+  EXPECT_EQ(d.status().message(), "CSV row 2: 1 fields, expected 2");
 }
 
 TEST(DatasetTest, EmptyValueIsNull) {
