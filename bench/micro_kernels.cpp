@@ -351,6 +351,10 @@ void BM_Fscr(benchmark::State& state) {
     state.ResumeTiming();
     benchmark::DoNotOptimize(session->RunUntil(Stage::kFscr));
   }
+  // Search nodes of one iteration (every iteration visits the same ones).
+  size_t nodes = 0;
+  for (const FscrRecord& rec : session->report().fscr) nodes += rec.nodes;
+  state.counters["nodes"] = static_cast<double>(nodes);
 }
 BENCHMARK(BM_Fscr)->Arg(400)->Arg(50);
 

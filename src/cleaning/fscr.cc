@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <numeric>
 #include <tuple>
 #include <utility>
 
@@ -12,11 +12,15 @@ namespace mlnclean {
 
 namespace {
 
-// A tuple with at most this many versions is searched exhaustively; one
-// with more is fused greedily. The paper's rule sets have at most 7
-// rules, hence at most 7 versions per tuple, and 7 versions bound the
-// search at the sum of 7!/(7-k)! over k = 0..7, i.e. 13,700 nodes.
+// A tuple with at most this many active versions (and at most
+// kMaskWidth versions in all) is searched exhaustively; any other is
+// fused greedily. The paper's rule sets have at most 7 rules, hence at
+// most 7 versions per tuple, and 7 active versions bound the search at
+// the sum of 7!/(7-k)! over k = 0..7, i.e. 13,700 nodes.
 constexpr size_t kMaxExhaustiveFusion = 7;
+
+// Width of the search's version masks.
+constexpr size_t kMaskWidth = 32;
 
 // 64-bit finalizer (MurmurHash3's fmix64).
 uint64_t Mix(uint64_t x) {
@@ -30,13 +34,12 @@ uint64_t Mix(uint64_t x) {
 
 // One fused cell: the target attribute, the repair value's id (an id of
 // the dirty dataset the index was built over; the cleaned dataset's
-// dictionaries extend it, so ids carry over), a pointer to the value
-// string in the dirty dictionary, and the cell's word in the dominance
-// memo's incremental hash (a mix of attr and id, computed once per γ).
+// dictionaries extend it, so ids carry over), and the cell's word in the
+// dominance memo's incremental hash (a mix of attr and id, computed once
+// per γ).
 struct AssignedCell {
   AttrId attr;
   ValueId id;
-  const Value* value;
   uint64_t hash;
 };
 
@@ -56,8 +59,7 @@ struct Version {
 };
 
 // Flattens a γ into assigned cells using its rule's attribute order.
-Assignment PieceAssignment(const Constraint& rule, const Piece& piece,
-                           const Dataset& dirty) {
+Assignment PieceAssignment(const Constraint& rule, const Piece& piece) {
   const std::vector<AttrId>& attrs = rule.attrs();
   Assignment out;
   out.reserve(attrs.size());
@@ -67,7 +69,7 @@ Assignment PieceAssignment(const Constraint& rule, const Piece& piece,
     const uint64_t hash =
         Mix((static_cast<uint64_t>(static_cast<uint32_t>(attr)) << 32 | id) +
             0x9E3779B97F4A7C15ull);
-    out.push_back(AssignedCell{attr, id, &dirty.dict(attr).value(id), hash});
+    out.push_back(AssignedCell{attr, id, hash});
   }
   return out;
 }
@@ -204,28 +206,29 @@ class DominanceMemo {
 };
 
 // Normalized edit distance between a repair value and the dirty value it
-// replaces, memoized per (attr, dirty id, repair id): the term Push adds
-// to the running distance sum. Ids are fixed while FSCR runs, so one
-// table serves every tuple of a shard. Open addressing, linear probing.
+// replaces, both ids of `attr`'s dictionary in `dirty`, memoized per
+// (attr, dirty id, repair id): a term of a fusion's distance sum. Ids are
+// fixed while FSCR runs, so one table serves every tuple of a shard. Open
+// addressing, linear probing.
 class CellDistanceMemo {
  public:
-  double Get(AttrId attr, ValueId dirty_id, const Value& dirty_value,
-             const AssignedCell& cell) {
+  double Get(const Dataset& dirty, AttrId attr, ValueId dirty_id, ValueId repair_id) {
     const uint64_t key = static_cast<uint64_t>(static_cast<uint32_t>(attr)) << 32 | dirty_id;
     if (2 * (size_ + 1) > entries_.size()) Grow();
     const size_t mask = entries_.size() - 1;
-    size_t slot = Mix(key ^ Mix(cell.id)) & mask;
+    size_t slot = Mix(key ^ Mix(repair_id)) & mask;
     while (entries_[slot].key != kEmpty) {
-      if (entries_[slot].key == key && entries_[slot].repair == cell.id) {
+      if (entries_[slot].key == key && entries_[slot].repair == repair_id) {
         return entries_[slot].distance;
       }
       slot = (slot + 1) & mask;
     }
-    const size_t max_len = std::max(dirty_value.size(), cell.value->size());
+    const Value& dirty_value = dirty.dict(attr).value(dirty_id);
+    const Value& repair = dirty.dict(attr).value(repair_id);
+    const size_t max_len = std::max(dirty_value.size(), repair.size());
     const double distance =
-        max_len == 0 ? 0.0
-                     : static_cast<double>(Levenshtein(dirty_value, *cell.value)) / max_len;
-    entries_[slot] = Entry{key, cell.id, distance};
+        max_len == 0 ? 0.0 : static_cast<double>(Levenshtein(dirty_value, repair)) / max_len;
+    entries_[slot] = Entry{key, repair_id, distance};
     ++size_;
     return distance;
   }
@@ -277,28 +280,23 @@ struct FirstConflict {
 
 // Search state one shard reuses across the tuples it fuses. `key` is the
 // dominance-memo key of the current node, kept up to date in place:
-// key[0] is the remaining-version mask, key[1 + attr] the id assigned to
-// `attr` (kUnassigned when none; conflict checks read this slot table),
-// and the last two words the bits of the running distance sum. `cells`
-// is the fusion being built, in merge order, `sums[k]` the distance sum
-// of its first k cells, and `masks[k]` the versions its first k cells
-// conflict with (kept only while a search tracks conflicts). The
-// per-attribute version lists are `entries[list_begin[a],
-// list_begin[a + 1])`, in version order. Between tuples the stack is
-// empty, `sums` and `masks` hold one 0 and every attribute slot is
-// kUnassigned.
+// key[0] is the remaining-version mask and key[1 + attr] the id assigned
+// to `attr` (kUnassigned when none; conflict checks and the score read
+// this slot table). `cells` is the fusion being built, in merge order,
+// and `masks.back()` the versions its tracked cells conflict with (one
+// entry per tracked cell, above a 0). The per-attribute version
+// lists are `entries[list_begin[a], list_begin[a + 1])`, in version
+// order. Between tuples the stack is empty, `masks` holds one 0 and every
+// attribute slot is kUnassigned.
 struct FusionWorkspace {
   explicit FusionWorkspace(size_t num_attrs)
-      : key(num_attrs + 3, kUnassigned), list_begin(num_attrs + 1, 0), memo(key.size()) {
+      : key(num_attrs + 1, kUnassigned), list_begin(num_attrs + 1, 0), memo(key.size()) {
     cells.reserve(num_attrs);
-    sums.reserve(num_attrs + 1);
-    sums.push_back(0.0);
     masks.reserve(num_attrs + 1);
     masks.push_back(0);
   }
 
   std::vector<AssignedCell> cells;
-  std::vector<double> sums;
   std::vector<uint32_t> masks;
   std::vector<uint32_t> key;
   std::vector<AssignedCell> best;
@@ -387,57 +385,96 @@ bool IndexConflicts(const Version* versions, size_t n, FusionWorkspace* ws,
   return true;
 }
 
+// The versions a search must permute, as a mask over the `n` <=
+// kMaskWidth versions IndexConflicts filed: every version that conflicts
+// with another, closed under sharing an attribute with an active
+// version. An inert version's attributes are touched by no active
+// version, nor by any γ' substitute (a γ' comes from an active version's
+// block, so it assigns that version's attributes), and it agrees with
+// every other inert version; so its cells are the same in every fusion.
+uint32_t ActiveVersions(size_t n, const FusionWorkspace& ws) {
+  uint32_t active = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (ws.conflict_masks[i] != 0) active |= uint32_t{1} << i;
+  }
+  const std::vector<uint32_t>& begin = ws.list_begin;
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (size_t a = 0; a + 1 < begin.size(); ++a) {
+      uint32_t touching = 0;
+      for (uint32_t e = begin[a]; e < begin[a + 1]; ++e) {
+        touching |= uint32_t{1} << ws.entries[e].version;
+      }
+      if ((touching & active) != 0 && (touching & ~active) != 0) {
+        active |= touching;
+        grew = true;
+      }
+    }
+  }
+  return active;
+}
+
 // GetFusionT for one tuple: a depth-first walk of merge orders over a
 // cell stack (`remaining` is a bitmask over the tuple's versions), with
-// exact state-dominance pruning. A node's state is its remaining mask,
-// the set of assigned cells, and the running distance sum: conflict
-// checks, γ' substitution and merging read the cells only as a set, and
-// the score continues the same left fold of distances, so everything
-// below a node is a function of that state and of f. With every weight
-// >= 0, multiplying by the weights still to come and by the minimality
-// factor is monotone in f, so a node whose state was already explored
-// with an f at least as large cannot reach a strictly better leaf (the
-// state cannot repeat on one path, so that earlier subtree is complete),
-// and best_f_ moves only on a strict improvement: skipping it changes
-// nothing. The distance sum has to be part of the state — (0.1+0.2)+0.3
-// and (0.3+0.2)+0.1 differ in the last bit.
+// exact state-dominance pruning. Inert versions (ActiveVersions) are
+// merged once at the root, in version order, and only the active ones
+// are permuted. A fusion's score is its weight product, folded in merge
+// order with the inert versions first, times the minimality discount
+// raised to the distance sum of its cells, taken in attribute order at
+// the leaf. A node's state is then its remaining mask and the set of
+// assigned cells: conflict checks, γ' substitution and merging read the
+// cells only as a set, and the distance sum is a function of the final
+// cells, so everything below a node is a function of that state and of
+// f. With every weight >= 0, multiplying by the weights still to come
+// and by the minimality factor is monotone in f, so a node whose state
+// was already explored with an f at least as large cannot reach a
+// strictly better leaf (the state cannot repeat on one path, so that
+// earlier subtree is complete), and best_f_ moves only on a strict
+// improvement: skipping it changes nothing.
 //
-// A search that tracks conflicts (`track`: the tuple's versions conflict
-// pairwise and it is searched exhaustively, so it has at most
-// kMaxExhaustiveFusion versions) keeps, beside the stack, the mask of
-// versions its cells conflict with and the XOR of its cells' hash words;
-// a version's conflict check is then one bit, and the memo hash costs
-// three words.
-// Every other search (the conflict-free root, the greedy path) tests
-// versions cell by cell.
+// Below the root, the exhaustive search tracks conflicts: beside the
+// stack it keeps the mask of versions its cells conflict with and the XOR
+// of its cells' hash words, so a version's conflict check is one bit and
+// the memo hash costs two words. The greedy path tests versions cell by
+// cell.
 class FusionSearch {
  public:
   FusionSearch(const Version* versions, size_t num_versions,
-               const std::vector<BlockCandidates>& candidates, bool prune, bool track,
+               const std::vector<BlockCandidates>& candidates, bool prune,
                const Dataset& dirty, TupleId tid, double minimality_discount,
                FusionWorkspace* ws)
       : versions_(versions),
         num_versions_(num_versions),
         candidates_(candidates),
         prune_(prune),
-        track_(track),
         dirty_(dirty),
         tid_(tid),
         minimality_discount_(minimality_discount),
         ws_(*ws) {}
 
-  // Exhaustive search. Returns the best (minimality-discounted) f-score,
-  // 0 when every merge order fails; the fusion is left in ws->best.
-  double Run() {
-    if (prune_ && track_) ws_.memo.Clear();
-    Explore((uint32_t{1} << num_versions_) - 1, 1.0);
+  // Exhaustive search over the versions in the `active` mask (non-zero
+  // only when IndexConflicts filed the tuple's versions; at most
+  // kMaskWidth versions in all), the inert ones merged first. Returns the
+  // best (minimality-discounted) f-score, 0 when every merge order fails;
+  // the fusion is left in ws->best.
+  double Run(uint32_t active) {
+    if (prune_ && active != 0) ws_.memo.Clear();
+    const uint32_t all = ~uint32_t{0} >> (kMaskWidth - num_versions_);
+    double f = 1.0;
+    for (uint32_t m = all & ~active; m != 0; m &= m - 1) {
+      const Version& v = versions_[static_cast<size_t>(__builtin_ctz(m))];
+      f *= v.weight;
+      Push<false>(*v.assignment);
+    }
+    Explore(active, f);
+    Pop<false>(0);
     return best_f_;
   }
 
-  // Fallback for tuples with more than kMaxExhaustiveFusion versions: merge
-  // in descending-weight order with the same substitution rule. Returns
-  // the f-score (<= 0 when the order fails); the fusion is left in
-  // ws->best.
+  // Fallback for tuples with more than kMaxExhaustiveFusion active
+  // versions, or more than kMaskWidth versions: merge in descending-weight
+  // order with the same substitution rule. Returns the f-score (<= 0 when
+  // the order fails); the fusion is left in ws->best.
   double Greedy() {
     std::vector<size_t> order(num_versions_);
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -469,12 +506,21 @@ class FusionSearch {
  private:
   // f-score of the complete fusion on the stack: the Eq. 5 weight product
   // times the minimality discount raised to the total *normalized edit
-  // distance* between the fusion and the tuple's current values.
-  // Rewriting a value entirely costs a full discount factor; nudging a
-  // typo costs a small fraction — the same distance-over-minimality
-  // reasoning the reliability score applies in stage I.
-  double Score(double f) const {
-    const double total = ws_.sums.back();
+  // distance* between the fusion and the tuple's current values, summed
+  // over the attributes in order (unchanged cells are detected by id
+  // alone). Rewriting a value entirely costs a full discount factor;
+  // nudging a typo costs a small fraction — the same
+  // distance-over-minimality reasoning the reliability score applies in
+  // stage I.
+  double Score(double f) {
+    double total = 0.0;
+    for (size_t a = 1; a < ws_.key.size(); ++a) {
+      const ValueId id = ws_.key[a];
+      if (id == kUnassigned) continue;
+      const AttrId attr = static_cast<AttrId>(a - 1);
+      const ValueId current = dirty_.id_at(tid_, attr);
+      if (id != current) total += ws_.distances.Get(dirty_, attr, current, id);
+    }
     return total == 0.0 ? f : f * std::pow(minimality_discount_, total);
   }
 
@@ -497,24 +543,16 @@ class FusionSearch {
     return false;
   }
 
-  // Pushes the cells of `v` on attributes not yet assigned. Each cell's
-  // distance to the tuple's current value (unchanged cells are detected
-  // by id alone) is added to the running sum as it is pushed, so the sum
-  // folds left to right in merge order. A tracking push also marks the
-  // versions the cell conflicts with and folds the cell into the hash.
+  // Pushes the cells of `v` on attributes not yet assigned. A tracking
+  // push also marks the versions the cell conflicts with and folds the
+  // cell into the hash.
   template <bool kTrack>
   void Push(const Assignment& v) {
     for (const auto& cell : v) {
       uint32_t& slot = Slot(cell.attr);
       if (slot != kUnassigned) continue;
       slot = cell.id;
-      double sum = ws_.sums.back();
-      const ValueId current = dirty_.id_at(tid_, cell.attr);
-      if (current != cell.id) {
-        sum += ws_.distances.Get(cell.attr, current, dirty_.at(tid_, cell.attr), cell);
-      }
       ws_.cells.push_back(cell);
-      ws_.sums.push_back(sum);
       if (kTrack) {
         uint32_t mask = ws_.masks.back();
         const size_t a = static_cast<size_t>(cell.attr);
@@ -537,7 +575,6 @@ class FusionSearch {
       }
       Slot(ws_.cells.back().attr) = kUnassigned;
       ws_.cells.pop_back();
-      ws_.sums.pop_back();
     }
   }
 
@@ -597,16 +634,8 @@ class FusionSearch {
   // True when this node's state was already explored with an f at least
   // as large (see the class comment); otherwise records f for it.
   bool Dominated(uint32_t remaining, double f) {
-    std::vector<uint32_t>& key = ws_.key;
-    const size_t n = key.size();
-    uint64_t sum_bits;
-    std::memcpy(&sum_bits, &ws_.sums.back(), sizeof(sum_bits));
-    key[0] = remaining;
-    key[n - 2] = static_cast<uint32_t>(sum_bits);
-    key[n - 1] = static_cast<uint32_t>(sum_bits >> 32);
-    const uint64_t hash =
-        cell_hash_ ^ Mix(remaining) ^ Mix(sum_bits ^ 0x9E3779B97F4A7C15ull);
-    return ws_.memo.Dominated(key.data(), hash, f);
+    ws_.key[0] = remaining;
+    return ws_.memo.Dominated(ws_.key.data(), cell_hash_ ^ Mix(remaining), f);
   }
 
   void Explore(uint32_t remaining, double f) {
@@ -617,10 +646,9 @@ class FusionSearch {
     }
     const size_t depth = ws_.cells.size();
     // Fast path: when the remaining versions neither conflict pairwise nor
-    // with the stack, the product is order-independent; they are merged
-    // once, in version order. A search that does not track conflicts is
-    // at the root of a tuple whose versions agree.
-    if (!track_ || RemainingConflictFree(remaining)) {
+    // with the stack, every order merges the same cells; they are merged
+    // once, in version order.
+    if (RemainingConflictFree(remaining)) {
       double total = f;
       for (uint32_t m = remaining; m != 0; m &= m - 1) {
         const Version& v = versions_[static_cast<size_t>(__builtin_ctz(m))];
@@ -648,7 +676,6 @@ class FusionSearch {
   const size_t num_versions_;
   const std::vector<BlockCandidates>& candidates_;
   const bool prune_;
-  const bool track_;
   const Dataset& dirty_;
   TupleId tid_;
   double minimality_discount_;
@@ -693,7 +720,7 @@ size_t RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index
     }
     assignments.reserve(pieces.size());
     for (const Piece* piece : pieces) {
-      assignments.push_back(PieceAssignment(rule, *piece, dirty));
+      assignments.push_back(PieceAssignment(rule, *piece));
     }
     for (const Piece* piece : pieces) {
       if (!(piece->weight >= 0.0)) prune = false;
@@ -716,11 +743,7 @@ size_t RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index
   }
   // The counts become offsets by a prefix sum; the fill keeps block order,
   // then piece order, within each tuple.
-  size_t greedy = 0;
-  for (size_t tid = 0; tid < num_rows; ++tid) {
-    if (version_begin[tid + 1] > kMaxExhaustiveFusion) ++greedy;
-    version_begin[tid + 1] += version_begin[tid];
-  }
+  for (size_t tid = 0; tid < num_rows; ++tid) version_begin[tid + 1] += version_begin[tid];
   versions.resize(version_begin[num_rows]);
   std::vector<size_t> next(version_begin.begin(), version_begin.end() - 1);
   for (size_t bi = 0; bi < index.num_blocks(); ++bi) {
@@ -742,26 +765,31 @@ size_t RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index
     report->fscr.resize(first_record + num_rows);
     records = report->fscr.data() + first_record;
   }
+  // Returns whether the tuple was fused greedily.
   auto fuse_tuple = [&](size_t tid, FusionWorkspace* ws) {
     const Version* tuple_versions = versions.data() + version_begin[tid];
     const size_t n = version_begin[tid + 1] - version_begin[tid];
     FscrRecord local;
     FscrRecord& rec = report ? records[tid] : local;
     rec.tuple = static_cast<TupleId>(tid);
-    if (n == 0) return;
-    const bool exhaustive = n <= kMaxExhaustiveFusion;
+    if (n == 0) return false;
     // Conflict attributes among the original versions (the "detected
     // conflicts" signal of the Precision-F metric). Most tuples' versions
     // agree cell for cell; only the others get per-attribute lists, and
-    // an exhaustive search over them tracks conflicts as masks.
+    // an exhaustive search over their active versions tracks conflicts
+    // as masks. Past the mask width every version counts as active.
     const bool conflicted = CellsDisagree(tuple_versions, n, ws) &&
                             IndexConflicts(tuple_versions, n, ws, &rec.conflict_attrs);
-    FusionSearch search(tuple_versions, n, candidates, prune, exhaustive && conflicted,
-                        dirty, static_cast<TupleId>(tid), options.fscr_minimality_discount,
-                        ws);
-    const double f = exhaustive ? search.Run() : search.Greedy();
+    const uint32_t active = conflicted && n <= kMaskWidth ? ActiveVersions(n, *ws) : 0;
+    const size_t num_active =
+        !conflicted ? 0 : n <= kMaskWidth ? static_cast<size_t>(__builtin_popcount(active)) : n;
+    const bool exhaustive = n <= kMaskWidth && num_active <= kMaxExhaustiveFusion;
+    FusionSearch search(tuple_versions, n, candidates, prune, dirty,
+                        static_cast<TupleId>(tid), options.fscr_minimality_discount, ws);
+    const double f = exhaustive ? search.Run(active) : search.Greedy();
     if (!exhaustive) rec.outcome = FusionOutcome::kGreedy;
     if (report) {
+      rec.active_versions = num_active;
       rec.nodes = search.nodes();
       rec.dominance_hits = search.dominance_hits();
       rec.substitutions = search.substitutions();
@@ -775,27 +803,30 @@ size_t RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index
     }
     // f == 0: every merge order failed; the tuple keeps its current values
     // (Algorithm 2 initializes tfmax to t itself).
+    return !exhaustive;
   };
 
   // Contiguous shards, at most one per worker and one per tuple, each with
-  // its own search workspace: each tuple's fusion is computed identically
-  // regardless of which shard runs it, so the shard count (and hence the
-  // executor's worker count) never changes the result.
+  // its own search workspace and greedy count: each tuple's fusion is
+  // computed identically regardless of which shard runs it, so the shard
+  // count (and hence the executor's worker count) never changes the
+  // result.
   const size_t num_attrs = dirty.num_attrs();
   const size_t shards = std::max<size_t>(1, std::min(ctx.parallelism(), num_rows));
   const size_t chunk = (num_rows + shards - 1) / shards;
+  std::vector<size_t> greedy(shards, 0);
   ParallelFor(shards, ctx, [&](size_t s) {
     const size_t begin = s * chunk;
     const size_t end = std::min(num_rows, begin + chunk);
     FusionWorkspace ws(num_attrs);
     for (size_t tid = begin; tid < end; ++tid) {
       if (ctx.Stopped()) return;
-      fuse_tuple(tid, &ws);
+      if (fuse_tuple(tid, &ws)) ++greedy[s];
     }
   });
   // A stopped run appends no records, whichever tuples it fused.
   if (report && ctx.Stopped()) report->fscr.resize(first_record);
-  return greedy;
+  return std::accumulate(greedy.begin(), greedy.end(), size_t{0});
 }
 
 }  // namespace mlnclean

@@ -10,19 +10,31 @@
 // On top of the Eq. 5 product, candidate fusions are discounted per cell
 // they change on the dirty tuple (CleaningOptions::fscr_minimality_discount)
 // so that near-tied fusions resolve toward the minimal repair; the
-// reported f_score includes this factor.
+// reported f_score includes this factor. The weight product is folded in
+// merge order; the distance sum is taken over the fused cells in
+// attribute order, so it is a function of the fusion alone.
+//
+// Only the versions that can conflict are permuted. A version is active
+// when it conflicts with another version or shares an attribute with an
+// active one (the closure of that rule); every other version is inert.
+// No active version and no γ' substitute (which comes from an active
+// version's block, so it assigns that version's attributes) touches an
+// inert version's attributes, so its cells are the same in every fusion:
+// inert versions are merged once at the root, in version order and ahead
+// of the active ones in the weight fold.
 //
 // The search is exact and allocation-free in steady state: one cell stack
-// per shard, backtracked by popping, with the running distance sum kept
-// beside it, and a per-tuple memo that skips a node when the same state
-// (remaining versions, assigned cells, distance-sum bits) was already
-// explored with an f at least as large. The skip never changes a result
-// while every γ weight is >= 0, which RunFscr checks once per call; with a
-// negative weight the search runs unpruned. A tuple with at most 7
-// versions (the paper's rule sets have at most 7 rules) is searched
-// exhaustively, in at most 13,700 nodes; one with more is fused greedily
-// by descending weight, and FscrRecord::outcome says which, beside the
-// search's work counters.
+// per shard, backtracked by popping, and a per-tuple memo that skips a
+// node when the same state (remaining versions, assigned cells) was
+// already explored with an f at least as large. The distance sum needs no
+// place in the state, being a function of the final cells. The skip never
+// changes a result while every γ weight is >= 0, which RunFscr checks
+// once per call; with a negative weight the search runs unpruned. A tuple
+// with at most 32 versions (the search's mask width) of which at most 7
+// are active (the paper's rule sets have at most 7 rules) is searched
+// exhaustively, in at most 13,700 nodes; any other is fused greedily by
+// descending weight, and FscrRecord::outcome says which, beside the
+// number of active versions and the search's work counters.
 //
 // Building the search's input costs a handful of allocations per call,
 // not one per tuple: every tuple's versions sit in one CSR array over the
@@ -58,8 +70,8 @@ namespace mlnclean {
 /// fused are skipped and the run appends no records to `report`, on every
 /// executor (cooperative; the caller reports the terminal Status and
 /// discards the partially fused copy). Returns the number of tuples
-/// with more than 7 versions, which are fused greedily
-/// (FusionOutcome::kGreedy) whether or not `report` is null.
+/// fused greedily (FusionOutcome::kGreedy: more than 7 active versions,
+/// or more than 32 versions), whether or not `report` is null.
 size_t RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index,
                const CleaningOptions& options, Dataset* cleaned,
                CleaningReport* report, const ExecContext& ctx = {});

@@ -32,20 +32,23 @@ std::string CleaningReport::Summary() const {
       << " replacements; fscr: ";
   size_t conflicted = 0;
   size_t exhaustive = 0;
+  size_t active_versions = 0;
   size_t nodes = 0;
   size_t dominance_hits = 0;
   size_t substitutions = 0;
   for (const auto& rec : fscr) {
     if (!rec.conflict_attrs.empty()) ++conflicted;
     if (rec.outcome == FusionOutcome::kExhaustive) ++exhaustive;
+    active_versions += rec.active_versions;
     nodes += rec.nodes;
     dominance_hits += rec.dominance_hits;
     substitutions += rec.substitutions;
   }
   out << conflicted << "/" << fscr.size() << " tuples with conflicts ("
-      << exhaustive << " exhaustive, " << fscr_greedy_tuples << " greedy; " << nodes
-      << " nodes, " << dominance_hits << " dominance hits, " << substitutions
-      << " substitutions); duplicates: " << duplicates.size();
+      << exhaustive << " exhaustive, " << fscr_greedy_tuples << " greedy; "
+      << active_versions << " active versions, " << nodes << " nodes, " << dominance_hits
+      << " dominance hits, " << substitutions << " substitutions); duplicates: "
+      << duplicates.size();
   return out.str();
 }
 

@@ -56,11 +56,12 @@ struct RscRepairRecord {
 /// How FSCR searched for one tuple's fusion.
 enum class FusionOutcome : uint8_t {
   /// Every merge order was accounted for (also a tuple with no version:
-  /// there is nothing to search). At most 7 versions, so at most 13,700
-  /// nodes.
+  /// there is nothing to search). At most 7 active versions among at
+  /// most 32, so at most 13,700 nodes.
   kExhaustive,
-  /// More than 7 versions: they were merged once, greedily by weight.
-  /// The only way FSCR cuts its search short.
+  /// More than 7 active versions, or more than 32 versions: they were
+  /// merged once, greedily by weight. The only way FSCR cuts its search
+  /// short.
   kGreedy,
 };
 
@@ -73,6 +74,10 @@ struct FscrRecord {
   bool fused = false;
   double f_score = 0.0;
   FusionOutcome outcome = FusionOutcome::kExhaustive;
+  /// Versions the search had to permute: those that conflict with another
+  /// version, closed under sharing an attribute with one (0 when the
+  /// versions agree; every version past 32). The others are merged once.
+  size_t active_versions = 0;
   /// Search work: nodes visited (at most 13,700; 0 on the greedy path),
   /// nodes skipped by the dominance memo, and γ' substitutions made
   /// (Algorithm 2 line 19).

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -317,6 +318,11 @@ Result<CleanResult> CleanTicket::Take() {
   std::unique_lock<std::mutex> lock(job_->mu);
   job_->cv.wait(lock, [this] { return job_->done; });
   if (!job_->status.ok()) return job_->status;
+  if (job_->final_stage != Stage::kDedup) {
+    return Status::Invalid(std::string("staged ticket's final stage is ") +
+                           StageName(job_->final_stage) +
+                           ": its outputs stay on the session; there is no result to take");
+  }
   if (!job_->result.has_value()) {
     return Status::Invalid("result already taken from this ticket");
   }

@@ -122,7 +122,9 @@ class CleanTicket {
 
   /// Wait() + move the result out (or return the terminal error). Like
   /// CleanSession::TakeResult, the result can be taken exactly once —
-  /// later calls return kInvalid.
+  /// later calls return kInvalid. A successful staged ticket whose final
+  /// stage is short of kDedup has no result either: kInvalid, naming the
+  /// stage (its outputs stay on session()).
   Result<CleanResult> Take();
 
   /// Requests cooperative cancellation of this job (same semantics as

@@ -1,17 +1,22 @@
 // Differential test of FSCR against a reference GetFusionT (Algorithm 2).
 //
 // The reference works on plain strings: a fusion is a vector of
-// (attribute, value) cells in merge order. It walks every merge order with
-// no pruning and no memo, and scores a complete fusion the way RunFscr
-// specifies it: the weight product folded in merge order, times the
-// minimality discount raised to the sum of normalized edit distances to
-// the dirty values, also folded in merge order. Once the versions still to
-// merge conflict neither pairwise nor with the fusion, they are merged once,
-// in version order (the conflict-free rule of the specification, which
-// fixes that fold order). Ties keep the first fusion found. A tuple with
-// more than kExhaustiveCap versions is fused greedily instead: its
-// versions are merged once, by descending weight (the same std::sort
-// comparator RunFscr uses), with the same substitution rule.
+// (attribute, value) cells in merge order. It splits a tuple's versions
+// into active ones (those that conflict with another version, closed
+// under sharing an attribute with an active one) and inert ones, merges
+// the inert ones first, in version order, then walks every merge order of
+// the active ones with no pruning and no memo. It scores a complete
+// fusion the way RunFscr specifies it: the weight product folded in merge
+// order, times the minimality discount raised to the sum of normalized
+// edit distances to the dirty values, taken over the fusion's cells in
+// attribute order. Once the versions still to merge conflict neither
+// pairwise nor with the fusion, they are merged once, in version order
+// (the conflict-free rule of the specification, which fixes that fold
+// order). Ties keep the first fusion found. A tuple with more than
+// kExhaustiveCap active versions, or more than kMaskWidth versions, is
+// fused greedily instead: its versions are merged once, by descending
+// weight (the same std::sort comparator RunFscr uses), with the same
+// substitution rule.
 //
 // RunFscr must agree with it bit for bit — every cleaned cell, and each
 // record's `fused`, `f_score` (compared with ==), `conflict_attrs` and
@@ -39,8 +44,10 @@ namespace mlnclean {
 namespace {
 
 // The paper's rule sets have at most 7 rules, so FSCR searches up to 7
-// versions exhaustively: at most the sum of 7!/(7-k)! over k = 0..7 nodes.
+// active versions exhaustively: at most the sum of 7!/(7-k)! over
+// k = 0..7 nodes. Its version masks hold 32 versions.
 constexpr size_t kExhaustiveCap = 7;
+constexpr size_t kMaskWidth = 32;
 constexpr size_t kMaxNodes = 13700;
 
 struct RefCell {
@@ -103,12 +110,20 @@ size_t EditDistance(const std::string& a, const std::string& b) {
   return row[b.size()];
 }
 
+bool ShareAnAttribute(const RefFusion& a, const RefFusion& b) {
+  for (const RefCell& cell : a) {
+    if (Find(b, cell.attr) != nullptr) return true;
+  }
+  return false;
+}
+
 struct RefOutcome {
   std::vector<AttrId> conflict_attrs;
   bool fused = false;
   double f_score = 0.0;
   RefFusion fusion;
   FusionOutcome outcome = FusionOutcome::kExhaustive;
+  size_t active_versions = 0;
 };
 
 // Reference fusion of every tuple of `dirty`, with the search counters the
@@ -165,14 +180,26 @@ class ReferenceFscr {
       }
     }
     if (versions.empty()) return out;
-    if (versions.size() > kExhaustiveCap) {
+    const std::vector<bool> active = Active();
+    out.active_versions = versions.size() > kMaskWidth && !out.conflict_attrs.empty()
+                              ? versions.size()
+                              : static_cast<size_t>(
+                                    std::count(active.begin(), active.end(), true));
+    if (versions.size() > kMaskWidth || out.active_versions > kExhaustiveCap) {
       out.outcome = FusionOutcome::kGreedy;
       Greedy(&out);
       return out;
     }
     best_f_ = 0.0;
     best_.clear();
-    Explore(std::vector<bool>(versions.size(), true), {}, 1.0);
+    RefFusion inert;
+    double f = 1.0;
+    for (size_t j = 0; j < versions.size(); ++j) {
+      if (active[j]) continue;
+      f *= versions[j].weight;
+      MergeInto(&inert, versions[j].cells);
+    }
+    Explore(active, inert, f);
     out.fused = best_f_ > 0.0;
     if (out.fused) {
       out.f_score = best_f_;
@@ -185,7 +212,32 @@ class ReferenceFscr {
   size_t failed_substitutions() const { return failed_substitutions_; }
 
  private:
-  double Score(double f, const RefFusion& fusion) const {
+  // Versions that conflict with another one, then every version sharing
+  // an attribute with an active one, until nothing changes.
+  std::vector<bool> Active() const {
+    const std::vector<RefVersion>& versions = *versions_;
+    std::vector<bool> active(versions.size(), false);
+    for (size_t i = 0; i < versions.size(); ++i) {
+      for (size_t j = i + 1; j < versions.size(); ++j) {
+        if (Conflicts(versions[i].cells, versions[j].cells)) active[i] = active[j] = true;
+      }
+    }
+    for (bool grew = true; grew;) {
+      grew = false;
+      for (size_t i = 0; i < versions.size(); ++i) {
+        for (size_t j = 0; j < versions.size() && !active[i]; ++j) {
+          if (active[j] && ShareAnAttribute(versions[i].cells, versions[j].cells)) {
+            active[i] = grew = true;
+          }
+        }
+      }
+    }
+    return active;
+  }
+
+  double Score(double f, RefFusion fusion) const {
+    std::sort(fusion.begin(), fusion.end(),
+              [](const RefCell& a, const RefCell& b) { return a.attr < b.attr; });
     double total = 0.0;
     for (const RefCell& cell : fusion) {
       const std::string& current = dirty_.at(tid_, cell.attr);
@@ -341,6 +393,7 @@ OracleStats ExpectMatchesReference(const Dataset& dirty, const RuleSet& rules,
       EXPECT_EQ(rec.fused, want.fused);
       EXPECT_EQ(rec.f_score, want.f_score);
       EXPECT_EQ(rec.outcome, want.outcome);
+      EXPECT_EQ(rec.active_versions, want.active_versions);
       if (rec.outcome == FusionOutcome::kExhaustive) {
         EXPECT_LE(rec.nodes, kMaxNodes);
       }
@@ -592,33 +645,34 @@ TEST(FscrOracleTest, NegativeWeightTurnsPruningOff) {
   EXPECT_EQ(cleaned.row(0), (std::vector<Value>{"k", "x", "y", "z", "p1", "q3"}));
 }
 
-TEST(FscrOracleTest, DistanceSumFoldsInMergeOrder) {
-  // Tuple 0's K-rule versions repair X, Y and Z at distances 1/10, 2/10
-  // and 3/10; its W -> X version keeps the dirty X, conflicts with the
+TEST(FscrOracleTest, DistanceSumFoldsInAttributeOrder) {
+  // Tuple 0's K-rule versions repair Z, Y and X at distances 3/10, 2/10
+  // and 1/10; its W -> X version keeps the dirty X, conflicts with the
   // repaired one, and is substituted by tuple 1's (w, xxxxxxxxxq), which
-  // changes nothing. Every complete fusion has the same weight product,
-  // so the winner is decided by the distance sum alone, and that depends
-  // on the order the three repairs were merged in: (0.1+0.2)+0.3 is one
-  // ulp above (0.2+0.3)+0.1. The first order searched is not the best
-  // one, so a search that identified states by their cells alone, without
-  // the sum, would keep the wrong f-score.
+  // changes nothing. Every complete fusion has the same cells and the
+  // same weight product. The distance sum is taken over the fused cells
+  // in attribute order, (0.1+0.2)+0.3, whatever order the repairs were
+  // merged in. A sum folded in merge order would score the first order
+  // searched, which follows the rules' order, as (0.3+0.2)+0.1, one ulp
+  // smaller, and that order would win. The sum being a function of the
+  // cells is what lets the dominance memo key a state by its cells alone.
   const double discount = 0.05;
-  ASSERT_NE((0.1 + 0.2) + 0.3, (0.2 + 0.3) + 0.1);
-  ASSERT_NE(std::pow(discount, (0.1 + 0.2) + 0.3), std::pow(discount, (0.2 + 0.3) + 0.1));
+  ASSERT_NE((0.1 + 0.2) + 0.3, (0.3 + 0.2) + 0.1);
+  ASSERT_NE(std::pow(discount, (0.1 + 0.2) + 0.3), std::pow(discount, (0.3 + 0.2) + 0.1));
   Schema s = *Schema::Make({"K", "X", "Y", "Z", "W"});
   RuleSet rules(s);
-  rules.Add(*Constraint::MakeFd(s, {0}, {1}));  // K -> X
-  rules.Add(*Constraint::MakeFd(s, {0}, {2}));  // K -> Y
   rules.Add(*Constraint::MakeFd(s, {0}, {3}));  // K -> Z
+  rules.Add(*Constraint::MakeFd(s, {0}, {2}));  // K -> Y
+  rules.Add(*Constraint::MakeFd(s, {0}, {1}));  // K -> X
   rules.Add(*Constraint::MakeFd(s, {4}, {1}));  // W -> X
   Dataset dirty = *Dataset::Make(
       s, {{"k", "xxxxxxxxxx", "yyyyyyyyyy", "zzzzzzzzzz", "w"},
           {"k2", "xxxxxxxxxq", "yyyyyyyyyy", "zzzzzzzzzz", "w"}});
   MlnIndex index = *MlnIndex::Build(dirty, rules);
   for (Piece* piece : AllPieces(&index)) piece->weight = 0.5;
-  SetResult(&dirty, rules, &index, 0, 0, "xxxxxxxxxq");  // distance 1/10
+  SetResult(&dirty, rules, &index, 0, 0, "zzzzzzzqqq");  // distance 3/10
   SetResult(&dirty, rules, &index, 1, 0, "yyyyyyyyqq");  // distance 2/10
-  SetResult(&dirty, rules, &index, 2, 0, "zzzzzzzqqq");  // distance 3/10
+  SetResult(&dirty, rules, &index, 2, 0, "xxxxxxxxxq");  // distance 1/10
   CleaningOptions options;
   options.fscr_minimality_discount = discount;
   ExpectMatchesReference(dirty, rules, index, options, "distances");
@@ -626,7 +680,7 @@ TEST(FscrOracleTest, DistanceSumFoldsInMergeOrder) {
   Dataset cleaned = dirty.Clone();
   CleaningReport report;
   RunFscr(dirty, rules, index, options, &cleaned, &report);
-  EXPECT_EQ(report.fscr[0].f_score, 0.0625 * std::pow(discount, (0.2 + 0.3) + 0.1));
+  EXPECT_EQ(report.fscr[0].f_score, 0.0625 * std::pow(discount, (0.1 + 0.2) + 0.3));
   EXPECT_EQ(cleaned.row(0), (std::vector<Value>{"k", "xxxxxxxxxq", "yyyyyyyyqq",
                                                 "zzzzzzzqqq", "w"}));
 }
@@ -646,19 +700,22 @@ TEST(FscrOracleTest, SevenVersionsAreSearchedExhaustively) {
 }
 
 TEST(FscrOracleTest, GreedyPathMatchesReference) {
-  // 8-12 versions per tuple, past the exhaustive limit of 7: every
-  // tuple is fused greedily, by descending weight.
+  // 8-12 versions per tuple over 5 attributes. Where a tuple's versions
+  // conflict, the active closure takes in more than the exhaustive limit
+  // of 7 and the tuple is fused greedily, by descending weight; where they
+  // agree, none is active and it is fused at the root.
   OracleStats total;
   for (uint32_t seed = 1; seed <= 20; ++seed) {
     OracleStats stats = ManyVersionsMatchReference(seed, 5, 8 + seed % 5);
-    EXPECT_EQ(stats.greedy, stats.fused + stats.unfused);
+    EXPECT_EQ(stats.greedy, stats.conflict_tuples);
+    total.greedy += stats.greedy;
     total.conflict_tuples += stats.conflict_tuples;
     total.fused += stats.fused;
     total.unfused += stats.unfused;
     total.substitutions += stats.substitutions;
     total.failed_substitutions += stats.failed_substitutions;
   }
-  EXPECT_GT(total.conflict_tuples, 100u);
+  EXPECT_GT(total.greedy, 100u);
   EXPECT_GT(total.fused, 0u);
   EXPECT_GT(total.unfused, 0u);
   EXPECT_GT(total.substitutions, 50u);
@@ -782,6 +839,70 @@ TEST(FscrOracleTest, StackCellAssignedByAGammaPrime) {
   Dataset cleaned = dirty.Clone();
   RunFscr(dirty, rules, index, options, &cleaned, nullptr);
   EXPECT_EQ(cleaned.row(0), (std::vector<Value>{"k", "x1", "w9", "z9"}));
+}
+
+// Active-version edge cases. Only versions that conflict, closed under
+// sharing an attribute, are permuted; the rest are merged once first.
+
+TEST(FscrOracleTest, ConflictFreeVersionSharingAnAttributeStaysActive) {
+  // Blocks K -> X, W -> X and W -> Z. Tuple 0's W -> X γ becomes (w, x2)
+  // against (k, x1); its W -> Z γ (w, z1) conflicts with neither, but
+  // shares W with (w, x2). The best fusion merges (k, x1), substitutes
+  // (w9, x1) for (w, x2), and then (w9, z9) for (w, z1), which now
+  // conflicts on W. Merging (w, z1) first, as if it were inert, would fix
+  // W = w and leave only (k, x2), (w, x2), (w, z1): a worse fusion.
+  Schema s = *Schema::Make({"K", "X", "W", "Z"});
+  RuleSet rules(s);
+  rules.Add(*Constraint::MakeFd(s, {0}, {1}));  // K -> X
+  rules.Add(*Constraint::MakeFd(s, {2}, {1}));  // W -> X
+  rules.Add(*Constraint::MakeFd(s, {2}, {3}));  // W -> Z
+  Dataset dirty = *Dataset::Make(s, {{"k", "x1", "w", "z1"},
+                                     {"k1", "x1", "w9", "z9"},
+                                     {"k", "x2", "w2", "z2"}});
+  MlnIndex index = *MlnIndex::Build(dirty, rules);
+  for (Piece* piece : AllPieces(&index)) piece->weight = 0.5;
+  SetResult(&dirty, rules, &index, 1, 0, "x2");
+  PieceOfTuple(&index, 0, 0).weight = 0.9;  // (k, x1)
+  PieceOfTuple(&index, 1, 1).weight = 0.9;  // (w9, x1)
+  PieceOfTuple(&index, 2, 1).weight = 0.9;  // (w9, z9)
+  CleaningOptions options;
+  OracleStats stats = ExpectMatchesReference(dirty, rules, index, options, "closure");
+  EXPECT_GE(stats.substitutions, 2u);
+  Dataset cleaned = dirty.Clone();
+  CleaningReport report;
+  RunFscr(dirty, rules, index, options, &cleaned, &report);
+  EXPECT_EQ(report.fscr[0].active_versions, 3u);
+  EXPECT_EQ(cleaned.row(0), (std::vector<Value>{"k", "x1", "w9", "z9"}));
+}
+
+TEST(FscrOracleTest, NineVersionsWithSevenActiveAreSearchedExactly) {
+  // Tuple 0 has 9 versions: K -> A1..A5, W -> A1 and W -> A2, all tied
+  // to its conflict on A1 through K, W or A1, and P -> Q and R -> S,
+  // which touch none of their attributes. 7 active versions are within
+  // the exhaustive limit, so the tuple is searched exactly, not greedily.
+  Schema s = *Schema::Make({"K", "A1", "A2", "A3", "A4", "A5", "W", "P", "Q", "R", "S"});
+  RuleSet rules(s);
+  for (AttrId a : {1, 2, 3, 4, 5}) rules.Add(*Constraint::MakeFd(s, {0}, {a}));
+  rules.Add(*Constraint::MakeFd(s, {6}, {1}));   // W -> A1
+  rules.Add(*Constraint::MakeFd(s, {6}, {2}));   // W -> A2
+  rules.Add(*Constraint::MakeFd(s, {7}, {8}));   // P -> Q
+  rules.Add(*Constraint::MakeFd(s, {9}, {10}));  // R -> S
+  Dataset dirty = *Dataset::Make(
+      s, {{"k", "a1", "a2", "a3", "a4", "a5", "w", "p", "q", "r", "s"},
+          {"k1", "b1", "b2", "b3", "b4", "b5", "w1", "p1", "q1", "r1", "s1"},
+          {"k2", "c1", "c2", "c3", "c4", "c5", "w2", "p2", "q2", "r2", "s2"}});
+  MlnIndex index = *MlnIndex::Build(dirty, rules);
+  for (Piece* piece : AllPieces(&index)) piece->weight = 0.5;
+  SetResult(&dirty, rules, &index, 5, 0, "b1");  // (w, b1) against (k, a1)
+  CleaningOptions options;
+  OracleStats stats = ExpectMatchesReference(dirty, rules, index, options, "nine versions");
+  EXPECT_EQ(stats.greedy, 0u);
+  Dataset cleaned = dirty.Clone();
+  CleaningReport report;
+  EXPECT_EQ(RunFscr(dirty, rules, index, options, &cleaned, &report), 0u);
+  EXPECT_EQ(report.fscr[0].outcome, FusionOutcome::kExhaustive);
+  EXPECT_EQ(report.fscr[0].active_versions, 7u);
+  EXPECT_GT(report.fscr[0].nodes, 1u);
 }
 
 }  // namespace

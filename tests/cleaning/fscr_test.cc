@@ -118,7 +118,7 @@ TEST(FscrTest, FusionFailureLeavesTupleUntouched) {
 // tuple has `num_rules` versions.
 RuleSet KeyedRows(size_t num_rules, Dataset* dirty, Dataset* clean) {
   std::vector<std::string> names = {"K"};
-  for (size_t a = 0; a < 8; ++a) names.push_back("A" + std::to_string(a));
+  for (size_t a = 0; a < num_rules; ++a) names.push_back("A" + std::to_string(a));
   Schema s = *Schema::Make(names);
   RuleSet rules(s);
   for (size_t r = 0; r < num_rules; ++r) {
@@ -127,7 +127,7 @@ RuleSet KeyedRows(size_t num_rules, Dataset* dirty, Dataset* clean) {
   std::vector<std::vector<Value>> rows;
   for (const std::string k : {"k1", "k2"}) {
     std::vector<Value> row = {k};
-    for (size_t a = 0; a < 8; ++a) row.push_back(k + "v" + std::to_string(a));
+    for (size_t a = 0; a < num_rules; ++a) row.push_back(k + "v" + std::to_string(a));
     rows.insert(rows.end(), 3, row);
   }
   rows.push_back(rows[0]);
@@ -153,12 +153,12 @@ CleaningReport FuseKeyedRows(size_t num_rules, Dataset* cleaned, Dataset* clean)
 }
 
 TEST(FscrTest, GreedyPathForManyVersions) {
-  // Eight rules give every tuple eight versions, one past the exhaustive
-  // limit of 7: each is fused greedily, without a search node, and the
-  // typo is still repaired.
+  // 33 rules give every tuple 33 versions, one past the 32 a search's
+  // version mask holds: each is fused greedily, without a search node,
+  // and the typo is still repaired.
   Dataset cleaned;
   Dataset clean;
-  CleaningReport report = FuseKeyedRows(8, &cleaned, &clean);
+  CleaningReport report = FuseKeyedRows(33, &cleaned, &clean);
   EXPECT_EQ(cleaned, clean);
   ASSERT_EQ(report.fscr.size(), 7u);
   for (const auto& rec : report.fscr) {
@@ -169,13 +169,16 @@ TEST(FscrTest, GreedyPathForManyVersions) {
   EXPECT_NE(report.Summary().find("0 exhaustive, 7 greedy"), std::string::npos)
       << report.Summary();
 
-  // Seven rules, seven versions: every tuple is searched exhaustively.
-  report = FuseKeyedRows(7, &cleaned, &clean);
+  // 32 rules, 32 versions that agree: none is active, so every tuple is
+  // searched exactly, in one node at the root. Active versions past 7
+  // take the greedy path too (FscrOracleTest.GreedyPathMatchesReference).
+  report = FuseKeyedRows(32, &cleaned, &clean);
   EXPECT_EQ(cleaned, clean);
   for (const auto& rec : report.fscr) {
     EXPECT_EQ(rec.outcome, FusionOutcome::kExhaustive) << "tuple " << rec.tuple;
     EXPECT_TRUE(rec.fused) << "tuple " << rec.tuple;
-    EXPECT_GT(rec.nodes, 0u) << "tuple " << rec.tuple;
+    EXPECT_EQ(rec.active_versions, 0u) << "tuple " << rec.tuple;
+    EXPECT_EQ(rec.nodes, 1u) << "tuple " << rec.tuple;
   }
   EXPECT_NE(report.Summary().find("7 exhaustive, 0 greedy"), std::string::npos)
       << report.Summary();
@@ -186,7 +189,7 @@ TEST(FscrTest, GreedyCountIsKeptWithoutRecords) {
   // the kGreedy records, and survives a session that collects none.
   Dataset dirty;
   Dataset clean;
-  const RuleSet rules = KeyedRows(8, &dirty, &clean);
+  const RuleSet rules = KeyedRows(33, &dirty, &clean);
   const CleanModel model = *CleaningEngine().Compile(dirty.schema(), rules);
   for (bool collect : {true, false}) {
     SessionOptions opts;
@@ -253,9 +256,10 @@ TEST(FscrTest, StoppedRunAppendsNoRecords) {
 
 TEST(FscrTest, SearchWorkTotalsArePinned) {
   // One fixed stage-I HAI-40 index (seed 42, τ = 3, as bench/e2e's
-  // hai_batch table 0). A change to how a node is evaluated must visit
-  // the same nodes, hit the memo as often and pick the same γ's. The
-  // totals follow the learned weights, so a learner change re-pins them.
+  // hai_batch table 0). A change to how a node is evaluated must permute
+  // the same versions, visit the same nodes, hit the memo as often and
+  // pick the same γ's. The totals follow the learned weights, so a
+  // learner change re-pins them.
   Workload wl = *MakeHospitalWorkload({.num_hospitals = 40, .num_measures = 10});
   ErrorSpec spec;
   spec.seed = 42;
@@ -273,18 +277,23 @@ TEST(FscrTest, SearchWorkTotalsArePinned) {
     Dataset cleaned = dirty.Clone();
     CleaningReport report;
     RunFscr(dirty, wl.rules, index, options, &cleaned, &report, ctx);
+    size_t active = 0;
     size_t nodes = 0;
     size_t hits = 0;
     size_t substitutions = 0;
     for (const FscrRecord& rec : report.fscr) {
+      active += rec.active_versions;
       nodes += rec.nodes;
       hits += rec.dominance_hits;
       substitutions += rec.substitutions;
     }
-    EXPECT_EQ(nodes, 24357u) << "threads " << threads;
-    EXPECT_EQ(hits, 12206u) << "threads " << threads;
-    EXPECT_EQ(substitutions, 10612u) << "threads " << threads;
-    EXPECT_NE(report.Summary().find(std::to_string(nodes) + " nodes"), std::string::npos)
+    EXPECT_EQ(active, 216u) << "threads " << threads;
+    EXPECT_EQ(nodes, 9400u) << "threads " << threads;
+    EXPECT_EQ(hits, 4057u) << "threads " << threads;
+    EXPECT_EQ(substitutions, 4460u) << "threads " << threads;
+    EXPECT_NE(report.Summary().find(std::to_string(active) + " active versions, " +
+                                    std::to_string(nodes) + " nodes"),
+              std::string::npos)
         << report.Summary();
   }
 }

@@ -676,7 +676,11 @@ TEST(CleanServerTest, StagedSubmissionParksResumesAndMatchesPlainSubmit) {
   ASSERT_TRUE(partial->ResumeJob().ok());
   ASSERT_TRUE(partial->Wait().ok());
   EXPECT_EQ(partial->session()->cleaned(), expected->cleaned);
-  EXPECT_FALSE(partial->Take().ok());
+  const Status not_taken = partial->Take().status();
+  EXPECT_TRUE(not_taken.IsInvalid());
+  EXPECT_EQ(not_taken.message(),
+            "staged ticket's final stage is fscr: its outputs stay on the session; there is "
+            "no result to take");
 
   // Staging is validated up front: the pause must precede the final
   // stage, and the incremental lane cannot stage.

@@ -131,6 +131,7 @@ void ExpectSameFscrRecords(const std::vector<FscrRecord>& a,
     EXPECT_EQ(a[i].fused, b[i].fused) << "record " << i;
     EXPECT_EQ(a[i].f_score, b[i].f_score) << "record " << i;  // bitwise
     EXPECT_EQ(a[i].outcome, b[i].outcome) << "record " << i;
+    EXPECT_EQ(a[i].active_versions, b[i].active_versions) << "record " << i;
     EXPECT_EQ(a[i].nodes, b[i].nodes) << "record " << i;
     EXPECT_EQ(a[i].dominance_hits, b[i].dominance_hits) << "record " << i;
     EXPECT_EQ(a[i].substitutions, b[i].substitutions) << "record " << i;

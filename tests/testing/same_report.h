@@ -56,6 +56,7 @@ inline void ExpectSameReport(const CleaningReport& a, const CleaningReport& b) {
     // floating-point operations in the same order per tuple.
     EXPECT_EQ(x.f_score, y.f_score);
     EXPECT_EQ(x.outcome, y.outcome);
+    EXPECT_EQ(x.active_versions, y.active_versions);
     EXPECT_EQ(x.nodes, y.nodes);
     EXPECT_EQ(x.dominance_hits, y.dominance_hits);
     EXPECT_EQ(x.substitutions, y.substitutions);
