@@ -51,15 +51,20 @@ int main() {
   PrintDataset("\nAfter duplicate elimination:", result.deduped);
 
   std::printf("\nWhat happened: %s\n", result.report.Summary().c_str());
+  // Records keep dictionary ids in their rule's order; ResolveIds reads
+  // the values through the result's dictionaries.
+  auto values = [&](const std::vector<ValueId>& ids, size_t block) {
+    return Join(ResolveIds(ids, result.cleaned, rules.rule(block)), ", ");
+  };
   for (const auto& rec : result.report.agp) {
     std::printf("  AGP: group {%s} was abnormal -> merged into {%s}\n",
-                Join(rec.abnormal_key, ", ").c_str(),
-                Join(rec.target_key, ", ").c_str());
+                values(rec.abnormal_key, rec.block).c_str(),
+                values(rec.target_key, rec.block).c_str());
   }
   for (const auto& rec : result.report.rsc) {
     std::printf("  RSC: {%s} rewritten to {%s} (%zu tuple(s))\n",
-                Join(rec.loser_values, ", ").c_str(),
-                Join(rec.winner_values, ", ").c_str(),
+                values(rec.loser_values, rec.block).c_str(),
+                values(rec.winner_values, rec.block).c_str(),
                 rec.affected_tuples.size());
   }
   return 0;

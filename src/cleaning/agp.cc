@@ -176,10 +176,16 @@ size_t RunAgp(Block* block, const Dataset& data, const Constraint& rule,
   if (abnormal_idx.empty()) return 0;
   const size_t n = normal_idx.size();
 
+  // A group's key: its first γ's reason ids, as the record keeps them.
+  const size_t key_arity = rule.reason_attrs().size();
+  auto key_of = [key_arity](const Group& group) {
+    const std::vector<ValueId>& ids = group.pieces.front().ids;
+    return std::vector<ValueId>(ids.begin(), ids.begin() + key_arity);
+  };
   // The record's account of the abnormal group as it was detected.
   auto describe = [&](const Group& abnormal, AgpMergeRecord* rec) {
     rec->block = block->rule_index;
-    rec->abnormal_key = abnormal.pieces.front().ReasonValues(data, rule);
+    rec->abnormal_key = key_of(abnormal);
     rec->num_pieces = abnormal.pieces.size();
     for (const auto& piece : abnormal.pieces) {
       rec->abnormal_tuples.insert(rec->abnormal_tuples.end(), piece.tuples.begin(),
@@ -344,7 +350,7 @@ size_t RunAgp(Block* block, const Dataset& data, const Constraint& rule,
     scratch.merges.emplace_back(ai, target_gi);
     if (report) {
       describe(abnormal, &rec);
-      rec.target_key = groups[target_gi].pieces.front().ReasonValues(data, rule);
+      rec.target_key = key_of(groups[target_gi]);
       rec.merged = true;
       rec.pairs = n;
       report->agp.push_back(std::move(rec));

@@ -4,6 +4,15 @@
 
 namespace mlnclean {
 
+std::vector<Value> ResolveIds(const std::vector<ValueId>& ids, const Dataset& data,
+                              const Constraint& rule) {
+  const std::vector<AttrId>& attrs = rule.attrs();
+  std::vector<Value> out;
+  out.reserve(ids.size());
+  for (size_t p = 0; p < ids.size(); ++p) out.push_back(data.dict(attrs[p]).value(ids[p]));
+  return out;
+}
+
 size_t CleaningReport::NumDetectedAbnormalPieces() const {
   size_t n = 0;
   for (const auto& rec : agp) n += rec.num_pieces;

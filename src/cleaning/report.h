@@ -2,6 +2,10 @@
 // The evaluation module joins it with the injected ground truth to compute
 // the per-component accuracies of Section 7.3 (Precision/Recall-A, -R, -F
 // and #dag).
+//
+// AGP and RSC records hold what they describe as dictionary ids in their
+// rule's order, as a γ does (index/piece.h); `ResolveIds` reads the
+// strings when a reader asks for them.
 
 #ifndef MLNCLEAN_CLEANING_REPORT_H_
 #define MLNCLEAN_CLEANING_REPORT_H_
@@ -14,20 +18,24 @@
 
 #include "dataset/dataset.h"
 #include "dataset/schema.h"
+#include "rules/constraint.h"
 
 namespace mlnclean {
 
 /// One AGP decision: an abnormal group and where it was merged.
 struct AgpMergeRecord {
+  /// The block's rule index: the rule that resolves the keys.
   size_t block = 0;
-  std::vector<Value> abnormal_key;
+  /// Reason ids of the abnormal group (its first γ's reason part), one per
+  /// reason attribute in rule order.
+  std::vector<ValueId> abnormal_key;
   /// Tuples inside the abnormal group when it was detected.
   std::vector<TupleId> abnormal_tuples;
   /// Number of γs in the abnormal group (contributes to #dag).
   size_t num_pieces = 0;
-  /// Reason key of the normal group it was merged into; empty when the
+  /// Reason ids of the normal group it was merged into; empty when the
   /// block had no normal group and the merge was skipped.
-  std::vector<Value> target_key;
+  std::vector<ValueId> target_key;
   bool merged = false;
   /// Scan work (all 0 when the group was not merged): normal candidates
   /// covered, bucket bounds and candidate bounds folded, exact γ*
@@ -43,12 +51,13 @@ struct AgpMergeRecord {
 
 /// One RSC replacement: a losing γ rewritten to the group's winner.
 struct RscRepairRecord {
+  /// The block's rule index: the rule that resolves the values.
   size_t block = 0;
-  std::vector<Value> group_key;
-  /// reason+result values of the winning γ.
-  std::vector<Value> winner_values;
-  /// reason+result values of the replaced γ.
-  std::vector<Value> loser_values;
+  /// Ids of the winning γ, one per rule attribute in rule order (reason,
+  /// then result).
+  std::vector<ValueId> winner_values;
+  /// Ids of the replaced γ, in the same order.
+  std::vector<ValueId> loser_values;
   /// Tuples that carried the losing γ.
   std::vector<TupleId> affected_tuples;
 };
@@ -133,6 +142,15 @@ struct CleaningReport {
   /// Short human-readable summary.
   std::string Summary() const;
 };
+
+/// The values behind an id tuple of `rule`: id p is read through the
+/// dictionary of `rule.attrs()[p]` in `data`, so a prefix resolves the
+/// reason part. A record's tuple (`abnormal_key`, `target_key`,
+/// `winner_values`, `loser_values`) resolves through `rules.rule(block)`
+/// and the dirty dataset of its run, or its cleaned one: the cleaned
+/// dictionaries are a copy of the dirty ones that FSCR only extends.
+std::vector<Value> ResolveIds(const std::vector<ValueId>& ids, const Dataset& data,
+                              const Constraint& rule);
 
 /// Moves the `field` records of every report in `parts` onto the end of
 /// `out`, in part order, with one reservation: how AGP and RSC turn their

@@ -90,13 +90,6 @@ void RunRscGroupImpl(Group* group, size_t block_rule_index, const Dataset& data,
       best = i;
     }
   }
-  // The records' strings are read from the dictionaries only when a
-  // report is collected; the group key is the first γ's reason values.
-  std::vector<Value> group_key, winner_values;
-  if (report) {
-    group_key = group->pieces.front().ReasonValues(data, rule);
-    winner_values = group->pieces[best].AllValues(data, rule);
-  }
   Piece winner = std::move(group->pieces[best]);
   for (size_t i = 0; i < group->pieces.size(); ++i) {
     if (i == best) continue;
@@ -104,12 +97,12 @@ void RunRscGroupImpl(Group* group, size_t block_rule_index, const Dataset& data,
     winner.tuples.insert(winner.tuples.end(), loser.tuples.begin(),
                          loser.tuples.end());
     if (report) {
-      // The loser is discarded below, so its tuples move into its record.
+      // The loser is discarded below, so its ids and tuples move into its
+      // record.
       RscRepairRecord rec;
       rec.block = block_rule_index;
-      rec.group_key = group_key;
-      rec.winner_values = winner_values;
-      rec.loser_values = loser.AllValues(data, rule);
+      rec.winner_values = winner.ids;
+      rec.loser_values = std::move(loser.ids);
       rec.affected_tuples = std::move(loser.tuples);
       report->rsc.push_back(std::move(rec));
     }

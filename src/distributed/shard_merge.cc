@@ -44,8 +44,11 @@ void MergeShardRows(const Dataset& shard_clean,
 namespace {
 
 /// Splices one leg session's decision trace into the protocol's report,
-/// rewriting shard-local tuple ids to input rows. Value fields carry no
-/// ids and pass through.
+/// rewriting shard-local tuple ids to input rows. The AGP and RSC records'
+/// value ids pass through unchanged: a shard is a Dataset::Gather of the
+/// input and keeps a copy of its dictionaries, and a γ's ids are dirty ids,
+/// all below the shipped watermark, so they resolve through the input or
+/// the assembled result alike.
 void SpliceShardReport(const CleaningReport& shard,
                        const std::vector<TupleId>& mapping,
                        CleaningReport* into) {

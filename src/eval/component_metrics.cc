@@ -1,10 +1,8 @@
 #include "eval/component_metrics.h"
 
 #include <map>
-#include <unordered_map>
 
 #include "cleaning/engine.h"
-#include "common/string_util.h"
 #include "index/mln_index.h"
 
 namespace mlnclean {
@@ -62,9 +60,8 @@ Result<ComponentEvaluation> EvaluateComponents(const Dataset& dirty,
     bool really_abnormal = false;
     std::vector<Value> plurality_reason;
   };
-  // (block, reason key) -> truth classification.
-  std::vector<std::unordered_map<std::string, GroupTruth>> group_truth(
-      index.num_blocks());
+  // (block, reason ids) -> truth classification.
+  std::vector<std::map<std::vector<ValueId>, GroupTruth>> group_truth(index.num_blocks());
   size_t real_abnormal_total = 0;
   for (size_t bi = 0; bi < index.num_blocks(); ++bi) {
     const Block& block = index.block(bi);
@@ -74,7 +71,9 @@ Result<ComponentEvaluation> EvaluateComponents(const Dataset& dirty,
       for (const auto& piece : group.pieces) {
         members.insert(members.end(), piece.tuples.begin(), piece.tuples.end());
       }
-      const std::vector<Value> key = group.pieces.front().ReasonValues(dirty, rule);
+      const std::vector<ValueId>& ids = group.pieces.front().ids;
+      std::vector<ValueId> key_ids(ids.begin(), ids.begin() + rule.reason_attrs().size());
+      const std::vector<Value> key = ResolveIds(key_ids, dirty, rule);
       GroupTruth gt;
       gt.plurality_reason = PluralityTruth(truth, members, rule.reason_attrs());
       bool any_match = false;
@@ -86,7 +85,7 @@ Result<ComponentEvaluation> EvaluateComponents(const Dataset& dirty,
       }
       gt.really_abnormal = !any_match;
       if (gt.really_abnormal) ++real_abnormal_total;
-      group_truth[bi].emplace(JoinKey(key), std::move(gt));
+      group_truth[bi].emplace(std::move(key_ids), std::move(gt));
     }
   }
 
@@ -101,10 +100,11 @@ Result<ComponentEvaluation> EvaluateComponents(const Dataset& dirty,
   eval.dag = report.NumDetectedAbnormalPieces();
   for (const auto& rec : report.agp) {
     const auto& map = group_truth[rec.block];
-    auto it = map.find(JoinKey(rec.abnormal_key));
+    auto it = map.find(rec.abnormal_key);
     if (it == map.end()) continue;
     if (rec.merged && it->second.really_abnormal &&
-        rec.target_key == it->second.plurality_reason) {
+        ResolveIds(rec.target_key, dirty, rules.rule(rec.block)) ==
+            it->second.plurality_reason) {
       ++eval.agp.correct;
     }
   }
@@ -118,7 +118,7 @@ Result<ComponentEvaluation> EvaluateComponents(const Dataset& dirty,
     const std::vector<AttrId>& rule_attrs = rule.attrs();
     for (const Group& group : block.groups) {
       for (const auto& piece : group.pieces) {
-        if (piece.AllValues(dirty, rule) !=
+        if (ResolveIds(piece.ids, dirty, rule) !=
             PluralityTruth(truth, piece.tuples, rule_attrs)) {
           ++erroneous_pieces;
         }
@@ -133,7 +133,7 @@ Result<ComponentEvaluation> EvaluateComponents(const Dataset& dirty,
   eval.rsc.real = erroneous_pieces;
   for (const auto& rec : report.rsc) {
     const Constraint& rule = rules.rule(rec.block);
-    if (rec.winner_values ==
+    if (ResolveIds(rec.winner_values, dirty, rule) ==
         PluralityTruth(truth, rec.affected_tuples, rule.attrs())) {
       ++eval.rsc.correct;
     }

@@ -2,29 +2,6 @@
 
 namespace mlnclean {
 
-namespace {
-
-// The values of the first `n` ids, read through their attributes'
-// dictionaries.
-std::vector<Value> ValuesOf(const Piece& piece, const Dataset& data, const Constraint& rule,
-                            size_t n) {
-  const std::vector<AttrId>& attrs = rule.attrs();
-  std::vector<Value> out;
-  out.reserve(n);
-  for (size_t p = 0; p < n; ++p) out.push_back(data.dict(attrs[p]).value(piece.ids[p]));
-  return out;
-}
-
-}  // namespace
-
-std::vector<Value> Piece::ReasonValues(const Dataset& data, const Constraint& rule) const {
-  return ValuesOf(*this, data, rule, rule.reason_attrs().size());
-}
-
-std::vector<Value> Piece::AllValues(const Dataset& data, const Constraint& rule) const {
-  return ValuesOf(*this, data, rule, ids.size());
-}
-
 std::string Piece::ToString(const Dataset& data, const Constraint& rule) const {
   const std::vector<AttrId>& attrs = rule.attrs();
   std::string out = "{";

@@ -9,8 +9,9 @@
 // Every γ has its rule's full arity. The strings live once, in that
 // dataset's dictionaries (whose storage keeps `value(id)` references
 // stable as they grow); code that needs bytes reads them through the
-// dataset and the rule. Within one attribute's dictionary, id equality is
-// value equality, so the distance scans compare ids first.
+// dataset and the rule (ResolveIds in cleaning/report.h). Within one
+// attribute's dictionary, id equality is value equality, so the distance
+// scans compare ids first.
 
 #ifndef MLNCLEAN_INDEX_PIECE_H_
 #define MLNCLEAN_INDEX_PIECE_H_
@@ -33,12 +34,6 @@ struct Piece {
 
   /// Tuple support c(γ) (Eq. 4).
   size_t support() const { return tuples.size(); }
-
-  /// The reason values, read from `data`'s dictionaries.
-  std::vector<Value> ReasonValues(const Dataset& data, const Constraint& rule) const;
-
-  /// All values, reason part first (the unit RSC compares and replaces).
-  std::vector<Value> AllValues(const Dataset& data, const Constraint& rule) const;
 
   /// Debug rendering, e.g. `{CT: DOTHAN, ST: AL}`.
   std::string ToString(const Dataset& data, const Constraint& rule) const;

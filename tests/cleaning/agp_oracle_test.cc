@@ -33,15 +33,25 @@ struct RefStats {
   size_t star_changes = 0;  // a merge that changed the target's γ*
 };
 
+// The reference's account of one abnormal group, its keys as strings.
+struct RefRecord {
+  size_t block = 0;
+  std::vector<Value> abnormal_key;
+  std::vector<TupleId> abnormal_tuples;
+  size_t num_pieces = 0;
+  std::vector<Value> target_key;
+  bool merged = false;
+};
+
 size_t StarIndex(const Group& group) {
   return static_cast<size_t>(&group.Star() - group.pieces.data());
 }
 
 // The all-pairs scan, one block at a time, in block order.
-CleaningReport ReferenceAgp(MlnIndex* index, const Dataset& data, const RuleSet& rules,
-                            size_t tau, DistanceMetric metric, RefStats* stats) {
+std::vector<RefRecord> ReferenceAgp(MlnIndex* index, const Dataset& data, const RuleSet& rules,
+                                    size_t tau, DistanceMetric metric, RefStats* stats) {
   const DistanceFn dist = MakeNormalizedDistanceFn(metric);
-  CleaningReport report;
+  std::vector<RefRecord> records;
   for (size_t bi = 0; bi < index->num_blocks(); ++bi) {
     Block& block = index->block(bi);
     const Constraint& rule = rules.rule(block.rule_index);
@@ -52,9 +62,9 @@ CleaningReport ReferenceAgp(MlnIndex* index, const Dataset& data, const RuleSet&
     std::vector<bool> remove(block.groups.size(), false);
     for (size_t ai : abnormal) {
       Group& group = block.groups[ai];
-      AgpMergeRecord rec;
+      RefRecord rec;
       rec.block = block.rule_index;
-      rec.abnormal_key = group.pieces.front().ReasonValues(data, rule);
+      rec.abnormal_key = testing::ReasonValues(group.pieces.front(), data, rule);
       rec.num_pieces = group.pieces.size();
       for (const Piece& piece : group.pieces) {
         rec.abnormal_tuples.insert(rec.abnormal_tuples.end(), piece.tuples.begin(),
@@ -78,12 +88,12 @@ CleaningReport ReferenceAgp(MlnIndex* index, const Dataset& data, const RuleSet&
         for (Piece& piece : group.pieces) target.pieces.push_back(std::move(piece));
         group.pieces.clear();
         if (StarIndex(target) != star_before) ++stats->star_changes;
-        rec.target_key = target.pieces.front().ReasonValues(data, rule);
+        rec.target_key = testing::ReasonValues(target.pieces.front(), data, rule);
         rec.merged = true;
         remove[ai] = true;
         ++stats->merges;
       }
-      report.agp.push_back(std::move(rec));
+      records.push_back(std::move(rec));
     }
     std::vector<Group> kept;
     for (size_t gi = 0; gi < block.groups.size(); ++gi) {
@@ -91,20 +101,24 @@ CleaningReport ReferenceAgp(MlnIndex* index, const Dataset& data, const RuleSet&
     }
     block.groups = std::move(kept);
   }
-  return report;
+  return records;
 }
 
-void ExpectSameRecords(const CleaningReport& got, const CleaningReport& want) {
-  ASSERT_EQ(got.agp.size(), want.agp.size());
-  for (size_t i = 0; i < want.agp.size(); ++i) {
+// RunAgpAll's records against the reference's, keys resolved through
+// `data` and each record's rule.
+void ExpectSameRecords(const CleaningReport& got, const std::vector<RefRecord>& want,
+                       const Dataset& data, const RuleSet& rules) {
+  ASSERT_EQ(got.agp.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
     SCOPED_TRACE("record " + std::to_string(i));
     const AgpMergeRecord& g = got.agp[i];
-    const AgpMergeRecord& w = want.agp[i];
+    const RefRecord& w = want[i];
     EXPECT_EQ(g.block, w.block);
-    EXPECT_EQ(g.abnormal_key, w.abnormal_key);
+    const Constraint& rule = rules.rule(g.block);
+    EXPECT_EQ(ResolveIds(g.abnormal_key, data, rule), w.abnormal_key);
     EXPECT_EQ(g.abnormal_tuples, w.abnormal_tuples);
     EXPECT_EQ(g.num_pieces, w.num_pieces);
-    EXPECT_EQ(g.target_key, w.target_key);
+    EXPECT_EQ(ResolveIds(g.target_key, data, rule), w.target_key);
     EXPECT_EQ(g.merged, w.merged);
   }
 }
@@ -142,7 +156,8 @@ RefStats ExpectMatchesReference(const MlnIndex& index, const Dataset& data,
                                 const std::string& label) {
   RefStats stats;
   MlnIndex want = index;
-  const CleaningReport want_report = ReferenceAgp(&want, data, rules, tau, metric, &stats);
+  const std::vector<RefRecord> want_records =
+      ReferenceAgp(&want, data, rules, tau, metric, &stats);
   CleaningOptions options;
   options.agp_threshold = tau;
   options.distance = metric;
@@ -155,7 +170,7 @@ RefStats ExpectMatchesReference(const MlnIndex& index, const Dataset& data,
     MlnIndex got = index;
     CleaningReport report;
     RunAgpAll(&got, data, rules, options, &report, ctx);
-    ExpectSameRecords(report, want_report);
+    ExpectSameRecords(report, want_records, data, rules);
     ExpectSameGroups(got, want, rules);
   }
   return stats;
@@ -305,7 +320,9 @@ struct HandBuilt {
     CleaningReport report;
     RunAgpAll(&got, data, rules, options, &report);
     std::vector<std::vector<Value>> targets;
-    for (const AgpMergeRecord& rec : report.agp) targets.push_back(rec.target_key);
+    for (const AgpMergeRecord& rec : report.agp) {
+      targets.push_back(ResolveIds(rec.target_key, data, rules.rule(rec.block)));
+    }
     return targets;
   }
 };
@@ -401,8 +418,10 @@ TEST(AgpOracleTest, MergeThatChangesTheTargetsStarSteersTheNextMerge) {
     CleaningReport report;
     RunAgpAll(&got, h.data, h.rules, options, &report);
     ASSERT_EQ(report.agp.size(), 2u);
-    EXPECT_EQ(report.agp[0].target_key, (std::vector<Value>{"aaaaaaaa"}));
-    EXPECT_EQ(report.agp[1].target_key, (std::vector<Value>{"aaaaaaaa"}));
+    for (const AgpMergeRecord& rec : report.agp) {
+      EXPECT_EQ(ResolveIds(rec.target_key, h.data, h.rules.rule(rec.block)),
+                (std::vector<Value>{"aaaaaaaa"}));
+    }
     ASSERT_EQ(got.block(0).groups.size(), 2u);
     EXPECT_EQ(got.block(0).groups[0].pieces.size(), 5u);
   }
@@ -431,7 +450,8 @@ TEST(AgpOracleTest, TiesGoToTheEarliestNormalGroup) {
     CleaningReport report;
     RunAgpAll(&got, h.data, h.rules, options, &report);
     ASSERT_EQ(report.agp.size(), 1u);
-    EXPECT_EQ(report.agp[0].target_key, (std::vector<Value>{"abbb"}));
+    EXPECT_EQ(ResolveIds(report.agp[0].target_key, h.data, h.rules.rule(0)),
+              (std::vector<Value>{"abbb"}));
   }
 }
 

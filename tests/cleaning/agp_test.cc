@@ -7,6 +7,7 @@
 #include "datagen/car.h"
 #include "datagen/sample.h"
 #include "errorgen/injector.h"
+#include "testing/hand_built.h"
 
 namespace mlnclean {
 namespace {
@@ -27,13 +28,18 @@ TEST(AgpTest, PaperExampleMergesWithTauOne) {
   RunAgpAll(&f.index, f.dirty, f.rules, f.options, &report);
 
   ASSERT_EQ(report.agp.size(), 3u);
-  EXPECT_EQ(report.agp[0].abnormal_key, (std::vector<Value>{"DOTH"}));
-  EXPECT_EQ(report.agp[0].target_key, (std::vector<Value>{"DOTHAN"}));
+  // The keys are reason ids, read back through the records' rules.
+  auto values = [&f](const std::vector<ValueId>& ids, size_t block) {
+    return ResolveIds(ids, f.dirty, f.rules.rule(block));
+  };
+  EXPECT_EQ(values(report.agp[0].abnormal_key, 0), (std::vector<Value>{"DOTH"}));
+  EXPECT_EQ(values(report.agp[0].target_key, 0), (std::vector<Value>{"DOTHAN"}));
   EXPECT_TRUE(report.agp[0].merged);
-  EXPECT_EQ(report.agp[1].abnormal_key, (std::vector<Value>{"2567638410"}));
-  EXPECT_EQ(report.agp[1].target_key, (std::vector<Value>{"2567688400"}));
-  EXPECT_EQ(report.agp[2].abnormal_key, (std::vector<Value>{"ELIZA", "DOTHAN"}));
-  EXPECT_EQ(report.agp[2].target_key, (std::vector<Value>{"ELIZA", "BOAZ"}));
+  EXPECT_EQ(values(report.agp[1].abnormal_key, 1), (std::vector<Value>{"2567638410"}));
+  EXPECT_EQ(values(report.agp[1].target_key, 1), (std::vector<Value>{"2567688400"}));
+  EXPECT_EQ(values(report.agp[2].abnormal_key, 2), (std::vector<Value>{"ELIZA", "DOTHAN"}));
+  EXPECT_EQ(values(report.agp[2].target_key, 2), (std::vector<Value>{"ELIZA", "BOAZ"}));
+  for (size_t i = 0; i < 3; ++i) EXPECT_EQ(report.agp[i].block, i);
 
   // Post-merge shape: 2, 2, 1 groups.
   EXPECT_EQ(f.index.block(0).groups.size(), 2u);
@@ -44,7 +50,7 @@ TEST(AgpTest, PaperExampleMergesWithTauOne) {
   const ValueId dothan = f.dirty.dict(r1.reason_attrs()[0]).Find("DOTHAN");
   const Group& g11 = f.index.block(0).groups[*f.index.FindGroup(0, {dothan})];
   ASSERT_EQ(g11.pieces.size(), 2u);
-  EXPECT_EQ(g11.pieces[1].ReasonValues(f.dirty, r1), (std::vector<Value>{"DOTH"}));
+  EXPECT_EQ(testing::ReasonValues(g11.pieces[1], f.dirty, r1), (std::vector<Value>{"DOTH"}));
 }
 
 TEST(AgpTest, TauZeroDetectsNothing) {

@@ -39,6 +39,7 @@
 #include "cleaning/agp.h"
 #include "cleaning/fscr.h"
 #include "cleaning/rsc.h"
+#include "testing/hand_built.h"
 
 namespace mlnclean {
 namespace {
@@ -629,7 +630,7 @@ TEST(FscrOracleTest, NegativeWeightTurnsPruningOff) {
     const Constraint& rule = rules.rule(b);
     for (Group& group : index.block(b).groups) {
       for (Piece& piece : group.pieces) {
-        std::vector<Value> values = piece.AllValues(dirty, rule);
+        std::vector<Value> values = testing::AllValues(piece, dirty, rule);
         if (b == 4 && values[0] == "q") {
           piece.ids.back() = dirty.InternValue(rule.result_attrs()[0], "p2");
           values[1] = "p2";

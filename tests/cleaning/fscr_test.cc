@@ -11,6 +11,7 @@
 #include "datagen/hospital.h"
 #include "datagen/sample.h"
 #include "errorgen/injector.h"
+#include "testing/hand_built.h"
 
 namespace mlnclean {
 namespace {
@@ -213,12 +214,13 @@ TEST(FscrTest, FScoreIsProductOfWeights) {
   // t1's versions: B1 {DOTHAN, AL} and B2 {3347938701, AL}.
   double w1 = 0, w2 = 0;
   for (const Group& g : f.index.block(0).groups) {
-    if (g.pieces[0].ReasonValues(f.dirty, f.rules.rule(0)) == std::vector<Value>{"DOTHAN"}) {
+    if (testing::ReasonValues(g.pieces[0], f.dirty, f.rules.rule(0)) ==
+        std::vector<Value>{"DOTHAN"}) {
       w1 = g.pieces[0].weight;
     }
   }
   for (const Group& g : f.index.block(1).groups) {
-    if (g.pieces[0].ReasonValues(f.dirty, f.rules.rule(1)) ==
+    if (testing::ReasonValues(g.pieces[0], f.dirty, f.rules.rule(1)) ==
         std::vector<Value>{"3347938701"}) {
       w2 = g.pieces[0].weight;
     }

@@ -50,7 +50,7 @@ TEST(RscTest, Example2ReliabilityScores) {
 
   RunRscGroup(&g13, 0, dirty, r1, Lev(), nullptr);
   ASSERT_EQ(g13.pieces.size(), 1u);
-  EXPECT_EQ(g13.pieces[0].AllValues(dirty, r1), (std::vector<Value>{"BOAZ", "AL"}));
+  EXPECT_EQ(testing::AllValues(g13.pieces[0], dirty, r1), (std::vector<Value>{"BOAZ", "AL"}));
   // The winner absorbed t4.
   EXPECT_EQ(g13.pieces[0].tuples, (std::vector<TupleId>{4, 5, 3}));
 }
@@ -81,7 +81,7 @@ TEST(RscTest, Figure4CleanVersionsAfterAgpAndRsc) {
   index.LearnWeights();
   RunRscAll(&index, dirty, rules, Lev(), &report);
   auto values = [&](const Piece& piece, size_t rule) {
-    return piece.AllValues(dirty, rules.rule(rule));
+    return testing::AllValues(piece, dirty, rules.rule(rule));
   };
 
   // Version 1 (B1): {DOTHAN, AL} for t1,t2,t3 and {BOAZ, AL} for t4,t5,t6.
@@ -120,8 +120,11 @@ TEST(RscTest, ReportRecordsReplacements) {
   RunRscAll(&index, dirty, rules, Lev(), &report);
   // Without AGP, two groups hold >1 γ: G13 (B1) and G23 (B2).
   ASSERT_EQ(report.rsc.size(), 2u);
-  EXPECT_EQ(report.rsc[0].winner_values, (std::vector<Value>{"BOAZ", "AL"}));
-  EXPECT_EQ(report.rsc[0].loser_values, (std::vector<Value>{"BOAZ", "AK"}));
+  const Constraint& r1 = rules.rule(report.rsc[0].block);
+  EXPECT_EQ(ResolveIds(report.rsc[0].winner_values, dirty, r1),
+            (std::vector<Value>{"BOAZ", "AL"}));
+  EXPECT_EQ(ResolveIds(report.rsc[0].loser_values, dirty, r1),
+            (std::vector<Value>{"BOAZ", "AK"}));
   EXPECT_EQ(report.rsc[0].affected_tuples, (std::vector<TupleId>{3}));
 }
 
@@ -143,8 +146,8 @@ TEST(RscTest, ReportPinsEveryRecordField) {
   // Winner's tuples first, then each loser's in piece order; the winner's
   // reason values key the group.
   EXPECT_EQ(group.pieces[0].tuples, (std::vector<TupleId>{1, 2, 3, 0, 4, 5}));
-  EXPECT_EQ(group.pieces[0].ReasonValues(h.data, h.rule), (std::vector<Value>{"K1"}));
-  EXPECT_EQ(group.pieces[0].AllValues(h.data, h.rule),
+  EXPECT_EQ(testing::ReasonValues(group.pieces[0], h.data, h.rule), (std::vector<Value>{"K1"}));
+  EXPECT_EQ(testing::AllValues(group.pieces[0], h.data, h.rule),
             (std::vector<Value>{"K1", "aa", "z"}));
 
   ASSERT_EQ(report.rsc.size(), 2u);
@@ -155,9 +158,9 @@ TEST(RscTest, ReportPinsEveryRecordField) {
   for (size_t i = 0; i < 2; ++i) {
     const RscRepairRecord& rec = report.rsc[i];
     EXPECT_EQ(rec.block, 5u);
-    EXPECT_EQ(rec.group_key, (std::vector<Value>{"K0"}));  // the pre-RSC key
-    EXPECT_EQ(rec.winner_values, winner_values);
-    EXPECT_EQ(rec.loser_values, loser_values[i]);  // reason, then result
+    EXPECT_EQ(ResolveIds(rec.winner_values, h.data, h.rule), winner_values);
+    // Reason, then result.
+    EXPECT_EQ(ResolveIds(rec.loser_values, h.data, h.rule), loser_values[i]);
     EXPECT_EQ(rec.affected_tuples, affected[i]);
   }
 
@@ -177,7 +180,7 @@ TEST(RscTest, GroupKeyFollowsWinner) {
   group.pieces.push_back(h.Make("DOTHAN", {"AL"}, {0, 2, 7}, 0.9));
   RunRscGroup(&group, 0, h.data, h.narrow, Lev(), nullptr);
   ASSERT_EQ(group.pieces.size(), 1u);
-  EXPECT_EQ(group.pieces.front().ReasonValues(h.data, h.narrow),
+  EXPECT_EQ(testing::ReasonValues(group.pieces.front(), h.data, h.narrow),
             (std::vector<Value>{"DOTHAN"}));
 }
 
@@ -188,7 +191,7 @@ TEST(RscTest, TieBreaksByWeightThenSupport) {
   group.pieces.push_back(h.Make("K", {"aa"}, {0}, 0.2));
   group.pieces.push_back(h.Make("K", {"ab"}, {1}, 0.8));
   RunRscGroup(&group, 0, h.data, h.narrow, Lev(), nullptr);
-  EXPECT_EQ(group.pieces[0].AllValues(h.data, h.narrow), (std::vector<Value>{"K", "ab"}));
+  EXPECT_EQ(testing::AllValues(group.pieces[0], h.data, h.narrow), (std::vector<Value>{"K", "ab"}));
 }
 
 TEST(RscTest, ReliabilityScoreUsesSupportScaling) {

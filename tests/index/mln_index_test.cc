@@ -37,8 +37,8 @@ struct Sample {
 
   // A group's key as values: its first γ's reason values.
   std::vector<Value> KeyValues(const MlnIndex& index, size_t block, size_t group) const {
-    return index.block(block).groups[group].pieces.front().ReasonValues(dirty,
-                                                                        rules.rule(block));
+    return testing::ReasonValues(index.block(block).groups[group].pieces.front(), dirty,
+                                 rules.rule(block));
   }
 };
 
@@ -82,13 +82,13 @@ TEST(MlnIndexTest, Figure2GroupContents) {
   // G13 (BOAZ) holds two γs: {BOAZ, AK} (t4) and {BOAZ, AL} (t5, t6).
   const Group& g13 = index.block(0).groups[2];
   ASSERT_EQ(g13.pieces.size(), 2u);
-  EXPECT_EQ(g13.pieces[0].AllValues(s.dirty, r1), (std::vector<Value>{"BOAZ", "AK"}));
+  EXPECT_EQ(testing::AllValues(g13.pieces[0], s.dirty, r1), (std::vector<Value>{"BOAZ", "AK"}));
   EXPECT_EQ(g13.pieces[0].tuples, (std::vector<TupleId>{3}));
-  EXPECT_EQ(g13.pieces[1].AllValues(s.dirty, r1), (std::vector<Value>{"BOAZ", "AL"}));
+  EXPECT_EQ(testing::AllValues(g13.pieces[1], s.dirty, r1), (std::vector<Value>{"BOAZ", "AL"}));
   EXPECT_EQ(g13.pieces[1].tuples, (std::vector<TupleId>{4, 5}));
   EXPECT_EQ(g13.TupleCount(), 3u);
   // γ* of G13 is the better-supported {BOAZ, AL}.
-  EXPECT_EQ(g13.Star().AllValues(s.dirty, r1), (std::vector<Value>{"BOAZ", "AL"}));
+  EXPECT_EQ(testing::AllValues(g13.Star(), s.dirty, r1), (std::vector<Value>{"BOAZ", "AL"}));
 }
 
 TEST(MlnIndexTest, BlockCounters) {

@@ -23,8 +23,8 @@ struct CtSt {
 TEST(PieceTest, AllValuesConcatenatesReasonThenResult) {
   CtSt f;
   Piece p = f.Make("BOAZ", "AL", {4, 5});
-  EXPECT_EQ(p.AllValues(f.data, f.rule), (std::vector<Value>{"BOAZ", "AL"}));
-  EXPECT_EQ(p.ReasonValues(f.data, f.rule), (std::vector<Value>{"BOAZ"}));
+  EXPECT_EQ(testing::AllValues(p, f.data, f.rule), (std::vector<Value>{"BOAZ", "AL"}));
+  EXPECT_EQ(testing::ReasonValues(p, f.data, f.rule), (std::vector<Value>{"BOAZ"}));
   EXPECT_EQ(p.support(), 2u);
 }
 

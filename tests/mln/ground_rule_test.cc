@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "datagen/sample.h"
+#include "testing/hand_built.h"
 
 namespace mlnclean {
 namespace {
@@ -40,10 +41,10 @@ TEST(GroundRuleTest, SupportCountsTable1) {
   size_t total = 0;
   for (const auto& g : grounds) {
     total += g.support();
-    if (g.ReasonValues(dirty, r1) == std::vector<Value>{"DOTHAN"}) {
+    if (testing::ReasonValues(g, dirty, r1) == std::vector<Value>{"DOTHAN"}) {
       EXPECT_EQ(g.tuples, (std::vector<TupleId>{0, 2}));  // t1, t3
     }
-    if (g.AllValues(dirty, r1) == std::vector<Value>{"BOAZ", "AL"}) {
+    if (testing::AllValues(g, dirty, r1) == std::vector<Value>{"BOAZ", "AL"}) {
       EXPECT_EQ(g.tuples, (std::vector<TupleId>{4, 5}));  // t5, t6
     }
   }
@@ -78,9 +79,9 @@ TEST(GroundRuleTest, CfdScopeRestrictsGrounding) {
   const Constraint& r3 = rules.rule(2);
   auto grounds = *GroundConstraint(dirty, r3);
   ASSERT_EQ(grounds.size(), 2u);
-  EXPECT_EQ(grounds[0].ReasonValues(dirty, r3), (std::vector<Value>{"ELIZA", "DOTHAN"}));
+  EXPECT_EQ(testing::ReasonValues(grounds[0], dirty, r3), (std::vector<Value>{"ELIZA", "DOTHAN"}));
   EXPECT_EQ(grounds[0].tuples, (std::vector<TupleId>{2}));
-  EXPECT_EQ(grounds[1].ReasonValues(dirty, r3), (std::vector<Value>{"ELIZA", "BOAZ"}));
+  EXPECT_EQ(testing::ReasonValues(grounds[1], dirty, r3), (std::vector<Value>{"ELIZA", "BOAZ"}));
   EXPECT_EQ(grounds[1].tuples, (std::vector<TupleId>{3, 4, 5}));
 }
 

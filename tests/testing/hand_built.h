@@ -1,6 +1,7 @@
 // Hand-built γs for tests. A γ holds only dictionary ids, so a test that
 // builds one by hand interns its values into a small dataset's
-// dictionaries (Dataset::InternValue) and reads them back through it.
+// dictionaries (Dataset::InternValue) and reads them back through it
+// (`AllValues`, `ReasonValues`).
 
 #ifndef MLNCLEAN_TESTS_TESTING_HAND_BUILT_H_
 #define MLNCLEAN_TESTS_TESTING_HAND_BUILT_H_
@@ -10,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "cleaning/report.h"
 #include "dataset/dataset.h"
 #include "index/piece.h"
 #include "rules/constraint.h"
@@ -43,6 +45,19 @@ inline Piece MakePiece(Dataset* data, const Constraint& rule, const std::vector<
 /// The reason part of `piece`: its first rule.reason_attrs().size() ids.
 inline std::vector<ValueId> ReasonIds(const Piece& piece, const Constraint& rule) {
   return {piece.ids.begin(), piece.ids.begin() + rule.reason_attrs().size()};
+}
+
+/// The values of `piece`, reason part first, read through `data`'s
+/// dictionaries (ResolveIds).
+inline std::vector<Value> AllValues(const Piece& piece, const Dataset& data,
+                                    const Constraint& rule) {
+  return ResolveIds(piece.ids, data, rule);
+}
+
+/// The values of `piece`'s reason part.
+inline std::vector<Value> ReasonValues(const Piece& piece, const Dataset& data,
+                                       const Constraint& rule) {
+  return ResolveIds(ReasonIds(piece, rule), data, rule);
 }
 
 }  // namespace testing
