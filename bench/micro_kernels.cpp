@@ -356,10 +356,16 @@ void BM_Fscr(benchmark::State& state) {
     state.ResumeTiming();
     benchmark::DoNotOptimize(session->RunUntil(Stage::kFscr));
   }
-  // Search nodes of one iteration (every iteration visits the same ones).
+  // Search nodes of one iteration (every iteration visits the same ones),
+  // and those that ended with nothing left to explore.
   size_t nodes = 0;
-  for (const FscrRecord& rec : session->report().fscr) nodes += rec.nodes;
+  size_t hits = 0;
+  for (const FscrRecord& rec : session->report().fscr) {
+    nodes += rec.nodes;
+    hits += rec.dominance_hits;
+  }
   state.counters["nodes"] = static_cast<double>(nodes);
+  state.counters["hits"] = static_cast<double>(hits);
 }
 BENCHMARK(BM_Fscr)->Arg(400)->Arg(50);
 

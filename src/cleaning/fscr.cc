@@ -35,7 +35,7 @@ uint64_t Mix(uint64_t x) {
 // One fused cell: the target attribute, the repair value's id (an id of
 // the dirty dataset the index was built over; the cleaned dataset's
 // dictionaries extend it, so ids carry over), and the cell's word in the
-// dominance memo's incremental hash (a mix of attr and id, computed once
+// visited set's incremental hash (a mix of attr and id, computed once
 // per γ).
 struct AssignedCell {
   AttrId attr;
@@ -131,16 +131,17 @@ void BuildPostings(BlockCandidates* cands) {
 
 constexpr uint32_t kUnassigned = ~uint32_t{0};
 
-// Dominance memo of one tuple's search: fixed-width word keys, each
-// mapped to the largest f seen with it. Open addressing with linear
-// probing on a hash the caller maintains incrementally; each entry stores
-// its hash, compared before the full key, and carries the generation it
-// was written in, so Clear() is O(1) and the table allocates only while
-// growing towards the largest search its shard has run. The full key is
-// always compared, so a hash collision never merges two states.
-class DominanceMemo {
+// Visited set of one tuple's search: fixed-width word keys, each mapped
+// to the sleep set its state was last explored with. Open addressing with
+// linear probing on a hash the caller maintains incrementally; each entry
+// stores its hash, compared before the full key, and carries the
+// generation it was written in, so Clear() is O(1) and the table
+// allocates only while growing towards the largest search its shard has
+// run. The full key is always compared, so a hash collision never merges
+// two states.
+class VisitedSet {
  public:
-  explicit DominanceMemo(size_t width) : width_(width) {}
+  explicit VisitedSet(size_t width) : width_(width) {}
 
   void Clear() {
     size_ = 0;
@@ -150,38 +151,37 @@ class DominanceMemo {
     }
   }
 
-  // True when `key` (with hash `hash`) was seen before with an f >= `f`;
-  // otherwise records `f` as the key's best and returns false.
-  bool Dominated(const uint32_t* key, uint64_t hash, double f) {
+  // Looks `key` (with hash `hash`) up. A new key is stored with sleep set
+  // `sleep` and gives nullptr; a key seen before gives its stored sleep
+  // set, valid until the next call.
+  uint32_t* Visit(const uint32_t* key, uint64_t hash, uint32_t sleep) {
     if (2 * (size_ + 1) > capacity_) Grow();
     size_t slot = hash & (capacity_ - 1);
     while (stamps_[slot] == generation_) {
       if (hashes_[slot] == hash && std::equal(key, key + width_, &keys_[slot * width_])) {
-        if (f <= best_[slot]) return true;
-        best_[slot] = f;
-        return false;
+        return &sleeps_[slot];
       }
       slot = (slot + 1) & (capacity_ - 1);
     }
     stamps_[slot] = generation_;
     hashes_[slot] = hash;
     std::copy(key, key + width_, &keys_[slot * width_]);
-    best_[slot] = f;
+    sleeps_[slot] = sleep;
     ++size_;
-    return false;
+    return nullptr;
   }
 
  private:
   void Grow() {
     std::vector<uint32_t> old_keys = std::move(keys_);
     std::vector<uint64_t> old_hashes = std::move(hashes_);
-    std::vector<double> old_best = std::move(best_);
+    std::vector<uint32_t> old_sleeps = std::move(sleeps_);
     std::vector<uint32_t> old_stamps = std::move(stamps_);
     const size_t old_capacity = capacity_;
     capacity_ = std::max<size_t>(64, 2 * capacity_);
     keys_.assign(capacity_ * width_, 0);
     hashes_.assign(capacity_, 0);
-    best_.assign(capacity_, 0.0);
+    sleeps_.assign(capacity_, 0);
     stamps_.assign(capacity_, 0);
     for (size_t i = 0; i < old_capacity; ++i) {
       if (old_stamps[i] != generation_) continue;
@@ -191,7 +191,7 @@ class DominanceMemo {
       hashes_[slot] = old_hashes[i];
       const uint32_t* key = old_keys.data() + i * width_;
       std::copy(key, key + width_, &keys_[slot * width_]);
-      best_[slot] = old_best[i];
+      sleeps_[slot] = old_sleeps[i];
     }
   }
 
@@ -201,7 +201,7 @@ class DominanceMemo {
   uint32_t generation_ = 0;
   std::vector<uint32_t> keys_;
   std::vector<uint64_t> hashes_;
-  std::vector<double> best_;
+  std::vector<uint32_t> sleeps_;
   std::vector<uint32_t> stamps_;
 };
 
@@ -279,18 +279,21 @@ struct FirstConflict {
 };
 
 // Search state one shard reuses across the tuples it fuses. `key` is the
-// dominance-memo key of the current node, kept up to date in place:
-// key[0] is the remaining-version mask and key[1 + attr] the id assigned
-// to `attr` (kUnassigned when none; conflict checks and the score read
-// this slot table). `cells` is the fusion being built, in merge order,
-// and `masks.back()` the versions its tracked cells conflict with (one
-// entry per tracked cell, above a 0). The per-attribute version
-// lists are `entries[list_begin[a], list_begin[a + 1])`, in version
-// order. Between tuples the stack is empty, `masks` holds one 0 and every
-// attribute slot is kUnassigned.
+// visited-set key of the current node, kept up to date in place: key[0]
+// is the remaining-version mask and key[1 + attr] the id assigned to
+// `attr` (kUnassigned when none; conflict checks and the score read this
+// slot table). `cells` is the fusion being built, in merge order, and
+// `masks.back()` the versions its tracked cells conflict with (one entry
+// per tracked cell, above a 0). `weights[j]` is the weight of the γ
+// merged for version j: its own γ's, or the γ' that replaced it. The
+// per-attribute version lists are `entries[list_begin[a], list_begin[a +
+// 1])`, in version order; `share_masks[j]` holds the versions whose rules
+// share an attribute with version j's (j included). Between tuples the
+// stack is empty, `masks` holds one 0 and every attribute slot is
+// kUnassigned.
 struct FusionWorkspace {
   explicit FusionWorkspace(size_t num_attrs)
-      : key(num_attrs + 1, kUnassigned), list_begin(num_attrs + 1, 0), memo(key.size()) {
+      : key(num_attrs + 1, kUnassigned), list_begin(num_attrs + 1, 0), visited(key.size()) {
     cells.reserve(num_attrs);
     masks.reserve(num_attrs + 1);
     masks.push_back(0);
@@ -299,12 +302,14 @@ struct FusionWorkspace {
   std::vector<AssignedCell> cells;
   std::vector<uint32_t> masks;
   std::vector<uint32_t> key;
+  std::vector<double> weights;
   std::vector<AssignedCell> best;
   std::vector<uint32_t> conflict_masks;
+  std::vector<uint32_t> share_masks;
   std::vector<uint32_t> list_begin;
   std::vector<VersionCell> entries;
   std::vector<FirstConflict> first_conflicts;
-  DominanceMemo memo;
+  VisitedSet visited;
   CellDistanceMemo distances;
 };
 
@@ -392,21 +397,27 @@ bool IndexConflicts(const Version* versions, size_t n, FusionWorkspace* ws,
 // version, nor by any γ' substitute (a γ' comes from an active version's
 // block, so it assigns that version's attributes), and it agrees with
 // every other inert version; so its cells are the same in every fusion.
-uint32_t ActiveVersions(size_t n, const FusionWorkspace& ws) {
+// Fills ws->share_masks on the way.
+uint32_t ActiveVersions(size_t n, FusionWorkspace* ws) {
+  std::vector<uint32_t>& share = ws->share_masks;
+  share.assign(n, 0);
+  const std::vector<uint32_t>& begin = ws->list_begin;
+  for (size_t a = 0; a + 1 < begin.size(); ++a) {
+    uint32_t touching = 0;
+    for (uint32_t e = begin[a]; e < begin[a + 1]; ++e) {
+      touching |= uint32_t{1} << ws->entries[e].version;
+    }
+    for (uint32_t e = begin[a]; e < begin[a + 1]; ++e) share[ws->entries[e].version] |= touching;
+  }
   uint32_t active = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (ws.conflict_masks[i] != 0) active |= uint32_t{1} << i;
+    if (ws->conflict_masks[i] != 0) active |= uint32_t{1} << i;
   }
-  const std::vector<uint32_t>& begin = ws.list_begin;
   for (bool grew = true; grew;) {
     grew = false;
-    for (size_t a = 0; a + 1 < begin.size(); ++a) {
-      uint32_t touching = 0;
-      for (uint32_t e = begin[a]; e < begin[a + 1]; ++e) {
-        touching |= uint32_t{1} << ws.entries[e].version;
-      }
-      if ((touching & active) != 0 && (touching & ~active) != 0) {
-        active |= touching;
+    for (size_t i = 0; i < n; ++i) {
+      if ((active >> i & 1u) == 0 && (share[i] & active) != 0) {
+        active |= uint32_t{1} << i;
         grew = true;
       }
     }
@@ -415,42 +426,62 @@ uint32_t ActiveVersions(size_t n, const FusionWorkspace& ws) {
 }
 
 // GetFusionT for one tuple: a depth-first walk of merge orders over a
-// cell stack (`remaining` is a bitmask over the tuple's versions), with
-// exact state-dominance pruning. Inert versions (ActiveVersions) are
+// cell stack (`remaining` is a bitmask over the tuple's versions) that
+// explores each search state once. Inert versions (ActiveVersions) are
 // merged once at the root, in version order, and only the active ones
-// are permuted. A fusion's score is its weight product, folded in merge
-// order with the inert versions first, times the minimality discount
-// raised to the distance sum of its cells, taken in attribute order at
-// the leaf. A node's state is then its remaining mask and the set of
-// assigned cells: conflict checks, γ' substitution and merging read the
-// cells only as a set, and the distance sum is a function of the final
-// cells, so everything below a node is a function of that state and of
-// f. With every weight >= 0, multiplying by the weights still to come
-// and by the minimality factor is monotone in f, so a node whose state
-// was already explored with an f at least as large cannot reach a
-// strictly better leaf (the state cannot repeat on one path, so that
-// earlier subtree is complete), and best_f_ moves only on a strict
-// improvement: skipping it changes nothing.
+// are permuted.
+//
+// A fusion's score is a function of the fusion, not of the order that
+// found it: the weights of the γs merged for the versions (each one's
+// own, or the γ' that replaced it), folded in version order, times the
+// minimality discount raised to the distance sum of its cells, taken in
+// attribute order. A node's state is its remaining mask and its assigned
+// cells, and it fixes the γ merged for every version merged so far. A
+// version merged as its own γ has all its cells among the assigned ones;
+// a substituted one does not, for its γ conflicted with a cell that
+// stays. A γ' assigns its version's attributes, so every γ' the state
+// allows holds the values assigned there, and the one ranked first among
+// them is the first conflict-free candidate in every order that reaches
+// the state. Conflict checks, γ' lookups and merging read the cells only
+// as a set, so everything below a node is a function of its state, for
+// any weight sign: a state seen again leads to no leaf not already
+// scored. best_f_ moves only on a strict improvement, so the first
+// fusion found with the best score wins, as in a walk of every order.
+//
+// Merges that commute are not re-ordered (sleep sets: P. Godefroid,
+// Partial-Order Methods for the Verification of Concurrent Systems, LNCS
+// 1032, 1996, ch. 5). At a state, versions i and j are independent when
+// their rules share no attribute (a merge, a γ' lookup or a failure of
+// one reads and writes only its rule's attributes), or when both merge as
+// their own γ there and do not conflict with each other; either order
+// then reaches the same state. A child's sleep set holds the versions
+// asleep or already explored at its parent that are independent of the
+// version it merged: the sibling that merged them first reached the
+// states they lead to. A visited state records the sleep set it was
+// explored with; a revisit explores only the versions asleep then and
+// awake now, and narrows the record to the versions asleep at both (the
+// state-caching correction, ibid.). Each (state, version) pair is
+// explored at most once.
 //
 // Below the root, the exhaustive search tracks conflicts: beside the
 // stack it keeps the mask of versions its cells conflict with and the XOR
 // of its cells' hash words, so a version's conflict check is one bit and
-// the memo hash costs two words. The greedy path tests versions cell by
-// cell.
+// the visited-set hash costs two words. The greedy path tests versions
+// cell by cell.
 class FusionSearch {
  public:
   FusionSearch(const Version* versions, size_t num_versions,
-               const std::vector<BlockCandidates>& candidates, bool prune,
-               const Dataset& dirty, TupleId tid, double minimality_discount,
-               FusionWorkspace* ws)
+               const std::vector<BlockCandidates>& candidates, const Dataset& dirty,
+               TupleId tid, double minimality_discount, FusionWorkspace* ws)
       : versions_(versions),
         num_versions_(num_versions),
         candidates_(candidates),
-        prune_(prune),
         dirty_(dirty),
         tid_(tid),
         minimality_discount_(minimality_discount),
-        ws_(*ws) {}
+        ws_(*ws) {
+    ws_.weights.resize(num_versions);
+  }
 
   // Exhaustive search over the versions in the `active` mask (non-zero
   // only when IndexConflicts filed the tuple's versions; at most
@@ -458,15 +489,14 @@ class FusionSearch {
   // best (minimality-discounted) f-score, 0 when every merge order fails;
   // the fusion is left in ws->best.
   double Run(uint32_t active) {
-    if (prune_ && active != 0) ws_.memo.Clear();
+    if (active != 0) ws_.visited.Clear();
     const uint32_t all = ~uint32_t{0} >> (kMaskWidth - num_versions_);
-    double f = 1.0;
     for (uint32_t m = all & ~active; m != 0; m &= m - 1) {
-      const Version& v = versions_[static_cast<size_t>(__builtin_ctz(m))];
-      f *= v.weight;
-      Push<false>(*v.assignment);
+      const size_t j = static_cast<size_t>(__builtin_ctz(m));
+      ws_.weights[j] = versions_[j].weight;
+      Push<false>(*versions_[j].assignment);
     }
-    Explore(active, f);
+    Explore(active, 0);
     Pop<false>(0);
     return best_f_;
   }
@@ -481,15 +511,14 @@ class FusionSearch {
     std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
       return versions_[a].weight > versions_[b].weight;
     });
-    double f = 1.0;
+    bool merged = true;
     for (size_t j : order) {
-      double w = 0.0;
-      if (!Merge<false>(j, &w)) {
-        f = 0.0;
+      if (!Merge<false>(j)) {
+        merged = false;
         break;
       }
-      f *= w;
     }
+    double f = merged ? WeightProduct() : 0.0;
     if (f > 0.0) {
       f = Score(f);
       ws_.best = ws_.cells;
@@ -504,7 +533,15 @@ class FusionSearch {
   size_t substitutions() const { return substitutions_; }
 
  private:
-  // f-score of the complete fusion on the stack: the Eq. 5 weight product
+  // The Eq. 5 weight product of a complete fusion: the weights merged for
+  // the versions, in version order.
+  double WeightProduct() const {
+    double f = 1.0;
+    for (size_t j = 0; j < num_versions_; ++j) f *= ws_.weights[j];
+    return f;
+  }
+
+  // f-score of the complete fusion on the stack: the weight product `f`
   // times the minimality discount raised to the total *normalized edit
   // distance* between the fusion and the tuple's current values, summed
   // over the attributes in order (unchanged cells are detected by id
@@ -524,8 +561,8 @@ class FusionSearch {
     return total == 0.0 ? f : f * std::pow(minimality_discount_, total);
   }
 
-  void Consider(double f) {
-    const double total = Score(f);
+  void Consider() {
+    const double total = Score(WeightProduct());
     if (total > best_f_) {
       best_f_ = total;
       ws_.best = ws_.cells;
@@ -578,21 +615,22 @@ class FusionSearch {
     }
   }
 
-  // Merges version `j` into the stack and sets `*w` to the weight of the
-  // γ merged. When it conflicts with the stack, it is substituted by the
-  // highest-weight γ' of its block (other than its own γ) that does not
-  // (Algorithm 2 line 19); false when there is none (this merge order
-  // fails, f = 0). A γ' must agree with the stack on every position the
-  // stack assigns, so only the shortest such posting list is scanned, in
-  // rank order; an assigned id with no posting means there is no γ'.
+  // Merges version `j` into the stack and records the weight of the γ
+  // merged in ws->weights[j]. When it conflicts with the stack, it is
+  // substituted by the highest-weight γ' of its block (other than its own
+  // γ) that does not (Algorithm 2 line 19); false when there is none
+  // (this merge order fails, f = 0). A γ' must agree with the stack on
+  // every position the stack assigns, so only the shortest such posting
+  // list is scanned, in rank order; an assigned id with no posting means
+  // there is no γ'.
   template <bool kTrack>
-  bool Merge(size_t j, double* w) {
+  bool Merge(size_t j) {
     const Version& v = versions_[j];
     const bool conflicts = kTrack ? ((ws_.masks.back() >> j) & 1u) != 0
                                   : Conflicts(*v.assignment);
     if (!conflicts) {
       Push<kTrack>(*v.assignment);
-      *w = v.weight;
+      ws_.weights[j] = v.weight;
       return true;
     }
     const BlockCandidates& cands = candidates_[v.block_index];
@@ -616,7 +654,7 @@ class FusionSearch {
       if (!Conflicts(*cands.assignments[*r])) {
         ++substitutions_;
         Push<kTrack>(*cands.assignments[*r]);
-        *w = cands.by_weight[*r]->weight;
+        ws_.weights[j] = cands.by_weight[*r]->weight;
         return true;
       }
     }
@@ -631,17 +669,12 @@ class FusionSearch {
     return true;
   }
 
-  // True when this node's state was already explored with an f at least
-  // as large (see the class comment); otherwise records f for it.
-  bool Dominated(uint32_t remaining, double f) {
-    ws_.key[0] = remaining;
-    return ws_.memo.Dominated(ws_.key.data(), cell_hash_ ^ Mix(remaining), f);
-  }
-
-  void Explore(uint32_t remaining, double f) {
+  // Explores the node reached with `remaining` versions still to merge,
+  // none of those in `sleep` (see the class comment).
+  void Explore(uint32_t remaining, uint32_t sleep) {
     ++nodes_;
     if (remaining == 0) {
-      Consider(f);
+      Consider();
       return;
     }
     const size_t depth = ws_.cells.size();
@@ -649,33 +682,49 @@ class FusionSearch {
     // with the stack, every order merges the same cells; they are merged
     // once, in version order.
     if (RemainingConflictFree(remaining)) {
-      double total = f;
       for (uint32_t m = remaining; m != 0; m &= m - 1) {
-        const Version& v = versions_[static_cast<size_t>(__builtin_ctz(m))];
-        total *= v.weight;
-        Push<false>(*v.assignment);
+        const size_t j = static_cast<size_t>(__builtin_ctz(m));
+        ws_.weights[j] = versions_[j].weight;
+        Push<false>(*versions_[j].assignment);
       }
-      Consider(total);
+      Consider();
       Pop<false>(depth);
       return;
     }
-    if (prune_ && Dominated(remaining, f)) {
+    // A node whose versions are all asleep needs no record: a later visit
+    // would explore the versions awake then either way.
+    uint32_t todo = remaining & ~sleep;
+    if (todo != 0) {
+      ws_.key[0] = remaining;
+      const uint64_t hash = cell_hash_ ^ Mix(remaining);
+      if (uint32_t* stored = ws_.visited.Visit(ws_.key.data(), hash, sleep)) {
+        todo &= *stored;
+        sleep &= *stored;
+        *stored = sleep;
+      }
+    }
+    if (todo == 0) {
       ++dominance_hits_;
       return;
     }
-    for (uint32_t m = remaining; m != 0; m &= m - 1) {
+    const uint32_t own = ~ws_.masks.back();  // versions merged as their own γ here
+    for (uint32_t m = todo; m != 0; m &= m - 1) {
       const size_t j = static_cast<size_t>(__builtin_ctz(m));
-      double w = 0.0;
-      if (!Merge<true>(j, &w)) continue;
-      Explore(remaining & ~(uint32_t{1} << j), f * w);
-      Pop<true>(depth);
+      const uint32_t bit = uint32_t{1} << j;
+      uint32_t independent = ~ws_.share_masks[j];
+      if (own & bit) independent |= own & ~ws_.conflict_masks[j];
+      if (Merge<true>(j)) {
+        const uint32_t rest = remaining & ~bit;
+        Explore(rest, sleep & independent & rest);
+        Pop<true>(depth);
+      }
+      sleep |= bit;
     }
   }
 
   const Version* versions_;
   const size_t num_versions_;
   const std::vector<BlockCandidates>& candidates_;
-  const bool prune_;
   const Dataset& dirty_;
   TupleId tid_;
   double minimality_discount_;
@@ -704,11 +753,6 @@ size_t RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index
   std::vector<size_t> version_begin(num_rows + 1, 0);
   std::vector<Version> versions;
   std::vector<BlockCandidates> candidates(index.num_blocks());
-  // Dominance pruning is exact only while extending a fusion can never
-  // reverse the order of two f values, i.e. when no weight is negative (or
-  // NaN). Learned weights are probability-scale, so this holds in
-  // practice; it is checked here, not assumed.
-  bool prune = true;
   for (size_t bi = 0; bi < index.num_blocks(); ++bi) {
     const Block& block = index.block(bi);
     const Constraint& rule = rules.rule(block.rule_index);
@@ -723,7 +767,6 @@ size_t RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index
       assignments.push_back(PieceAssignment(rule, *piece));
     }
     for (const Piece* piece : pieces) {
-      if (!(piece->weight >= 0.0)) prune = false;
       for (TupleId tid : piece->tuples) ++version_begin[static_cast<size_t>(tid) + 1];
     }
     // Candidate order for the γ' fallback: descending weight.
@@ -780,12 +823,12 @@ size_t RunFscr(const Dataset& dirty, const RuleSet& rules, const MlnIndex& index
     // as masks. Past the mask width every version counts as active.
     const bool conflicted = CellsDisagree(tuple_versions, n, ws) &&
                             IndexConflicts(tuple_versions, n, ws, &rec.conflict_attrs);
-    const uint32_t active = conflicted && n <= kMaskWidth ? ActiveVersions(n, *ws) : 0;
+    const uint32_t active = conflicted && n <= kMaskWidth ? ActiveVersions(n, ws) : 0;
     const size_t num_active =
         !conflicted ? 0 : n <= kMaskWidth ? static_cast<size_t>(__builtin_popcount(active)) : n;
     const bool exhaustive = n <= kMaskWidth && num_active <= kMaxExhaustiveFusion;
-    FusionSearch search(tuple_versions, n, candidates, prune, dirty,
-                        static_cast<TupleId>(tid), options.fscr_minimality_discount, ws);
+    FusionSearch search(tuple_versions, n, candidates, dirty, static_cast<TupleId>(tid),
+                        options.fscr_minimality_discount, ws);
     const double f = exhaustive ? search.Run(active) : search.Greedy();
     if (!exhaustive) rec.outcome = FusionOutcome::kGreedy;
     if (report) {

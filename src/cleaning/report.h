@@ -88,8 +88,9 @@ struct FscrRecord {
   /// versions agree; every version past 32). The others are merged once.
   size_t active_versions = 0;
   /// Search work: nodes visited (at most 13,700; 0 on the greedy path),
-  /// nodes skipped by the dominance memo, and γ' substitutions made
-  /// (Algorithm 2 line 19).
+  /// revisits with nothing left to explore (a state seen before, or one
+  /// whose every version still to merge was reached through a sibling),
+  /// and γ' substitutions made (Algorithm 2 line 19).
   size_t nodes = 0;
   size_t dominance_hits = 0;
   size_t substitutions = 0;

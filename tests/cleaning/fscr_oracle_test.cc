@@ -5,18 +5,19 @@
 // into active ones (those that conflict with another version, closed
 // under sharing an attribute with an active one) and inert ones, merges
 // the inert ones first, in version order, then walks every merge order of
-// the active ones with no pruning and no memo. It scores a complete
-// fusion the way RunFscr specifies it: the weight product folded in merge
-// order, times the minimality discount raised to the sum of normalized
-// edit distances to the dirty values, taken over the fusion's cells in
-// attribute order. Once the versions still to merge conflict neither
-// pairwise nor with the fusion, they are merged once, in version order
-// (the conflict-free rule of the specification, which fixes that fold
-// order). Ties keep the first fusion found. A tuple with more than
+// the active ones with no pruning and no memo. It records, per version,
+// the weight of the γ merged for it (its own, or the γ' that replaced
+// it) and scores a complete fusion the way RunFscr specifies it: those
+// weights folded in version order, times the minimality discount raised
+// to the sum of normalized edit distances to the dirty values, taken over
+// the fusion's cells in attribute order. Once the versions still to merge
+// conflict neither pairwise nor with the fusion, they are merged once, in
+// version order (the conflict-free rule of the specification). Ties keep
+// the first fusion found. A tuple with more than
 // kExhaustiveCap active versions, or more than kMaskWidth versions, is
 // fused greedily instead: its versions are merged once, by descending
 // weight (the same std::sort comparator RunFscr uses), with the same
-// substitution rule.
+// substitution rule and the same version-order fold.
 //
 // RunFscr must agree with it bit for bit — every cleaned cell, and each
 // record's `fused`, `f_score` (compared with ==), `conflict_attrs` and
@@ -125,6 +126,7 @@ struct RefOutcome {
   RefFusion fusion;
   FusionOutcome outcome = FusionOutcome::kExhaustive;
   size_t active_versions = 0;
+  size_t nodes = 0;  // nodes of the walk of every merge order
 };
 
 // Reference fusion of every tuple of `dirty`, with the search counters the
@@ -193,14 +195,16 @@ class ReferenceFscr {
     }
     best_f_ = 0.0;
     best_.clear();
+    nodes_ = 0;
     RefFusion inert;
-    double f = 1.0;
+    std::vector<double> weights(versions.size(), 0.0);
     for (size_t j = 0; j < versions.size(); ++j) {
       if (active[j]) continue;
-      f *= versions[j].weight;
+      weights[j] = versions[j].weight;
       MergeInto(&inert, versions[j].cells);
     }
-    Explore(active, inert, f);
+    Explore(active, inert, weights);
+    out.nodes = nodes_;
     out.fused = best_f_ > 0.0;
     if (out.fused) {
       out.f_score = best_f_;
@@ -234,6 +238,13 @@ class ReferenceFscr {
       }
     }
     return active;
+  }
+
+  // The weights merged for the versions, folded in version order.
+  static double Product(const std::vector<double>& weights) {
+    double f = 1.0;
+    for (double w : weights) f *= w;
+    return f;
   }
 
   double Score(double f, RefFusion fusion) const {
@@ -280,6 +291,7 @@ class ReferenceFscr {
       return versions[a].weight > versions[b].weight;
     });
     RefFusion fusion;
+    std::vector<double> weights(versions.size(), 0.0);
     double f = 1.0;
     for (size_t j : order) {
       const RefVersion* merged = Pick(fusion, versions[j]);
@@ -288,8 +300,9 @@ class ReferenceFscr {
         break;
       }
       MergeInto(&fusion, merged->cells);
-      f *= merged->weight;
+      weights[j] = merged->weight;
     }
+    if (f > 0.0) f = Product(weights);
     if (f > 0.0) f = Score(f, fusion);
     if (f > 0.0) {
       out->fused = true;
@@ -298,7 +311,9 @@ class ReferenceFscr {
     }
   }
 
-  void Explore(const std::vector<bool>& remaining, const RefFusion& fusion, double f) {
+  void Explore(const std::vector<bool>& remaining, const RefFusion& fusion,
+               const std::vector<double>& weights) {
+    ++nodes_;
     const std::vector<RefVersion>& versions = *versions_;
     bool conflict_free = true;
     bool any = false;
@@ -314,12 +329,13 @@ class ReferenceFscr {
     }
     if (!any || conflict_free) {
       RefFusion merged = fusion;
+      std::vector<double> all = weights;
       for (size_t j = 0; j < versions.size(); ++j) {
         if (!remaining[j]) continue;
-        f *= versions[j].weight;
+        all[j] = versions[j].weight;
         MergeInto(&merged, versions[j].cells);
       }
-      Consider(f, merged);
+      Consider(Product(all), merged);
       return;
     }
     for (size_t j = 0; j < versions.size(); ++j) {
@@ -330,7 +346,9 @@ class ReferenceFscr {
       MergeInto(&next, merged->cells);
       std::vector<bool> rest = remaining;
       rest[j] = false;
-      Explore(rest, next, f * merged->weight);
+      std::vector<double> next_weights = weights;
+      next_weights[j] = merged->weight;
+      Explore(rest, next, next_weights);
     }
   }
 
@@ -342,6 +360,7 @@ class ReferenceFscr {
   const std::vector<RefVersion>* versions_ = nullptr;
   double best_f_ = 0.0;
   RefFusion best_;
+  size_t nodes_ = 0;
   size_t substitutions_ = 0;
   size_t failed_substitutions_ = 0;
 };
@@ -353,7 +372,10 @@ struct OracleStats {
   size_t greedy = 0;
   size_t substitutions = 0;
   size_t failed_substitutions = 0;
-  size_t max_nodes = 0;  // most nodes RunFscr visited for one tuple
+  size_t max_nodes = 0;            // most nodes RunFscr visited for one tuple
+  size_t max_reference_nodes = 0;  // most nodes the reference walked for one
+  size_t wide_tuples = 0;          // exhaustive tuples with >= 5 active versions
+  size_t dominance_hits = 0;       // RunFscr's, at 1 thread
 };
 
 // Runs RunFscr at 1 and 4 threads and checks both against the reference.
@@ -367,7 +389,12 @@ OracleStats ExpectMatchesReference(const Dataset& dirty, const RuleSet& rules,
     expected.push_back(reference.Fuse(static_cast<TupleId>(t)));
     if (!expected.back().conflict_attrs.empty()) ++stats.conflict_tuples;
     ++(expected.back().fused ? stats.fused : stats.unfused);
-    if (expected.back().outcome == FusionOutcome::kGreedy) ++stats.greedy;
+    if (expected.back().outcome == FusionOutcome::kGreedy) {
+      ++stats.greedy;
+    } else if (expected.back().active_versions >= 5) {
+      ++stats.wide_tuples;
+    }
+    stats.max_reference_nodes = std::max(stats.max_reference_nodes, expected.back().nodes);
   }
   stats.substitutions = reference.substitutions();
   stats.failed_substitutions = reference.failed_substitutions();
@@ -399,6 +426,7 @@ OracleStats ExpectMatchesReference(const Dataset& dirty, const RuleSet& rules,
         EXPECT_LE(rec.nodes, kMaxNodes);
       }
       stats.max_nodes = std::max(stats.max_nodes, rec.nodes);
+      if (threads == 1) stats.dominance_hits += rec.dominance_hits;
       std::vector<Value> row = dirty.row(tid);
       for (const RefCell& cell : want.fusion) row[static_cast<size_t>(cell.attr)] = cell.value;
       EXPECT_EQ(cleaned.row(tid), row);
@@ -450,7 +478,7 @@ void SetResult(Dataset* dirty, const RuleSet& rules, MlnIndex* index, size_t blo
 // A seeded instance whose every tuple has `num_rules` versions: distinct
 // FDs between `num_attrs` attributes (all in scope), through stage I;
 // odd seeds overwrite the learned weights with tied ones. With `negative`,
-// one γ then gets a negative weight, which turns dominance pruning off.
+// one γ then gets a negative weight.
 OracleStats ManyVersionsMatchReference(uint32_t seed, size_t num_attrs, size_t num_rules,
                                        bool negative = false) {
   std::mt19937 rng(seed);
@@ -498,7 +526,7 @@ TEST(FscrOracleTest, RandomInstancesMatchReference) {
   // substitutions happen, and changed cells carry varied distances.
   const std::vector<std::string> alphabet = {"a", "ab", "abc", "b", "bca", "cab", "abcd"};
   OracleStats total;
-  size_t gated = 0;
+  size_t negative = 0;
   for (uint32_t seed = 1; seed <= 240; ++seed) {
     std::mt19937 rng(seed);
     auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
@@ -529,7 +557,7 @@ TEST(FscrOracleTest, RandomInstancesMatchReference) {
     MlnIndex index = StageOne(dirty, rules, options);
     // A third of the instances keep the learned weights. The rest draw
     // them from a small set with ties and zeros, and a few of those get
-    // a negative weight, which turns dominance pruning off.
+    // a negative weight.
     const int mode = static_cast<int>(seed % 6);
     if (mode >= 2) {
       const double weights[] = {0.0, 0.1, 0.2, 0.25, 0.3, 0.5, 1.0};
@@ -537,11 +565,12 @@ TEST(FscrOracleTest, RandomInstancesMatchReference) {
       if (mode == 5) {
         std::vector<Piece*> pieces = AllPieces(&index);
         pieces[pick(pieces.size())]->weight = -0.5;
-        ++gated;
+        ++negative;
       }
     }
     OracleStats stats = ExpectMatchesReference(dirty, rules, index, options,
                                                "seed " + std::to_string(seed));
+    if (mode == 5) total.dominance_hits += stats.dominance_hits;
     total.conflict_tuples += stats.conflict_tuples;
     total.fused += stats.fused;
     total.unfused += stats.unfused;
@@ -551,7 +580,8 @@ TEST(FscrOracleTest, RandomInstancesMatchReference) {
   EXPECT_GT(total.conflict_tuples, 500u);
   EXPECT_GT(total.substitutions, 500u);
   EXPECT_GT(total.unfused, 0u);
-  EXPECT_GT(gated, 30u);
+  EXPECT_GT(negative, 30u);
+  EXPECT_GT(total.dominance_hits, 0u);  // revisits under a negative weight
 }
 
 // A hand-built instance: rules A->B, C->B, A->D over a few rows whose
@@ -605,12 +635,16 @@ TEST(FscrOracleTest, ZeroWeightsMatchReference) {
   EXPECT_GT(stats.fused, 0u);
 }
 
-TEST(FscrOracleTest, NegativeWeightTurnsPruningOff) {
-  // Negative weights make f non-monotone along a path: a node reached
-  // again with a smaller f can still lead to the best fusion. Here tuple
-  // 0's versions agree on K and conflict on P, and weights of both signs
-  // make the best fusion of tuple 0 one that a pruned search skips; the
-  // search must notice the negative weight and run unpruned.
+TEST(FscrOracleTest, NegativeWeightsUseTheSameSearch) {
+  // Tuple 0's versions agree on K and conflict on P, and its weights have
+  // both signs. A running product folded in merge order is not monotone
+  // then, and a search that skipped a state reached again with a smaller
+  // product picked the wrong fusion here. The score is a function of the
+  // fusion, so a state seen again leads to no new leaf whatever the
+  // signs: the search is the same reduced one as with weights >= 0, and
+  // still finds the best fusion. Its versions all commute but for the
+  // two on P, so it reaches no state twice; the random corpus counts
+  // revisits under negative weights.
   Schema s = *Schema::Make({"K", "X", "Y", "Z", "P", "Q"});
   RuleSet rules(s);
   for (AttrId a : {1, 2, 3, 4}) rules.Add(*Constraint::MakeFd(s, {0}, {a}));
@@ -640,7 +674,8 @@ TEST(FscrOracleTest, NegativeWeightTurnsPruningOff) {
     }
   }
   CleaningOptions options;
-  ExpectMatchesReference(dirty, rules, index, options, "negative");
+  OracleStats stats = ExpectMatchesReference(dirty, rules, index, options, "negative");
+  EXPECT_LT(stats.max_nodes, stats.max_reference_nodes);
   Dataset cleaned = dirty.Clone();
   RunFscr(dirty, rules, index, options, &cleaned, nullptr);
   EXPECT_EQ(cleaned.row(0), (std::vector<Value>{"k", "x", "y", "z", "p1", "q3"}));
@@ -656,7 +691,7 @@ TEST(FscrOracleTest, DistanceSumFoldsInAttributeOrder) {
   // merged in. A sum folded in merge order would score the first order
   // searched, which follows the rules' order, as (0.3+0.2)+0.1, one ulp
   // smaller, and that order would win. The sum being a function of the
-  // cells is what lets the dominance memo key a state by its cells alone.
+  // cells is what lets the visited set key a state by its cells alone.
   const double discount = 0.05;
   ASSERT_NE((0.1 + 0.2) + 0.3, (0.3 + 0.2) + 0.1);
   ASSERT_NE(std::pow(discount, (0.1 + 0.2) + 0.3), std::pow(discount, (0.3 + 0.2) + 0.1));
@@ -688,16 +723,117 @@ TEST(FscrOracleTest, DistanceSumFoldsInAttributeOrder) {
 
 TEST(FscrOracleTest, SevenVersionsAreSearchedExhaustively) {
   // 7 versions per tuple, the most the exhaustive search takes: no tuple
-  // is fused greedily, and no search, pruned or not, passes kMaxNodes.
+  // is fused greedily, and no search passes kMaxNodes. The instances are
+  // large: the walk of every merge order takes over 1,000 nodes on some.
   OracleStats total;
   for (uint32_t seed = 1; seed <= 8; ++seed) {
     OracleStats stats = ManyVersionsMatchReference(seed, 5, 7, /*negative=*/seed > 4);
     EXPECT_EQ(stats.greedy, 0u);
     total.conflict_tuples += stats.conflict_tuples;
     total.max_nodes = std::max(total.max_nodes, stats.max_nodes);
+    total.max_reference_nodes = std::max(total.max_reference_nodes, stats.max_reference_nodes);
   }
   EXPECT_GT(total.conflict_tuples, 50u);
-  EXPECT_GT(total.max_nodes, 1000u);
+  EXPECT_GT(total.max_reference_nodes, 1000u);
+  EXPECT_LT(total.max_nodes, total.max_reference_nodes);
+}
+
+// Which fusion wins depends on the weights. Redrawing every γ weight
+// `draws` times over one instance makes many different fusions win in
+// turn, so a search that misses a state it should reach loses some draw.
+// Even draws pick from a small set with ties, odd ones uniformly.
+OracleStats RedrawnWeightsMatchReference(const Dataset& dirty, const RuleSet& rules,
+                                         MlnIndex* index, uint32_t seed, size_t draws,
+                                         const std::string& label) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> uniform(0.05, 1.0);
+  const double tied[] = {0.1, 0.2, 0.25, 0.5, 0.9};
+  OracleStats total;
+  for (size_t draw = 0; draw < draws; ++draw) {
+    for (Piece* piece : AllPieces(index)) {
+      piece->weight = draw % 2 == 0 ? tied[rng() % 5] : uniform(rng);
+    }
+    OracleStats stats = ExpectMatchesReference(dirty, rules, *index, CleaningOptions(),
+                                               label + " draw " + std::to_string(draw));
+    total.wide_tuples += stats.wide_tuples;
+    total.substitutions += stats.substitutions;
+  }
+  return total;
+}
+
+TEST(FscrOracleTest, RedrawnWeightsMatchReference) {
+  // Each instance has two clusters of rules over disjoint attributes, so
+  // versions of different clusters commute at every state, and within a
+  // cluster the rules share attributes, so versions conflict and are
+  // substituted.
+  //
+  // The hand-built instance: rules K -> X, W -> X, K -> Y, W -> Y over
+  // one cluster and P -> Q, R -> Q over the other. Tuple 0's W -> X γ
+  // becomes (w, x1), equal to tuple 3's: two γs of equal values in one
+  // block. Tuples 0 and 5 get conflicts in both clusters, so all 6 of
+  // their versions are active. Merged after (k5, x1), tuple 5's (w1, x5)
+  // is substituted by the first-ranked γ with X = x1 that agrees with the
+  // stack: (w1, x1) or one of the two equal (w, x1)s, whose ranks swap
+  // across the draws.
+  {
+    Schema s = *Schema::Make({"K", "X", "W", "Y", "P", "Q", "R"});
+    RuleSet rules(s);
+    rules.Add(*Constraint::MakeFd(s, {0}, {1}));  // K -> X
+    rules.Add(*Constraint::MakeFd(s, {2}, {1}));  // W -> X
+    rules.Add(*Constraint::MakeFd(s, {0}, {3}));  // K -> Y
+    rules.Add(*Constraint::MakeFd(s, {2}, {3}));  // W -> Y
+    rules.Add(*Constraint::MakeFd(s, {4}, {5}));  // P -> Q
+    rules.Add(*Constraint::MakeFd(s, {6}, {5}));  // R -> Q
+    Dataset dirty = *Dataset::Make(s, {{"k", "x0", "w", "y0", "p", "q0", "r"},
+                                       {"k", "x1", "w1", "y1", "p", "q1", "r1"},
+                                       {"k2", "x0", "w", "y1", "p2", "q0", "r"},
+                                       {"k3", "x1", "w", "y0", "p3", "q1", "r3"},
+                                       {"k4", "x0", "w4", "y0", "p", "q0", "r4"},
+                                       {"k5", "x5", "w1", "y5", "p5", "q5", "r"}});
+    MlnIndex index = *MlnIndex::Build(dirty, rules);
+    SetResult(&dirty, rules, &index, 1, 0, "x1");  // (w, x1), as tuple 3's
+    SetResult(&dirty, rules, &index, 5, 0, "q1");  // (r, q1) against (p, q0)
+    SetResult(&dirty, rules, &index, 0, 5, "x1");  // (k5, x1) against (w1, x5)
+    SetResult(&dirty, rules, &index, 4, 5, "q0");  // (p5, q0) against (r, q5)
+    const Piece& equal = PieceOfTuple(&index, 1, 0);
+    ASSERT_EQ(equal.ids, PieceOfTuple(&index, 1, 3).ids);
+    OracleStats stats = RedrawnWeightsMatchReference(dirty, rules, &index, 1, 32, "hand-built");
+    EXPECT_GE(stats.wide_tuples, 2u * 32);
+    EXPECT_GT(stats.substitutions, 0u);
+  }
+  // Seeded instances: A0 -> A1, A2 -> A1, A0 -> A3 and A4 -> A5,
+  // A6 -> A5, A4 -> A7 over random rows, through stage I.
+  OracleStats total;
+  for (uint32_t seed = 1; seed <= 6; ++seed) {
+    std::mt19937 rng(seed);
+    auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+    std::vector<std::string> names;
+    for (size_t a = 0; a < 8; ++a) names.push_back("A" + std::to_string(a));
+    Schema schema = *Schema::Make(names);
+    RuleSet rules(schema);
+    for (AttrId base : {0, 4}) {
+      rules.Add(*Constraint::MakeFd(schema, {base}, {static_cast<AttrId>(base + 1)}));
+      rules.Add(*Constraint::MakeFd(schema, {static_cast<AttrId>(base + 2)},
+                                    {static_cast<AttrId>(base + 1)}));
+      rules.Add(*Constraint::MakeFd(schema, {base}, {static_cast<AttrId>(base + 3)}));
+    }
+    const std::vector<std::string> alphabet = {"a", "ab", "abc", "b"};
+    const size_t width = 2 + pick(2);
+    std::vector<std::vector<Value>> rows(10 + pick(7), std::vector<Value>(8));
+    for (auto& row : rows) {
+      for (auto& value : row) value = alphabet[pick(width)];
+    }
+    Dataset dirty = *Dataset::Make(schema, rows);
+    CleaningOptions options;
+    options.agp_threshold = pick(3);
+    MlnIndex index = StageOne(dirty, rules, options);
+    OracleStats stats = RedrawnWeightsMatchReference(dirty, rules, &index, seed, 24,
+                                                     "seed " + std::to_string(seed));
+    total.wide_tuples += stats.wide_tuples;
+    total.substitutions += stats.substitutions;
+  }
+  EXPECT_GT(total.wide_tuples, 300u);
+  EXPECT_GT(total.substitutions, 500u);
 }
 
 TEST(FscrOracleTest, GreedyPathMatchesReference) {

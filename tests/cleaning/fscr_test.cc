@@ -259,8 +259,8 @@ TEST(FscrTest, StoppedRunAppendsNoRecords) {
 TEST(FscrTest, SearchWorkTotalsArePinned) {
   // One fixed stage-I HAI-40 index (seed 42, τ = 3, as bench/e2e's
   // hai_batch table 0). A change to how a node is evaluated must permute
-  // the same versions, visit the same nodes, hit the memo as often and
-  // pick the same γ's. The totals follow the learned weights, so a
+  // the same versions, visit the same nodes, end as many of them with
+  // nothing left to explore and pick the same γ's. The totals follow the learned weights, so a
   // learner change re-pins them.
   Workload wl = *MakeHospitalWorkload({.num_hospitals = 40, .num_measures = 10});
   ErrorSpec spec;
@@ -290,9 +290,9 @@ TEST(FscrTest, SearchWorkTotalsArePinned) {
       substitutions += rec.substitutions;
     }
     EXPECT_EQ(active, 216u) << "threads " << threads;
-    EXPECT_EQ(nodes, 9400u) << "threads " << threads;
-    EXPECT_EQ(hits, 4057u) << "threads " << threads;
-    EXPECT_EQ(substitutions, 4460u) << "threads " << threads;
+    EXPECT_EQ(nodes, 5522u) << "threads " << threads;
+    EXPECT_EQ(hits, 1266u) << "threads " << threads;
+    EXPECT_EQ(substitutions, 3217u) << "threads " << threads;
     EXPECT_NE(report.Summary().find(std::to_string(active) + " active versions, " +
                                     std::to_string(nodes) + " nodes"),
               std::string::npos)
