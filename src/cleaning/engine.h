@@ -121,17 +121,6 @@ struct SessionOptions {
   /// counters are kept. Serving paths that never read the trace skip its
   /// allocation cost.
   bool collect_report = true;
-  /// CleanServer routing flag: Submit appends this batch to the server's
-  /// single live incremental session (created on first use) instead of
-  /// opening a cold session, and the ticket resolves to the *accumulated*
-  /// cleaned output over every batch appended so far. Incremental
-  /// submissions are processed strictly in submission order, one at a
-  /// time. The live session adopts the session-level flags (weight reuse/
-  /// contribution, report collection) of the first incremental
-  /// submission; per-job progress/cancel/deadline are not supported in
-  /// this mode (a cancel would poison the shared stream) and are ignored.
-  /// Direct engine users call CleanModel::NewIncrementalSession instead.
-  bool incremental = false;
 };
 
 class CleanSession;

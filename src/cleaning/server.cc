@@ -6,7 +6,6 @@
 #include <deque>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -26,10 +25,10 @@ struct ServerJob {
 
   std::chrono::steady_clock::time_point submitted_at;  // set at admission
 
-  // Every cold-lane job runs in legs over one session, created on the
-  // first leg. A plain job is one leg to `final_stage` = kDedup; a staged
-  // job (SubmitStaged) runs its first leg to `pause_after` and parks, and
-  // its second leg (after ResumeJob) to `final_stage`. `server` is what
+  // Every job runs in legs over one session, created on the first leg. A
+  // plain job is one leg to `final_stage` = kDedup; a staged job
+  // (SubmitStaged) runs its first leg to `pause_after` and parks, and its
+  // second leg (after ResumeJob) to `final_stage`. `server` is what
   // ResumeJob re-enqueues into (set only for staged jobs — a plain job
   // never needs the server back).
   std::optional<Stage> pause_after;
@@ -57,8 +56,8 @@ struct ServerState {
   const ServerOptions options;
 
   std::mutex mu;  // guards everything below
-  /// The pending cold-lane queue, popped from the front: fresh jobs join
-  /// at the back, resumed staged legs ahead of every fresh job (see
+  /// The pending queue, popped from the front: fresh jobs join at the
+  /// back, resumed staged legs ahead of every fresh job (see
   /// EnqueueResumed).
   std::deque<std::shared_ptr<ServerJob>> queue;
   size_t workers = 0;  // worker loops scheduled or running
@@ -67,25 +66,14 @@ struct ServerState {
   /// Submit-to-terminal latencies, recorded under `mu` at job completion;
   /// Stats() copies the window out and sorts outside the lock.
   LatencyReservoir latencies;
-
-  // Incremental serving lane: submissions flagged SessionOptions::
-  // incremental feed one live row-incremental session through their own
-  // FIFO, drained by a single task (never two), so batches append in
-  // strict submission order — the ordering the concatenation-bit-identity
-  // contract is defined over. The session itself is only ever touched by
-  // the lone drainer; the mutex covers just the queue and the
-  // draining flag.
-  std::deque<std::shared_ptr<ServerJob>> inc_queue;
-  bool inc_draining = false;
-  std::unique_ptr<CleanSession> inc_session;  // drainer-only access
 };
 
 namespace {
 
-// The one completion of every job on either lane. `running` drops in the
-// same critical section as the terminal counters, *before* the done flag
-// wakes Wait()ers — a caller snapshotting Stats() right after Wait() must
-// never see this job still counted as running.
+// The one completion of every job. `running` drops in the same critical
+// section as the terminal counters, *before* the done flag wakes
+// Wait()ers — a caller snapshotting Stats() right after Wait() must never
+// see this job still counted as running.
 void FinishJob(const std::shared_ptr<ServerState>& state,
                const std::shared_ptr<ServerJob>& job, Status status,
                std::optional<CleanResult> result, const StageTimings& timings) {
@@ -115,43 +103,9 @@ void FinishJob(const std::shared_ptr<ServerState>& state,
   job->cv.notify_all();
 }
 
-// The incremental lane's leg: appends the job's batch to the lane's live
-// session and resumes it. The accumulated outputs stay on the session for
-// the next append; the ticket gets copies. Runs only on the lane's single
-// drainer, so the session needs no lock of its own.
-Status RunIncrementalJob(ServerState* state, const ServerJob& job,
-                         std::optional<CleanResult>* result,
-                         StageTimings* timings) {
-  if (state->inc_session == nullptr) {
-    // The live session adopts the first submission's session-level flags
-    // (documented in SessionOptions::incremental); per-job progress/
-    // cancel/deadline stay off — they would act on the shared stream,
-    // not one job.
-    SessionOptions sopts;
-    sopts.reuse_model_weights = job.opts.reuse_model_weights;
-    sopts.contribute_weights = job.opts.contribute_weights;
-    sopts.collect_report = job.opts.collect_report;
-    state->inc_session = std::make_unique<CleanSession>(
-        state->model.NewIncrementalSession(std::move(sopts)));
-  }
-  CleanSession& session = *state->inc_session;
-  Status status = session.AppendRows(*job.dirty);
-  if (status.ok()) status = session.Resume();
-  *timings = session.report().timings;
-  if (status.ok()) {
-    CleanResult out;
-    out.cleaned = session.cleaned().Clone();
-    out.deduped = session.deduped().Clone();
-    out.report = session.report();
-    *result = std::move(out);
-  }
-  return status;
-}
-
-// Runs one leg of `job` on either lane. A cold-lane leg runs the job's
-// session to pause_after on the first leg of a staged job, else to
-// final_stage; a pausing leg that succeeds parks, any other leg is
-// terminal and ends in FinishJob.
+// Runs one leg of `job`: its session to pause_after on the first leg of
+// a staged job, else to final_stage. A pausing leg that succeeds parks;
+// any other leg is terminal and ends in FinishJob.
 void RunJob(const std::shared_ptr<ServerState>& state,
             const std::shared_ptr<ServerJob>& job) {
   Status status;
@@ -165,33 +119,29 @@ void RunJob(const std::shared_ptr<ServerState>& state,
   // take down the executor thread and strand every waiter.
   try {
     MLN_FAILPOINT("server/worker-loop");
-    if (job->opts.incremental) {
-      status = RunIncrementalJob(state.get(), *job, &result, &timings);
-    } else {
-      // The worker is the only writer of `session`; legs hand the job
-      // off through the queue lock, and the coordinating caller reads it
-      // only while the job is parked.
-      const bool first_leg = job->session == nullptr;
-      if (first_leg) {
-        job->session = std::make_unique<CleanSession>(
-            state->model.NewSession(*job->dirty, job->opts));
-      }
-      const bool pausing = first_leg && job->pause_after.has_value();
-      CleanSession& session = *job->session;
-      status = session.RunUntil(pausing ? *job->pause_after : job->final_stage);
-      park = pausing && status.ok();
-      if (!park) {
-        timings = session.report().timings;
-        // With a final stage short of kDedup the outputs deliberately
-        // stay on the session — the shard protocol's merge reads
-        // session()->cleaned(), there is no CleanResult to move.
-        if (status.ok() && job->final_stage == Stage::kDedup) {
-          Result<CleanResult> taken = session.TakeResult();
-          if (taken.ok()) {
-            result = std::move(taken).ValueUnsafe();
-          } else {
-            status = taken.status();
-          }
+    // The worker is the only writer of `session`; legs hand the job off
+    // through the queue lock, and the coordinating caller reads it only
+    // while the job is parked.
+    const bool first_leg = job->session == nullptr;
+    if (first_leg) {
+      job->session = std::make_unique<CleanSession>(
+          state->model.NewSession(*job->dirty, job->opts));
+    }
+    const bool pausing = first_leg && job->pause_after.has_value();
+    CleanSession& session = *job->session;
+    status = session.RunUntil(pausing ? *job->pause_after : job->final_stage);
+    park = pausing && status.ok();
+    if (!park) {
+      timings = session.report().timings;
+      // With a final stage short of kDedup the outputs deliberately stay
+      // on the session — the shard protocol's merge reads
+      // session()->cleaned(), there is no CleanResult to move.
+      if (status.ok() && job->final_stage == Stage::kDedup) {
+        Result<CleanResult> taken = session.TakeResult();
+        if (taken.ok()) {
+          result = std::move(taken).ValueUnsafe();
+        } else {
+          status = taken.status();
         }
       }
     }
@@ -223,27 +173,6 @@ void RunJob(const std::shared_ptr<ServerState>& state,
     released = std::move(job->session);
   }
   FinishJob(state, job, std::move(status), std::move(result), timings);
-}
-
-// The incremental lane's single drainer: runs submissions in FIFO order
-// until the lane is empty, then retires (Submit spawns a new drainer when
-// the next incremental batch arrives). At most one drainer exists at any
-// time; successive drainers hand the session off through the state lock.
-void RunIncrementalDrainer(const std::shared_ptr<ServerState>& state) {
-  for (;;) {
-    std::shared_ptr<ServerJob> job;
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      if (state->inc_queue.empty()) {
-        state->inc_draining = false;
-        return;
-      }
-      job = std::move(state->inc_queue.front());
-      state->inc_queue.pop_front();
-      ++state->running;
-    }
-    RunJob(state, job);  // decrements `running` at its terminal
-  }
 }
 
 // One worker task: runs queued jobs until the queue is empty, then
@@ -401,36 +330,14 @@ Result<CleanTicket> CleanServer::SubmitStaged(Dataset&& dirty, Stage pause_after
                  final_stage);
 }
 
-Result<CleanTicket> CleanServer::SubmitWithRetry(const Dataset& dirty,
-                                                 SessionOptions opts,
-                                                 const RetryPolicy& policy,
-                                                 size_t* retries_out) {
-  MLN_RETURN_NOT_OK(policy.Validate());
-  RetrySchedule schedule(policy);
-  for (;;) {
-    Result<CleanTicket> ticket = Submit(dirty, opts);
-    const bool out_of_attempts = schedule.retries() + 1 >= policy.max_attempts;
-    if (ticket.ok() || !RetryPolicy::IsRetryable(ticket.status()) ||
-        out_of_attempts) {
-      if (retries_out != nullptr) *retries_out = schedule.retries();
-      return ticket;
-    }
-    std::this_thread::sleep_for(schedule.NextDelay());
-  }
-}
-
 Result<CleanTicket> CleanServer::Enqueue(const Dataset* dirty,
                                          std::optional<Dataset> owned,
                                          SessionOptions opts,
                                          std::optional<Stage> pause_after,
                                          Stage final_stage) {
-  if (pause_after.has_value()) {
-    if (opts.incremental) {
-      return Status::Invalid("staged submissions cannot use the incremental lane");
-    }
-    if (static_cast<int>(*pause_after) >= static_cast<int>(final_stage)) {
-      return Status::Invalid("pause_after must precede final_stage");
-    }
+  if (pause_after.has_value() &&
+      static_cast<int>(*pause_after) >= static_cast<int>(final_stage)) {
+    return Status::Invalid("pause_after must precede final_stage");
   }
   auto job = std::make_shared<ServerJob>();
   job->owned = std::move(owned);
@@ -441,13 +348,10 @@ Result<CleanTicket> CleanServer::Enqueue(const Dataset* dirty,
   if (pause_after.has_value()) job->server = state_;
 
   bool spawn = false;
-  const bool incremental = job->opts.incremental;
   try {
     MLN_FAILPOINT("server/admission");
     std::lock_guard<std::mutex> lock(state_->mu);
-    // Both lanes share one capacity: pending work never exceeds it,
-    // whatever the mix (the same sum Stats().queued reports).
-    const size_t depth = state_->queue.size() + state_->inc_queue.size();
+    const size_t depth = state_->queue.size();
     if (depth >= state_->options.queue_capacity) {
       ++state_->totals.rejected;
       return Status::Unavailable(
@@ -456,15 +360,9 @@ Result<CleanTicket> CleanServer::Enqueue(const Dataset* dirty,
           " pending submissions); retry later");
     }
     job->submitted_at = std::chrono::steady_clock::now();
-    (incremental ? state_->inc_queue : state_->queue).push_back(job);
+    state_->queue.push_back(job);
     ++state_->totals.submitted;
-    if (incremental) {
-      // One drainer, ever: submission order is append order.
-      if (!state_->inc_draining) {
-        state_->inc_draining = true;
-        spawn = true;
-      }
-    } else if (state_->workers < state_->options.max_concurrent_sessions) {
+    if (state_->workers < state_->options.max_concurrent_sessions) {
       ++state_->workers;
       spawn = true;
     }
@@ -479,11 +377,7 @@ Result<CleanTicket> CleanServer::Enqueue(const Dataset* dirty,
   // whole worker loop right here, and it must be free to take that lock.
   if (spawn) {
     std::shared_ptr<ServerState> state = state_;
-    if (incremental) {
-      state_->options.executor->Submit([state] { RunIncrementalDrainer(state); });
-    } else {
-      state_->options.executor->Submit([state] { RunWorker(state); });
-    }
+    state_->options.executor->Submit([state] { RunWorker(state); });
   }
   return CleanTicket(std::move(job));
 }
@@ -495,7 +389,7 @@ ServerStats CleanServer::Stats() const {
   {
     std::lock_guard<std::mutex> lock(state_->mu);
     stats = state_->totals;
-    stats.queued = state_->queue.size() + state_->inc_queue.size();
+    stats.queued = state_->queue.size();
     stats.running = state_->running;
     window = state_->latencies.Window();
     samples = state_->latencies.samples();

@@ -29,10 +29,10 @@
 // (`WaitPaused` + `session()`), and re-enters the queue on `ResumeJob()`
 // to run to its final stage — which is exactly the RunUntil(kLearn) /
 // AdjustWeightsAcross / resume cut the Eq. 6 cross-shard weight merge
-// needs. Every cold-lane job runs this way: a plain submission is a
-// staged one with no pause and final stage kDedup, and every job on
-// either lane ends in one shared completion (terminal counters, stage
-// seconds, latency sample, then the ticket's done flag).
+// needs. Every job runs this way: a plain submission is a staged one
+// with no pause and final stage kDedup, and every job ends in one shared
+// completion (terminal counters, stage seconds, latency sample, then the
+// ticket's done flag).
 //
 // Determinism: with weight reuse off (or a warmed, no-longer-written
 // store), K sessions served concurrently produce results bit-identical to
@@ -41,15 +41,9 @@
 // executor-agnostic by construction. tests/cleaning/server_test.cc pins
 // this under ThreadSanitizer in CI.
 //
-// Incremental lane: submissions with SessionOptions::incremental set feed
-// one live row-incremental session (CleanModel::NewIncrementalSession)
-// through a dedicated FIFO drained by a single task, so batches append in
-// strict submission order and each ticket resolves to the *accumulated*
-// cleaned output over every batch appended so far — bit-identical to a
-// cold session over the concatenation (docs/streaming.md). The lane adds
-// at most one concurrently executing session on top of
-// max_concurrent_sessions and shares queue_capacity: admission counts the
-// pending jobs of both lanes against the one capacity.
+// Streaming is not a server concern: a caller that appends batches to one
+// growing table drives CleanModel::NewIncrementalSession + AppendRows
+// directly (docs/streaming.md).
 
 #ifndef MLNCLEAN_CLEANING_SERVER_H_
 #define MLNCLEAN_CLEANING_SERVER_H_
@@ -61,7 +55,6 @@
 #include "common/executor.h"
 #include "common/latency_reservoir.h"
 #include "common/result.h"
-#include "common/retry.h"
 
 namespace mlnclean {
 
@@ -82,9 +75,8 @@ struct ServerOptions {
   /// concurrency. More concurrent sessions than executor workers simply
   /// queue inside the executor.
   size_t max_concurrent_sessions = 0;
-  /// Submissions allowed to wait for a session slot, summed over the
-  /// cold and incremental lanes. A Submit that would push the pending
-  /// jobs past this returns kUnavailable.
+  /// Submissions allowed to wait for a session slot. A Submit that would
+  /// push the pending jobs past this returns kUnavailable.
   size_t queue_capacity = 64;
 };
 
@@ -186,26 +178,14 @@ class CleanServer {
   /// dataset outliving the ticket.
   Result<CleanTicket> Submit(Dataset&& dirty, SessionOptions opts = {});
 
-  /// Submit with capped-exponential-backoff retries on retryable
-  /// rejections (kUnavailable backpressure, kResourceExhausted). Sleeps
-  /// between attempts on the calling thread; the delay sequence is
-  /// RetrySchedule(policy) — deterministic, so retried runs reproduce.
-  /// On an uncontended server the first attempt is admitted and no delay
-  /// is ever drawn, making this byte-identical to plain Submit.
-  /// `retries_out` (optional) receives the number of retries performed.
-  Result<CleanTicket> SubmitWithRetry(const Dataset& dirty, SessionOptions opts = {},
-                                      const RetryPolicy& policy = {},
-                                      size_t* retries_out = nullptr);
-
   /// Staged submission: the job runs RunUntil(pause_after), parks with
   /// its live session reachable via CleanTicket::session() (after
   /// WaitPaused()), and on CleanTicket::ResumeJob() re-enters the queue
   /// to run RunUntil(final_stage). `pause_after` must precede
-  /// `final_stage`; the incremental lane does not support staging. With
-  /// final_stage == Stage::kDedup the ticket resolves to a CleanResult
-  /// like a plain submission; with an earlier final stage the outputs
-  /// stay on the session (Take() has nothing to move) — the shard
-  /// protocol's merge reads session()->cleaned() directly.
+  /// `final_stage`. With final_stage == Stage::kDedup the ticket resolves
+  /// to a CleanResult like a plain submission; with an earlier final
+  /// stage the outputs stay on the session (Take() has nothing to move) —
+  /// the shard protocol's merge reads session()->cleaned() directly.
   Result<CleanTicket> SubmitStaged(const Dataset& dirty, Stage pause_after,
                                    Stage final_stage, SessionOptions opts = {});
 

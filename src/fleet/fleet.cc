@@ -161,9 +161,6 @@ Result<CleanFleet> CleanFleet::Create(CleanModel model, ShardRouter router,
 }
 
 Result<FleetTicket> CleanFleet::Submit(const Dataset& dirty, SessionOptions opts) {
-  if (opts.incremental) {
-    return Status::Invalid("fleet submissions cannot use the incremental lane");
-  }
   if (opts.progress) {
     return Status::Invalid(
         "fleet submissions do not support progress callbacks");

@@ -125,9 +125,9 @@ class CleanFleet {
   /// staged submissions. Unlike CleanServer::Submit, `dirty` is only
   /// *read* during this call (routed shard copies ship to the servers;
   /// the result is assembled into a clone), so the caller's dataset need
-  /// not outlive the ticket. `opts.progress` and `opts.incremental` are
-  /// not supported at fleet level; the caller's deadline, cancel token
-  /// and weight flags apply to every shard leg.
+  /// not outlive the ticket. `opts.progress` is not supported at fleet
+  /// level; the caller's deadline, cancel token and weight flags apply to
+  /// every shard leg.
   Result<FleetTicket> Submit(const Dataset& dirty, SessionOptions opts = {});
 
   /// Fleet counters plus every shard server's Stats(), in shard order.

@@ -61,9 +61,8 @@
 //
 // model.Save(out, stream.base_index(), stream.data().num_rows()) writes
 // the resume point into the snapshot (v5), and LoadWithIndex +
-// ResumeIncrementalSession continue the stream in another process; a
-// CleanServer routes stream submissions through a strict-FIFO lane via
-// SessionOptions::incremental. Contract and trade-offs: docs/streaming.md.
+// ResumeIncrementalSession continue the stream in another process.
+// Contract and trade-offs: docs/streaming.md.
 //
 // Models outlive their process: Save writes a versioned binary snapshot
 // (schema, rules, options, and the warmed weight store with stable γ ids)
@@ -141,7 +140,6 @@
 #include "common/distance.h"
 #include "common/failpoint.h"
 #include "common/result.h"
-#include "common/retry.h"
 #include "common/status.h"
 #include "datagen/car.h"
 #include "datagen/hospital.h"

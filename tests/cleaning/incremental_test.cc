@@ -13,7 +13,6 @@
 
 #include "cleaning/engine.h"
 #include "cleaning/model_io.h"
-#include "cleaning/server.h"
 #include "datagen/hospital.h"
 #include "errorgen/injector.h"
 #include "index/mln_index.h"
@@ -357,65 +356,6 @@ TEST(IncrementalSnapshotTest, ResumeRejectsWrongAccumulation) {
   Status st = resumed.Resume();
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsInvalid());
-}
-
-TEST(IncrementalServerTest, TicketsResolveToAccumulatedPrefixResults) {
-  GeneratedCase c = MakeGenerated(41);
-  const Dataset& full = c.dd.dirty;
-  CleanModel model = *CleaningEngine().Compile(full.schema(), c.wl.rules);
-  PoolExecutor pool(2);
-  ServerOptions sopts;
-  sopts.executor = &pool;
-  CleanServer server = *CleanServer::Create(model, sopts);
-
-  const size_t k = 3;
-  std::vector<Dataset> batches = SplitIntoBatches(full, k);
-  std::vector<CleanTicket> tickets;
-  SessionOptions inc_opts;
-  inc_opts.incremental = true;
-  for (Dataset& batch : batches) {
-    tickets.push_back(*server.Submit(batch, inc_opts));
-  }
-  size_t end = 0;
-  for (size_t i = 0; i < tickets.size(); ++i) {
-    end += batches[i].num_rows();
-    Result<CleanResult> got = tickets[i].Take();
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    Dataset prefix = full.Slice(0, end);  // sessions borrow their input
-    CleanSession cold = model.NewSession(prefix);
-    ASSERT_TRUE(cold.Resume().ok());
-    EXPECT_EQ(got->cleaned, cold.cleaned()) << "ticket " << i;
-    EXPECT_EQ(got->deduped, cold.deduped());
-  }
-  ServerStats stats = server.Stats();
-  EXPECT_EQ(stats.completed, k);
-  EXPECT_EQ(stats.failed, 0u);
-  // The lane ends in the cold lane's completion: one latency sample and
-  // the session's stage seconds per ticket.
-  EXPECT_EQ(stats.latency.samples, k);
-  EXPECT_GT(stats.stage_seconds.total, 0.0);
-}
-
-TEST(IncrementalServerTest, IncrementalAndColdLanesCoexist) {
-  GeneratedCase c = MakeGenerated(42);
-  const Dataset& full = c.dd.dirty;
-  CleanModel model = *CleaningEngine().Compile(full.schema(), c.wl.rules);
-  PoolExecutor pool(2);
-  ServerOptions sopts;
-  sopts.executor = &pool;
-  CleanServer server = *CleanServer::Create(model, sopts);
-
-  SessionOptions inc_opts;
-  inc_opts.incremental = true;
-  CleanTicket inc_ticket = *server.Submit(full, inc_opts);
-  CleanTicket cold_ticket = *server.Submit(full);
-
-  Result<CleanResult> inc_result = inc_ticket.Take();
-  Result<CleanResult> cold_result = cold_ticket.Take();
-  ASSERT_TRUE(inc_result.ok()) << inc_result.status().ToString();
-  ASSERT_TRUE(cold_result.ok()) << cold_result.status().ToString();
-  EXPECT_EQ(inc_result->cleaned, cold_result->cleaned);
-  EXPECT_EQ(inc_result->deduped, cold_result->deduped);
 }
 
 }  // namespace

@@ -177,11 +177,9 @@ TEST(CleanServerTest, FullQueueReturnsUnavailable) {
   auto rejected = server.Submit(dirty);  // overflows it
   ASSERT_FALSE(rejected.ok());
   EXPECT_TRUE(rejected.status().IsUnavailable()) << rejected.status().ToString();
-  // The rejection is actionable: it carries the live depth and capacity,
-  // and IsRetryable tells clients it is worth backing off and retrying.
+  // The rejection is actionable: it carries the live depth and capacity.
   EXPECT_EQ(rejected.status().message(),
             "server queue is full (1 of 1 pending submissions); retry later");
-  EXPECT_TRUE(RetryPolicy::IsRetryable(rejected.status()));
   {
     ServerStats stats = server.Stats();
     EXPECT_EQ(stats.queued, 1u);
@@ -198,145 +196,6 @@ TEST(CleanServerTest, FullQueueReturnsUnavailable) {
   ASSERT_TRUE(retried.ok());
   EXPECT_TRUE(retried->Wait().ok());
   EXPECT_EQ(server.Stats().rejected, 1u);  // cumulative, not reset
-}
-
-// Both lanes count against the one queue_capacity: with the only worker
-// parked, a job waiting in either lane fills a capacity-1 server, so a
-// submission to the other lane is refused.
-TEST(CleanServerTest, IncrementalLaneSharesQueueCapacity) {
-  Dataset dirty = *SampleHospitalDirty();
-  CleaningOptions options;
-  options.agp_threshold = 1;
-  CleanModel model = *CleaningEngine(options).Compile(dirty.schema(),
-                                                      *SampleHospitalRules());
-  SessionOptions cold;
-  SessionOptions incremental;
-  incremental.incremental = true;
-  for (bool cold_first : {true, false}) {
-    SCOPED_TRACE(cold_first ? "cold job queued" : "incremental job queued");
-    PoolExecutor pool(1);
-    ServerOptions sopts;
-    sopts.executor = &pool;
-    sopts.max_concurrent_sessions = 1;
-    sopts.queue_capacity = 1;
-    CleanServer server = *CleanServer::Create(model, sopts);
-
-    Gate gate;
-    SessionOptions blocking;
-    blocking.progress = [&gate](const StageProgress& p) {
-      if (p.stage == Stage::kIndex && p.units_done == 0) gate.Enter();
-    };
-    auto running = server.Submit(dirty, blocking);
-    ASSERT_TRUE(running.ok());
-    gate.AwaitEntered();  // the pool's one thread is parked inside the job
-
-    auto queued = server.Submit(dirty, cold_first ? cold : incremental);
-    auto rejected = server.Submit(dirty, cold_first ? incremental : cold);
-    ServerStats stats = server.Stats();
-    gate.Release();  // before any assertion can return past the parked job
-
-    ASSERT_TRUE(queued.ok()) << queued.status().ToString();
-    EXPECT_TRUE(rejected.status().IsUnavailable()) << rejected.status().ToString();
-    EXPECT_EQ(stats.queued, 1u);
-    EXPECT_EQ(stats.rejected, 1u);
-    EXPECT_TRUE(running->Wait().ok());
-    EXPECT_TRUE(queued->Wait().ok());
-  }
-}
-
-TEST(CleanServerTest, SubmitWithRetryIsPlainSubmitWhenUncontended) {
-  ServingCase c = MakeServingCase(35, 2);
-  CleaningOptions options = ServingOptions();
-  CleanModel model =
-      *CleaningEngine(options).Compile(c.dd.dirty.schema(), c.wl.rules);
-  PoolExecutor pool(2);
-  ServerOptions sopts;
-  sopts.executor = &pool;
-  CleanServer server = *CleanServer::Create(model, sopts);
-
-  size_t retries = 99;
-  auto ticket = server.SubmitWithRetry(c.batches[0], SessionOptions{},
-                                       RetryPolicy{}, &retries);
-  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
-  EXPECT_EQ(retries, 0u);  // admitted first try: no delay was ever drawn
-  auto served = ticket->Take();
-  ASSERT_TRUE(served.ok());
-  auto reference = CleaningEngine(options).Clean(c.batches[0], c.wl.rules);
-  ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(served->deduped, reference->deduped);
-  EXPECT_EQ(server.Stats().rejected, 0u);
-}
-
-TEST(CleanServerTest, SubmitWithRetryRidesOutBackpressure) {
-  Dataset dirty = *SampleHospitalDirty();
-  CleaningOptions options;
-  options.agp_threshold = 1;
-  CleanModel model = *CleaningEngine(options).Compile(dirty.schema(),
-                                                      *SampleHospitalRules());
-  PoolExecutor pool(1);
-  ServerOptions sopts;
-  sopts.executor = &pool;
-  sopts.max_concurrent_sessions = 1;
-  sopts.queue_capacity = 1;
-  CleanServer server = *CleanServer::Create(model, sopts);
-
-  Gate gate;
-  SessionOptions blocking;
-  blocking.progress = [&gate](const StageProgress& p) {
-    if (p.stage == Stage::kIndex && p.units_done == 0) gate.Enter();
-  };
-  auto running = server.Submit(dirty, blocking);
-  ASSERT_TRUE(running.ok());
-  gate.AwaitEntered();
-  auto queued = server.Submit(dirty);  // queue now full
-  ASSERT_TRUE(queued.ok());
-
-  RetryPolicy fast;
-  fast.initial_backoff = std::chrono::milliseconds(1);
-  fast.max_backoff = std::chrono::milliseconds(5);
-
-  // While the worker stays parked every attempt is rejected; the loop
-  // must give up with the *last* kUnavailable after max_attempts tries.
-  fast.max_attempts = 3;
-  size_t retries = 0;
-  auto exhausted =
-      server.SubmitWithRetry(dirty, SessionOptions{}, fast, &retries);
-  ASSERT_FALSE(exhausted.ok());
-  EXPECT_TRUE(exhausted.status().IsUnavailable())
-      << exhausted.status().ToString();
-  EXPECT_EQ(retries, 2u);  // 3 attempts = 2 retries
-  EXPECT_EQ(server.Stats().rejected, 3u);
-
-  // Unblock the worker on a helper thread mid-retry-loop: a later attempt
-  // then finds room and the submit goes through.
-  fast.max_attempts = 200;
-  std::thread releaser([&gate] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    gate.Release();
-  });
-  auto admitted =
-      server.SubmitWithRetry(dirty, SessionOptions{}, fast, &retries);
-  releaser.join();
-  ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
-  EXPECT_GE(retries, 1u);
-  EXPECT_TRUE(running->Wait().ok());
-  EXPECT_TRUE(queued->Wait().ok());
-  EXPECT_TRUE(admitted->Wait().ok());
-}
-
-TEST(CleanServerTest, SubmitWithRetryRejectsABrokenPolicy) {
-  ServingCase c = MakeServingCase(36, 1);
-  CleanModel model = *CleaningEngine(ServingOptions())
-                          .Compile(c.dd.dirty.schema(), c.wl.rules);
-  PoolExecutor pool(1);
-  ServerOptions sopts;
-  sopts.executor = &pool;
-  CleanServer server = *CleanServer::Create(model, sopts);
-  RetryPolicy broken;
-  broken.max_attempts = 0;
-  auto r = server.SubmitWithRetry(c.batches[0], SessionOptions{}, broken);
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsInvalid());
 }
 
 TEST(CleanServerTest, OwningSubmitOutlivesTheCallersDataset) {
@@ -540,7 +399,7 @@ struct RunOrder {
   }
 };
 
-// The cold lane is FIFO: while the one worker is pinned, queued jobs run
+// The queue is FIFO: while the one worker is pinned, queued jobs run
 // in submit order. Deadlines stop a run but never reorder the queue, so
 // a later job with an earlier deadline still waits its turn.
 TEST(CleanServerTest, QueueIsFifo) {
@@ -683,18 +542,11 @@ TEST(CleanServerTest, StagedSubmissionParksResumesAndMatchesPlainSubmit) {
             "no result to take");
 
   // Staging is validated up front: the pause must precede the final
-  // stage, and the incremental lane cannot stage.
+  // stage.
   EXPECT_TRUE(server.SubmitStaged(c.dd.dirty, Stage::kFscr, Stage::kLearn)
                   .status()
                   .IsInvalid());
   EXPECT_TRUE(server.SubmitStaged(c.dd.dirty, Stage::kLearn, Stage::kLearn)
-                  .status()
-                  .IsInvalid());
-  SessionOptions incremental;
-  incremental.incremental = true;
-  EXPECT_TRUE(server
-                  .SubmitStaged(c.dd.dirty, Stage::kLearn, Stage::kDedup,
-                                incremental)
                   .status()
                   .IsInvalid());
 }

@@ -422,7 +422,9 @@ TEST(BigramProfileTest, CountsSortedAndNormConsistent) {
   BigramProfile p("banana");
   double sq = 0.0;
   for (size_t i = 0; i < p.counts().size(); ++i) {
-    if (i > 0) EXPECT_LT(p.counts()[i - 1].first, p.counts()[i].first);
+    if (i > 0) {
+      EXPECT_LT(p.counts()[i - 1].first, p.counts()[i].first);
+    }
     sq += p.counts()[i].second * p.counts()[i].second;
   }
   EXPECT_DOUBLE_EQ(p.norm(), std::sqrt(sq));

@@ -121,7 +121,9 @@ TEST(GroupVarintTest, CorruptedBytesDecodeOrReject) {
     size_t consumed = 0;
     const bool ok = GroupVarintDecodeDelta(corrupt.data(), corrupt.size(), n,
                                            decoded.data(), &consumed);
-    if (ok) EXPECT_LE(consumed, corrupt.size());
+    if (ok) {
+      EXPECT_LE(consumed, corrupt.size());
+    }
   }
 }
 

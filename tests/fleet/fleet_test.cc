@@ -340,7 +340,7 @@ TEST(CleanFleetTest, StatsCountTicketsAndRecordLatencies) {
   EXPECT_GE(shard_completed, c.batches.size());
 }
 
-TEST(CleanFleetTest, CreateValidatesRouterSchemaAndSubmitRejectsIncremental) {
+TEST(CleanFleetTest, CreateValidatesRouterSchemaAndSubmitRejectsProgress) {
   ServingCase c = MakeServingCase(71, 1);
   CleaningOptions options = ServingOptions();
   CleanModel model = *CleaningEngine(options).Compile(c.dd.dirty.schema(), c.wl.rules);
@@ -352,10 +352,13 @@ TEST(CleanFleetTest, CreateValidatesRouterSchemaAndSubmitRejectsIncremental) {
   ShardRouter mismatched = *ShardRouter::Build(other, ropts);
   EXPECT_FALSE(CleanFleet::Create(model, mismatched).ok());
 
-  SessionOptions incremental;
-  incremental.incremental = true;
+  // A progress callback is refused before anything is routed or shipped.
+  SessionOptions with_progress;
+  with_progress.progress = [](const StageProgress&) {};
   CleanFleet fleet = *CleanFleet::Create(model, MakeRouter(c.dd.dirty, 2));
-  EXPECT_FALSE(fleet.Submit(c.dd.dirty, incremental).ok());
+  const Status rejected = fleet.Submit(c.dd.dirty, with_progress).status();
+  EXPECT_TRUE(rejected.IsInvalid()) << rejected.ToString();
+  EXPECT_EQ(fleet.Stats().submitted, 0u);
 }
 
 }  // namespace

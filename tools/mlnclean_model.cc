@@ -29,7 +29,7 @@
 //
 //   # stream the batches through ONE row-incremental session (each entry
 //   # covers the accumulated rows), snapshotting the base index mid-stream
-//   mlnclean_model serve --compile --incremental --batches 6 --limit 3 \
+//   mlnclean_model serve --compile --incremental --batches 6 --limit 3
 //                        --save-index idx.bin --out first.txt
 //
 //   # ... then resume cross-process from the snapshot and append the rest;
@@ -83,7 +83,6 @@ struct Args {
   bool warm = false;     // save: warm the store on batch 0 before saving
   bool compile = false;  // serve: in-process reference arm
   bool reuse = false;    // serve: reuse_model_weights
-  bool retry = false;    // serve: SubmitWithRetry through a CleanServer
   bool incremental = false;  // serve: one row-incremental session
   bool cumulative = false;   // serve: cold prefix runs (the reference arm)
   size_t limit = 0;          // serve: stop after batch `limit` (0 = all)
@@ -141,8 +140,8 @@ int Usage() {
                "  mlnclean_model inspect FILE\n"
                "  mlnclean_model serve (--model FILE | --compile [--warm])\n"
                "                       --out FILE [--reuse] [--batches K]\n"
-               "                       [--jobs N] [--shards N] [--retry]\n"
-               "                       [--stats] [workload flags]\n"
+               "                       [--jobs N] [--shards N] [--stats]\n"
+               "                       [workload flags]\n"
                "                       [--incremental [--save-index FILE]]\n"
                "                       [--cumulative] [--limit K] [--skip K]\n"
                "  mlnclean_model serve --resume-index FILE --skip K --out FILE\n"
@@ -169,8 +168,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->compile = true;
     } else if (flag == "--reuse") {
       args->reuse = true;
-    } else if (flag == "--retry") {
-      args->retry = true;
     } else if (flag == "--incremental") {
       args->incremental = true;
     } else if (flag == "--cumulative") {
@@ -263,15 +260,13 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     }
     args->incremental = true;  // resuming only makes sense incrementally
   }
-  if (args->shards > 0 &&
-      (args->incremental || args->cumulative || args->retry ||
-       !args->resume_index_path.empty())) {
-    // The fleet serves plain batch submissions only: the incremental lane
-    // is single-stream by contract, --cumulative is its cold reference,
-    // and SubmitWithRetry is a per-server API.
+  if (args->shards > 0 && (args->incremental || args->cumulative)) {
+    // The fleet serves plain batch submissions only: an incremental
+    // stream is one session by contract, and --cumulative is its cold
+    // reference.
     std::fprintf(stderr,
                  "--shards serves plain batches through a CleanFleet; drop "
-                 "--incremental/--cumulative/--retry/--resume-index\n");
+                 "--incremental/--cumulative/--resume-index\n");
     return false;
   }
   if (args->stats && (args->incremental || args->cumulative)) {
@@ -294,11 +289,10 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     std::fprintf(stderr, "--skip requires --resume-index or --cumulative\n");
     return false;
   }
-  if ((!args->save_index_path.empty() || !args->resume_index_path.empty()) &&
-      args->jobs > 1) {
-    // The server lane owns its session internally; its base index is not
-    // reachable for snapshotting.
-    std::fprintf(stderr, "--save-index/--resume-index need --jobs 1\n");
+  if (args->incremental && args->jobs > 1) {
+    // A stream appends to one session in order, so there is nothing for
+    // a second worker to run.
+    std::fprintf(stderr, "--incremental/--resume-index need --jobs 1\n");
     return false;
   }
   if (args->compile && !args->model_path.empty()) {
@@ -443,16 +437,12 @@ void WriteFleetStatsFooter(const FleetStats& stats, std::ostream& out) {
 /// the bytes match the sequential run exactly — that equality IS the
 /// concurrent-serving gate CI's --jobs leg checks.
 Status ServeBatches(const CleanModel& model, const std::vector<Dataset>& batches,
-                    bool reuse, size_t jobs, bool retry, bool stats,
-                    std::ostream& out) {
+                    bool reuse, size_t jobs, bool stats, std::ostream& out) {
   SessionOptions opts;
   opts.reuse_model_weights = reuse;
-  // --retry forces the server path even at --jobs 1: SubmitWithRetry is a
-  // server API, and the queue is sized for every batch, so the server is
-  // uncontended, no retry ever fires, and the transcript is byte-identical
-  // to the non-retry run — the determinism gate CI checks. --stats forces
-  // it too: the footer's counters live on the server.
-  if (jobs <= 1 && !retry && !stats) {
+  // --stats forces the server path even at --jobs 1: the footer's
+  // counters live on the server.
+  if (jobs <= 1 && !stats) {
     for (size_t i = 0; i < batches.size(); ++i) {
       CleanSession session = model.NewSession(batches[i], opts);
       MLN_RETURN_NOT_OK(session.Resume());
@@ -474,14 +464,8 @@ Status ServeBatches(const CleanModel& model, const std::vector<Dataset>& batches
     // CancelToken, and Cancel() on one ticket would kill every sibling.
     SessionOptions job_opts;
     job_opts.reuse_model_weights = reuse;
-    if (retry) {
-      MLN_ASSIGN_OR_RETURN(CleanTicket ticket,
-                           server.SubmitWithRetry(batch, job_opts));
-      tickets.push_back(std::move(ticket));
-    } else {
-      MLN_ASSIGN_OR_RETURN(CleanTicket ticket, server.Submit(batch, job_opts));
-      tickets.push_back(std::move(ticket));
-    }
+    MLN_ASSIGN_OR_RETURN(CleanTicket ticket, server.Submit(batch, job_opts));
+    tickets.push_back(std::move(ticket));
   }
   for (size_t i = 0; i < tickets.size(); ++i) {
     MLN_ASSIGN_OR_RETURN(CleanResult result, tickets[i].Take());
@@ -545,9 +529,7 @@ std::pair<size_t, size_t> BatchWindow(const Args& args, size_t num_batches) {
 /// concat(batch 0..k). With --resume-index the session continues from a
 /// saved snapshot (model + base index), rebuilding the already-served rows
 /// from the regenerated workload; with --save-index the final base index
-/// is snapshotted for a later process to resume from. With --jobs > 1 the
-/// batches flow through a CleanServer's incremental lane instead — same
-/// transcript bytes, exercising SessionOptions::incremental end to end.
+/// is snapshotted for a later process to resume from.
 Status ServeIncrementalBatches(const Args& args, const ServingWorkload& wl,
                                const std::vector<Dataset>& batches,
                                std::ostream& out) {
@@ -591,41 +573,12 @@ Status ServeIncrementalBatches(const Args& args, const ServingWorkload& wl,
     session.emplace(model->ResumeIncrementalSession(std::move(accumulated),
                                                     std::move(*snap.index), opts));
   } else {
-    Result<CleanModel> loaded = [&]() -> Result<CleanModel> {
-      if (args.compile) return CompileAndWarm(args, wl, batches);
-      std::ifstream in(args.model_path, std::ios::binary);
-      if (!in) return Status::IOError("cannot open " + args.model_path);
-      return CleaningEngine().Load(in);
-    }();
+    Result<CleanModel> loaded =
+        args.compile ? CompileAndWarm(args, wl, batches)
+                     : CleaningEngine().LoadFromFile(args.model_path);
     MLN_RETURN_NOT_OK(loaded.status());
     model.emplace(std::move(*loaded));
     session.emplace(model->NewIncrementalSession(opts));
-  }
-
-  if (args.jobs > 1) {
-    // The server lane: batches submitted with SessionOptions::incremental
-    // append to the server's own live session in submission order, and
-    // each ticket resolves to the accumulated output — byte-identical to
-    // the direct loop below (the session built above goes unused).
-    PoolExecutor pool(args.jobs);
-    ServerOptions sopts;
-    sopts.executor = &pool;
-    sopts.max_concurrent_sessions = args.jobs;
-    sopts.queue_capacity = batches.size();
-    MLN_ASSIGN_OR_RETURN(CleanServer server, CleanServer::Create(*model, sopts));
-    std::vector<CleanTicket> tickets;
-    for (size_t i = first; i < stop; ++i) {
-      SessionOptions job_opts;
-      job_opts.reuse_model_weights = args.reuse;
-      job_opts.incremental = true;
-      MLN_ASSIGN_OR_RETURN(CleanTicket ticket, server.Submit(batches[i], job_opts));
-      tickets.push_back(std::move(ticket));
-    }
-    for (size_t i = first; i < stop; ++i) {
-      MLN_ASSIGN_OR_RETURN(CleanResult result, tickets[i - first].Take());
-      WriteBatchTranscript(i, result.cleaned.num_rows(), result, out);
-    }
-    return Status::OK();
   }
 
   for (size_t i = first; i < stop; ++i) {
@@ -763,22 +716,16 @@ int RunServe(const Args& args) {
       return 1;
     }
     const auto [first, stop] = BatchWindow(args, batches.size());
-    std::printf("served batches %zu..%zu incrementally (jobs=%zu) -> %s\n", first,
-                stop, args.jobs, args.out_path.c_str());
+    std::printf("served batches %zu..%zu incrementally -> %s\n", first, stop,
+                args.out_path.c_str());
     return 0;
   }
-  Result<CleanModel> model = [&]() -> Result<CleanModel> {
-    if (args.compile) {
-      // The reference arm warms only when asked: pass --warm iff the
-      // snapshot under test was saved with --warm, or the two arms serve
-      // from different weight stores and the cmp mismatch would falsely
-      // implicate the codec.
-      return CompileAndWarm(args, *wl, batches);
-    }
-    std::ifstream in(args.model_path, std::ios::binary);
-    if (!in) return Status::IOError("cannot open " + args.model_path);
-    return CleaningEngine().Load(in);
-  }();
+  // The reference arm warms only when asked: pass --warm iff the snapshot
+  // under test was saved with --warm, or the two arms serve from different
+  // weight stores and the cmp mismatch would falsely implicate the codec.
+  Result<CleanModel> model = args.compile
+                                 ? CompileAndWarm(args, *wl, batches)
+                                 : CleaningEngine().LoadFromFile(args.model_path);
   if (!model.ok()) {
     std::fprintf(stderr, "model: %s\n", model.status().ToString().c_str());
     return 1;
@@ -794,7 +741,7 @@ int RunServe(const Args& args) {
           : (args.shards > 0
                  ? ServeFleetBatches(*model, *wl, batches, args, out)
                  : ServeBatches(*model, batches, args.reuse, args.jobs,
-                                args.retry, args.stats, out));
+                                args.stats, out));
   if (!served.ok()) {
     std::fprintf(stderr, "serve: %s\n", served.ToString().c_str());
     return 1;
