@@ -291,7 +291,7 @@ void BM_WeightLearning(benchmark::State& state) {
 }
 BENCHMARK(BM_WeightLearning);
 
-// Full rule discovery (lattice + MD mining + MLN scoring) on the shared
+// Full rule discovery (lattice + MLN scoring + selection) on the shared
 // 40-hospital dirty table — the `mlnclean_model discover` hot path.
 void BM_DiscoverRules(benchmark::State& state) {
   const DirtyDataset& dd = SharedDirty();

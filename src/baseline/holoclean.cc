@@ -7,7 +7,6 @@
 #include "common/distance.h"
 #include "common/random.h"
 #include "common/timer.h"
-#include "rules/violation.h"
 
 namespace mlnclean {
 
@@ -239,19 +238,6 @@ Result<HoloCleanResult> HoloCleanBaseline::CleanWithOracle(
     noisy[static_cast<size_t>(e.tid)][static_cast<size_t>(e.attr)] = true;
   }
   return Clean(dirty, rules, noisy);
-}
-
-Result<HoloCleanResult> HoloCleanBaseline::CleanWithDetector(
-    const Dataset& dirty, const RuleSet& rules) const {
-  if (options_.cancel.cancelled()) {
-    return Status::Cancelled("holoclean cancelled before detection");
-  }
-  Timer detect;
-  std::vector<std::vector<bool>> noisy = ViolationCellMask(dirty, rules);
-  MLN_ASSIGN_OR_RETURN(HoloCleanResult result, Clean(dirty, rules, noisy));
-  result.detect_seconds = detect.ElapsedSeconds() - result.total_seconds;
-  result.total_seconds += result.detect_seconds;
-  return result;
 }
 
 Result<HoloCleanResult> HoloCleanBaseline::Clean(

@@ -2,9 +2,8 @@
 // scratch as the paper's comparator. Architecture mirrored:
 //
 //   1. *Detection* separates cells into a noisy and a clean partition. As
-//      in the paper's evaluation, detection can be an oracle (100%
-//      accurate, from the injected ground truth) or constraint-violation
-//      based.
+//      in the paper's evaluation, detection is an oracle (100% accurate,
+//      from the injected ground truth); `Clean` takes any other mask.
 //   2. *Compilation* builds a candidate repair domain per noisy cell from
 //      co-occurrence with the tuple's clean cells, plus featurization:
 //      per-neighbor-attribute co-occurrence probabilities, value
@@ -62,7 +61,6 @@ struct HoloCleanResult {
   Dataset cleaned;
   size_t noisy_cells = 0;
   size_t repaired_cells = 0;
-  double detect_seconds = 0.0;
   double compile_seconds = 0.0;
   double learn_seconds = 0.0;
   double infer_seconds = 0.0;
@@ -79,10 +77,6 @@ class HoloCleanBaseline {
   /// cells; repair runs on those.
   Result<HoloCleanResult> CleanWithOracle(const Dataset& dirty, const RuleSet& rules,
                                           const GroundTruth& truth) const;
-
-  /// Detection from integrity-constraint violations (no oracle).
-  Result<HoloCleanResult> CleanWithDetector(const Dataset& dirty,
-                                            const RuleSet& rules) const;
 
   /// Core repair on an explicit noisy mask.
   Result<HoloCleanResult> Clean(const Dataset& dirty, const RuleSet& rules,

@@ -1,7 +1,6 @@
 #include "common/string_util.h"
 
 #include <cctype>
-#include <cstdio>
 
 namespace mlnclean {
 
@@ -19,38 +18,11 @@ std::string_view TrimView(std::string_view s) {
 
 std::string Trim(std::string_view s) { return std::string(TrimView(s)); }
 
-std::vector<std::string> SplitAndTrim(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (true) {
-    size_t pos = s.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.push_back(Trim(s.substr(start)));
-      break;
-    }
-    out.push_back(Trim(s.substr(start, pos - start)));
-    start = pos + 1;
-  }
-  return out;
-}
-
 std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;
   for (size_t i = 0; i < parts.size(); ++i) {
     if (i > 0) out.append(sep);
     out.append(parts[i]);
-  }
-  return out;
-}
-
-std::string JoinKey(const std::vector<std::string>& parts) {
-  size_t total = parts.size();
-  for (const auto& p : parts) total += p.size();
-  std::string out;
-  out.reserve(total);
-  for (const auto& p : parts) {
-    out += p;
-    out += '\x1f';
   }
   return out;
 }
@@ -67,12 +39,6 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 
 bool EndsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
-}
-
-std::string FormatDouble(double v, int digits) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
-  return buf;
 }
 
 }  // namespace mlnclean

@@ -13,18 +13,8 @@ namespace mlnclean {
 std::string_view TrimView(std::string_view s);
 std::string Trim(std::string_view s);
 
-/// Splits on `sep`, trimming each field. Empty input yields {""}.
-std::vector<std::string> SplitAndTrim(std::string_view s, char sep);
-
 /// Joins `parts` with `sep` between consecutive elements.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-
-/// Hash key for a value vector: every element followed by the ASCII unit
-/// separator '\x1f' (unambiguous because values never contain it). The
-/// output is reserved up front. Used for the MLN index's string-facing
-/// group keys (built once per group) and cross-shard weight merging; the
-/// per-tuple hot paths key on dictionary ids instead.
-std::string JoinKey(const std::vector<std::string>& parts);
 
 /// ASCII lower-casing (data values in this library are ASCII).
 std::string ToLower(std::string_view s);
@@ -32,9 +22,6 @@ std::string ToLower(std::string_view s);
 /// True when `s` begins with / ends with the given prefix or suffix.
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
-
-/// Formats a double with `digits` digits after the decimal point.
-std::string FormatDouble(double v, int digits);
 
 }  // namespace mlnclean
 

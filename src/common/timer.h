@@ -12,16 +12,10 @@ class Timer {
  public:
   Timer() : start_(Clock::now()) {}
 
-  /// Resets the start point to now.
-  void Restart() { start_ = Clock::now(); }
-
-  /// Elapsed seconds since construction or the last Restart().
+  /// Elapsed seconds since construction.
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  /// Elapsed milliseconds.
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -1,7 +1,7 @@
 // Rule discovery: mine a RuleSet directly from (dirty) data, so the
 // cleaning pipeline can run without hand-written constraints.
 //
-// Three passes, all deterministic for any executor/thread count:
+// Two passes, both deterministic for any executor/thread count:
 //
 //  1. A TANE/CTane-style level-wise lattice search over the
 //     dictionary-encoded columns (discovery/fd_miner) proposes
@@ -11,19 +11,16 @@
 //     admission is the point: on dirty data the true dependencies hold
 //     on most-but-not-all tuples, exactly the weak-constraint regime the
 //     MLN softens anyway (HoloClean's premise).
-//  2. A matching-dependency miner (discovery/md_miner) searches
-//     similarity thresholds over the existing distance kernels: pairs of
-//     tuples whose values on one attribute are *similar but not equal*
-//     yet agree on another attribute. The mined MDs are reported as
-//     threshold guidance for the AGP/RSC similarity stages (the DSL has
-//     no MD form, so they ride in DiscoveryResult, not the RuleSet).
-//  3. An MLN scoring pass: the surviving candidates are compiled into a
+//  2. An MLN scoring pass: the surviving candidates are compiled into a
 //     CleanModel and trial-warmed on a sample (index + AGP + weight
 //     learning — exactly CleanModel::Warm's computation, run through a
 //     staged session so the learned index stays inspectable). A rule
 //     earns its keep when its conflicted γ groups concentrate learned
 //     weight on one version (support-weighted star purity >=
 //     min_mln_score); rules whose groups stay ambiguous are dropped.
+//
+// Determinant selection then keeps one FD per result attribute, and
+// constant CFDs only for attributes no kept FD determines.
 //
 // Survivors are emitted as canonical DSL via Constraint::CanonicalText,
 // so mined rules round-trip byte-identically through ParseRules and can
@@ -38,7 +35,6 @@
 
 #include "cleaning/options.h"
 #include "common/cancellation.h"
-#include "common/distance.h"
 #include "common/executor.h"
 #include "common/result.h"
 #include "dataset/dataset.h"
@@ -63,50 +59,17 @@ struct DiscoveryOptions {
   /// group's majority result value.
   double min_confidence = 0.85;
 
-  /// Mine constant-pattern CFDs from the pattern groups of FDs that
-  /// failed min_confidence globally.
-  bool mine_cfds = true;
-  /// A pattern group must span at least this many rows.
+  /// Constant-pattern CFDs are mined from the pattern groups of FDs that
+  /// failed min_confidence globally. A pattern group must span at least
+  /// this many rows ...
   size_t min_cfd_support = 8;
   /// ... and agree with its majority result value at least this often.
   double min_cfd_confidence = 0.95;
-
-  /// Per result attribute, keep at most this many FDs (highest
-  /// confidence first; ties: higher support, then lattice order). Many
-  /// determinants for one attribute create competing blocks whose extra
-  /// γ versions dilute fusion, so the single most reliable determinant
-  /// usually cleans better than all of them together. 0 = unlimited.
-  size_t max_fds_per_result = 1;
-
-  /// Keep constant CFDs targeting a result attribute only when no FD for
-  /// that attribute survived: mined CFDs are the local fallback where no
-  /// global determinant exists, and are redundant beside a kept FD on
-  /// the same attribute.
-  bool cfds_only_without_fd = true;
 
   /// Cap on emitted rules; lowest-support rules are dropped first
   /// (ties: later lattice order first). Keeps a pathological input from
   /// flooding the pipeline with thousands of pattern rules.
   size_t max_rules = 64;
-
-  /// Mine matching dependencies over the distance kernels.
-  bool mine_mds = true;
-  /// Distance metric MD similarity is measured in (normalized to [0,1]
-  /// via MakeNormalizedDistanceFn).
-  DistanceMetric md_metric = DistanceMetric::kLevenshtein;
-  /// Candidate similarity radii, ascending; each MD reports the largest
-  /// radius that still meets md_min_confidence.
-  std::vector<double> md_thresholds = {0.15, 0.25, 0.35};
-  /// Tuple-pair sample budget: all pairs when the table has fewer,
-  /// otherwise a seeded uniform sample of this many pairs.
-  size_t md_max_pairs = 20000;
-  /// Minimum similar-but-unequal pairs backing an MD.
-  size_t md_min_pairs = 20;
-  /// Minimum fraction of similar LHS pairs whose RHS values are equal.
-  double md_min_confidence = 0.9;
-  /// Seed of the pair sample (the sample is drawn once, sequentially, so
-  /// thread count cannot change which pairs are measured).
-  uint64_t md_seed = 7;
 
   /// Score candidates through a trial-warmed CleanModel and keep only
   /// rules whose conflicted γ groups reach min_mln_score star purity.
@@ -117,19 +80,19 @@ struct DiscoveryOptions {
   /// groups (1.0 = every conflicted group fully dominated by one γ).
   double min_mln_score = 0.5;
 
-  /// Worker-parallelism cap for the lattice levels, the MD pair sweep,
-  /// and the scoring session; same semantics as
-  /// CleaningOptions::num_threads (1 = sequential, 0 = auto). Results
-  /// are bit-identical for any setting.
+  /// Worker-parallelism cap for the lattice levels and the scoring
+  /// session; same semantics as CleaningOptions::num_threads
+  /// (1 = sequential, 0 = auto). Results are bit-identical for any
+  /// setting.
   size_t num_threads = 1;
   /// Execution backend; null resolves like CleaningOptions::executor.
   Executor* executor = nullptr;
-  /// Cooperative cancellation, polled at lattice-level, pair-chunk, and
-  /// session stage boundaries.
+  /// Cooperative cancellation, polled at lattice-level and session stage
+  /// boundaries.
   CancelToken cancel;
 
-  /// Validates option consistency (thresholds in range, ascending radii,
-  /// usable sample sizes).
+  /// Validates option consistency (thresholds in range, usable sample
+  /// sizes).
   Status Validate() const;
 
   /// num_threads with 0 resolved to the hardware concurrency (min 1).
@@ -156,24 +119,6 @@ struct MinedRuleInfo {
   bool kept = false;
 };
 
-/// One mined matching dependency: tuples whose `lhs_attr` values lie
-/// within normalized distance `threshold` (but are not equal) agree on
-/// `rhs_attr` with probability `confidence`. Threshold guidance for the
-/// similarity stages — not expressible in the rule DSL.
-struct MatchingDependency {
-  AttrId lhs_attr = 0;
-  AttrId rhs_attr = 0;
-  double threshold = 0.0;
-  /// Sampled pairs with 0 < d(lhs) <= threshold.
-  size_t similar_pairs = 0;
-  /// ... of which this many have equal rhs values.
-  size_t matching_pairs = 0;
-  double confidence = 0.0;
-
-  /// Rendering, e.g. "MD: HospitalName~0.25 -> City".
-  std::string ToString(const Schema& schema) const;
-};
-
 /// Output of DiscoverRules.
 struct DiscoveryResult {
   /// The surviving rules, named r1..rn in lattice order — ready for
@@ -181,8 +126,6 @@ struct DiscoveryResult {
   RuleSet rules;
   /// Every candidate that reached the measurement gates, kept or not.
   std::vector<MinedRuleInfo> mined;
-  /// Mined matching dependencies (lhs attr asc, then rhs attr asc).
-  std::vector<MatchingDependency> mds;
   /// Rows the MLN scoring pass warmed on (0 = scoring skipped).
   size_t sample_rows = 0;
 

@@ -48,7 +48,7 @@ bool CoveredByMined(const std::vector<MinedFd>& mined, const std::vector<AttrId>
 
 // Evaluates one surviving node: examines every eligible result attribute,
 // emitting an FD when the global confidence bar is met and otherwise
-// (optionally) constant-pattern CFDs from its consistent groups.
+// constant-pattern CFDs from its consistent groups.
 void MineNode(const Dataset& data, const DiscoveryOptions& options,
               const std::vector<AttrId>& attrs, const std::vector<MinedFd>& mined_prev,
               double support, NodeResult* out) {
@@ -68,7 +68,6 @@ void MineNode(const Dataset& data, const DiscoveryOptions& options,
       out->fds.push_back(MinedFd{attrs, rhs, support, confidence});
       continue;
     }
-    if (!options.mine_cfds) continue;
 
     // The FD failed globally; mine the groups where it holds locally.
     for (size_t g = 0; g < out->part.num_groups(); ++g) {

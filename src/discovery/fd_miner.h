@@ -64,7 +64,7 @@ struct FdMinerOutput {
 
 /// Runs the lattice search over `data`'s ValueId columns. Reads only the
 /// lattice knobs of `options` (max_lhs, min_support, min_confidence,
-/// mine_cfds, min_cfd_*); parallelism and cancellation come from `ctx`.
+/// min_cfd_*); parallelism and cancellation come from `ctx`.
 Result<FdMinerOutput> MineFds(const Dataset& data, const DiscoveryOptions& options,
                               const ExecContext& ctx);
 

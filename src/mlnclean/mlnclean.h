@@ -102,11 +102,11 @@
 //
 // No hand-written rules? Mine them. DiscoverRules proposes approximate
 // FDs and constant CFDs straight from the dirty table (TANE-style
-// lattice over the dictionary-encoded columns), measures similarity
-// thresholds as matching dependencies, trial-warms the candidates
-// through a compiled model, and keeps the rules whose γ groups
-// concentrate learned weight — survivors come back as a ready-to-compile
-// RuleSet whose canonical DSL round-trips through ParseRules:
+// lattice over the dictionary-encoded columns), trial-warms the
+// candidates through a compiled model, and keeps the rules whose γ
+// groups concentrate learned weight, one determinant per attribute —
+// survivors come back as a ready-to-compile RuleSet whose canonical DSL
+// round-trips through ParseRules:
 //
 //   DiscoveryResult mined = *DiscoverRules(dirty);
 //   CleanModel model = *CleaningEngine().Compile(dirty.schema(), mined.rules);
@@ -114,8 +114,8 @@
 //     std::printf("%s sup=%.2f conf=%.2f mln=%.2f\n", r.text.c_str(),
 //                 r.support, r.confidence, r.mln_score);
 //
-// Knobs, the algorithm, and threshold guidance live in DiscoveryOptions
-// and docs/discovery.md; `mlnclean_model discover` is the CLI face.
+// Knobs, the algorithm, and knob guidance live in DiscoveryOptions and
+// docs/discovery.md; `mlnclean_model discover` is the CLI face.
 //
 // The MlnCleanPipeline facade deprecated in the engine release has been
 // removed; CleaningEngine::Clean is the one-shot equivalent.

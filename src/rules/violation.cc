@@ -128,20 +128,4 @@ std::vector<Violation> FindAllViolations(const Dataset& data, const RuleSet& rul
   return out;
 }
 
-std::vector<std::vector<bool>> ViolationCellMask(const Dataset& data,
-                                                 const RuleSet& rules) {
-  std::vector<std::vector<bool>> mask(data.num_rows(),
-                                      std::vector<bool>(data.num_attrs(), false));
-  for (const Violation& v : FindAllViolations(data, rules)) {
-    for (TupleId tid : v.tuples) {
-      // Only the cells the violation manifests on (the result part) are
-      // flagged: reason-part errors form new keys and violate nothing —
-      // the qualitative-detection blind spot Example 1 of the paper
-      // illustrates with the "DOTH" typo.
-      for (AttrId a : v.attrs) mask[tid][static_cast<size_t>(a)] = true;
-    }
-  }
-  return mask;
-}
-
 }  // namespace mlnclean

@@ -1,6 +1,6 @@
 // Violation detection: finds the tuples/cells that breach a constraint.
-// Used by tests, by the HoloClean-style baseline's detector, and for
-// schema-level error accounting.
+// Used by tests and for schema-level error accounting (before and after
+// cleaning, as examples/custom_rules.cpp does).
 
 #ifndef MLNCLEAN_RULES_VIOLATION_H_
 #define MLNCLEAN_RULES_VIOLATION_H_
@@ -28,11 +28,6 @@ std::vector<Violation> FindViolations(const Dataset& data, const Constraint& rul
 
 /// Finds violations of every rule in the set.
 std::vector<Violation> FindAllViolations(const Dataset& data, const RuleSet& rules);
-
-/// Per-cell mask: mask[tid][attr] is true when the cell participates in at
-/// least one violation (the qualitative "where might errors hide" signal).
-std::vector<std::vector<bool>> ViolationCellMask(const Dataset& data,
-                                                 const RuleSet& rules);
 
 }  // namespace mlnclean
 

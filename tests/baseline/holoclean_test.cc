@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "datagen/hospital.h"
-#include "datagen/sample.h"
 #include "eval/metrics.h"
 
 namespace mlnclean {
@@ -45,29 +44,6 @@ TEST(HoloCleanTest, OnlyNoisyCellsAreTouched) {
       }
     }
   }
-}
-
-TEST(HoloCleanTest, DetectorVariantBlindToReasonPartTypos) {
-  // The Example 1 blind spot: a typo in a rule's reason part ("DOTH")
-  // violates nothing, so violation-based detection never flags it and the
-  // repair stage cannot touch it.
-  Dataset dirty = *SampleHospitalDirty();
-  RuleSet rules = *SampleHospitalRules();
-  HoloCleanBaseline baseline;
-  auto result = baseline.CleanWithDetector(dirty, rules);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->cleaned.at(1, 1), "DOTH");  // t2.CT stays broken
-}
-
-TEST(HoloCleanTest, DetectorVariantRuns) {
-  HaiFixture f;
-  DirtyDataset dd = f.Corrupt(0.05, 1.0, 14);
-  HoloCleanBaseline baseline;
-  auto result = baseline.CleanWithDetector(dd.dirty, f.wl.rules);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(result->noisy_cells, 0u);
-  RepairMetrics m = EvaluateRepair(dd.dirty, result->cleaned, dd.truth);
-  EXPECT_GE(m.F1(), 0.0);  // runs end to end; accuracy depends on detection
 }
 
 TEST(HoloCleanTest, MaskDimensionsValidated) {

@@ -13,13 +13,6 @@ TEST(StringUtilTest, Trim) {
   EXPECT_EQ(Trim("x"), "x");
 }
 
-TEST(StringUtilTest, SplitAndTrim) {
-  EXPECT_EQ(SplitAndTrim("a, b , c", ','), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(SplitAndTrim("solo", ','), (std::vector<std::string>{"solo"}));
-  EXPECT_EQ(SplitAndTrim("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(SplitAndTrim("a,,b", ','), (std::vector<std::string>{"a", "", "b"}));
-}
-
 TEST(StringUtilTest, Join) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(Join({}, ","), "");
@@ -38,22 +31,6 @@ TEST(StringUtilTest, StartsEndsWith) {
   EXPECT_FALSE(EndsWith("rld", "world"));
   EXPECT_TRUE(StartsWith("abc", ""));
   EXPECT_TRUE(EndsWith("abc", ""));
-}
-
-TEST(StringUtilTest, JoinKeyAppendsUnitSeparators) {
-  EXPECT_EQ(JoinKey({}), "");
-  EXPECT_EQ(JoinKey({"a"}), "a\x1f");
-  EXPECT_EQ(JoinKey({"DOTHAN", "AL"}), "DOTHAN\x1f\x41L\x1f");
-  // Distinguishes splits that plain concatenation would collide on.
-  EXPECT_NE(JoinKey({"ab", "c"}), JoinKey({"a", "bc"}));
-  // Empty fields still contribute a separator.
-  EXPECT_EQ(JoinKey({"", ""}), "\x1f\x1f");
-}
-
-TEST(StringUtilTest, FormatDouble) {
-  EXPECT_EQ(FormatDouble(3.14159, 2), "3.14");
-  EXPECT_EQ(FormatDouble(1.0, 3), "1.000");
-  EXPECT_EQ(FormatDouble(-0.5, 1), "-0.5");
 }
 
 }  // namespace

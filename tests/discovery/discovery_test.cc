@@ -95,18 +95,6 @@ TEST(DiscoveryOptionsTest, RejectsOutOfRangeKnobs) {
   o.max_rules = 0;
   expect_invalid(o);
   o = {};
-  o.md_thresholds = {};
-  expect_invalid(o);
-  o = {};
-  o.md_thresholds = {0.3, 0.2};  // not ascending
-  expect_invalid(o);
-  o = {};
-  o.md_thresholds = {0.0, 0.5};  // zero radius
-  expect_invalid(o);
-  o = {};
-  o.md_min_pairs = 0;
-  expect_invalid(o);
-  o = {};
   o.mln_sample_rows = 1;
   expect_invalid(o);
   o = {};
@@ -128,14 +116,6 @@ TEST(DiscoveryOptionsTest, ValidateFuzz) {
     o.min_cfd_support = rng.NextIndex(5);
     o.min_cfd_confidence = rng.NextDouble() * 3.0 - 1.0;
     o.max_rules = rng.NextIndex(4);
-    o.mine_mds = rng.NextBool(0.5);
-    o.md_thresholds.clear();
-    for (size_t i = rng.NextIndex(4); i-- > 0;) {
-      o.md_thresholds.push_back(rng.NextDouble() * 1.5 - 0.25);
-    }
-    o.md_max_pairs = rng.NextIndex(3);
-    o.md_min_pairs = rng.NextIndex(3);
-    o.md_min_confidence = rng.NextDouble() * 3.0 - 1.0;
     o.score_with_mln = rng.NextBool(0.5);
     o.mln_sample_rows = rng.NextIndex(6);
     o.min_mln_score = rng.NextDouble() * 3.0 - 1.0;
@@ -201,7 +181,6 @@ TEST(DiscoveryTest, MinedMeasuresMatchBruteForce) {
   const Dataset& dirty = SharedDirtyHospital().dirty;
   DiscoveryOptions opts;
   opts.score_with_mln = false;  // measure the lattice, not the model
-  opts.mine_mds = false;
   auto mined = DiscoverRules(dirty, opts);
   ASSERT_TRUE(mined.ok()) << mined.status().ToString();
   ASSERT_FALSE(mined->mined.empty());
@@ -224,7 +203,6 @@ TEST(DiscoveryTest, ExactRulesHoldOnCleanData) {
   opts.min_confidence = 1.0;
   opts.min_cfd_confidence = 1.0;
   opts.score_with_mln = false;
-  opts.mine_mds = false;
   opts.max_rules = 256;
   auto mined = DiscoverRules(wl.clean, opts);
   ASSERT_TRUE(mined.ok()) << mined.status().ToString();
@@ -279,6 +257,70 @@ TEST(DiscoveryTest, MinedRulesRoundTripCanonically) {
   }
 }
 
+TEST(DiscoveryTest, DefaultRuleSetIsPinned) {
+  // The rules default options keep on the dirty 40-hospital table, in
+  // order: one FD per result attribute, and none of the mined constant
+  // CFDs. Changing what discovery mines, scores or selects shows up here
+  // first.
+  const DirtyDataset& dd = SharedDirtyHospital();
+  auto mined = DiscoverRules(dd.dirty);
+  ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+  std::vector<std::string> kept;
+  for (const Constraint& c : mined->rules.rules()) {
+    kept.push_back(c.CanonicalText(dd.dirty.schema()));
+  }
+  const std::vector<std::string> expected = {
+      "FD: HospitalName -> ProviderID",  "FD: HospitalName -> City",
+      "FD: HospitalName -> State",       "FD: HospitalName -> ZIPCode",
+      "FD: HospitalName -> CountyName",  "FD: HospitalName -> PhoneNumber",
+      "FD: PhoneNumber -> HospitalName", "FD: MeasureID -> MeasureName",
+      "FD: MeasureName -> MeasureID",
+  };
+  EXPECT_EQ(kept, expected);
+  EXPECT_EQ(mined->mined.size(), 162u);
+}
+
+TEST(DiscoveryTest, ConstantCfdsOnlyWhereNoFdIsKept) {
+  // X -> A fails globally (X=r maps to ten A values), but the X=p group
+  // is a pure pattern, so the lattice proposes CFD X=p -> A=q. It is
+  // kept while no FD determines A, and dropped once Z -> A holds (as is
+  // X=p -> Z=q beside A -> Z). A -> X and Z -> X tie on both measures,
+  // so only the earlier one in lattice order stays.
+  std::vector<std::vector<std::string>> rows;
+  for (int i = 0; i < 10; ++i) rows.push_back({"p", "q", "q"});
+  for (int i = 0; i < 10; ++i) {
+    const std::string a = "a" + std::to_string(i);
+    rows.push_back({"r", a, a});
+  }
+  DiscoveryOptions opts;
+  opts.score_with_mln = false;  // selection only
+  auto kept_texts = [&](const Dataset& data) {
+    std::vector<std::string> out;
+    auto mined = DiscoverRules(data, opts);
+    if (!mined.ok()) {
+      ADD_FAILURE() << mined.status().ToString();
+      return out;
+    }
+    for (const Constraint& c : mined->rules.rules()) {
+      out.push_back(c.CanonicalText(data.schema()));
+    }
+    return out;
+  };
+
+  std::vector<std::vector<std::string>> xa;
+  for (const auto& row : rows) xa.push_back({row[0], row[1]});
+  const auto without_fd = kept_texts(*Dataset::Make(*Schema::Make({"X", "A"}), xa));
+  EXPECT_EQ(std::count(without_fd.begin(), without_fd.end(), "CFD: X=p -> A=q"), 1);
+
+  const auto with_fd = kept_texts(*Dataset::Make(*Schema::Make({"X", "A", "Z"}), rows));
+  EXPECT_EQ(std::count(with_fd.begin(), with_fd.end(), "FD: Z -> A"), 1);
+  EXPECT_EQ(std::count(with_fd.begin(), with_fd.end(), "FD: A -> X"), 1);
+  EXPECT_EQ(std::count(with_fd.begin(), with_fd.end(), "FD: Z -> X"), 0);
+  for (const std::string& text : with_fd) {
+    EXPECT_NE(text.rfind("CFD:", 0), 0u) << text;
+  }
+}
+
 TEST(DiscoveryTest, ThreadCountDoesNotChangeTheResult) {
   const DirtyDataset& dd = SharedDirtyHospital();
   DiscoveryOptions seq;
@@ -304,14 +346,6 @@ TEST(DiscoveryTest, ThreadCountDoesNotChangeTheResult) {
     EXPECT_EQ(a->rules.rule(i).CanonicalText(dd.dirty.schema()),
               b->rules.rule(i).CanonicalText(dd.dirty.schema()));
   }
-  ASSERT_EQ(a->mds.size(), b->mds.size());
-  for (size_t i = 0; i < a->mds.size(); ++i) {
-    EXPECT_EQ(a->mds[i].lhs_attr, b->mds[i].lhs_attr);
-    EXPECT_EQ(a->mds[i].rhs_attr, b->mds[i].rhs_attr);
-    EXPECT_EQ(a->mds[i].threshold, b->mds[i].threshold);
-    EXPECT_EQ(a->mds[i].similar_pairs, b->mds[i].similar_pairs);
-    EXPECT_EQ(a->mds[i].matching_pairs, b->mds[i].matching_pairs);
-  }
 }
 
 TEST(DiscoveryTest, CancellationAborts) {
@@ -321,24 +355,6 @@ TEST(DiscoveryTest, CancellationAborts) {
   const auto r = DiscoverRules(dd.dirty, opts);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
-}
-
-TEST(DiscoveryTest, MatchingDependenciesFindPlantedSimilarity) {
-  // Typos make near-equal HospitalName/City values whose State still
-  // agrees — the MD miner must surface at least one such dependency, and
-  // every reported MD must satisfy its own bars.
-  const DirtyDataset& dd = SharedDirtyHospital();
-  auto mined = DiscoverRules(dd.dirty);
-  ASSERT_TRUE(mined.ok()) << mined.status().ToString();
-  EXPECT_FALSE(mined->mds.empty());
-  const DiscoveryOptions defaults;
-  for (const MatchingDependency& md : mined->mds) {
-    EXPECT_GE(md.similar_pairs, defaults.md_min_pairs);
-    EXPECT_GE(md.confidence, defaults.md_min_confidence);
-    EXPECT_LE(md.matching_pairs, md.similar_pairs);
-    EXPECT_NE(md.lhs_attr, md.rhs_attr);
-    EXPECT_FALSE(md.ToString(dd.dirty.schema()).empty());
-  }
 }
 
 TEST(DiscoveryTest, EndToEndMinedRulesCleanWithinTenPercentOfHandWritten) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "datagen/sample.h"
 #include "rules/rule_parser.h"
 
@@ -74,21 +76,24 @@ TEST(ViolationTest, CleanDataHasNoViolations) {
   EXPECT_TRUE(FindAllViolations(clean, rules).empty());
 }
 
-TEST(ViolationTest, CellMaskMarksSuspects) {
+TEST(ViolationTest, ReasonPartTypoViolatesNothing) {
+  // Example 1's blind spot for detection by violations: t2's "DOTH" typo
+  // sits in r1's reason part, so it forms a new key and violates nothing,
+  // and t4's violations (r1 and r2) manifest only on their result, ST.
   Dataset dirty = *SampleHospitalDirty();
   RuleSet rules = *SampleHospitalRules();
-  auto mask = ViolationCellMask(dirty, rules);
-  // t4 (index 3) participates in r1 and r2 violations, both of which
-  // manifest on ST; reason-side cells stay unflagged.
-  EXPECT_TRUE(mask[3][2]);   // ST (result of r1/r2)
-  EXPECT_FALSE(mask[3][1]);  // CT (reason of r1)
-  EXPECT_FALSE(mask[3][3]);  // PN (reason of r2)
-  // t2 (index 1), the DOTH typo, violates nothing: untouched — the
-  // qualitative-detection blind spot of Example 1.
-  EXPECT_FALSE(mask[1][0]);
-  EXPECT_FALSE(mask[1][1]);
-  EXPECT_FALSE(mask[1][2]);
-  EXPECT_FALSE(mask[1][3]);
+  ASSERT_EQ(dirty.at(1, *dirty.schema().Find("CT")), "DOTH");
+  const AttrId st = *dirty.schema().Find("ST");
+  size_t t4_violations = 0;
+  for (const Violation& v : FindAllViolations(dirty, rules)) {
+    EXPECT_EQ(std::count(v.tuples.begin(), v.tuples.end(), TupleId{1}), 0)
+        << "rule " << v.rule_index << " lists t2";
+    if (std::count(v.tuples.begin(), v.tuples.end(), TupleId{3}) > 0) {
+      ++t4_violations;
+      EXPECT_EQ(v.attrs, std::vector<AttrId>{st}) << "rule " << v.rule_index;
+    }
+  }
+  EXPECT_EQ(t4_violations, 2u);
 }
 
 TEST(ViolationTest, FindAllAggregatesRules) {

@@ -20,6 +20,7 @@ different sizes are not comparable. The warning does not fail the job.
 
 import argparse
 import json
+import math
 import sys
 
 
@@ -46,6 +47,14 @@ def check_release(path, data):
             f"bench_compare: {path}: no mlnclean_build_type in context and "
             f"library_build_type is 'debug'; re-record from a Release build "
             f"of micro_kernels")
+
+
+def fmt_time(t):
+    """Formats a time to 3 significant digits, without an exponent."""
+    if t == 0 or not math.isfinite(t):
+        return f"{t:g}"
+    decimals = 2 - math.floor(math.log10(abs(t)))
+    return f"{round(t, decimals):.{max(decimals, 0)}f}"
 
 
 def load(path, require_release=False):
@@ -122,10 +131,10 @@ def main():
     failures = []
     for name in added:
         new_time, unit = fresh[name]
-        print(f"ADDED   {name}: {new_time:.0f} {unit} (no baseline; not gated)")
+        print(f"ADDED   {name}: {fmt_time(new_time)} {unit} (no baseline; not gated)")
     for name in removed:
         old_time, unit = base[name]
-        print(f"REMOVED {name}: was {old_time:.0f} {unit} in the baseline, "
+        print(f"REMOVED {name}: was {fmt_time(old_time)} {unit} in the baseline, "
               f"missing from the fresh run")
         if args.fail_on_removed:
             failures.append(f"{name}: present in baseline but missing from the "
@@ -142,9 +151,9 @@ def main():
         if ratio > 1.0 + args.threshold:
             status = "FAIL   "
             failures.append(
-                f"{name}: {old_time:.0f} -> {new_time:.0f} {unit} "
+                f"{name}: {fmt_time(old_time)} -> {fmt_time(new_time)} {unit} "
                 f"({(ratio - 1.0) * 100:+.1f}%, threshold +{args.threshold * 100:.0f}%)")
-        print(f"{status}{name}: {old_time:.0f} -> {new_time:.0f} {unit} "
+        print(f"{status}{name}: {fmt_time(old_time)} -> {fmt_time(new_time)} {unit} "
               f"({(ratio - 1.0) * 100:+.1f}%)")
 
     if failures:

@@ -757,8 +757,8 @@ int RunServe(const Args& args) {
   return 0;
 }
 
-/// Writes the mined-rule transcript: candidate measures, matching
-/// dependencies, and the kept rules as parseable canonical DSL. Fully
+/// Writes the mined-rule transcript: candidate measures and the kept
+/// rules as parseable canonical DSL. Fully
 /// deterministic — fixed-precision measures, no timings, and no thread
 /// count — so `cmp` between a --threads 1 and a --threads N run is the
 /// parallel-discovery gate CI checks.
@@ -768,18 +768,12 @@ void WriteDiscoveryTranscript(const Schema& schema, const DiscoveryResult& resul
   size_t kept = 0;
   for (const MinedRuleInfo& r : result.mined) kept += r.kept ? 1 : 0;
   out << "== discover candidates=" << result.mined.size() << " kept=" << kept
-      << " mds=" << result.mds.size() << " sample=" << result.sample_rows << "\n";
+      << " sample=" << result.sample_rows << "\n";
   out << "-- candidates\n";
   for (const MinedRuleInfo& r : result.mined) {
     std::snprintf(buf, sizeof(buf), " sup=%.4f conf=%.4f mln=%.4f", r.support,
                   r.confidence, r.mln_score);
     out << (r.kept ? "keep " : "drop ") << r.text << buf << "\n";
-  }
-  out << "-- matching dependencies\n";
-  for (const MatchingDependency& md : result.mds) {
-    std::snprintf(buf, sizeof(buf), " pairs=%zu match=%zu conf=%.4f",
-                  md.similar_pairs, md.matching_pairs, md.confidence);
-    out << md.ToString(schema) << buf << "\n";
   }
   // A `tail` past this marker is a rules file ParseRules accepts verbatim.
   out << "-- rules\n";
@@ -861,6 +855,9 @@ int RunDiscover(const Args& args) {
     std::snprintf(buf, sizeof(buf), "-- eval hand_f1=%.4f mined_f1=%.4f\n",
                   hand_f1, mined_f1);
     out << buf;
+    // Tuples FSCR fused greedily past its exhaustive-search cap.
+    out << "-- eval greedy_tuples hand=" << hand->report.fscr_greedy_tuples
+        << " mined=" << ours->report.fscr_greedy_tuples << "\n";
   }
 
   out.close();
@@ -868,9 +865,8 @@ int RunDiscover(const Args& args) {
     std::fprintf(stderr, "discover: write to %s failed\n", args.out_path.c_str());
     return 1;
   }
-  std::printf("discovered %zu rules (%zu candidates, %zu MDs) -> %s\n",
-              mined->rules.size(), mined->mined.size(), mined->mds.size(),
-              args.out_path.c_str());
+  std::printf("discovered %zu rules (%zu candidates) -> %s\n", mined->rules.size(),
+              mined->mined.size(), args.out_path.c_str());
   if (args.eval && mined_f1 < 0.9 * hand_f1) {
     // The CI demo gate: mined rules must clean within 10% of the
     // hand-written baseline.
