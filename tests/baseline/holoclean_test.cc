@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "datagen/hospital.h"
+#include "datagen/sample.h"
 #include "eval/metrics.h"
+#include "rules/violation.h"
 
 namespace mlnclean {
 namespace {
@@ -44,6 +46,26 @@ TEST(HoloCleanTest, OnlyNoisyCellsAreTouched) {
       }
     }
   }
+}
+
+TEST(HoloCleanTest, DetectorVariantBlindToReasonPartTypos) {
+  // The Example 1 blind spot: a typo in a rule's reason part ("DOTH")
+  // violates nothing, so a noisy mask detected from violations never
+  // flags it and the repair stage cannot touch it.
+  Dataset dirty = *SampleHospitalDirty();
+  RuleSet rules = *SampleHospitalRules();
+  std::vector<std::vector<bool>> noisy(dirty.num_rows(),
+                                       std::vector<bool>(dirty.num_attrs(), false));
+  for (const Violation& v : FindAllViolations(dirty, rules)) {
+    for (TupleId t : v.tuples) {
+      for (AttrId a : v.attrs) noisy[t][static_cast<size_t>(a)] = true;
+    }
+  }
+  HoloCleanBaseline baseline;
+  auto result = baseline.Clean(dirty, rules, noisy);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result->noisy_cells, 0u);
+  EXPECT_EQ(result->cleaned.at(1, 1), "DOTH");  // t2.CT stays broken
 }
 
 TEST(HoloCleanTest, MaskDimensionsValidated) {

@@ -76,7 +76,8 @@ TEST(ViolationTest, CleanDataHasNoViolations) {
   EXPECT_TRUE(FindAllViolations(clean, rules).empty());
 }
 
-TEST(ViolationTest, ReasonPartTypoViolatesNothing) {
+TEST(ViolationTest, CellMaskMarksSuspects) {
+  // The cells violations mark as suspects are their result cells only.
   // Example 1's blind spot for detection by violations: t2's "DOTH" typo
   // sits in r1's reason part, so it forms a new key and violates nothing,
   // and t4's violations (r1 and r2) manifest only on their result, ST.
